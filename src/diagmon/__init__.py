@@ -4,7 +4,8 @@ Subpackages:
 
 - ``diagrams``: partition diagrams and their stacking product
 - ``relations``: binary relations under composition
-- ``monoid``: generic finite-monoid engine (tables, Green's relations)
+- ``monoid``: generic finite-monoid engine (Froidure-Pin enumeration,
+  Cayley graphs and tables, Green's relations)
 - ``ehresmann``: axiom checks, tilde classes, natural orders, substructures
 - ``zoo``: named families (partition, Brauer, rook, relation monoids)
 - ``algebra``: categories, basis transform, Mobius inversion, radicals

@@ -70,11 +70,7 @@ def cmd_build(args):
 
 def cmd_analyze(args):
     s, e = _monoid_and_semilattice(args.family, args.semilattice)
-    gens = None
-    if s.size > eh.FULL_SWEEP_CAP and args.family.startswith("P"):
-        spec = zoo.FamilySpec.parse(args.family)
-        gens = [s.index[g] for g in zoo.partition_generators(spec.n)]
-    report = eh.check_axioms(s, e, gens)
+    report = eh.check_axioms(s, e, s.generators)
     data = report.to_json()
     data["size"] = s.size
     try:
@@ -127,11 +123,27 @@ def cmd_eggbox(args):
     if args.shade:
         with open(args.shade) as fh:
             data = json.load(fh)
-        decode = type(m.elements[0]).from_json
-        shade = {m.index[decode(item)] for item in data}
+        shade = _shade_indices(m, data, args.family)
     dot = dotout.emit_eggbox(m, shade=shade, title=args.family)
     _write_out(dot, args.out)
     return EXIT_OK
+
+
+def _shade_indices(m, data, family):
+    """Indices of the elements listed in a shade file's JSON array."""
+    if not isinstance(data, list):
+        raise ValidationError("the shade file must hold a JSON array")
+    decode = type(m.elements[0]).from_json
+    out = set()
+    for item in data:
+        try:
+            x = decode(item)
+        except (LookupError, TypeError, ValueError):
+            raise ValidationError(f"malformed shade item {item!r}") from None
+        if x not in m.index:
+            raise ValidationError(f"shade item {item!r} is not in {family}")
+        out.add(m.index[x])
+    return out
 
 
 def cmd_category(args):

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import StateError, ValidationError
-from .monoid import FiniteMonoid, GreenStructure, _classes_by_key, green
+from .monoid import (
+    FiniteMonoid,
+    GreenStructure,
+    _classes_by_key,
+    generates,
+    green,
+)
 
 FULL_SWEEP_CAP = 1000
 
@@ -137,8 +143,11 @@ def check_axioms(s: FiniteMonoid, e: Semilattice, generators=None) -> EhresmannR
 
     The congruence sweep ranges over all elements when the monoid is small
     enough, otherwise over the supplied generating set (sufficient for
-    one-sided congruences).
+    one-sided congruences).  A supplied set that does not generate s raises
+    ValidationError.
     """
+    if generators is not None and not generates(s, generators):
+        raise ValidationError("the given elements do not generate the monoid")
     r_tilde = tilde_classes(s, e, "r")
     l_tilde = tilde_classes(s, e, "l")
     if s.size <= FULL_SWEEP_CAP:

@@ -1,35 +1,170 @@
-"""Generic finite-monoid engine.
+"""Finite monoids: Froidure–Pin enumeration, Cayley graphs, Green's relations.
 
-Elements are indexed 0..m-1; a decoder maps indices back to the concrete
-elements (diagrams or relations) they came from.  The Cayley table is
-materialised when the monoid is small enough; above the cap, products are
-computed on demand through the concrete operation.  Green's relations are
-computed from principal ideals, with D as the join of R and L and the
-J-order obtained from two-sided ideals of class representatives.
+A monoid given by generators is enumerated once, breadth first from the
+identity, as in Froidure & Pin (1997), "Algorithms for computing finite
+semigroups".  Each element gets its short-lex least word over the
+generators, and the right and left Cayley graphs record x*g and g*x for
+every element x and generator g.  Only x*g calls the concrete operation:
+g*x follows from the words, and so does every later product.  The product
+x*y is read off by tracing the word of y through the right graph from x,
+and a whole row x*S costs one graph lookup per element, taken in word
+order.
+
+A ``FiniteMonoid`` indexes its elements 0..m-1.  An enumerated monoid is
+tabulated from traced rows when it fits under ``TABLE_CAP``; above the cap
+it keeps only its graphs and multiplies by tracing.  A submonoid, such as a
+family cut out by a membership predicate, is tabulated by restricting the
+parent's rows, and a product that leaves it raises ``ValidationError``, so
+closure is exact.  A monoid given only by its elements and operation (the
+relation families) is tabulated through the operation.
+
+Green's R- and L-classes are the strongly connected components of the right
+and left Cayley graphs: over the generators for an enumerated monoid without
+a table, and over the table rows and columns otherwise.  D is the join of R
+and L, and the J-order is reachability between D-classes, as in East,
+Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups" (J. Symb.
+Comp. 2019).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import ResourceCapError, StateError, ValidationError
 
 TABLE_CAP = 1000
+MAX_ELEMENTS = 100000
 
 
-def _worker_count():
+class CayleyGraph:
+    """Right and left Cayley graphs of a monoid over its generators.
+
+    ``right[x][k]`` is the index of x*g_k and ``left[x][k]`` that of g_k*x.
+    ``words[x]`` is the short-lex least word (a tuple of generator numbers)
+    spelling x, and ``prefix[x]`` the element spelt by that word without its
+    last letter (None for the identity).
+    """
+
+    def __init__(self, elements, op, generators, right, left, words, prefix):
+        self.elements = elements
+        self.op = op
+        self.generators = generators  # element index of each generator
+        self.right = right
+        self.left = left
+        self.words = words
+        self.prefix = prefix
+        self.identity = prefix.index(None)
+
+    def _product(self, x, y):
+        right = self.right
+        for k in self.words[y]:
+            x = right[x][k]
+        return x
+
+    def _rows(self, indices):
+        """For each x in indices, the products x*y for y in indices.
+
+        Every y is the product of its prefix and its last letter, so a row
+        is filled in word order over the prefix-closure of indices, one
+        batch per (word length, last letter).
+        """
+        words, prefix, one = self.words, self.prefix, self.identity
+        need = set()
+        for y in indices:
+            while y != one and y not in need:
+                need.add(y)
+                y = prefix[y]
+        key = lambda y: (len(words[y]), words[y][-1])
+        order = sorted(need, key=key)
+        pos = {one: 0}
+        pos.update((y, p) for p, y in enumerate(order, 1))
+        batches = [
+            (last, [pos[prefix[y]] for y in batch])
+            for (_, last), batch in groupby(order, key=key)
+        ]
+        take = [pos[y] for y in indices]
+        right = self.right
+        for x in indices:
+            row = [x]
+            for k, pre in batches:
+                row.extend([right[z][k] for z in map(row.__getitem__, pre)])
+            yield list(map(row.__getitem__, take))
+
+
+def froidure_pin(
+    generators, op, identity, universe=None, max_size=MAX_ELEMENTS
+):
+    """Enumerate the monoid generated under op by the given elements.
+
+    Elements are found breadth first from the identity, so the first word
+    reaching an element is its short-lex least word.  With ``universe``, a
+    sequence of all elements of the ambient monoid, the result is renumbered
+    into the universe's order, and the generators must generate all of it:
+    reaching exactly ``len(universe)`` elements, each in the universe,
+    certifies both the generating set and closure.
+    """
+    elements = [identity]
+    index = {identity: 0}
+    words = [()]
+    prefix = [None]
+    right = []
+    for x, word in zip(elements, words):  # grows while it is walked
+        row = []
+        for k, g in enumerate(generators):
+            p = op(x, g)
+            i = index.get(p)
+            if i is None:
+                i = index[p] = len(elements)
+                if i >= max_size:
+                    raise ResourceCapError(
+                        f"closure exceeded the element cap {max_size}", max_size
+                    )
+                elements.append(p)
+                words.append(word + (k,))
+                prefix.append(len(right))
+            row.append(i)
+        right.append(row)
+    # g*x = (g*y)*h for x = y*h, with y before x in breadth-first order
+    left = [right[0]]
+    for x in range(1, len(elements)):
+        h = words[x][-1]
+        left.append([right[z][h] for z in left[prefix[x]]])
+    if universe is None:
+        return CayleyGraph(elements, op, right[0], right, left, words, prefix)
+
+    place = {x: i for i, x in enumerate(universe)}
     try:
-        return max(1, int(os.environ.get("DIAGMON_WORKERS", "1")))
-    except ValueError:
-        return 1
+        new = [place[x] for x in elements]
+    except KeyError:
+        raise ValidationError("a product left the given universe") from None
+    if len(new) != len(universe):
+        raise ValidationError(
+            f"the generators give {len(new)} of the {len(universe)} elements"
+        )
+
+    def renumber(rows):
+        out = [None] * len(new)
+        for i, row in zip(new, rows):
+            out[i] = row
+        return out
+
+    return CayleyGraph(
+        tuple(universe),
+        op,
+        [new[i] for i in right[0]],
+        renumber([new[i] for i in row] for row in right),
+        renumber([new[i] for i in row] for row in left),
+        renumber(words),
+        renumber(None if p is None else new[p] for p in prefix),
+    )
 
 
 class FiniteMonoid:
     """A finite monoid (or semigroup) over an indexed element universe."""
 
-    def __init__(self, elements, op, identity, table=None):
+    def __init__(self, elements, op, identity, table=None, graph=None):
         self.elements = list(elements)
         self.size = len(self.elements)
         self.op = op
@@ -38,103 +173,90 @@ class FiniteMonoid:
             raise ValidationError("duplicate elements in universe")
         self.identity = identity  # index, or None for a semigroup
         self.table = table
+        self.graph = graph  # Cayley graphs over these elements, or None
+        self.generators = None if graph is None else graph.generators
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_elements(cls, elements, op, table_cap=TABLE_CAP, closure_samples=20000):
-        """Index a multiplicatively closed set of elements.
-
-        Closure is re-verified: exhaustively while building the Cayley
-        table, or on random pairs when the table cap is exceeded.
-        """
+    def from_elements(cls, elements, op):
+        """Index a multiplicatively closed set of elements and tabulate it
+        through op; a product outside the set raises ValidationError."""
         m = cls(list(elements), op, identity=None)
-        if m.size <= table_cap:
-            m.table = m._build_table()
-        else:
-            rng = random.Random(0)
-            for _ in range(min(closure_samples, m.size * m.size)):
-                i = rng.randrange(m.size)
-                j = rng.randrange(m.size)
-                p = op(m.elements[i], m.elements[j])
-                if p not in m.index:
-                    raise ValidationError(f"universe not closed: product of {i},{j}")
+        m._check_cap()
+        m.table = m._build_table()
         m.identity = m._find_identity()
         return m
 
     @classmethod
-    def closure(cls, generators, op, identity_element, max_size=100000,
-                table_cap=TABLE_CAP):
-        """Breadth-first closure of a generating set under op."""
-        elements = []
-        index = {}
-
-        def add(x):
-            if x not in index:
-                index[x] = len(elements)
-                elements.append(x)
-                if len(elements) > max_size:
-                    raise ResourceCapError(
-                        f"closure exceeded the element cap {max_size}", max_size
-                    )
-
-        add(identity_element)
-        for g in generators:
-            add(g)
-        frontier = list(elements)
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in list(index):
-                    for p in (op(x, g), op(g, x)):
-                        if p not in index:
-                            add(p)
-                            new.append(p)
-            frontier = new
-        m = cls(elements, op, identity=index[identity_element])
-        if m.size <= table_cap:
-            m.table = m._build_table()
+    def from_graph(cls, graph):
+        """The monoid a Cayley graph enumerates, with a table of traced rows
+        when it fits under ``TABLE_CAP``."""
+        m = cls(graph.elements, graph.op, graph.identity, graph=graph)
+        if m.size <= TABLE_CAP:
+            m.table = m._build_table(graph, range(m.size))
         return m
 
-    def _build_table(self):
-        workers = _worker_count()
-        if workers > 1 and self.size >= 200:
-            return self._build_table_parallel(workers)
-        op = self.op
-        idx = self.index
-        els = self.elements
+    def submonoid(self, indices):
+        """The sub-(semi)group on a closed index subset, reindexed.
+
+        Its table restricts this monoid's rows, without calling op.
+        """
+        indices = sorted(indices)
+        sub = FiniteMonoid([self.elements[i] for i in indices], self.op, None)
+        sub._check_cap()
+        sub.table = sub._build_table(self, indices)
+        sub.identity = sub._find_identity()
+        return sub
+
+    def _check_cap(self):
+        if self.size > TABLE_CAP:
+            raise ResourceCapError(
+                f"{self.size} elements exceed the Cayley-table cap {TABLE_CAP}",
+                TABLE_CAP,
+            )
+
+    def _build_table(self, parent=None, indices=None):
+        """The Cayley table, as the rows of ``parent`` (a CayleyGraph or a
+        FiniteMonoid) restricted to ``indices``, or through op without a
+        parent.  A product outside this monoid raises ValidationError."""
+        if parent is None:
+            index, op, elements = self.index, self.op, self.elements
+            rows = (
+                [index.get(op(x, y), -1) for y in elements] for x in elements
+            )
+        else:
+            local = [-1] * len(parent.elements)
+            for i, p in enumerate(indices):
+                local[p] = i
+            rows = (
+                list(map(local.__getitem__, row))
+                for row in parent._rows(indices)
+            )
         table = []
-        for x in els:
-            table.append([idx[op(x, y)] for y in els])
+        for row in rows:
+            if -1 in row:
+                raise ValidationError(
+                    f"elements not closed: the product of {len(table)},"
+                    f"{row.index(-1)} escapes the set"
+                )
+            table.append(row)
         return table
 
-    def _build_table_parallel(self, workers):
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [
-            range(lo, min(lo + 64, self.size)) for lo in range(0, self.size, 64)
-        ]
-        rows = [None] * self.size
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(self.elements, self.op),
-        ) as pool:
-            for start, block in zip(
-                (c[0] for c in chunks), pool.map(_pool_rows, chunks)
-            ):
-                for off, row in enumerate(block):
-                    rows[start + off] = row
-        return rows
+    def _rows(self, indices):
+        if self.table is None:
+            return self.graph._rows(indices)
+        rows = map(self.table.__getitem__, indices)
+        return ([row[j] for j in indices] for row in rows)
 
     def _find_identity(self):
-        probe = self.elements[0]
-        for i, e in enumerate(self.elements):
-            if self.op(e, probe) == probe and self.op(probe, e) == probe:
-                if all(
-                    self.op(e, x) == x and self.op(x, e) == x for x in self.elements
-                ):
-                    return i
+        """The identity, read off the table."""
+        ident = list(range(self.size))
+        for i, row in enumerate(self.table):
+            if row == ident and all(
+                r[i] == x for x, r in enumerate(self.table)
+            ):
+                return i
         return None
 
     # -- products ----------------------------------------------------------
@@ -142,7 +264,7 @@ class FiniteMonoid:
     def mul(self, i, j):
         if self.table is not None:
             return self.table[i][j]
-        return self.index[self.op(self.elements[i], self.elements[j])]
+        return self.graph._product(i, j)
 
     def decode(self, i):
         return self.elements[i]
@@ -178,31 +300,20 @@ class FiniteMonoid:
             "elements": [x.to_json() for x in self.elements],
         }
 
-    def submonoid(self, indices):
-        """The sub-(semi)group on a closed index subset, reindexed."""
-        return FiniteMonoid.from_elements(
-            [self.elements[i] for i in sorted(indices)], self.op
-        )
 
+def generates(m: FiniteMonoid, generators) -> bool:
+    """True iff the elements with the given indices generate m.
 
-_POOL_ELEMENTS = None
-_POOL_OP = None
-_POOL_INDEX = None
-
-
-def _pool_init(elements, op):
-    global _POOL_ELEMENTS, _POOL_OP, _POOL_INDEX
-    _POOL_ELEMENTS = elements
-    _POOL_OP = op
-    _POOL_INDEX = {x: i for i, x in enumerate(elements)}
-
-
-def _pool_rows(rows):
-    out = []
-    for i in rows:
-        x = _POOL_ELEMENTS[i]
-        out.append([_POOL_INDEX[_POOL_OP(x, y)] for y in _POOL_ELEMENTS])
-    return out
+    Judged by the size of their traced closure: as a monoid, or as a
+    semigroup (with a formal identity adjoined) when m has no identity.
+    """
+    if any(not 0 <= g < m.size for g in generators):
+        raise ValidationError(f"generator index outside 0..{m.size - 1}")
+    if m.identity is not None:
+        closure = froidure_pin(generators, m.mul, m.identity)
+        return len(closure.elements) == m.size
+    op = lambda x, g: g if x < 0 else m.mul(x, g)
+    return len(froidure_pin(generators, op, -1).elements) == m.size + 1
 
 
 # -- Green's relations ------------------------------------------------------
@@ -217,8 +328,6 @@ class GreenStructure:
     j_class: list
     d_order: set = field(default_factory=set)  # pairs (a, b): D_a <= D_b
     d_equals_j: bool = True
-    right_ideals: list = None  # per R-class rep, frozenset xS^1
-    left_ideals: list = None
 
     def num(self, rel):
         return len(set(getattr(self, rel + "_class")))
@@ -235,14 +344,61 @@ def _classes_by_key(keys):
     return out
 
 
+def _scc(adj):
+    """Strongly connected components of a graph given by successor lists,
+    as one component id per vertex (iterative Tarjan)."""
+    size = len(adj)
+    order = [-1] * size  # discovery number
+    low = [0] * size
+    comp = [-1] * size
+    stack = []
+    count = found = 0
+    for root in range(size):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:  # w is on the stack
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = found
+                        if w == v:
+                            break
+                    found += 1
+    return comp
+
+
 def green(m: FiniteMonoid) -> GreenStructure:
-    """Green's relations from principal ideals (xS^1, S^1x, S^1xS^1)."""
-    size = m.size
-    rng = range(size)
-    right = [frozenset({x} | {m.mul(x, j) for j in rng}) for x in rng]
-    left = [frozenset({x} | {m.mul(i, x) for i in rng}) for x in rng]
-    r_class = _classes_by_key(right)
-    l_class = _classes_by_key(left)
+    """Green's relations from the strongly connected components of the
+    right and left Cayley graphs, with D = R v L and the J-order as
+    reachability between D-classes."""
+    if m.table is not None:
+        # over every element: rows and columns of the table
+        right, left = m.table, list(zip(*m.table))
+    else:
+        right, left = m.graph.right, m.graph.left
+    rng = range(m.size)
+    r_class = _classes_by_key(_scc(right))
+    l_class = _classes_by_key(_scc(left))
     h_class = _classes_by_key(zip(r_class, l_class))
 
     # D = join of R and L via union-find over elements
@@ -254,6 +410,7 @@ def green(m: FiniteMonoid) -> GreenStructure:
             x = parent[x]
         return x
 
+    firsts = []  # the least member of each R-class, then of each L-class
     for classes in (r_class, l_class):
         first = {}
         for x in rng:
@@ -264,35 +421,32 @@ def green(m: FiniteMonoid) -> GreenStructure:
                     parent[b] = a
             else:
                 first[c] = x
+        firsts.append(first.values())
     d_class = _classes_by_key(find(x) for x in rng)
 
-    # J-order between D-classes, via two-sided ideals of representatives
-    reps = {}
-    for x in rng:
-        reps.setdefault(d_class[x], x)
-    two_sided = {}
-    for d, x in reps.items():
-        ideal = set(right[x])
-        for i in rng:
-            row = (
-                m.table[i] if m.table is not None else None
-            )
-            if row is not None:
-                ideal.update(row[k] for k in right[x])
-            else:
-                ideal.update(m.mul(i, k) for k in right[x])
-        two_sided[d] = ideal
+    # J-order: D-classes reachable along right and left edges.  xS^1 is the
+    # same for every x in an R-class, so the table row of one member per
+    # R-class (and the column of one per L-class) reaches every D-class
+    # that an edge from the class does.
+    succ = {d: set() for d in d_class}
+    for adj, reps in zip((right, left), firsts):
+        for x in reps if m.table is not None else rng:
+            succ[d_class[x]].update(map(d_class.__getitem__, adj[x]))
     d_order = set()
-    for a, xa in reps.items():
-        for b in reps:
-            if xa in two_sided[b]:
-                d_order.add((a, b))
+    for b in succ:
+        below, stack = {b}, [b]
+        while stack:
+            for a in succ[stack.pop()]:
+                if a not in below:
+                    below.add(a)
+                    stack.append(a)
+        d_order.update((a, b) for a in below)
     # J-equivalence on D-class ids; D = J iff it is the identity
     j_rep = {
-        a: min(b for b in reps if (a, b) in d_order and (b, a) in d_order)
-        for a in reps
+        a: min(b for b in succ if (a, b) in d_order and (b, a) in d_order)
+        for a in succ
     }
-    d_equals_j = all(j_rep[a] == a for a in reps)
+    d_equals_j = all(j_rep[a] == a for a in succ)
     j_class = _classes_by_key(j_rep[d_class[x]] for x in rng)
     return GreenStructure(
         r_class=r_class,
@@ -302,8 +456,6 @@ def green(m: FiniteMonoid) -> GreenStructure:
         j_class=j_class,
         d_order=d_order,
         d_equals_j=d_equals_j,
-        right_ideals=right,
-        left_ideals=left,
     )
 
 

@@ -115,10 +115,8 @@ def check_block_identity_axioms(nmax=None):
     out = []
     for n in range(2, _cap(4, nmax) + 1):
         s = zoo.build(f"P{n}")
-        gens = None
-        if s.size > eh.FULL_SWEEP_CAP:
-            gens = [s.index[g] for g in zoo.partition_generators(n)]
-        rep = eh.check_axioms(s, zoo.semilattice_for("F", f"P{n}"), gens)
+        f = zoo.semilattice_for("F", f"P{n}")
+        rep = eh.check_axioms(s, f, s.generators)
         out.append(
             CheckResult(
                 f"P_{n} satisfies L1, L2, R1, R2 for the block identities",

@@ -2,10 +2,12 @@
 
 Families are built by filtering an exhaustive element enumeration, so
 membership predicates are primary and closure under the product is a
-checked fact rather than an assumption.  Rook diagrams of degree n are
-represented by their image in the degree-(n+1) partition monoid, with the
-extra point playing the role of the absorbing vertex; there is a single
-multiplication code path.
+checked fact rather than an assumption.  Each diagram family is an index
+subset of one partition monoid P_n, enumerated once per n from generators,
+and its table restricts the traced products of P_n.  Rook diagrams of
+degree n are represented by their image in the degree-(n+1) partition
+monoid, with the extra point playing the role of the absorbing vertex;
+there is a single multiplication code path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import relations as rel
 from .diagrams import Partition, SetPartition, Subset
 from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, froidure_pin
 
 FAMILIES = (
     "P", "B", "PB", "RP", "I", "J", "T", "PT", "Pfd", "Pfcd", "Pfk",
@@ -116,9 +118,15 @@ def _diagram_predicate(family, n):
     full = frozenset(range(1, n + 1))
 
     def p(a):
+        if family == "RP":
+            return has_absorbing_block(a)
         q = dg.params(a)
-        if family == "P":
-            return True
+        if family == "RJ":
+            return (
+                has_absorbing_block(a)
+                and q.dom.members == full
+                and q.codom.members == full
+            )
         if family == "B":
             return dg.is_brauer(a)
         if family == "PB":
@@ -159,8 +167,24 @@ def has_absorbing_block(a: Partition):
 
 
 @lru_cache(maxsize=None)
+def partition_graph(n):
+    """The Cayley graphs of P_n over ``partition_generators(n)``, enumerated
+    once and numbered in ``partition_universe(n)`` order.  Reaching all
+    Bell(2n) diagrams certifies the generating set and closure."""
+    return froidure_pin(
+        partition_generators(n), dg.multiply, dg.identity(n),
+        universe=partition_universe(n),
+    )
+
+
+@lru_cache(maxsize=None)
 def build(name) -> FiniteMonoid:
-    """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'."""
+    """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
+
+    Diagram families are index subsets of one partition monoid, tabulated
+    by restricting its traced products; relation families are tabulated
+    through composition.
+    """
     spec = FamilySpec.parse(str(name))
     spec.check_cap()
     fam, n = spec.family, spec.n
@@ -169,22 +193,14 @@ def build(name) -> FiniteMonoid:
     if fam == "PT":
         elems = [a for a in relation_universe(n) if rel.is_partial_function(a)]
         return FiniteMonoid.from_elements(elems, rel.compose)
-    if fam == "RP":
-        elems = [a for a in partition_universe(n + 1) if has_absorbing_block(a)]
-        return FiniteMonoid.from_elements(elems, dg.multiply)
-    if fam == "RJ":
-        full = frozenset(range(1, n + 2))
-        elems = [
-            a
-            for a in partition_universe(n + 1)
-            if has_absorbing_block(a)
-            and dg.params(a).dom.members == full
-            and dg.params(a).codom.members == full
-        ]
-        return FiniteMonoid.from_elements(elems, dg.multiply)
-    pred = _diagram_predicate(fam, n)
-    elems = [a for a in partition_universe(n) if pred(a)]
-    return FiniteMonoid.from_elements(elems, dg.multiply)
+    if fam == "P":
+        return FiniteMonoid.from_graph(partition_graph(n))
+    degree = n + 1 if fam in ("RP", "RJ") else n
+    parent = build(f"P{degree}")
+    pred = _diagram_predicate(fam, degree)
+    return parent.submonoid(
+        i for i, a in enumerate(parent.elements) if pred(a)
+    )
 
 
 SEMILATTICE_KINDS = ("E", "F", "G")

@@ -205,3 +205,81 @@ def all_subsets(n):
     pts = range(1, n + 1)
     for k in range(n + 1):
         yield from combinations(pts, k)
+
+
+# -- reference Cayley tables and Green's relations ------------------------------
+
+
+def op_table(elements, op):
+    """The Cayley table of a closed element list, one op call per product."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[op(x, y)] for y in elements] for x in elements]
+
+
+def _first_occurrence_ids(keys):
+    ids = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
+def green_principal_ideals(m):
+    """Green's relations from principal ideals (xS^1, S^1x, S^1xS^1).
+
+    Returns a dict with the fields of ``monoid.GreenStructure``: class ids
+    in order of minimal member, D as the join of R and L, and the J-order
+    from two-sided ideals of D-class representatives.
+    """
+    size = m.size
+    rng = range(size)
+    right = [frozenset({x} | {m.mul(x, j) for j in rng}) for x in rng]
+    left = [frozenset({x} | {m.mul(i, x) for i in rng}) for x in rng]
+    r_class = _first_occurrence_ids(right)
+    l_class = _first_occurrence_ids(left)
+    h_class = _first_occurrence_ids(zip(r_class, l_class))
+
+    parent = list(rng)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for classes in (r_class, l_class):
+        first = {}
+        for x in rng:
+            c = classes[x]
+            if c in first:
+                a, b = find(first[c]), find(x)
+                if a != b:
+                    parent[b] = a
+            else:
+                first[c] = x
+    d_class = _first_occurrence_ids(find(x) for x in rng)
+
+    reps = {}
+    for x in rng:
+        reps.setdefault(d_class[x], x)
+    two_sided = {}
+    for d, x in reps.items():
+        ideal = set(right[x])
+        for i in rng:
+            ideal.update(m.mul(i, k) for k in right[x])
+        two_sided[d] = ideal
+    d_order = set()
+    for a, xa in reps.items():
+        for b in reps:
+            if xa in two_sided[b]:
+                d_order.add((a, b))
+    j_rep = {
+        a: min(b for b in reps if (a, b) in d_order and (b, a) in d_order)
+        for a in reps
+    }
+    return {
+        "r_class": r_class,
+        "l_class": l_class,
+        "h_class": h_class,
+        "d_class": d_class,
+        "j_class": _first_occurrence_ids(j_rep[d_class[x]] for x in rng),
+        "d_order": d_order,
+        "d_equals_j": all(j_rep[a] == a for a in reps),
+    }

@@ -68,6 +68,23 @@ def test_eggbox_and_shade(tmp_path):
     assert "#ff8c00" in text or "#ffa500" in text
 
 
+@pytest.mark.parametrize(
+    "items",
+    [
+        [zoo.build("P3").elements[0].to_json()],  # a diagram outside P2
+        [{"n": 2}],
+        [[1]],
+    ],
+)
+def test_eggbox_shade_rejects_bad_items(tmp_path, capsys, items):
+    shade_file = tmp_path / "shade.json"
+    shade_file.write_text(json.dumps(items))
+    code = cli.main(["eggbox", "P2", "--shade", str(shade_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_category_command(tmp_path):
     code, text = run(["category", "PT2", "E"], tmp_path)
     assert code == 0

@@ -83,6 +83,13 @@ def test_large_monoid_requires_generators():
         eh.check_axioms(s, f)
 
 
+def test_non_generating_set_rejected():
+    s = zoo.build("P4")
+    f = zoo.semilattice_for("F", "P4")
+    with pytest.raises(ValidationError):
+        eh.check_axioms(s, f, s.generators[1:])
+
+
 def test_rest_subsemigroups_of_relations_are_partial_maps():
     s = zoo.build("BX2")
     e = zoo.semilattice_for("E", "BX2")

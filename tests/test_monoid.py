@@ -1,11 +1,16 @@
-"""Generic monoid engine: closure, tables, Green's relations, egg-boxes."""
+"""Generic monoid engine: enumeration, tables, Green's relations, egg-boxes."""
+
+import random
 
 import pytest
 
 from diagmon import diagrams as dg
 from diagmon import monoid as mon
+from diagmon import relations as rel
 from diagmon import zoo
 from diagmon.errors import ResourceCapError, StateError, ValidationError
+
+from oracles import bell_numbers, green_principal_ideals, op_table
 
 
 def test_from_elements_builds_identity_and_table():
@@ -19,15 +24,17 @@ def test_from_elements_builds_identity_and_table():
 
 def test_closure_from_generators_recovers_partition_monoids():
     for n, size in ((2, 15), (3, 203)):
-        m = mon.FiniteMonoid.closure(
-            zoo.partition_generators(n), dg.multiply, dg.identity(n)
+        m = mon.FiniteMonoid.from_graph(
+            mon.froidure_pin(
+                zoo.partition_generators(n), dg.multiply, dg.identity(n)
+            )
         )
         assert m.size == size
 
 
 def test_closure_respects_element_cap():
     with pytest.raises(ResourceCapError):
-        mon.FiniteMonoid.closure(
+        mon.froidure_pin(
             zoo.partition_generators(3), dg.multiply, dg.identity(3),
             max_size=50,
         )
@@ -128,9 +135,7 @@ def test_check_embedding_positive_and_negative():
 
 
 def test_to_json_requires_table():
-    m = mon.FiniteMonoid.from_elements(
-        zoo.build("P2").elements, dg.multiply, table_cap=5
-    )
+    m = zoo.build("P4")  # above the table cap: graphs only
     with pytest.raises(StateError):
         m.to_json()
 
@@ -140,3 +145,86 @@ def test_submonoid_reindexes_closed_subsets():
     idx = [i for i, a in enumerate(m.elements) if dg.params(a).rank == 2]
     sub = m.submonoid(idx)  # the symmetric group inside P_2
     assert sub.size == 2 and sub.identity is not None
+
+
+# -- the Froidure-Pin engine against the definitional code ----------------------
+
+DIAGRAM_FAMILIES = [f for f in zoo.FAMILIES if f not in ("BX", "PT")]
+SMALL = [
+    f"{f}{n}" for f in zoo.FAMILIES for n in range(min(zoo.CAPS[f], 3) + 1)
+]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_enumeration_reaches_every_partition(n):
+    g = zoo.partition_graph(n)
+    assert len(g.elements) == bell_numbers(2 * n + 1)[-1]
+    assert g.elements == zoo.partition_universe(n)
+    gens = zoo.partition_generators(n)
+    assert [g.elements[i] for i in g.generators] == gens
+    if n == 4:
+        return  # the word and edge checks below would cost 40k products
+    for x in range(len(g.elements)):
+        a = dg.identity(n)
+        for k in g.words[x]:
+            a = dg.multiply(a, gens[k])
+        assert a == g.elements[x]
+        for k, gen in enumerate(gens):
+            assert g.elements[g.right[x][k]] == dg.multiply(g.elements[x], gen)
+            assert g.elements[g.left[x][k]] == dg.multiply(gen, g.elements[x])
+
+
+def test_enumeration_rejects_a_non_generating_set():
+    with pytest.raises(ValidationError):
+        mon.froidure_pin(
+            zoo.partition_generators(3)[:-1], dg.multiply, dg.identity(3),
+            universe=zoo.partition_universe(3),
+        )
+
+
+@pytest.mark.parametrize("family", DIAGRAM_FAMILIES)
+def test_traced_tables_match_multiply(family):
+    for n in range(min(zoo.CAPS[family], 3) + 1):
+        m = zoo.build(f"{family}{n}")
+        assert m.table == op_table(m.elements, dg.multiply), f"{family}{n}"
+
+
+def test_traced_p4_products_match_multiply():
+    m = zoo.build("P4")
+    assert m.table is None
+    rng = random.Random(5)
+    for _ in range(5000):
+        i, j = rng.randrange(m.size), rng.randrange(m.size)
+        assert m.mul(i, j) == m.index[dg.multiply(m.elements[i], m.elements[j])]
+
+
+@pytest.mark.parametrize("name", SMALL + ["LL4", "RR4"])
+def test_green_matches_principal_ideal_oracle(name):
+    m = zoo.build(name)
+    gs = mon.green(m)
+    want = green_principal_ideals(m)
+    for key, value in want.items():
+        assert getattr(gs, key) == value, key
+
+
+def test_traced_closure_error():
+    p4 = zoo.build("P4")
+    x = p4.index[dg.from_blocks([[1, 2, -1], [3, -2], [4, -3, -4]], 4)]
+    assert p4.mul(x, x) not in (p4.identity, x)
+    with pytest.raises(ValidationError):
+        p4.submonoid([p4.identity, x])
+
+
+def test_relation_closure_error():
+    r = rel.from_pairs(2, [(1, 2)])  # r*r is empty
+    with pytest.raises(ValidationError):
+        mon.FiniteMonoid.from_elements([rel.identity_rel(2), r], rel.compose)
+
+
+def test_generates_checks_the_closure_size():
+    p4 = zoo.build("P4")
+    assert mon.generates(p4, p4.generators)
+    assert not mon.generates(p4, p4.generators[:-1])
+    d0 = zoo.build("D03")  # a semigroup: no identity to adjoin for free
+    assert mon.generates(d0, range(d0.size))
+    assert not mon.generates(d0, [0])
