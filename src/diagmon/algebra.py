@@ -7,8 +7,10 @@ The linear map sending a basis element x to the sum of all elements below
 it in the natural partial order is an algebra isomorphism from the
 semigroup algebra onto the category algebra; its matrix is the zeta matrix
 of the order and its inverse the Mobius matrix.  All linear algebra is
-exact over the rationals, so the trace-form criterion computes radical
-dimensions with no rounding.
+exact.  Radical dimensions come from the trace-form criterion: the rank of
+the integer Gram matrix is bounded below by elimination mod a prime and
+above by integer kernel vectors checked exactly, so no rational
+elimination runs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .ehresmann import (
     EhresmannReport,
@@ -135,12 +138,16 @@ def mobius_inverse(below):
                 m[x][y] = 1
             else:
                 m[x][y] = -sum(m[x][b] for b in strictly if x in below[b])
-    z = zeta_matrix(below)
-    for i in range(d):
-        for j in range(d):
-            v = sum(z[i][k] * m[k][j] for k in below[j])
-            if v != (1 if i == j else 0):
-                raise StateError("Mobius matrix failed the inversion check")
+    # (Z M)[i][j] sums m[k][j] over k in below[j] with i in below[k]
+    for j in range(d):
+        col = {j: -1}
+        for k in below[j]:
+            mk = m[k][j]
+            if mk:
+                for i in below[k]:
+                    col[i] = col.get(i, 0) + mk
+        if any(col.values()):
+            raise StateError("Mobius matrix failed the inversion check")
     return m
 
 
@@ -282,39 +289,183 @@ def radical_dim(a: RationalAlgebra) -> int:
 
     In characteristic zero the radical is the kernel of the bilinear form
     (x, y) -> trace(L_xy), so it is the nullity of the integer Gram matrix
-    on the basis, computed by exact rational elimination.
+    G[i][j] = t(ij) on the basis, where t holds the d traces of left
+    multiplication, computed once.  The rank of G is certified exactly
+    without rational elimination: elimination mod a 61-bit prime gives a
+    lower bound, and integer kernel vectors checked by G v = 0 give the
+    matching upper bound.
     """
+    return a.dimension - _integer_rank(_gram(a))
+
+
+def _gram(a: RationalAlgebra):
+    """The integer trace-form matrix; 0 where a basis product is undefined."""
     d = a.dimension
-    gram = [
-        [Fraction(a.trace_left(a.basis_mul(i, j))) for j in range(d)]
-        for i in range(d)
-    ]
-    return d - _rank(gram)
+    mul = a.basis_mul
+    traces = [a.trace_left(k) for k in range(d)]
+    gram = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            k = mul(i, j)
+            row.append(0 if k is None else traces[k])
+        gram.append(row)
+    return gram
 
 
-def _rank(rows):
-    """Rank by Gaussian elimination over exact rationals (in place)."""
+# -- exact integer rank: a mod-p lower bound and a kernel certificate ---------
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n > 37 below 3.3 * 10**24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2**61 in descending order, starting at 2**61 - 1."""
+    n = 2**61 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _rref_mod(rows, ncols, p):
+    """Pivot columns and reduced pivot rows of an integer matrix mod p.
+
+    Each returned row has 1 at its pivot and 0 at every other pivot column.
+    """
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], -1, p)
+        prow = m[r]
+        prow[c:] = [x * inv % p for x in prow[c:]]
+        tail = prow[c:]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            if f:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    m = m[: len(pivots)]
+    if len(pivots) < ncols:
+        for i in range(len(pivots) - 1, 0, -1):
+            c = pivots[i]
+            tail = m[i][c:]
+            for row in m[:i]:
+                f = row[c]
+                if f:
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+    return pivots, m
+
+
+def _reconstruct(u, m):
+    """The fraction a/b = u (mod m) with |a|, b <= sqrt(m/2), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, abs(s1)) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _kernel_vectors(pivots, free, coeffs, modulus, ncols):
+    """Integer kernel candidates, one per free column, or None.
+
+    The vector for free column f has entry L at f, 0 at the other free
+    columns, and L times the rational reconstruction of -coeffs[i][f] at
+    pivot column i, L clearing the denominators.
+    """
+    out = []
+    for j, f in enumerate(free):
+        fracs = []
+        for row in coeffs:
+            frac = _reconstruct(-row[j], modulus)
+            if frac is None:
+                return None
+            fracs.append(frac)
+        scale = lcm(*(b for _, b in fracs))
+        v = [0] * ncols
+        v[f] = scale
+        for c, (num, den) in zip(pivots, fracs):
+            v[c] = num * (scale // den)
+        out.append(v)
+    return out
+
+
+def _integer_rank(rows):
+    """Exact rank over the rationals of an integer matrix.
+
+    For every prime p the rank mod p is a lower bound.  When it falls short
+    of the column count, the reduced form mod p yields one candidate kernel
+    vector per free column, with an identity block on the free columns, so
+    the candidates are independent; once they pass G v = 0 in integers the
+    rank is at most the mod-p rank and the answer is exact.  A failed
+    reconstruction or check takes the next prime: residues of primes with
+    the same pivot columns are combined by the Chinese remainder theorem,
+    and a prime with lower rank or later pivots is dropped.  Only finitely
+    many primes are unlucky and the Hadamard bound caps the modulus the
+    reconstruction needs, so the loop ends.
+    """
+    rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))
     if not rows:
         return 0
-    d = len(rows[0])
-    rank = 0
-    for col in range(d):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][col]), None
-        )
-        if pivot is None:
+    ncols = len(rows[0])
+    best = None  # ((-rank, pivots), free-column residues, modulus)
+    for p in _primes():
+        pivots, reduced = _rref_mod(rows, ncols, p)
+        if len(pivots) == ncols:
+            return ncols
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        coeffs = [[row[f] for f in free] for row in reduced]
+        key = (-len(pivots), pivots)
+        if best is None or key < best[0]:
+            best = (key, coeffs, p)
+        elif key == best[0]:
+            old, modulus = best[1], best[2]
+            inv = pow(modulus, -1, p)
+            coeffs = [
+                [a + modulus * ((b - a) * inv % p) for a, b in zip(ra, rb)]
+                for ra, rb in zip(old, coeffs)
+            ]
+            best = (key, coeffs, modulus * p)
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [x - f * p for x, p in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        _, coeffs, modulus = best
+        vectors = _kernel_vectors(pivots, free, coeffs, modulus, ncols)
+        if vectors is not None and all(_in_kernel(rows, v) for v in vectors):
+            return len(pivots)
+
+
+def _in_kernel(rows, v):
+    """True iff every row has integer dot product 0 with v."""
+    support = [(c, x) for c, x in enumerate(v) if x]
+    return not any(sum(row[c] * x for c, x in support) for row in rows)
 
 
 def check_semisimple_quotient(s: FiniteMonoid, e: Semilattice) -> bool:

@@ -300,15 +300,6 @@ def below_sets(s: FiniteMonoid, e: Semilattice, side: str):
     raise ValidationError(f"side must be 'r' or 'l', got {side!r}")
 
 
-def leq_r(s: FiniteMonoid, e: Semilattice):
-    """The partial order x <= y iff x in Ey, as per-element below sets."""
-    return below_sets(s, e, "r")
-
-
-def leq_l(s: FiniteMonoid, e: Semilattice):
-    return below_sets(s, e, "l")
-
-
 def is_partial_order(below):
     """Reflexivity, antisymmetry and transitivity of a below-set family."""
     for y, b in enumerate(below):

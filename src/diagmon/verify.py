@@ -745,6 +745,8 @@ def run_suite(section, nmax=None):
         sections = (section,)
     else:
         raise ValidationError(f"unknown suite {section!r}")
+    if nmax is not None and nmax < 0:
+        raise ValidationError(f"degree cap must be non-negative, got {nmax}")
     results = []
     for sec in sections:
         for check in SUITES[sec]:

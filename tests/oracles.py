@@ -5,6 +5,7 @@ than the package (explicit block sets, adjacency BFS, Bell-triangle
 counting) so agreement is a genuine two-sided check.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
@@ -283,3 +284,45 @@ def green_principal_ideals(m):
         "d_order": d_order,
         "d_equals_j": all(j_rep[a] == a for a in reps),
     }
+
+
+# -- reference radical dimension ------------------------------------------------
+
+
+def gram_fractions(a):
+    """The trace-form Gram matrix, one definitional trace per entry."""
+    d = a.dimension
+    return [
+        [Fraction(a.trace_left(a.basis_mul(i, j))) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def rational_rank(rows):
+    """Rank by Gaussian elimination over exact rationals (in place)."""
+    if not rows:
+        return 0
+    d = len(rows[0])
+    rank = 0
+    for col in range(d):
+        pivot = next(
+            (r for r in range(rank, len(rows)) if rows[r][col]), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = 1 / prow[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv
+            if f:
+                rows[r] = [x - f * p for x, p in zip(rows[r], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def radical_nullity(a):
+    """dim rad A as the nullity of the rational trace form."""
+    return a.dimension - rational_rank(gram_fractions(a))

@@ -9,6 +9,24 @@ from diagmon import algebra, diagrams as dg, ehresmann as eh, zoo
 from diagmon.errors import StateError, ValidationError
 from diagmon.monoid import FiniteMonoid
 
+from oracles import radical_nullity
+
+# the Ehresmann pairs whose category algebras the verify suites use
+CATEGORY_PAIRS = (
+    ("PT2", "E"), ("PT3", "E"), ("I2", "E"), ("Pfd2", "F"), ("Pfd3", "F"),
+)
+
+
+def _families(max_degree):
+    for fam in zoo.FAMILIES:
+        for n in range(min(zoo.CAPS[fam], max_degree) + 1):
+            yield f"{fam}{n}"
+
+
+def _category_algebra(name, kind):
+    cat = algebra.build_category(zoo.build(name), zoo.semilattice_for(kind, name))
+    return algebra.RationalAlgebra.of_category(cat)
+
 
 def test_hom_sets_partition_the_monoid():
     for name, kind in (("PT2", "E"), ("P2", "F"), ("I2", "E")):
@@ -88,6 +106,12 @@ def test_mobius_of_chain_and_antichain():
     ]
 
 
+def test_mobius_rejects_a_non_transitive_order():
+    # 0 <= 1 and 1 <= 2 but not 0 <= 2
+    with pytest.raises(StateError):
+        algebra.mobius_inverse([{0}, {0, 1}, {1, 2}])
+
+
 def test_transform_shapes_and_triangularity():
     s = zoo.build("PT2")
     e = zoo.semilattice_for("E", "PT2")
@@ -142,6 +166,86 @@ def test_radical_dimensions():
         algebra.radical_dim(algebra.RationalAlgebra.of_monoid(zoo.build("I2")))
         == 0
     )
+    assert (
+        algebra.radical_dim(algebra.RationalAlgebra.of_monoid(zoo.build("P3")))
+        == 44
+    )
+    assert (
+        algebra.radical_dim(algebra.RationalAlgebra.of_monoid(zoo.build("I4")))
+        == 0
+    )
+
+
+def test_radical_dim_matches_the_rational_oracle_on_monoid_algebras():
+    checked = 0
+    for name in _families(4):
+        s = zoo.build(name)
+        if s.size > 64:
+            continue
+        a = algebra.RationalAlgebra.of_monoid(s)
+        assert algebra.radical_dim(a) == radical_nullity(a), name
+        checked += 1
+    assert checked == 66
+
+
+def test_radical_dim_matches_the_rational_oracle_on_category_algebras():
+    for name, kind in CATEGORY_PAIRS:
+        a = _category_algebra(name, kind)
+        assert algebra.radical_dim(a) == radical_nullity(a), name
+
+
+def test_gram_matrix_is_symmetric():
+    # t(ij) = tr(L_i L_j) = tr(L_j L_i) = t(ji)
+    algebras = [
+        algebra.RationalAlgebra.of_monoid(zoo.build(name))
+        for name in _families(3)
+    ]
+    algebras += [_category_algebra(name, kind) for name, kind in CATEGORY_PAIRS]
+    for a in algebras:
+        g = algebra._gram(a)
+        assert all(
+            g[i][j] == g[j][i] for i in range(len(g)) for j in range(i)
+        )
+
+
+def test_integer_rank_retries_past_unlucky_primes(monkeypatch):
+    primes = algebra._primes
+    p1 = next(primes())
+    used = []
+
+    def counted():
+        for p in primes():
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(algebra, "_primes", counted)
+    # rank 2 over the rationals, rank 1 mod the first prime
+    assert algebra._integer_rank([[p1, 0], [0, 1]]) == 2
+    assert len(used) == 2
+    # same rank mod p1 but a later pivot; the kernel vector (-1, p1) then
+    # needs a modulus above 2 * p1**2, so three good primes are combined
+    used.clear()
+    assert algebra._integer_rank([[p1, 1], [2 * p1, 2]]) == 1
+    assert len(used) == 4
+    # a kernel entry of 2**40 + 1 is out of reach of one 61-bit prime
+    used.clear()
+    assert algebra._integer_rank([[1, -(2**40 + 1)], [3, -3 * (2**40 + 1)]]) == 1
+    assert len(used) == 2
+
+
+def test_integer_rank_of_empty_and_zero_matrices():
+    assert algebra._integer_rank([]) == 0
+    assert algebra._integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert algebra.radical_dim(algebra.RationalAlgebra(0, None)) == 0
+    null = algebra.RationalAlgebra(3, lambda i, j: None)
+    assert algebra.radical_dim(null) == 3
+
+
+def test_primes_are_descending_61_bit_primes():
+    ps = [p for _, p in zip(range(3), algebra._primes())]
+    assert ps[0] == 2**61 - 1
+    assert ps == sorted(ps, reverse=True) and ps[-1] > 2**60
+    assert all(pow(2, p - 1, p) == 1 for p in ps)
 
 
 def test_semisimple_quotient_needs_invertible_endomorphisms():

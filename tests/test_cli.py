@@ -118,6 +118,9 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["analyze", "P2", "Q"]) == 2  # bad semilattice kind
     assert cli.main(["frobnicate"]) == 2  # unknown subcommand
     capsys.readouterr()
+    assert cli.main(["verify", "all", "--nmax", "-1"]) == 2  # negative cap
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_stdout_when_no_out_flag(capsys):
