@@ -23,8 +23,8 @@ from math import gcd, isqrt, lcm
 from .ehresmann import (
     EhresmannReport,
     Semilattice,
-    below_sets,
     check_axioms,
+    natural_order,
     reg_e,
 )
 from .errors import StateError, ValidationError
@@ -87,15 +87,6 @@ def is_ei(cat: EhresmannCategory):
 
 
 # -- the order, its zeta matrix, and Mobius inversion ------------------------
-
-
-def natural_order(s: FiniteMonoid, e: Semilattice, side: str):
-    """below[y] = {x : x <= y} for the order matching the restriction side."""
-    if side == "left":
-        return below_sets(s, e, "r")  # x <= y iff x in Ey
-    if side == "right":
-        return below_sets(s, e, "l")  # x <= y iff x in yE
-    raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def topological_order(below):

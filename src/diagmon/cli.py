@@ -49,14 +49,12 @@ def _json_text(obj):
 
 
 def _monoid_and_semilattice(family, kind):
-    zoo.FamilySpec.parse(family)  # reject bad names before building
     if kind not in zoo.SEMILATTICE_KINDS:
         raise ValidationError(f"unknown semilattice kind {kind!r}")
     return zoo.build(family), zoo.semilattice_for(kind, family)
 
 
 def cmd_build(args):
-    zoo.FamilySpec.parse(args.family)
     m = zoo.build(args.family)
     if m.table is None:
         raise ResourceCapError(
@@ -91,37 +89,31 @@ def cmd_analyze(args):
 
 
 def _identify(s, indices):
-    """Name a known family whose element set equals the given subset."""
+    """Name a known family whose element set equals the given subset,
+    decided by the families' membership tests without building them."""
     elements = frozenset(s.decode(i) for i in indices)
-    sample = s.decode(0)
-    n = sample.n
-    candidates = ["I", "J", "T", "PT", "Pfd", "RR", "LL"]
-    for fam in candidates:
-        for deg in {n, n - 1}:
-            if deg < 0 or deg > zoo.CAPS.get(fam, -1):
-                continue
-            name = f"{fam}{deg}"
-            try:
-                other = frozenset(zoo.build(name).elements)
-            except (ValidationError, ResourceCapError):
-                continue
-            if other == elements:
-                return name
-    try:
-        if n >= 1 and n - 1 <= zoo.CAPS["RJ"]:
-            if elements == frozenset(zoo.build(f"RJ{n - 1}").elements):
-                return f"RJ{n - 1}"
-    except (ValidationError, ResourceCapError):
-        pass
+    n = s.decode(0).n
+    specs = [
+        zoo.FamilySpec(fam, n)
+        for fam in ("I", "J", "T", "PT", "Pfd", "RR", "LL")
+    ]
+    if n >= 1:  # rook diagrams of degree n-1 live in degree n
+        specs.append(zoo.FamilySpec("RJ", n - 1))
+    # every monoid that builds has degree n <= 4, inside each candidate's cap
+    for spec in specs:
+        universe, test = zoo.membership(spec)
+        if all(map(test, elements)) and len(elements) == sum(
+            map(test, universe)
+        ):
+            return str(spec)
     return None
 
 
 def cmd_eggbox(args):
-    zoo.FamilySpec.parse(args.family)
     m = zoo.build(args.family)
     shade = None
     if args.shade:
-        with open(args.shade) as fh:
+        with open(args.shade, encoding="utf-8") as fh:
             data = json.load(fh)
         shade = _shade_indices(m, data, args.family)
     dot = dotout.emit_eggbox(m, shade=shade, title=args.family)
@@ -214,9 +206,6 @@ def make_parser():
     p = sub.add_parser("eggbox", help="egg-box diagram as DOT")
     p.add_argument("family")
     p.add_argument("--shade", help="JSON file of elements to highlight")
-    p.add_argument(
-        "--format", choices=("dot",), default="dot", help="output format"
-    )
     common(p)
     p.set_defaults(func=cmd_eggbox)
 
@@ -230,9 +219,6 @@ def make_parser():
     p.add_argument("family")
     p.add_argument("semilattice", choices=zoo.SEMILATTICE_KINDS)
     p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument(
-        "--format", choices=("json",), default="json", help="output format"
-    )
     common(p)
     p.set_defaults(func=cmd_stein)
 
@@ -256,7 +242,8 @@ def main(argv=None):
     except ResourceCapError as exc:
         print(f"error: {exc} (cap {exc.cap})", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, StateError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, StateError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,17 +20,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DegreeMismatchError, ValidationError
+from .monoid import _classes_by_key, _join_labellings
 
 
 def _canonical(labels):
-    """Relabel a block-id sequence in first-occurrence order."""
-    relabel = {}
-    out = []
-    for x in labels:
-        if x not in relabel:
-            relabel[x] = len(relabel)
-        out.append(relabel[x])
-    return tuple(out)
+    """A block-label sequence relabelled in first-occurrence order."""
+    return tuple(_classes_by_key(labels))
 
 
 @dataclass(frozen=True)
@@ -107,34 +102,14 @@ class SetPartition:
 
     def refines(self, other):
         """True iff every block of self lies inside a block of other."""
-        if self.n != other.n:
-            raise DegreeMismatchError(f"degree {self.n} != {other.n}")
-        image = {}
-        for a, b in zip(self.code, other.code):
-            if image.setdefault(a, b) != b:
-                return False
-        return True
+        return refines(self, other)
 
     def join(self, other):
         """Least common coarsening of two set partitions."""
         if self.n != other.n:
             raise DegreeMismatchError(f"degree {self.n} != {other.n}")
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for code in (self.code, other.code):
-            first = {}
-            for i, b in enumerate(code):
-                if b in first:
-                    parent[find(i)] = find(first[b])
-                else:
-                    first[b] = i
-        return SetPartition(self.n, _canonical(find(i) for i in range(self.n)))
+        find = _join_labellings(self.n, ((0, self.code), (0, other.code)))
+        return SetPartition(self.n, _canonical(map(find, range(self.n))))
 
 
 class Partition:
@@ -230,25 +205,8 @@ def multiply(a: Partition, b: Partition) -> Partition:
     if a.n != b.n:
         raise DegreeMismatchError(f"degree {a.n} != {b.n}")
     n = a.n
-    parent = list(range(3 * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # a occupies rows 0 and 1, b occupies rows 1 and 2
-    for code, shift in ((a.code, 0), (b.code, n)):
-        last = {}
-        for v, blk in enumerate(code):
-            node = v + shift
-            if blk in last:
-                ru, rv = find(last[blk]), find(node)
-                if ru != rv:
-                    parent[rv] = ru
-            else:
-                last[blk] = node
+    find = _join_labellings(3 * n, ((0, a.code), (n, b.code)))
     outer = [find(v) for v in range(n)] + [find(v) for v in range(2 * n, 3 * n)]
     return Partition(n, _canonical(outer))
 
@@ -294,8 +252,9 @@ def params(a: Partition) -> DiagramParams:
     )
 
 
-def refines(a: Partition, b: Partition) -> bool:
-    """True iff every block of a is contained in a block of b."""
+def refines(a, b) -> bool:
+    """True iff every block of a is contained in a block of b (two diagrams,
+    or two set partitions, of the same degree)."""
     if a.n != b.n:
         raise DegreeMismatchError(f"degree {a.n} != {b.n}")
     image = {}
@@ -333,13 +292,4 @@ def lower_nontransversals(a: Partition):
     """Blocks contained in the lower row, as frozensets of signed points."""
     return tuple(
         frozenset(bl) for bl in a.blocks() if all(x < 0 for x in bl)
-    )
-
-
-def transversals(a: Partition):
-    """Blocks meeting both rows, as frozensets of signed points."""
-    return tuple(
-        frozenset(bl)
-        for bl in a.blocks()
-        if any(x > 0 for x in bl) and any(x < 0 for x in bl)
     )

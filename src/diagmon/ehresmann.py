@@ -11,7 +11,7 @@ relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import StateError, ValidationError
 from .monoid import (
@@ -21,8 +21,6 @@ from .monoid import (
     generates,
     green,
 )
-
-FULL_SWEEP_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -141,16 +139,16 @@ def _congruence_check(s, classes, thetas, left):
 def check_axioms(s: FiniteMonoid, e: Semilattice, generators=None) -> EhresmannReport:
     """Check L1, L2, R1, R2 and, when the Ehresmann halves hold, L3, R3.
 
-    The congruence sweep ranges over all elements when the monoid is small
-    enough, otherwise over the supplied generating set (sufficient for
-    one-sided congruences).  A supplied set that does not generate s raises
-    ValidationError.
+    The congruence sweep ranges over all elements when the monoid has a
+    Cayley table, otherwise over the supplied generating set (sufficient
+    for one-sided congruences).  A supplied set that does not generate s
+    raises ValidationError.
     """
     if generators is not None and not generates(s, generators):
         raise ValidationError("the given elements do not generate the monoid")
     r_tilde = tilde_classes(s, e, "r")
     l_tilde = tilde_classes(s, e, "l")
-    if s.size <= FULL_SWEEP_CAP:
+    if s.table is not None:
         thetas, sweep = range(s.size), "full"
     else:
         if generators is None:
@@ -218,14 +216,6 @@ def _containment_check(s, e, left):
     return True, None
 
 
-def plus_star(s: FiniteMonoid, e: Semilattice, report: EhresmannReport | None = None):
-    """The maps x -> x+ and x -> x*; requires L1 and R1."""
-    report = report or check_axioms(s, e)
-    if report.plus is None or report.star is None:
-        raise StateError("plus/star need L1 and R1 to hold")
-    return report.plus, report.star
-
-
 def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
     """Largest left-, right- and two-sided restriction subsemigroups.
 
@@ -264,16 +254,16 @@ def reg_e(s: FiniteMonoid, e: Semilattice, gs: GreenStructure | None = None):
     )
 
 
-def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice):
+def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice, r_tilde, l_tilde):
     """The tilde-H class of a semilattice member, with a closure flag.
 
-    Returns (members, closed, witness) where witness is a product pair
-    escaping the class when it is not closed.
+    ``r_tilde`` and ``l_tilde`` are ``tilde_classes(s, e, "r")`` and
+    ``tilde_classes(s, e, "l")``, computed once by the caller.  Returns
+    (members, closed, witness) where witness is a product pair escaping the
+    class when it is not closed.
     """
     if idem not in e.members:
         raise ValidationError(f"element {idem} is not in the semilattice")
-    r_tilde = tilde_classes(s, e, "r")
-    l_tilde = tilde_classes(s, e, "l")
     cls = tuple(
         x
         for x in range(s.size)
@@ -287,17 +277,18 @@ def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice):
     return cls, True, None
 
 
-def below_sets(s: FiniteMonoid, e: Semilattice, side: str):
-    """below[y] = {x : x <= y}, where <= is x in Ey ('r') or x in yE ('l')."""
-    if side == "r":
+def natural_order(s: FiniteMonoid, e: Semilattice, side: str):
+    """below[y] = {x : x <= y} for the natural order of a restriction side:
+    x <= y iff x in Ey ('left') or x in yE ('right')."""
+    if side == "left":
         return [
             frozenset(s.mul(f, y) for f in e.members) for y in range(s.size)
         ]
-    if side == "l":
+    if side == "right":
         return [
             frozenset(s.mul(y, f) for f in e.members) for y in range(s.size)
         ]
-    raise ValidationError(f"side must be 'r' or 'l', got {side!r}")
+    raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def is_partial_order(below):

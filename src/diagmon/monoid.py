@@ -269,9 +269,6 @@ class FiniteMonoid:
     def decode(self, i):
         return self.elements[i]
 
-    def is_monoid(self):
-        return self.identity is not None
-
     def check_associativity(self, exhaustive_cap=250, samples=2000):
         """Exhaustive associativity check when small, sampled otherwise."""
         m = self.size
@@ -334,7 +331,9 @@ class GreenStructure:
 
 
 def _classes_by_key(keys):
-    """Class ids in order of minimal member index."""
+    """Relabel a sequence of keys in first-occurrence order: class ids in
+    order of minimal member index (also the canonical form of a diagram's
+    block labels)."""
     ids = {}
     out = []
     for k in keys:
@@ -342,6 +341,41 @@ def _classes_by_key(keys):
             ids[k] = len(ids)
         out.append(ids[k])
     return out
+
+
+def same_classes(xs, ys) -> bool:
+    """True iff two labellings of the same points give the same partition,
+    i.e. x_i = x_j exactly when y_i = y_j; decided by comparing their
+    first-occurrence relabellings."""
+    return _classes_by_key(xs) == _classes_by_key(ys)
+
+
+def _join_labellings(size, labellings):
+    """Union-find over the nodes 0..size-1 joining any two nodes that carry
+    the same label in one labelling.
+
+    Each labelling is a pair (offset, labels): node offset+i carries
+    labels[i].  Returns the find function of the resulting forest, mapping
+    each node to the root of its component.
+    """
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for offset, labels in labellings:
+        first = {}
+        for v, label in enumerate(labels, offset):
+            if label in first:
+                ru, rv = find(first[label]), find(v)
+                if ru != rv:
+                    parent[rv] = ru
+            else:
+                first[label] = v
+    return find
 
 
 def _scc(adj):
@@ -401,36 +435,19 @@ def green(m: FiniteMonoid) -> GreenStructure:
     l_class = _classes_by_key(_scc(left))
     h_class = _classes_by_key(zip(r_class, l_class))
 
-    # D = join of R and L via union-find over elements
-    parent = list(rng)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    firsts = []  # the least member of each R-class, then of each L-class
-    for classes in (r_class, l_class):
-        first = {}
-        for x in rng:
-            c = classes[x]
-            if c in first:
-                a, b = find(first[c]), find(x)
-                if a != b:
-                    parent[b] = a
-            else:
-                first[c] = x
-        firsts.append(first.values())
-    d_class = _classes_by_key(find(x) for x in rng)
+    find = _join_labellings(m.size, ((0, r_class), (0, l_class)))
+    d_class = _classes_by_key(map(find, rng))
 
     # J-order: D-classes reachable along right and left edges.  xS^1 is the
     # same for every x in an R-class, so the table row of one member per
     # R-class (and the column of one per L-class) reaches every D-class
     # that an edge from the class does.
     succ = {d: set() for d in d_class}
-    for adj, reps in zip((right, left), firsts):
-        for x in reps if m.table is not None else rng:
+    for adj, classes in ((right, r_class), (left, l_class)):
+        reps = {}  # the least member of each class
+        for x, c in enumerate(classes):
+            reps.setdefault(c, x)
+        for x in reps.values() if m.table is not None else rng:
             succ[d_class[x]].update(map(d_class.__getitem__, adj[x]))
     d_order = set()
     for b in succ:

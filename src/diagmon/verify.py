@@ -8,6 +8,7 @@ the enumeration pipeline, so size agreement is a two-sided check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -23,6 +24,7 @@ from .monoid import (
     is_regular,
     minimal_ideal,
     right_zeros,
+    same_classes,
     check_embedding,
 )
 
@@ -87,11 +89,6 @@ def expected_size(family, n):
     if family == "D0":
         return bell(n)
     raise ValidationError(f"no counting formula for family {family}")
-
-
-def partial_bijection_count(m):
-    """Number of partial bijections on an m-point set."""
-    return sum(comb(m, k) ** 2 * factorial(k) for k in range(m + 1))
 
 
 # -- section 4: partition monoids ---------------------------------------------
@@ -160,23 +157,17 @@ def check_identity_set_formulas(nmax=None):
     s = zoo.build(f"P{n}")
     e = zoo.semilattice_for("E", f"P{n}")
     f = zoo.semilattice_for("F", f"P{n}")
+    par = [dg.params(a) for a in s.elements]
     ok = True
-    for x in range(s.size):
-        q = dg.params(s.decode(x))
+    for x, q in enumerate(par):
         e_l = frozenset(
-            i for i in e.members
-            if dg.params(s.decode(i)).dom.members >= q.supp.members
+            i for i in e.members if par[i].dom.members >= q.supp.members
         )
         e_r = frozenset(
-            i for i in e.members
-            if dg.params(s.decode(i)).dom.members >= q.cosupp.members
+            i for i in e.members if par[i].dom.members >= q.cosupp.members
         )
-        f_l = frozenset(
-            i for i in f.members if dg.params(s.decode(i)).ker.refines(q.ker)
-        )
-        f_r = frozenset(
-            i for i in f.members if dg.params(s.decode(i)).ker.refines(q.coker)
-        )
+        f_l = frozenset(i for i in f.members if par[i].ker.refines(q.ker))
+        f_r = frozenset(i for i in f.members if par[i].ker.refines(q.coker))
         if (
             eh.e_left(x, e) != e_l
             or eh.e_right(x, e) != e_r
@@ -186,24 +177,15 @@ def check_identity_set_formulas(nmax=None):
             ok = False
             break
     # the induced equivalences then only depend on supp/cosupp/ker/coker
-    rt_e = eh.tilde_classes(s, e, "r")
-    lt_e = eh.tilde_classes(s, e, "l")
-    rt_f = eh.tilde_classes(s, f, "r")
-    lt_f = eh.tilde_classes(s, f, "l")
-    for x in range(s.size):
-        qx = dg.params(s.decode(x))
-        for y in range(x + 1, s.size):
-            qy = dg.params(s.decode(y))
-            if (
-                (rt_e[x] == rt_e[y]) != (qx.supp == qy.supp)
-                or (lt_e[x] == lt_e[y]) != (qx.cosupp == qy.cosupp)
-                or (rt_f[x] == rt_f[y]) != (qx.ker == qy.ker)
-                or (lt_f[x] == lt_f[y]) != (qx.coker == qy.coker)
-            ):
-                ok = False
-                break
-        if not ok:
-            break
+    ok = ok and all(
+        same_classes(eh.tilde_classes(s, sl, side), [key(q) for q in par])
+        for sl, side, key in (
+            (e, "r", lambda q: q.supp),
+            (e, "l", lambda q: q.cosupp),
+            (f, "r", lambda q: q.ker),
+            (f, "l", lambda q: q.coker),
+        )
+    )
     return [
         CheckResult(
             f"identity sets and induced equivalences in P_{n} match their "
@@ -220,9 +202,9 @@ def check_order_characterizations(nmax=None):
     s = zoo.build(f"P{n}")
     e = zoo.semilattice_for("E", f"P{n}")
     f = zoo.semilattice_for("F", f"P{n}")
-    below_r = eh.below_sets(s, f, "r")
-    below_l = eh.below_sets(s, f, "l")
-    below_rp = eh.below_sets(s, e, "r")
+    below_r = eh.natural_order(s, f, "left")  # x in Fy
+    below_l = eh.natural_order(s, f, "right")  # x in yF
+    below_rp = eh.natural_order(s, e, "left")  # x in Ey
     ok = True
     for y in range(s.size):
         dy = s.decode(y)
@@ -251,22 +233,22 @@ def check_regular_subsemigroups(nmax=None):
         e = zoo.semilattice_for("E", f"P{n}")
         f = zoo.semilattice_for("F", f"P{n}")
         gs = green(s)
-        reg_f = frozenset(s.decode(i) for i in eh.reg_e(s, f, gs))
-        reg_e_set = frozenset(s.decode(i) for i in eh.reg_e(s, e, gs))
+        regular_f, regular_e = eh.reg_e(s, f, gs), eh.reg_e(s, e, gs)
         j_set = frozenset(zoo.build(f"J{n}").elements)
         i_set = frozenset(zoo.build(f"I{n}").elements)
         ok = (
-            reg_f == j_set
-            and reg_e_set == i_set
-            and is_inverse(s.submonoid(eh.reg_e(s, f, gs)))
-            and is_inverse(s.submonoid(eh.reg_e(s, e, gs)))
+            frozenset(s.decode(i) for i in regular_f) == j_set
+            and frozenset(s.decode(i) for i in regular_e) == i_set
+            and is_inverse(s.submonoid(regular_f))
+            and is_inverse(s.submonoid(regular_e))
         )
         # each monoid class of a block identity is a partial-bijection monoid
+        tilde = eh.tilde_classes(s, f, "r"), eh.tilde_classes(s, f, "l")
         for eps in zoo.equivalences(n):
             idx = s.index[dg.id_equiv(eps)]
-            members, closed, _ = eh.tilde_h_class(idx, s, f)
-            if not closed or len(members) != partial_bijection_count(
-                eps.num_classes()
+            members, closed, _ = eh.tilde_h_class(idx, s, f, *tilde)
+            if not closed or len(members) != expected_size(
+                "I", eps.num_classes()
             ):
                 ok = False
         out.append(
@@ -308,17 +290,16 @@ def check_restriction_subsemigroups(nmax=None):
         rest_l, rest_r, rest = eh.rest_subsemigroups(s, f)
         nabla = dg.SetPartition.universal(n)
         full = frozenset(range(1, n + 1))
+        par = [dg.params(a) for a in s.elements]
         by_shape_r = frozenset(
             x
-            for x in range(s.size)
-            if dg.params(s.decode(x)).dom.members == full
-            or dg.params(s.decode(x)).ker == nabla
+            for x, q in enumerate(par)
+            if q.dom.members == full or q.ker == nabla
         )
         by_shape_l = frozenset(
             x
-            for x in range(s.size)
-            if dg.params(s.decode(x)).codom.members == full
-            or dg.params(s.decode(x)).coker == nabla
+            for x, q in enumerate(par)
+            if q.codom.members == full or q.coker == nabla
         )
         rr_set = frozenset(zoo.build(f"RR{n}").elements)
         j_set = frozenset(zoo.build(f"J{n}").elements)
@@ -350,25 +331,13 @@ def check_rank_chain_structure(nmax=None):
             s = zoo.build(f"{fam}{n}")
             gs = green(s)
             par = [dg.params(a) for a in s.elements]
-            ok = is_regular(s)
-            for x in range(s.size):
-                for y in range(x + 1, s.size):
-                    same_r = gs.r_class[x] == gs.r_class[y]
-                    same_l = gs.l_class[x] == gs.l_class[y]
-                    if same_r != (
-                        par[x].dom == par[y].dom and par[x].ker == par[y].ker
-                    ):
-                        ok = False
-                    if same_l != (
-                        par[x].codom == par[y].codom
-                        and par[x].coker == par[y].coker
-                    ):
-                        ok = False
-                    if (gs.d_class[x] == gs.d_class[y]) != (
-                        par[x].rank == par[y].rank
-                    ):
-                        ok = False
-            ok = ok and gs.d_equals_j
+            ok = (
+                is_regular(s)
+                and same_classes(gs.r_class, [(q.dom, q.ker) for q in par])
+                and same_classes(gs.l_class, [(q.codom, q.coker) for q in par])
+                and same_classes(gs.d_class, [q.rank for q in par])
+                and gs.d_equals_j
+            )
             # D-classes form a chain, i.e. the order is total
             d_ids = set(gs.d_class)
             ok = ok and all(
@@ -377,13 +346,11 @@ def check_rank_chain_structure(nmax=None):
                 for b in d_ids
             )
             # group cells in the rank-mu class have size mu!
-            ids = idempotents(s)
-            for x in ids:
-                members = [
-                    y for y in range(s.size) if gs.h_class[y] == gs.h_class[x]
-                ]
-                if len(members) != factorial(par[x].rank):
-                    ok = False
+            h_size = Counter(gs.h_class)
+            ok = ok and all(
+                h_size[gs.h_class[x]] == factorial(par[x].rank)
+                for x in idempotents(s)
+            )
             # right zeros and the minimal ideal
             zeros = right_zeros(s)
             low = 1 if fam == "Pfd" else 0
@@ -457,19 +424,13 @@ def check_relation_suite(nmax=None):
         s = zoo.build(f"BX{n}")
         e = zoo.semilattice_for("E", f"BX{n}")
         rep = eh.check_axioms(s, e)
-        ok = rep.is_ehresmann()
         # tilde classes are exactly equality of domain / codomain
         par = [rel_params(a) for a in s.elements]
-        for x in range(s.size):
-            for y in range(x + 1, s.size):
-                if (rep.r_tilde[x] == rep.r_tilde[y]) != (
-                    par[x].dom == par[y].dom
-                ):
-                    ok = False
-                if (rep.l_tilde[x] == rep.l_tilde[y]) != (
-                    par[x].codom == par[y].codom
-                ):
-                    ok = False
+        ok = (
+            rep.is_ehresmann()
+            and same_classes(rep.r_tilde, [p.dom for p in par])
+            and same_classes(rep.l_tilde, [p.codom for p in par])
+        )
         out.append(
             CheckResult(
                 f"all binary relations on {n} points: Ehresmann for partial "
@@ -619,10 +580,11 @@ def check_brauer_regular_part(nmax=None):
         i_set = frozenset(zoo.build(f"I{n}").elements)
         ok = reg == i_set
         # the class of each partial identity has double-factorial size
+        tilde = eh.tilde_classes(s, e, "r"), eh.tilde_classes(s, e, "l")
         for k in range(n + 1):
             for c in combinations(range(1, n + 1), k):
                 idx = s.index[dg.id_subset(dg.Subset.of(n, c))]
-                members, _, _ = eh.tilde_h_class(idx, s, e)
+                members, _, _ = eh.tilde_h_class(idx, s, e, *tilde)
                 if len(members) != double_factorial_odd(k):
                     ok = False
         out.append(

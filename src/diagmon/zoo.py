@@ -177,6 +177,31 @@ def partition_graph(n):
     )
 
 
+def membership(spec: FamilySpec):
+    """The universe a family is cut from, and its membership test.
+
+    Diagram families are cut from P_n (rook families from P_{n+1}) by their
+    predicate, relation families from all relations on n points.  The test
+    rejects an element of another kind or degree, so it applies to any
+    diagram or relation; nothing is tabulated.
+    """
+    spec.check_cap()
+    fam, n = spec.family, spec.n
+    if fam in ("BX", "PT"):
+        universe = relation_universe(n)
+        pred = rel.is_partial_function if fam == "PT" else None
+    else:
+        n = n + 1 if fam in ("RP", "RJ") else n
+        universe = partition_universe(n)
+        pred = None if fam == "P" else _diagram_predicate(fam, n)
+    kind = type(universe[0])
+
+    def test(a):
+        return type(a) is kind and a.n == n and (pred is None or pred(a))
+
+    return universe, test
+
+
 @lru_cache(maxsize=None)
 def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
@@ -186,21 +211,15 @@ def build(name) -> FiniteMonoid:
     through composition.
     """
     spec = FamilySpec.parse(str(name))
-    spec.check_cap()
-    fam, n = spec.family, spec.n
-    if fam == "BX":
-        return FiniteMonoid.from_elements(relation_universe(n), rel.compose)
-    if fam == "PT":
-        elems = [a for a in relation_universe(n) if rel.is_partial_function(a)]
-        return FiniteMonoid.from_elements(elems, rel.compose)
-    if fam == "P":
-        return FiniteMonoid.from_graph(partition_graph(n))
-    degree = n + 1 if fam in ("RP", "RJ") else n
-    parent = build(f"P{degree}")
-    pred = _diagram_predicate(fam, degree)
-    return parent.submonoid(
-        i for i, a in enumerate(parent.elements) if pred(a)
-    )
+    universe, test = membership(spec)
+    if spec.family == "P":
+        return FiniteMonoid.from_graph(partition_graph(spec.n))
+    kept = [i for i, a in enumerate(universe) if test(a)]
+    if spec.family in ("BX", "PT"):
+        return FiniteMonoid.from_elements(
+            [universe[i] for i in kept], rel.compose
+        )
+    return build(f"P{universe[0].n}").submonoid(kept)
 
 
 SEMILATTICE_KINDS = ("E", "F", "G")

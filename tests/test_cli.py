@@ -126,3 +126,43 @@ def test_exit_codes(tmp_path, capsys):
 def test_stdout_when_no_out_flag(capsys):
     assert cli.main(["eggbox", "P0"]) == 0
     assert "digraph" in capsys.readouterr().out
+
+
+SHADE_FILES = {
+    "non_array": b'{"n": 2}',
+    "malformed_item": b"[[1]]",
+    "non_utf8": b"\xff\xfe[]",
+    "empty": b"[]",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["build", "Zzz9"], 2),  # unknown family names
+        (["analyze", "Q3", "F"], 2),
+        (["eggbox", "P-1"], 2),
+        (["build", "P999999999999999999999"], 3),  # over the degree cap
+        (["analyze", "RJ4", "F"], 3),
+        (["analyze", "P2", "Q"], 2),  # bad semilattice kinds
+        (["category", "PT2", "F"], 2),
+        (["eggbox", "P2", "--shade", "{non_array}"], 2),
+        (["eggbox", "P2", "--shade", "{malformed_item}"], 2),
+        (["eggbox", "P2", "--shade", "{non_utf8}"], 2),
+        (["eggbox", "P2", "--shade", "{dir}"], 2),
+        (["eggbox", "P1", "--shade", "{empty}"], 0),
+        (["build", "P2", "--out", "{dir}/missing/out.json"], 2),
+        (["eggbox", "P2", "--format", "dot"], 2),  # the removed flag
+        (["stein", "Pfd2", "F", "--side", "right", "--format", "json"], 2),
+    ],
+)
+def test_cli_fuzz_exit_codes(tmp_path, capsys, argv, code):
+    paths = {"dir": str(tmp_path)}
+    for name, content in SHADE_FILES.items():
+        (tmp_path / name).write_bytes(content)
+        paths[name] = str(tmp_path / name)
+    assert cli.main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert sum("error:" in line for line in err.splitlines()) == (code != 0)
+    assert "Traceback" not in err

@@ -29,7 +29,7 @@ def test_block_identities_give_ehresmann_structure():
         "L1": True, "L2": True, "R1": True, "R2": True,
         "L3": False, "R3": False,
     }
-    plus, star = eh.plus_star(s, f, rep)
+    plus, star = rep.plus, rep.star
     for x in range(s.size):
         assert plus[x] in f.members and star[x] in f.members
         assert s.mul(plus[x], x) == x
@@ -47,7 +47,7 @@ def test_partial_identities_fail_congruence_with_reverifiable_witness():
     assert eh.e_left(x, e) == eh.e_left(y, e)
     assert eh.e_left(s.mul(th, x), e) != eh.e_left(s.mul(th, y), e)
     # L1 and R1 still hold here, so the representative maps exist
-    plus, star = eh.plus_star(s, e, rep)
+    plus, star = rep.plus, rep.star
     for z in range(s.size):
         assert s.mul(plus[z], z) == z and s.mul(z, star[z]) == z
 
@@ -124,17 +124,19 @@ def test_tilde_h_class_closure_flag():
     f = zoo.semilattice_for("F", "P3")
     e = zoo.semilattice_for("E", "P3")
     ident = s.identity
-    members, closed, witness = eh.tilde_h_class(ident, s, f)
+    tilde_f = eh.tilde_classes(s, f, "r"), eh.tilde_classes(s, f, "l")
+    tilde_e = eh.tilde_classes(s, e, "r"), eh.tilde_classes(s, e, "l")
+    members, closed, witness = eh.tilde_h_class(ident, s, f, *tilde_f)
     assert closed and witness is None
     assert len(members) == 34  # partial bijections on three points
-    members_e, closed_e, witness_e = eh.tilde_h_class(ident, s, e)
+    members_e, closed_e, witness_e = eh.tilde_h_class(ident, s, e, *tilde_e)
     assert not closed_e and witness_e is not None
     x, y = witness_e
     assert x in members_e and y in members_e
     assert s.mul(x, y) not in set(members_e)
     swap = s.index[dg.from_blocks([[1, -2], [2, -1], [3, -3]], 3)]
     with pytest.raises(ValidationError):
-        eh.tilde_h_class(swap, s, f)
+        eh.tilde_h_class(swap, s, f, *tilde_f)
 
 
 def test_below_sets_are_partial_orders():
@@ -142,7 +144,7 @@ def test_below_sets_are_partial_orders():
     f = zoo.semilattice_for("F", "P2")
     e = zoo.semilattice_for("E", "P2")
     for sl in (f, e):
-        for side in ("r", "l"):
-            assert eh.is_partial_order(eh.below_sets(s, sl, side))
+        for side in ("left", "right"):
+            assert eh.is_partial_order(eh.natural_order(s, sl, side))
     # a non-order: x below y and y below x for distinct x, y
     assert not eh.is_partial_order([frozenset({0, 1}), frozenset({0, 1})])

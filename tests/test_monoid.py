@@ -69,6 +69,22 @@ def same_partition(xs, ys):
     )
 
 
+def test_same_classes_matches_pairwise_definition():
+    rng = random.Random(5)
+    for _ in range(2000):
+        size = rng.randrange(9)
+        xs = [rng.randrange(4) for _ in range(size)]
+        # a relabelling of xs gives the same partition; a changed entry or
+        # fresh random labels usually do not
+        names = rng.sample(range(100), 4)
+        ys = [names[x] for x in xs]
+        if size and rng.random() < 0.5:
+            ys[rng.randrange(size)] = names[rng.randrange(4)]
+        if rng.random() < 0.2:
+            ys = [rng.randrange(4) for _ in range(size)]
+        assert mon.same_classes(xs, ys) == same_partition(xs, ys)
+
+
 @pytest.mark.parametrize("name", ["P2", "B3", "PT2", "RR2"])
 def test_green_j_matches_brute_force(name):
     m = zoo.build(name)
