@@ -68,7 +68,7 @@ def cmd_build(args):
 
 def cmd_analyze(args):
     s, e = _monoid_and_semilattice(args.family, args.semilattice)
-    report = eh.check_axioms(s, e, s.generators)
+    report = eh.check_axioms(s, e)
     data = report.to_json()
     data["size"] = s.size
     try:

@@ -140,21 +140,19 @@ def check_axioms(s: FiniteMonoid, e: Semilattice, generators=None) -> EhresmannR
     """Check L1, L2, R1, R2 and, when the Ehresmann halves hold, L3, R3.
 
     The congruence sweep ranges over all elements when the monoid has a
-    Cayley table, otherwise over the supplied generating set (sufficient
-    for one-sided congruences).  A supplied set that does not generate s
-    raises ValidationError.
+    Cayley table, otherwise over a generating set, by default the certified
+    ``s.generators`` (sufficient for one-sided congruences).  A supplied
+    set that does not generate s raises ValidationError.
     """
-    if generators is not None and not generates(s, generators):
+    if generators is None:
+        generators = s.generators
+    elif not generates(s, generators):
         raise ValidationError("the given elements do not generate the monoid")
     r_tilde = tilde_classes(s, e, "r")
     l_tilde = tilde_classes(s, e, "l")
     if s.table is not None:
         thetas, sweep = range(s.size), "full"
-    else:
-        if generators is None:
-            raise StateError(
-                f"monoid of size {s.size} needs a generating set for the sweep"
-            )
+    else:  # only an enumerated monoid has no table
         thetas, sweep = sorted(set(generators)), "generators"
 
     axioms, witnesses = {}, {}

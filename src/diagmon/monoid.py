@@ -10,13 +10,13 @@ x*y is read off by tracing the word of y through the right graph from x,
 and a whole row x*S costs one graph lookup per element, taken in word
 order.
 
-A ``FiniteMonoid`` indexes its elements 0..m-1.  An enumerated monoid is
-tabulated from traced rows when it fits under ``TABLE_CAP``; above the cap
-it keeps only its graphs and multiplies by tracing.  A submonoid, such as a
-family cut out by a membership predicate, is tabulated by restricting the
-parent's rows, and a product that leaves it raises ``ValidationError``, so
-closure is exact.  A monoid given only by its elements and operation (the
-relation families) is tabulated through the operation.
+A ``FiniteMonoid`` indexes its elements 0..m-1.  ``from_graph`` tabulates
+an enumerated monoid from traced rows when it fits under ``TABLE_CAP``;
+above the cap it keeps only its graphs and multiplies by tracing.
+``submonoid`` tabulates a closed index subset, such as a family cut out by
+a membership predicate, by restricting the parent's rows.  ``_build_table``
+is the one table maker, and a product leaving the universe or the subset
+raises ``ValidationError``, so closure is exact.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left Cayley graphs: over the generators for an enumerated monoid without
@@ -47,9 +47,8 @@ class CayleyGraph:
     last letter (None for the identity).
     """
 
-    def __init__(self, elements, op, generators, right, left, words, prefix):
+    def __init__(self, elements, generators, right, left, words, prefix):
         self.elements = elements
-        self.op = op
         self.generators = generators  # element index of each generator
         self.right = right
         self.left = left
@@ -100,10 +99,10 @@ def froidure_pin(
 
     Elements are found breadth first from the identity, so the first word
     reaching an element is its short-lex least word.  With ``universe``, a
-    sequence of all elements of the ambient monoid, the result is renumbered
-    into the universe's order, and the generators must generate all of it:
-    reaching exactly ``len(universe)`` elements, each in the universe,
-    certifies both the generating set and closure.
+    sequence of every element the monoid should have, the result is
+    renumbered into the universe's order, and the generators must generate
+    all of it: reaching exactly ``len(universe)`` elements, each in the
+    universe, certifies both the generating set and closure.
     """
     elements = [identity]
     index = {identity: 0}
@@ -132,7 +131,7 @@ def froidure_pin(
         h = words[x][-1]
         left.append([right[z][h] for z in left[prefix[x]]])
     if universe is None:
-        return CayleyGraph(elements, op, right[0], right, left, words, prefix)
+        return CayleyGraph(elements, right[0], right, left, words, prefix)
 
     place = {x: i for i, x in enumerate(universe)}
     try:
@@ -152,7 +151,6 @@ def froidure_pin(
 
     return CayleyGraph(
         tuple(universe),
-        op,
         [new[i] for i in right[0]],
         renumber([new[i] for i in row] for row in right),
         renumber([new[i] for i in row] for row in left),
@@ -164,35 +162,24 @@ def froidure_pin(
 class FiniteMonoid:
     """A finite monoid (or semigroup) over an indexed element universe."""
 
-    def __init__(self, elements, op, identity, table=None, graph=None):
+    def __init__(self, elements, identity, graph=None):
         self.elements = list(elements)
         self.size = len(self.elements)
-        self.op = op
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != self.size:
             raise ValidationError("duplicate elements in universe")
         self.identity = identity  # index, or None for a semigroup
-        self.table = table
+        self.table = None
         self.graph = graph  # Cayley graphs over these elements, or None
         self.generators = None if graph is None else graph.generators
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_elements(cls, elements, op):
-        """Index a multiplicatively closed set of elements and tabulate it
-        through op; a product outside the set raises ValidationError."""
-        m = cls(list(elements), op, identity=None)
-        m._check_cap()
-        m.table = m._build_table()
-        m.identity = m._find_identity()
-        return m
-
-    @classmethod
     def from_graph(cls, graph):
         """The monoid a Cayley graph enumerates, with a table of traced rows
         when it fits under ``TABLE_CAP``."""
-        m = cls(graph.elements, graph.op, graph.identity, graph=graph)
+        m = cls(graph.elements, graph.identity, graph=graph)
         if m.size <= TABLE_CAP:
             m.table = m._build_table(graph, range(m.size))
         return m
@@ -200,41 +187,30 @@ class FiniteMonoid:
     def submonoid(self, indices):
         """The sub-(semi)group on a closed index subset, reindexed.
 
-        Its table restricts this monoid's rows, without calling op.
+        Its table restricts this monoid's rows; a product that leaves the
+        subset raises ValidationError.
         """
         indices = sorted(indices)
-        sub = FiniteMonoid([self.elements[i] for i in indices], self.op, None)
-        sub._check_cap()
+        sub = FiniteMonoid([self.elements[i] for i in indices], None)
+        if sub.size > TABLE_CAP:
+            raise ResourceCapError(
+                f"{sub.size} elements exceed the Cayley-table cap {TABLE_CAP}",
+                TABLE_CAP,
+            )
         sub.table = sub._build_table(self, indices)
         sub.identity = sub._find_identity()
         return sub
 
-    def _check_cap(self):
-        if self.size > TABLE_CAP:
-            raise ResourceCapError(
-                f"{self.size} elements exceed the Cayley-table cap {TABLE_CAP}",
-                TABLE_CAP,
-            )
-
-    def _build_table(self, parent=None, indices=None):
+    def _build_table(self, parent, indices):
         """The Cayley table, as the rows of ``parent`` (a CayleyGraph or a
-        FiniteMonoid) restricted to ``indices``, or through op without a
-        parent.  A product outside this monoid raises ValidationError."""
-        if parent is None:
-            index, op, elements = self.index, self.op, self.elements
-            rows = (
-                [index.get(op(x, y), -1) for y in elements] for x in elements
-            )
-        else:
-            local = [-1] * len(parent.elements)
-            for i, p in enumerate(indices):
-                local[p] = i
-            rows = (
-                list(map(local.__getitem__, row))
-                for row in parent._rows(indices)
-            )
+        FiniteMonoid) restricted to ``indices``.  A product outside this
+        monoid raises ValidationError."""
+        local = [-1] * len(parent.elements)
+        for i, p in enumerate(indices):
+            local[p] = i
         table = []
-        for row in rows:
+        for row in parent._rows(indices):
+            row = list(map(local.__getitem__, row))
             if -1 in row:
                 raise ValidationError(
                     f"elements not closed: the product of {len(table)},"
@@ -568,9 +544,5 @@ def check_embedding(f, s: FiniteMonoid, t: FiniteMonoid) -> bool:
         return False
     if s.identity is not None and f[s.identity] != t.identity:
         return False
-    for i in range(s.size):
-        fi = f[i]
-        for j in range(s.size):
-            if f[s.mul(i, j)] != t.mul(fi, f[j]):
-                return False
-    return True
+    images = ([f[k] for k in row] for row in s._rows(range(s.size)))
+    return all(a == b for a, b in zip(images, t._rows(f)))

@@ -113,7 +113,7 @@ def check_block_identity_axioms(nmax=None):
     for n in range(2, _cap(4, nmax) + 1):
         s = zoo.build(f"P{n}")
         f = zoo.semilattice_for("F", f"P{n}")
-        rep = eh.check_axioms(s, f, s.generators)
+        rep = eh.check_axioms(s, f)
         out.append(
             CheckResult(
                 f"P_{n} satisfies L1, L2, R1, R2 for the block identities",

@@ -1,13 +1,12 @@
 """Named constructors for the diagram and relation monoids under study.
 
-Families are built by filtering an exhaustive element enumeration, so
-membership predicates are primary and closure under the product is a
-checked fact rather than an assumption.  Each diagram family is an index
-subset of one partition monoid P_n, enumerated once per n from generators,
-and its table restricts the traced products of P_n.  Rook diagrams of
-degree n are represented by their image in the degree-(n+1) partition
-monoid, with the extra point playing the role of the absorbing vertex;
-there is a single multiplication code path.
+Membership predicates define the families, and closure under the product
+is a checked fact.  P_n, BX_n and PT_n are enumerated from generators into
+the order of their predicate-filtered universes, and each other diagram
+family is an index subset of one P_n whose table restricts the traced
+products of P_n.  Rook diagrams of degree n are represented by their image
+in the degree-(n+1) partition monoid, with the extra point playing the
+role of the absorbing vertex; there is a single multiplication code path.
 """
 
 from __future__ import annotations
@@ -207,8 +206,9 @@ def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
 
     Diagram families are index subsets of one partition monoid, tabulated
-    by restricting its traced products; relation families are tabulated
-    through composition.
+    by restricting its traced products.  Relation families are enumerated
+    from ``relation_generators``; reaching their whole filtered universe
+    certifies the generators and closure.
     """
     spec = FamilySpec.parse(str(name))
     universe, test = membership(spec)
@@ -216,9 +216,10 @@ def build(name) -> FiniteMonoid:
         return FiniteMonoid.from_graph(partition_graph(spec.n))
     kept = [i for i, a in enumerate(universe) if test(a)]
     if spec.family in ("BX", "PT"):
-        return FiniteMonoid.from_elements(
-            [universe[i] for i in kept], rel.compose
-        )
+        return FiniteMonoid.from_graph(froidure_pin(
+            relation_generators(spec.family, spec.n), rel.compose,
+            rel.identity_rel(spec.n), universe=[universe[i] for i in kept],
+        ))
     return build(f"P{universe[0].n}").submonoid(kept)
 
 
@@ -301,6 +302,29 @@ def partition_generators(n):
             n, [[n - 1, n]] + [[x] for x in range(1, n - 1)]
         )
         gens.append(dg.id_equiv(e))
+    return gens
+
+
+def relation_generators(family, n):
+    """Generators of PT_n ('PT'): the adjacent transpositions, the partial
+    identity on {1..n-1} and the map fixing 1..n-1 that sends n to n-1.
+    BX_n ('BX', n <= 3) adds 1 ∪ {(1,2)} and, at n = 3, one more relation,
+    without which the closure has 506 of the 512 relations."""
+    fixed = [(x, x) for x in range(1, n)]
+    gens = []
+    for i in range(1, n):
+        swap = [(x, x) for x in range(1, n + 1) if x not in (i, i + 1)]
+        gens.append(rel.from_pairs(n, swap + [(i, i + 1), (i + 1, i)]))
+    if n >= 1:
+        gens.append(rel.from_pairs(n, fixed))
+    if n >= 2:
+        gens.append(rel.from_pairs(n, fixed + [(n, n - 1)]))
+        if family == "BX":
+            gens.append(rel.from_pairs(n, fixed + [(n, n), (1, 2)]))
+    if family == "BX" and n == 3:
+        gens.append(
+            rel.from_pairs(3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)])
+        )
     return gens
 
 

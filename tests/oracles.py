@@ -217,6 +217,16 @@ def op_table(elements, op):
     return [[index[op(x, y)] for y in elements] for x in elements]
 
 
+def embedding_pairwise(f, s, t):
+    """``monoid.check_embedding`` by its definition, one pair at a time."""
+    rng = range(s.size)
+    return (
+        len(set(f)) == s.size
+        and (s.identity is None or f[s.identity] == t.identity)
+        and all(f[s.mul(i, j)] == t.mul(f[i], f[j]) for i in rng for j in rng)
+    )
+
+
 def _first_occurrence_ids(keys):
     ids = {}
     return [ids.setdefault(k, len(ids)) for k in keys]

@@ -7,7 +7,7 @@ import pytest
 
 from diagmon import algebra, diagrams as dg, ehresmann as eh, zoo
 from diagmon.errors import StateError, ValidationError
-from diagmon.monoid import FiniteMonoid
+from diagmon.monoid import FiniteMonoid, froidure_pin
 
 from oracles import radical_nullity
 
@@ -152,7 +152,9 @@ def test_rational_algebra_associativity_and_products():
 def test_radical_dimensions():
     # the two-element group: semisimple over the rationals
     op = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    g = FiniteMonoid.from_elements(["e", "s"], lambda x, y: op[(x, y)])
+    g = FiniteMonoid.from_graph(
+        froidure_pin(["s"], lambda x, y: op[(x, y)], "e")
+    )
     assert algebra.radical_dim(algebra.RationalAlgebra.of_monoid(g)) == 0
     assert (
         algebra.radical_dim(algebra.RationalAlgebra.of_monoid(zoo.build("PT2")))

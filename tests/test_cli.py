@@ -121,6 +121,12 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "all", "--nmax", "-1"]) == 2  # negative cap
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert cli.main(["category", "P4", "F"]) == 0  # sweeps P4's generators
+    capsys.readouterr()
+    assert cli.main(["category", "P4", "E"]) == 2  # not Ehresmann
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "L2" in err and "R2" in err
 
 
 def test_stdout_when_no_out_flag(capsys):

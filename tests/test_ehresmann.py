@@ -4,9 +4,10 @@ import pytest
 
 from diagmon import diagrams as dg
 from diagmon import ehresmann as eh
+from diagmon import relations as rel
 from diagmon import zoo
-from diagmon.errors import StateError, ValidationError
-from diagmon.monoid import FiniteMonoid, green
+from diagmon.errors import ValidationError
+from diagmon.monoid import FiniteMonoid, green, same_classes
 
 
 def test_semilattice_validation():
@@ -76,11 +77,30 @@ def test_generator_sweep_agrees_with_full_sweep():
     assert swept.theta_sweep == "full"  # small monoid still sweeps fully
 
 
-def test_large_monoid_requires_generators():
+def test_large_monoid_sweeps_its_own_generators():
     s = zoo.build("P4")
     f = zoo.semilattice_for("F", "P4")
-    with pytest.raises(StateError):
-        eh.check_axioms(s, f)
+    report = eh.check_axioms(s, f)
+    assert report.theta_sweep == "generators"
+    assert report == eh.check_axioms(s, f, s.generators)
+
+
+@pytest.mark.parametrize(
+    "name, star, kinds",
+    [("P3", dg.involute, ("E", "F")), ("BX3", rel.converse, ("E",))],
+    ids=["P3", "BX3"],
+)
+def test_involution_swaps_the_sides(name, star, kinds):
+    # x R y iff x* L y*, and f x = x iff x* f = x* for projections f = f*
+    s = zoo.build(name)
+    inv = [s.index[star(x)] for x in s.elements]
+    gs = green(s)
+    starred_l = [gs.l_class[inv[x]] for x in range(s.size)]
+    assert same_classes(gs.r_class, starred_l)
+    for kind in kinds:
+        e = zoo.semilattice_for(kind, name)
+        for x in range(s.size):
+            assert eh.e_left(x, e) == eh.e_right(inv[x], e)
 
 
 def test_non_generating_set_rejected():

@@ -10,7 +10,12 @@ from diagmon import relations as rel
 from diagmon import zoo
 from diagmon.errors import ResourceCapError, StateError, ValidationError
 
-from oracles import bell_numbers, green_principal_ideals, op_table
+from oracles import (
+    bell_numbers,
+    embedding_pairwise,
+    green_principal_ideals,
+    op_table,
+)
 
 
 def test_from_elements_builds_identity_and_table():
@@ -43,7 +48,7 @@ def test_closure_respects_element_cap():
 def test_duplicate_elements_rejected():
     e = dg.identity(2)
     with pytest.raises(ValidationError):
-        mon.FiniteMonoid([e, e], dg.multiply, identity=0)
+        mon.FiniteMonoid([e, e], identity=0)
 
 
 def brute_force_j_classes(m):
@@ -150,6 +155,24 @@ def test_check_embedding_positive_and_negative():
     assert not mon.check_embedding(broken, p2, rp2)
 
 
+def test_check_embedding_matches_pairwise_oracle():
+    rng = random.Random(3)
+    for n in (1, 2):
+        p, rp = zoo.build(f"P{n}"), zoo.build(f"RP{n}")
+        up = zoo.build(f"P{n + 1}")
+        for f, s, t in zip(zoo.tower_maps(n), (p, rp), (rp, up)):
+            maps = [list(f)]
+            for _ in range(20):
+                swapped, moved = list(f), list(f)
+                i, j = rng.sample(range(s.size), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                moved[rng.randrange(s.size)] = rng.randrange(t.size)
+                maps += [swapped, moved]
+            for g in maps:
+                want = embedding_pairwise(g, s, t)
+                assert mon.check_embedding(g, s, t) == want
+
+
 def test_to_json_requires_table():
     m = zoo.build("P4")  # above the table cap: graphs only
     with pytest.raises(StateError):
@@ -205,6 +228,30 @@ def test_traced_tables_match_multiply(family):
         assert m.table == op_table(m.elements, dg.multiply), f"{family}{n}"
 
 
+@pytest.mark.parametrize(
+    "name", [f"BX{n}" for n in range(4)] + [f"PT{n}" for n in range(5)]
+)
+def test_relation_tables_match_compose(name):
+    m = zoo.build(name)
+    spec = zoo.FamilySpec.parse(name)
+    universe, test = zoo.membership(spec)
+    assert m.elements == [a for a in universe if test(a)]  # universe order
+    assert m.decode(m.identity) == rel.identity_rel(spec.n)
+    gens = zoo.relation_generators(spec.family, spec.n)
+    assert [m.elements[i] for i in m.generators] == gens
+    assert m.table == op_table(m.elements, rel.compose)
+
+
+def test_bx3_needs_its_extra_generator():
+    gens = zoo.relation_generators("BX", 3)[:-1]
+    one = rel.identity_rel(3)
+    assert len(mon.froidure_pin(gens, rel.compose, one).elements) == 506
+    with pytest.raises(ValidationError):
+        mon.froidure_pin(
+            gens, rel.compose, one, universe=zoo.relation_universe(3)
+        )
+
+
 def test_traced_p4_products_match_multiply():
     m = zoo.build("P4")
     assert m.table is None
@@ -234,7 +281,10 @@ def test_traced_closure_error():
 def test_relation_closure_error():
     r = rel.from_pairs(2, [(1, 2)])  # r*r is empty
     with pytest.raises(ValidationError):
-        mon.FiniteMonoid.from_elements([rel.identity_rel(2), r], rel.compose)
+        mon.froidure_pin(
+            [r], rel.compose, rel.identity_rel(2),
+            universe=[rel.identity_rel(2), r],
+        )
 
 
 def test_generates_checks_the_closure_size():
