@@ -249,24 +249,6 @@ class RationalAlgebra:
                         out.pop(k, None)
         return out
 
-    def check_associativity(self, cap=100):
-        if self.dimension > cap:
-            raise StateError(
-                f"associativity sweep capped at dimension {cap}"
-            )
-        rng = range(self.dimension)
-        mul = self.basis_mul
-        for i in rng:
-            for j in rng:
-                ij = mul(i, j)
-                for k in rng:
-                    jk = mul(j, k)
-                    left = mul(ij, k) if ij is not None else None
-                    right = mul(i, jk) if jk is not None else None
-                    if left != right:
-                        return False
-        return True
-
     def trace_left(self, k):
         """Trace of left multiplication by basis element k."""
         if k is None:

@@ -49,9 +49,8 @@ def _json_text(obj):
 
 
 def _monoid_and_semilattice(family, kind):
-    if kind not in zoo.SEMILATTICE_KINDS:
-        raise ValidationError(f"unknown semilattice kind {kind!r}")
-    return zoo.build(family), zoo.semilattice_for(kind, family)
+    e = zoo.semilattice_for(kind, family)
+    return e.parent, e
 
 
 def cmd_build(args):

@@ -50,13 +50,13 @@ def _escape(text):
     )
 
 
-def emit_eggbox(m: FiniteMonoid, gs=None, shade=None, title="eggbox") -> str:
+def emit_eggbox(m: FiniteMonoid, shade=None, title="eggbox") -> str:
     """DOT source for the egg-box diagram of a finite monoid.
 
     shade is an optional set of element indices to highlight.
     """
-    gs = gs or green(m)
-    boxes = eggbox(m, gs)
+    gs = green(m)
+    boxes = eggbox(m)
     shade = frozenset(shade or ())
     lines = [
         f'digraph "{title}" {{',

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StateError, ValidationError
-from .monoid import (
-    FiniteMonoid,
-    GreenStructure,
-    _classes_by_key,
-    generates,
-    green,
-)
+from .monoid import FiniteMonoid, _classes_by_key, generates, green
 
 
 @dataclass(frozen=True)
@@ -240,9 +234,9 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
     return tuple(rest_l), tuple(rest_r), tuple(rest)
 
 
-def reg_e(s: FiniteMonoid, e: Semilattice, gs: GreenStructure | None = None):
+def reg_e(s: FiniteMonoid, e: Semilattice):
     """E-regular elements: Green-R-related and L-related to members of E."""
-    gs = gs or green(s)
+    gs = green(s)
     r_of_e = {gs.r_class[x] for x in e.members}
     l_of_e = {gs.l_class[x] for x in e.members}
     return tuple(

@@ -10,25 +10,28 @@ x*y is read off by tracing the word of y through the right graph from x,
 and a whole row x*S costs one graph lookup per element, taken in word
 order.
 
-A ``FiniteMonoid`` indexes its elements 0..m-1.  ``from_graph`` tabulates
-an enumerated monoid from traced rows when it fits under ``TABLE_CAP``;
-above the cap it keeps only its graphs and multiplies by tracing.
+A ``FiniteMonoid`` indexes its elements 0..m-1 and carries a certified
+generating set with its right and left generator graphs.  ``from_graph``
+takes both from the enumeration, and tabulates traced rows when the monoid
+fits under ``TABLE_CAP``; above the cap it multiplies by tracing.
 ``submonoid`` tabulates a closed index subset, such as a family cut out by
-a membership predicate, by restricting the parent's rows.  ``_build_table``
-is the one table maker, and a product leaving the universe or the subset
-raises ``ValidationError``, so closure is exact.
+a membership predicate, by restricting the parent's rows.  It picks its
+generators greedily, top-down in the parent's J-order, adding an element
+only when the closure grown so far has not reached it, and reads its graphs
+off the table.  ``_build_table`` is the one table maker, and a product
+leaving the universe or the subset raises ``ValidationError``, so closure
+is exact.
 
 Green's R- and L-classes are the strongly connected components of the right
-and left Cayley graphs: over the generators for an enumerated monoid without
-a table, and over the table rows and columns otherwise.  D is the join of R
-and L, and the J-order is reachability between D-classes, as in East,
-Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups" (J. Symb.
-Comp. 2019).
+and left generator graphs, for every monoid.  D is the join of R and L, and
+the J-order is reachability between D-classes, as in East, Egri-Nagy,
+Mitchell & Péresse, "Computing finite semigroups" (J. Symb. Comp. 2019).
+Regularity, inverseness and right zeros are read off this structure.
 """
 
 from __future__ import annotations
 
-import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -170,8 +173,13 @@ class FiniteMonoid:
             raise ValidationError("duplicate elements in universe")
         self.identity = identity  # index, or None for a semigroup
         self.table = None
-        self.graph = graph  # Cayley graphs over these elements, or None
-        self.generators = None if graph is None else graph.generators
+        self.graph = graph  # the enumeration's CayleyGraph, or None
+        # element index of each generator, and x*g_k, g_k*x for each x
+        self.generators = self.right = self.left = None
+        if graph is not None:
+            self.generators = graph.generators
+            self.right, self.left = graph.right, graph.left
+        self._green = None  # memo of green(self)
 
     # -- construction -----------------------------------------------------
 
@@ -188,7 +196,8 @@ class FiniteMonoid:
         """The sub-(semi)group on a closed index subset, reindexed.
 
         Its table restricts this monoid's rows; a product that leaves the
-        subset raises ValidationError.
+        subset raises ValidationError.  Its generators are picked top-down
+        in this monoid's J-order, ties broken by index.
         """
         indices = sorted(indices)
         sub = FiniteMonoid([self.elements[i] for i in indices], None)
@@ -197,9 +206,39 @@ class FiniteMonoid:
                 f"{sub.size} elements exceed the Cayley-table cap {TABLE_CAP}",
                 TABLE_CAP,
             )
-        sub.table = sub._build_table(self, indices)
+        sub.table = table = sub._build_table(self, indices)
         sub.identity = sub._find_identity()
+        gs = green(self)
+        height = gs.heights()
+        gens = sub._cover(sorted(
+            range(sub.size),
+            key=lambda x: (-height[gs.d_class[indices[x]]], x),
+        ))
+        sub.generators = gens
+        sub.right = [[row[g] for g in gens] for row in table]
+        sub.left = [[table[g][x] for g in gens] for x in range(sub.size)]
         return sub
+
+    def _cover(self, candidates):
+        """Greedy generators from the table: each candidate the closure
+        grown so far has not reached is added, and the closure regrown.
+        Every element is reached at the end, which certifies the set."""
+        table = self.table
+        gens = []
+        members = [] if self.identity is None else [self.identity]
+        reached = set(members)
+        for c in candidates:
+            if c in reached:
+                continue
+            gens.append(c)
+            # a new element's word has a shortest prefix x*c, x reached before
+            frontier = [c] + [table[x][c] for x in members]
+            for y in frontier:  # grows while it is walked
+                if y not in reached:
+                    reached.add(y)
+                    members.append(y)
+                    frontier.extend(table[y][g] for g in gens)
+        return gens
 
     def _build_table(self, parent, indices):
         """The Cayley table, as the rows of ``parent`` (a CayleyGraph or a
@@ -245,24 +284,6 @@ class FiniteMonoid:
     def decode(self, i):
         return self.elements[i]
 
-    def check_associativity(self, exhaustive_cap=250, samples=2000):
-        """Exhaustive associativity check when small, sampled otherwise."""
-        m = self.size
-        if m <= exhaustive_cap:
-            triples = (
-                (i, j, k) for i in range(m) for j in range(m) for k in range(m)
-            )
-        else:
-            rng = random.Random(1)
-            triples = (
-                (rng.randrange(m), rng.randrange(m), rng.randrange(m))
-                for _ in range(samples)
-            )
-        for i, j, k in triples:
-            if self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)):
-                return False
-        return True
-
     def to_json(self):
         if self.table is None:
             raise StateError("monoid has no materialised Cayley table")
@@ -304,6 +325,11 @@ class GreenStructure:
 
     def num(self, rel):
         return len(set(getattr(self, rel + "_class")))
+
+    def heights(self):
+        """The number of D-classes at or below each D-class, which orders
+        D-classes top-down in the J-order."""
+        return Counter(b for _, b in self.d_order)
 
 
 def _classes_by_key(keys):
@@ -399,31 +425,22 @@ def _scc(adj):
 
 def green(m: FiniteMonoid) -> GreenStructure:
     """Green's relations from the strongly connected components of the
-    right and left Cayley graphs, with D = R v L and the J-order as
-    reachability between D-classes."""
-    if m.table is not None:
-        # over every element: rows and columns of the table
-        right, left = m.table, list(zip(*m.table))
-    else:
-        right, left = m.graph.right, m.graph.left
+    right and left generator graphs, with D = R v L and the J-order as
+    reachability between D-classes.  Computed once per monoid."""
+    if m._green is not None:
+        return m._green
     rng = range(m.size)
-    r_class = _classes_by_key(_scc(right))
-    l_class = _classes_by_key(_scc(left))
+    r_class = _classes_by_key(_scc(m.right))
+    l_class = _classes_by_key(_scc(m.left))
     h_class = _classes_by_key(zip(r_class, l_class))
 
     find = _join_labellings(m.size, ((0, r_class), (0, l_class)))
     d_class = _classes_by_key(map(find, rng))
 
-    # J-order: D-classes reachable along right and left edges.  xS^1 is the
-    # same for every x in an R-class, so the table row of one member per
-    # R-class (and the column of one per L-class) reaches every D-class
-    # that an edge from the class does.
+    # J-order: D-classes reachable along right and left generator edges
     succ = {d: set() for d in d_class}
-    for adj, classes in ((right, r_class), (left, l_class)):
-        reps = {}  # the least member of each class
-        for x, c in enumerate(classes):
-            reps.setdefault(c, x)
-        for x in reps.values() if m.table is not None else rng:
+    for adj in (m.right, m.left):
+        for x in rng:
             succ[d_class[x]].update(map(d_class.__getitem__, adj[x]))
     d_order = set()
     for b in succ:
@@ -441,7 +458,7 @@ def green(m: FiniteMonoid) -> GreenStructure:
     }
     d_equals_j = all(j_rep[a] == a for a in succ)
     j_class = _classes_by_key(j_rep[d_class[x]] for x in rng)
-    return GreenStructure(
+    m._green = GreenStructure(
         r_class=r_class,
         l_class=l_class,
         h_class=h_class,
@@ -450,6 +467,7 @@ def green(m: FiniteMonoid) -> GreenStructure:
         d_order=d_order,
         d_equals_j=d_equals_j,
     )
+    return m._green
 
 
 @dataclass
@@ -461,9 +479,9 @@ class EggboxDClass:
     group_cells: set  # cells containing an idempotent
 
 
-def eggbox(m: FiniteMonoid, gs: GreenStructure | None = None):
+def eggbox(m: FiniteMonoid):
     """Per-D-class grids of H-classes, ordered top-down by the J-order."""
-    gs = gs or green(m)
+    gs = green(m)
     ids = idempotents(m)
     by_d = {}
     for x in range(m.size):
@@ -491,8 +509,8 @@ def eggbox(m: FiniteMonoid, gs: GreenStructure | None = None):
             )
         )
     # higher J-classes first; ties broken by minimal element for determinism
-    below = {b.d_id: sum(1 for (a, c) in gs.d_order if c == b.d_id) for b in boxes}
-    boxes.sort(key=lambda b: (-below[b.d_id], b.d_id))
+    height = gs.heights()
+    boxes.sort(key=lambda b: (-height[b.d_id], b.d_id))
     return boxes
 
 
@@ -501,37 +519,34 @@ def idempotents(m: FiniteMonoid):
 
 
 def is_regular(m: FiniteMonoid) -> bool:
-    for x in range(m.size):
-        if not any(m.mul(m.mul(x, a), x) == x for a in range(m.size)):
-            return False
-    return True
+    """Every D-class holds an idempotent: in a finite semigroup an element
+    is regular exactly when its D-class does."""
+    d_class = green(m).d_class
+    return {d_class[e] for e in idempotents(m)} == set(d_class)
 
 
 def is_inverse(m: FiniteMonoid) -> bool:
-    """Regular with commuting idempotents (equivalently unique inverses)."""
-    if not is_regular(m):
-        return False
-    ids = sorted(idempotents(m))
-    return all(
-        m.mul(e, f) == m.mul(f, e) for e in ids for f in ids if e < f
+    """Regular, with exactly one idempotent in each R-class and each
+    L-class (equivalently, commuting idempotents)."""
+    gs, ids = green(m), idempotents(m)
+    return is_regular(m) and all(
+        len({classes[e] for e in ids}) == len(ids)
+        for classes in (gs.r_class, gs.l_class)
     )
 
 
 def right_zeros(m: FiniteMonoid):
+    """Elements z with g*z = z for every generator g, hence a*z = z for
+    every element a."""
     return frozenset(
-        z
-        for z in range(m.size)
-        if all(m.mul(a, z) == z for a in range(m.size))
+        z for z, row in enumerate(m.left) if all(p == z for p in row)
     )
 
 
-def minimal_ideal(m: FiniteMonoid, gs: GreenStructure | None = None):
+def minimal_ideal(m: FiniteMonoid):
     """Elements of the minimal J-class (which is the minimal ideal)."""
-    gs = gs or green(m)
-    d_ids = set(gs.d_class)
-    bottoms = [
-        d for d in d_ids if not any((b, d) in gs.d_order and b != d for b in d_ids)
-    ]
+    gs = green(m)
+    bottoms = [d for d, height in gs.heights().items() if height == 1]
     if len(bottoms) != 1:
         raise StateError("no unique minimal J-class")
     return frozenset(x for x in range(m.size) if gs.d_class[x] == bottoms[0])
@@ -539,10 +554,19 @@ def minimal_ideal(m: FiniteMonoid, gs: GreenStructure | None = None):
 
 def check_embedding(f, s: FiniteMonoid, t: FiniteMonoid) -> bool:
     """True iff the index map f is injective, identity-preserving and
-    multiplicative from s into t."""
+    multiplicative from s into t.
+
+    Multiplicativity is checked on the pairs (x, g) for the generators g
+    of s: f(x*y) = f(x)*f(y) for every y then follows by induction on the
+    word of y.
+    """
     if len(set(f)) != s.size:
         return False
     if s.identity is not None and f[s.identity] != t.identity:
         return False
-    images = ([f[k] for k in row] for row in s._rows(range(s.size)))
-    return all(a == b for a, b in zip(images, t._rows(f)))
+    images = [f[g] for g in s.generators]
+    return all(
+        f[xg] == t.mul(f[x], fg)
+        for x, row in enumerate(s.right)
+        for xg, fg in zip(row, images)
+    )

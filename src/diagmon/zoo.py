@@ -226,6 +226,14 @@ def build(name) -> FiniteMonoid:
 SEMILATTICE_KINDS = ("E", "F", "G")
 
 
+def _check_kind(kind, relations):
+    """Reject an unknown semilattice kind, or one relations do not have."""
+    if kind not in SEMILATTICE_KINDS:
+        raise ValidationError(f"unknown semilattice kind {kind!r}")
+    if relations and kind != "E":
+        raise ValidationError(f"semilattice {kind} undefined for relations")
+
+
 def semilattice(kind: str, parent: FiniteMonoid, base_degree=None) -> Semilattice:
     """The semilattice of partial identities (E), block identities (F), or
     block identities over the enlarged base set of a rook monoid (G).
@@ -234,12 +242,9 @@ def semilattice(kind: str, parent: FiniteMonoid, base_degree=None) -> Semilattic
     get the lifted copy of E or F (the elements of degree n acquire the
     separate absorbing block).
     """
-    if kind not in SEMILATTICE_KINDS:
-        raise ValidationError(f"unknown semilattice kind {kind!r}")
     sample = parent.elements[0]
+    _check_kind(kind, isinstance(sample, rel.BinaryRelation))
     if isinstance(sample, rel.BinaryRelation):
-        if kind != "E":
-            raise ValidationError(f"semilattice {kind} undefined for relations")
         n = sample.n
         members = [
             rel.partial_identity(Subset.of(n, c))
@@ -280,8 +285,11 @@ def semilattice(kind: str, parent: FiniteMonoid, base_degree=None) -> Semilattic
 
 
 def semilattice_for(kind: str, name: str) -> Semilattice:
-    """Semilattice by family name, lifting E/F into rook monoids."""
+    """Semilattice by family name, lifting E/F into rook monoids.  A kind
+    the family does not have is rejected before the family is built."""
     spec = FamilySpec.parse(str(name))
+    spec.check_cap()  # the error build would give comes first
+    _check_kind(kind, spec.family in ("BX", "PT"))
     parent = build(str(name))
     base = spec.n if spec.family in ("RP", "RJ") and kind in ("E", "F") else None
     return semilattice(kind, parent, base_degree=base)

@@ -5,6 +5,7 @@ than the package (explicit block sets, adjacency BFS, Bell-triangle
 counting) so agreement is a genuine two-sided check.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -225,6 +226,66 @@ def embedding_pairwise(f, s, t):
         and (s.identity is None or f[s.identity] == t.identity)
         and all(f[s.mul(i, j)] == t.mul(f[i], f[j]) for i in rng for j in rng)
     )
+
+
+def monoid_associative(m, exhaustive_cap=250, samples=2000):
+    """Exhaustive associativity check when small, sampled otherwise."""
+    size = m.size
+    if size <= exhaustive_cap:
+        triples = (
+            (i, j, k)
+            for i in range(size)
+            for j in range(size)
+            for k in range(size)
+        )
+    else:
+        rng = random.Random(1)
+        triples = (
+            (rng.randrange(size), rng.randrange(size), rng.randrange(size))
+            for _ in range(samples)
+        )
+    for i, j, k in triples:
+        if m.mul(m.mul(i, j), k) != m.mul(i, m.mul(j, k)):
+            return False
+    return True
+
+
+def algebra_associative(a, cap=100):
+    """Associativity of a basis product that may be undefined (None)."""
+    if a.dimension > cap:
+        raise ValueError(f"associativity sweep capped at dimension {cap}")
+    rng = range(a.dimension)
+    mul = a.basis_mul
+    for i in rng:
+        for j in rng:
+            ij = mul(i, j)
+            for k in rng:
+                jk = mul(j, k)
+                left = mul(ij, k) if ij is not None else None
+                right = mul(i, jk) if jk is not None else None
+                if left != right:
+                    return False
+    return True
+
+
+def regular_pairwise(m):
+    """Every x has some a with x a x = x, searched over all a."""
+    rng = range(m.size)
+    return all(any(m.mul(m.mul(x, a), x) == x for a in rng) for x in rng)
+
+
+def inverse_pairwise(m):
+    """Regular with commuting idempotents (equivalently unique inverses)."""
+    if not regular_pairwise(m):
+        return False
+    ids = [x for x in range(m.size) if m.mul(x, x) == x]
+    return all(m.mul(e, f) == m.mul(f, e) for e in ids for f in ids if e < f)
+
+
+def right_zeros_pairwise(m):
+    """Elements z with a z = z for every element a."""
+    rng = range(m.size)
+    return frozenset(z for z in rng if all(m.mul(a, z) == z for a in rng))
 
 
 def _first_occurrence_ids(keys):

@@ -9,7 +9,7 @@ from diagmon import algebra, diagrams as dg, ehresmann as eh, zoo
 from diagmon.errors import StateError, ValidationError
 from diagmon.monoid import FiniteMonoid, froidure_pin
 
-from oracles import radical_nullity
+from oracles import algebra_associative, radical_nullity
 
 # the Ehresmann pairs whose category algebras the verify suites use
 CATEGORY_PAIRS = (
@@ -138,10 +138,10 @@ def test_transform_requires_the_right_containment():
 def test_rational_algebra_associativity_and_products():
     s = zoo.build("PT2")
     a = algebra.RationalAlgebra.of_monoid(s)
-    assert a.check_associativity()
+    assert algebra_associative(a)
     cat = algebra.build_category(s, zoo.semilattice_for("E", "PT2"))
     c = algebra.RationalAlgebra.of_category(cat)
-    assert c.check_associativity()
+    assert algebra_associative(c)
     # vector product with cancellation
     u = {0: Fraction(1, 2), 1: Fraction(-1, 2)}
     v = {s.identity: Fraction(2)}

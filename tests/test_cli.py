@@ -172,3 +172,22 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys, argv, code):
     assert code in (0, 2, 3)
     assert sum("error:" in line for line in err.splitlines()) == (code != 0)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["analyze", "BX3", "F"], "F"),
+        (["category", "PT2", "G"], "G"),
+        (["stein", "BX2", "F", "--side", "left"], "F"),
+    ],
+)
+def test_relation_kind_rejected_before_building(monkeypatch, capsys, argv, kind):
+    def build(name):
+        raise AssertionError(f"{name} was built")
+
+    monkeypatch.setattr(zoo, "build", build)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: semilattice {kind} undefined for relations\n"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from diagmon import diagrams as dg
+from diagmon import ehresmann as eh
 from diagmon import monoid as mon
 from diagmon import relations as rel
 from diagmon import zoo
@@ -14,7 +15,11 @@ from oracles import (
     bell_numbers,
     embedding_pairwise,
     green_principal_ideals,
+    inverse_pairwise,
+    monoid_associative,
     op_table,
+    regular_pairwise,
+    right_zeros_pairwise,
 )
 
 
@@ -24,7 +29,7 @@ def test_from_elements_builds_identity_and_table():
     assert m.identity is not None
     assert m.decode(m.identity) == dg.identity(2)
     assert m.table is not None
-    assert m.check_associativity()
+    assert monoid_associative(m)
 
 
 def test_closure_from_generators_recovers_partition_monoids():
@@ -113,7 +118,7 @@ def test_green_class_counts_partition_monoid_degree_3():
 def test_eggbox_grids_cover_each_d_class():
     m = zoo.build("B3")
     gs = mon.green(m)
-    boxes = mon.eggbox(m, gs)
+    boxes = mon.eggbox(m)
     seen = set()
     for box in boxes:
         for (r, l), cell in box.cells.items():
@@ -264,6 +269,10 @@ def test_traced_p4_products_match_multiply():
 @pytest.mark.parametrize("name", SMALL + ["LL4", "RR4"])
 def test_green_matches_principal_ideal_oracle(name):
     m = zoo.build(name)
+    for k, g in enumerate(m.generators):
+        for x in range(m.size):
+            assert m.right[x][k] == m.mul(x, g)
+            assert m.left[x][k] == m.mul(g, x)
     gs = mon.green(m)
     want = green_principal_ideals(m)
     for key, value in want.items():
@@ -294,3 +303,41 @@ def test_generates_checks_the_closure_size():
     d0 = zoo.build("D03")  # a semigroup: no identity to adjoin for free
     assert mon.generates(d0, range(d0.size))
     assert not mon.generates(d0, [0])
+
+
+@pytest.mark.parametrize(
+    "name", SMALL + ["Pfd4", "RR4", "LL4", "I4", "J4", "T4"]
+)
+def test_structural_predicates_match_pairwise_oracles(name):
+    m = zoo.build(name)
+    assert mon.is_regular(m) == regular_pairwise(m)
+    assert mon.is_inverse(m) == inverse_pairwise(m)
+    assert mon.right_zeros(m) == right_zeros_pairwise(m)
+
+
+@pytest.mark.parametrize("family", zoo.FAMILIES)
+def test_every_built_monoid_carries_certified_generators(family):
+    for n in range(zoo.CAPS[family] + 1):
+        m = zoo.build(f"{family}{n}")
+        assert len(m.right) == len(m.left) == m.size, f"{family}{n}"
+        assert mon.generates(m, m.generators), f"{family}{n}"
+
+
+@pytest.mark.parametrize("name", ["J3", "RP2", "Pfk3", "I4", "Pfd4", "RR4"])
+def test_each_submonoid_generator_is_new(name):
+    # the greedy adds a candidate only when the earlier ones miss it
+    m = zoo.build(name)
+    op = lambda x, g: g if x is None else m.mul(x, g)  # Pfk3 has no identity
+    for k, g in enumerate(m.generators):
+        closure = mon.froidure_pin(m.generators[:k], op, m.identity)
+        assert g not in closure.elements, (name, k)
+
+
+def test_submonoid_generators_cover_semigroups_and_regular_parts():
+    d0 = zoo.build("D03")  # no identity: every element is a generator
+    assert d0.identity is None
+    assert sorted(d0.generators) == list(range(d0.size))
+    p3 = zoo.build("P3")
+    reg = p3.submonoid(eh.reg_e(p3, zoo.semilattice_for("F", "P3")))
+    assert mon.is_inverse(reg)  # J_3
+    assert mon.generates(reg, reg.generators)
