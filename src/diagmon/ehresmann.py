@@ -32,13 +32,13 @@ class Semilattice:
                 raise ValidationError(f"element {e} is not idempotent")
         for e in members:
             for f in members:
-                p = parent.mul(e, f)
-                if p != parent.mul(f, e):
+                if parent.mul(e, f) != parent.mul(f, e):
                     raise ValidationError(f"elements {e},{f} do not commute")
-                if p not in members:
-                    raise ValidationError(
-                        f"not closed: product of {e},{f} escapes the set"
-                    )
+        pair = parent.escape(members)
+        if pair is not None:
+            raise ValidationError(
+                f"not closed: product of {pair[0]},{pair[1]} escapes the set"
+            )
         return cls(parent, members)
 
     def __len__(self):
@@ -105,12 +105,10 @@ def _unique_member_check(classes, members):
     per_class = {}
     for x in members:
         per_class.setdefault(classes[x], []).append(x)
-    all_ids = set(classes)
-    for c in sorted(all_ids):
+    for c in sorted(set(classes)):
         got = per_class.get(c, [])
         if len(got) != 1:
-            rep = min(x for x in range(len(classes)) if classes[x] == c)
-            return False, (rep, tuple(got))
+            return False, (classes.index(c), tuple(got))
     return True, None
 
 
@@ -149,39 +147,26 @@ def check_axioms(s: FiniteMonoid, e: Semilattice, generators=None) -> EhresmannR
     else:  # only an enumerated monoid has no table
         thetas, sweep = sorted(set(generators)), "generators"
 
-    axioms, witnesses = {}, {}
-    axioms["L1"], w = _unique_member_check(r_tilde, e.members)
-    if w:
-        witnesses["L1"] = w
-    axioms["R1"], w = _unique_member_check(l_tilde, e.members)
-    if w:
-        witnesses["R1"] = w
-    axioms["L2"], w = _congruence_check(s, r_tilde, thetas, left=True)
-    if w:
-        witnesses["L2"] = w
-    axioms["R2"], w = _congruence_check(s, l_tilde, thetas, left=False)
-    if w:
-        witnesses["R2"] = w
-
+    checks = {
+        "L1": _unique_member_check(r_tilde, e.members),
+        "R1": _unique_member_check(l_tilde, e.members),
+        "L2": _congruence_check(s, r_tilde, thetas, left=True),
+        "R2": _congruence_check(s, l_tilde, thetas, left=False),
+        # restriction containments (checked definitionally, witnesses minimal)
+        "L3": _containment_check(s, e, left=True),
+        "R3": _containment_check(s, e, left=False),
+    }
     report = EhresmannReport(
-        axioms=axioms,
-        witnesses=witnesses,
+        axioms={a: ok for a, (ok, _) in checks.items()},
+        witnesses={a: w for a, (_, w) in checks.items() if w},
         r_tilde=r_tilde,
         l_tilde=l_tilde,
         theta_sweep=sweep,
     )
-    if axioms["L1"]:
+    if report.axioms["L1"]:
         report.plus = _representatives(r_tilde, e)
-    if axioms["R1"]:
+    if report.axioms["R1"]:
         report.star = _representatives(l_tilde, e)
-
-    # restriction containments (checked definitionally, witnesses minimal)
-    axioms["L3"], w = _containment_check(s, e, left=True)
-    if w:
-        witnesses["L3"] = w
-    axioms["R3"], w = _containment_check(s, e, left=False)
-    if w:
-        witnesses["R3"] = w
     return report
 
 
@@ -194,17 +179,12 @@ def _representatives(classes, e: Semilattice):
 
 def _containment_check(s, e, left):
     """L3 (xE in Ex) or R3 (Ex in xE) for every x; witness (x, e)."""
+    mul = s.mul if left else lambda a, b: s.mul(b, a)
     for x in range(s.size):
-        if left:
-            other = {s.mul(f, x) for f in e.members}
-            for f in sorted(e.members):
-                if s.mul(x, f) not in other:
-                    return False, (x, f)
-        else:
-            other = {s.mul(x, f) for f in e.members}
-            for f in sorted(e.members):
-                if s.mul(f, x) not in other:
-                    return False, (x, f)
+        other = {mul(f, x) for f in e.members}
+        for f in e.members:  # sorted by Semilattice.create
+            if mul(x, f) not in other:
+                return False, (x, f)
     return True, None
 
 
@@ -224,13 +204,10 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
             rest_r.append(x)
     rest = sorted(set(rest_l) & set(rest_r))
     for name, sub in (("left", rest_l), ("right", rest_r), ("two-sided", rest)):
-        subset = set(sub)
-        if not set(e.members) <= subset:
+        if not set(e.members) <= set(sub):
             raise StateError(f"{name} restriction set does not contain E")
-        for x in sub:
-            for y in sub:
-                if s.mul(x, y) not in subset:
-                    raise StateError(f"{name} restriction set not closed")
+        if s.escape(sub) is not None:
+            raise StateError(f"{name} restriction set not closed")
     return tuple(rest_l), tuple(rest_r), tuple(rest)
 
 
@@ -261,12 +238,8 @@ def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice, r_tilde, l_tilde):
         for x in range(s.size)
         if r_tilde[x] == r_tilde[idem] and l_tilde[x] == l_tilde[idem]
     )
-    inside = set(cls)
-    for x in cls:
-        for y in cls:
-            if s.mul(x, y) not in inside:
-                return cls, False, (x, y)
-    return cls, True, None
+    witness = s.escape(cls)
+    return cls, witness is None, witness
 
 
 def natural_order(s: FiniteMonoid, e: Semilattice, side: str):

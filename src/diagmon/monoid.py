@@ -20,7 +20,7 @@ generators greedily, top-down in the parent's J-order, adding an element
 only when the closure grown so far has not reached it, and reads its graphs
 off the table.  ``_build_table`` is the one table maker, and a product
 leaving the universe or the subset raises ``ValidationError``, so closure
-is exact.
+is exact; ``escape`` runs the same test on any index subset.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
@@ -244,19 +244,20 @@ class FiniteMonoid:
         """The Cayley table, as the rows of ``parent`` (a CayleyGraph or a
         FiniteMonoid) restricted to ``indices``.  A product outside this
         monoid raises ValidationError."""
-        local = [-1] * len(parent.elements)
-        for i, p in enumerate(indices):
-            local[p] = i
         table = []
-        for row in parent._rows(indices):
-            row = list(map(local.__getitem__, row))
-            if -1 in row:
-                raise ValidationError(
-                    f"elements not closed: the product of {len(table)},"
-                    f"{row.index(-1)} escapes the set"
-                )
-            table.append(row)
+        pair = _restrict(parent, indices, table)
+        if pair is not None:
+            raise ValidationError(
+                f"elements not closed: the product of {pair[0]},{pair[1]} "
+                "escapes the set"
+            )
         return table
+
+    def escape(self, indices):
+        """The first pair (x, y) of the sequence ``indices``, row by row in
+        its order, whose product is not in it, or None when it is closed."""
+        pair = _restrict(self, indices)
+        return pair and (indices[pair[0]], indices[pair[1]])
 
     def _rows(self, indices):
         if self.table is None:
@@ -293,6 +294,22 @@ class FiniteMonoid:
             "mul": [v for row in self.table for v in row],
             "elements": [x.to_json() for x in self.elements],
         }
+
+
+def _restrict(parent, indices, rows=None):
+    """The one closure test: the positions (i, j) in ``indices`` of the first
+    product outside them in the rows of ``parent`` (a CayleyGraph or a
+    FiniteMonoid), or None.  Rows passed are renumbered into ``rows``."""
+    local = [-1] * len(parent.elements)
+    for i, p in enumerate(indices):
+        local[p] = i
+    for i, row in enumerate(parent._rows(indices)):
+        row = list(map(local.__getitem__, row))
+        if -1 in row:
+            return i, row.index(-1)
+        if rows is not None:
+            rows.append(row)
+    return None
 
 
 def generates(m: FiniteMonoid, generators) -> bool:

@@ -228,6 +228,16 @@ def embedding_pairwise(f, s, t):
     )
 
 
+def escape_pairwise(s, indices):
+    """``FiniteMonoid.escape`` by one ``s.mul`` per pair, row by row."""
+    inside = set(indices)
+    for x in indices:
+        for y in indices:
+            if s.mul(x, y) not in inside:
+                return x, y
+    return None
+
+
 def monoid_associative(m, exhaustive_cap=250, samples=2000):
     """Exhaustive associativity check when small, sampled otherwise."""
     size = m.size
@@ -355,6 +365,27 @@ def green_principal_ideals(m):
         "d_order": d_order,
         "d_equals_j": all(j_rep[a] == a for a in reps),
     }
+
+
+# -- reference transform check ------------------------------------------------
+
+
+def stein_pairwise(cat, phi):
+    """``algebra.is_multiplicative`` on every pair (x, y), not only on
+    (element, generator) pairs, counting compositions in a plain dict."""
+    s = cat.monoid
+    rng = range(s.size)
+    for x in rng:
+        for y in rng:
+            lhs = {}
+            for a in phi[x]:
+                for b in phi[y]:
+                    c = cat.compose(a, b)
+                    if c is not None:
+                        lhs[c] = lhs.get(c, 0) + 1
+            if lhs != {c: 1 for c in phi[s.mul(x, y)]}:
+                return False
+    return True
 
 
 # -- reference radical dimension ------------------------------------------------

@@ -9,7 +9,7 @@ from diagmon import algebra, diagrams as dg, ehresmann as eh, zoo
 from diagmon.errors import StateError, ValidationError
 from diagmon.monoid import FiniteMonoid, froidure_pin
 
-from oracles import algebra_associative, radical_nullity
+from oracles import algebra_associative, radical_nullity, stein_pairwise
 
 # the Ehresmann pairs whose category algebras the verify suites use
 CATEGORY_PAIRS = (
@@ -133,6 +133,85 @@ def test_transform_requires_the_right_containment():
         algebra.stein_transform(pfd2, f, "left")
     with pytest.raises(ValidationError):
         algebra.stein_transform(pfd2, f, "sideways")
+
+
+def _stein_cases(max_degree):
+    """(name, kind, side) for each family up to max_degree with a transform."""
+    for name in _families(max_degree):
+        for kind in ("E", "F", "G"):
+            try:
+                e = zoo.semilattice_for(kind, name)
+            except ValidationError:
+                continue
+            for side in ("left", "right"):
+                try:
+                    algebra.stein_transform(zoo.build(name), e, side)
+                except StateError:
+                    continue
+                yield name, kind, side
+
+
+def _category_and_phi(name, kind, side):
+    s = zoo.build(name)
+    e = zoo.semilattice_for(kind, name)
+    phi = [sorted(b) for b in algebra.natural_order(s, e, side)]
+    return algebra.build_category(s, e), phi
+
+
+def test_verify_stein_matches_the_pairwise_oracle():
+    cases = list(_stein_cases(3))
+    for name, kind, side in cases:
+        s = zoo.build(name)
+        e = zoo.semilattice_for(kind, name)
+        cat, phi = _category_and_phi(name, kind, side)
+        assert algebra.verify_stein(s, e, side) == stein_pairwise(cat, phi)
+    assert len(cases) == 198
+
+
+def _perturbations(phi):
+    """phi with one below-set entry dropped, or with two below sets swapped."""
+    for y, b in enumerate(phi):
+        for a in b:
+            yield phi[:y] + [[c for c in b if c != a]] + phi[y + 1:]
+    for x in range(len(phi)):
+        for y in range(x):
+            if phi[x] != phi[y]:
+                bad = list(phi)
+                bad[x], bad[y] = phi[y], phi[x]
+                yield bad
+
+
+@pytest.mark.parametrize("name, kind, side", [
+    ("PT2", "E", "left"), ("I2", "E", "right"), ("RJ2", "G", "left"),
+])
+def test_perturbed_transforms_fail_the_sweep_and_the_oracle(name, kind, side):
+    cat, phi = _category_and_phi(name, kind, side)
+    assert algebra.is_multiplicative(cat, phi) and stein_pairwise(cat, phi)
+    for bad in _perturbations(phi):
+        assert not algebra.is_multiplicative(cat, bad)
+        assert not stein_pairwise(cat, bad)
+
+
+def test_sweep_matches_the_oracle_on_every_perturbation_up_to_degree_2():
+    for case in _stein_cases(2):
+        cat, phi = _category_and_phi(*case)
+        for bad in _perturbations(phi):
+            assert algebra.is_multiplicative(cat, bad) == stein_pairwise(
+                cat, bad
+            ), case
+
+
+def test_sweep_needs_the_identity_pairs():
+    # a right-zero semigroup {a, b} with an identity adjoined, E = {1}: the
+    # map sending 1 to a and fixing a, b passes every (x, generator) pair,
+    # but phi(b) phi(1) = b a = a differs from phi(b) = b
+    s = FiniteMonoid.from_graph(froidure_pin(["a", "b"], lambda x, g: g, "1"))
+    cat = algebra.build_category(s, eh.Semilattice.create(s, [s.identity]))
+    a, b = s.index["a"], s.index["b"]
+    phi = [[a], [a], [b]]
+    assert s.identity == 0
+    assert not algebra.is_multiplicative(cat, phi)
+    assert not stein_pairwise(cat, phi)
 
 
 def test_rational_algebra_associativity_and_products():

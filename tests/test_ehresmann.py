@@ -9,6 +9,8 @@ from diagmon import zoo
 from diagmon.errors import ValidationError
 from diagmon.monoid import FiniteMonoid, green, same_classes
 
+from oracles import escape_pairwise
+
 
 def test_semilattice_validation():
     p2 = zoo.build("P2")
@@ -168,3 +170,31 @@ def test_below_sets_are_partial_orders():
             assert eh.is_partial_order(eh.natural_order(s, sl, side))
     # a non-order: x below y and y below x for distinct x, y
     assert not eh.is_partial_order([frozenset({0, 1}), frozenset({0, 1})])
+
+
+@pytest.mark.parametrize(
+    "name, kind", [("P3", "E"), ("P3", "F"), ("PB3", "E"), ("RP3", "G")]
+)
+def test_escape_matches_pairwise_on_tilde_h_classes(name, kind):
+    s = zoo.build(name)
+    e = zoo.semilattice_for(kind, name)
+    tilde = eh.tilde_classes(s, e, "r"), eh.tilde_classes(s, e, "l")
+    classes = {}
+    for x in range(s.size):
+        classes.setdefault((tilde[0][x], tilde[1][x]), []).append(x)
+    for cls in classes.values():
+        assert s.escape(cls) == escape_pairwise(s, cls)
+    for idem in e.members:
+        members, closed, witness = eh.tilde_h_class(idem, s, e, *tilde)
+        assert witness == escape_pairwise(s, members)
+        assert closed == (witness is None)
+    if (name, kind) == ("P3", "E"):  # the identity's class is not closed
+        assert not eh.tilde_h_class(s.identity, s, e, *tilde)[1]
+
+
+@pytest.mark.parametrize("name, kind", [("P3", "F"), ("BX3", "E")])
+def test_escape_matches_pairwise_on_restriction_sets(name, kind):
+    s = zoo.build(name)
+    for sub in eh.rest_subsemigroups(s, zoo.semilattice_for(kind, name)):
+        assert s.escape(sub) is None
+        assert escape_pairwise(s, sub) is None

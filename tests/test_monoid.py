@@ -14,6 +14,7 @@ from diagmon.errors import ResourceCapError, StateError, ValidationError
 from oracles import (
     bell_numbers,
     embedding_pairwise,
+    escape_pairwise,
     green_principal_ideals,
     inverse_pairwise,
     monoid_associative,
@@ -341,3 +342,30 @@ def test_submonoid_generators_cover_semigroups_and_regular_parts():
     reg = p3.submonoid(eh.reg_e(p3, zoo.semilattice_for("F", "P3")))
     assert mon.is_inverse(reg)  # J_3
     assert mon.generates(reg, reg.generators)
+
+
+@pytest.mark.parametrize("name", ["P3", "P4"])
+def test_escape_matches_pairwise_on_random_subsets(name):
+    # half plain random subsets, half closed up under products from one or
+    # two random elements, each walked in a shuffled order
+    s = zoo.build(name)
+    rng = random.Random(17)
+    closed = 0
+    for i in range(200):
+        if i % 2:
+            subset = set(rng.sample(range(s.size), 1 + (name == "P3")))
+            frontier = list(subset)
+            for x in frontier:  # grows while it is walked
+                for y in list(subset):
+                    for p in (s.mul(x, y), s.mul(y, x)):
+                        if p not in subset:
+                            subset.add(p)
+                            frontier.append(p)
+        else:
+            subset = rng.sample(range(s.size), rng.randint(1, 40))
+        subset = list(subset)
+        rng.shuffle(subset)
+        want = escape_pairwise(s, subset)
+        assert s.escape(subset) == want
+        closed += want is None
+    assert 0 < closed < 200
