@@ -153,12 +153,20 @@ def matrix_to_json(matrix):
 
 
 def stein_transform(s: FiniteMonoid, e: Semilattice, side: str,
-                    report: EhresmannReport | None = None):
+                    report: EhresmannReport | None = None, below=None):
     """Matrix of the basis map x -> sum of all elements below x.
 
     Requires the Ehresmann axioms plus the restriction containment on the
-    requested side (L3 for 'left', R3 for 'right').
+    requested side (L3 for 'left', R3 for 'right').  ``report`` and
+    ``below`` (``natural_order`` of the side) are computed when not given.
     """
+    return zeta_matrix(_transform_order(s, e, side, report, below)[1])
+
+
+def _transform_order(s, e, side, report, below):
+    """(report, below) once the transform of ``side`` is known to exist:
+    the axioms hold and the zeta matrix of ``below`` is unitriangular
+    under ``topological_order``, read off the below-sets."""
     report = report or check_axioms(s, e)
     needed = {"left": "L3", "right": "R3"}.get(side)
     if needed is None:
@@ -167,14 +175,17 @@ def stein_transform(s: FiniteMonoid, e: Semilattice, side: str,
         raise StateError(
             f"the transform needs the Ehresmann axioms and {needed}"
         )
-    below = natural_order(s, e, side)
-    z = zeta_matrix(below)
-    if not is_unitriangular(z, topological_order(below)):
+    below = natural_order(s, e, side) if below is None else below
+    pos = {x: i for i, x in enumerate(topological_order(below))}
+    if not all(
+        y in b and all(pos[x] <= pos[y] for x in b) for y, b in enumerate(below)
+    ):
         raise StateError("zeta matrix is not unitriangular under the order")
-    return z
+    return report, below
 
 
-def verify_stein(s: FiniteMonoid, e: Semilattice, side: str) -> bool:
+def verify_stein(s: FiniteMonoid, e: Semilattice, side: str,
+                 report: EhresmannReport | None = None, below=None) -> bool:
     """Multiplicativity of the transform into the category algebra, exactly.
 
     phi(x) phi(y), expanded with the category product (undefined compositions
@@ -186,12 +197,11 @@ def verify_stein(s: FiniteMonoid, e: Semilattice, side: str) -> bool:
     (x w, g) and (w, g).  The pairs (x, 1) cover the empty word; a semigroup
     has no identity, and each of its elements has a non-empty word.
     Bijectivity holds structurally: the matrix is unitriangular.
+    ``report`` and ``below`` are as for ``stein_transform``.
     """
-    report = check_axioms(s, e)
-    stein_transform(s, e, side, report)  # validates axioms + triangularity
+    report, below = _transform_order(s, e, side, report, below)
     cat = build_category(s, e, report)
-    phi = [sorted(b) for b in natural_order(s, e, side)]
-    return is_multiplicative(cat, phi)
+    return is_multiplicative(cat, [sorted(b) for b in below])
 
 
 def is_multiplicative(cat: EhresmannCategory, phi) -> bool:

@@ -155,10 +155,11 @@ def cmd_category(args):
 
 def cmd_stein(args):
     s, e = _monoid_and_semilattice(args.family, args.semilattice)
-    z = algebra.stein_transform(s, e, args.side)
-    below = algebra.natural_order(s, e, args.side)
+    report = eh.check_axioms(s, e)
+    below = eh.natural_order(s, e, args.side)
+    z = algebra.stein_transform(s, e, args.side, report, below)
     m = algebra.mobius_inverse(below)
-    ok = algebra.verify_stein(s, e, args.side)
+    ok = algebra.verify_stein(s, e, args.side, report, below)
     data = {
         "side": args.side,
         "dimension": s.size,

@@ -279,17 +279,3 @@ def is_brauer(a: Partition) -> bool:
 def is_partial_brauer(a: Partition) -> bool:
     """All blocks have size at most 2."""
     return all(s <= 2 for s in _block_sizes(a))
-
-
-def upper_nontransversals(a: Partition):
-    """Blocks contained in the upper row, as frozensets of signed points."""
-    return tuple(
-        frozenset(bl) for bl in a.blocks() if all(x > 0 for x in bl)
-    )
-
-
-def lower_nontransversals(a: Partition):
-    """Blocks contained in the lower row, as frozensets of signed points."""
-    return tuple(
-        frozenset(bl) for bl in a.blocks() if all(x < 0 for x in bl)
-    )

@@ -202,22 +202,19 @@ def check_order_characterizations(nmax=None):
     s = zoo.build(f"P{n}")
     e = zoo.semilattice_for("E", f"P{n}")
     f = zoo.semilattice_for("F", f"P{n}")
-    below_r = eh.natural_order(s, f, "left")  # x in Fy
-    below_l = eh.natural_order(s, f, "right")  # x in yF
-    below_rp = eh.natural_order(s, e, "left")  # x in Ey
-    ok = True
-    for y in range(s.size):
-        dy = s.decode(y)
-        for x in range(s.size):
-            dx = s.decode(x)
-            if (x in below_r[y]) != zoo.leq_r_structural(dx, dy):
-                ok = False
-            if (x in below_l[y]) != zoo.leq_l_structural(dx, dy):
-                ok = False
-            if (x in below_rp[y]) != zoo.leq_r_prime_structural(dx, dy):
-                ok = False
-        if not ok:
-            break
+    orders = (
+        (eh.natural_order(s, f, "left"),
+         lambda y: zoo.block_identity_below(y, "left")),  # x in Fy
+        (eh.natural_order(s, f, "right"),
+         lambda y: zoo.block_identity_below(y, "right")),  # x in yF
+        (eh.natural_order(s, e, "left"),
+         zoo.partial_identity_below),  # x in Ey
+    )
+    ok = all(
+        frozenset(s.index[x] for x in below_y(s.decode(y))) == below[y]
+        for below, below_y in orders
+        for y in range(s.size)
+    )
     return [
         CheckResult(
             f"both natural orders on P_{n} match their block descriptions",
@@ -483,9 +480,10 @@ def check_transform_isomorphism(nmax=None):
             continue
         s = zoo.build(name)
         e = zoo.semilattice_for(kind, name)
-        ok = algebra.verify_stein(s, e, side)
-        below = algebra.natural_order(s, e, side)
-        z = algebra.stein_transform(s, e, side)
+        report = eh.check_axioms(s, e)
+        below = eh.natural_order(s, e, side)
+        ok = algebra.verify_stein(s, e, side, report, below)
+        z = algebra.stein_transform(s, e, side, report, below)
         m = algebra.mobius_inverse(below)  # verifies Z * M = identity
         ok = ok and algebra.is_unitriangular(
             z, algebra.topological_order(below)

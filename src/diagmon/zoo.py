@@ -18,7 +18,7 @@ from itertools import combinations
 
 from . import diagrams as dg
 from . import relations as rel
-from .diagrams import Partition, SetPartition, Subset
+from .diagrams import Partition, SetPartition, Subset, _canonical
 from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice
 from .monoid import FiniteMonoid, froidure_pin
@@ -412,52 +412,36 @@ def witness_sets():
 
 
 # -- structural characterisations of the natural orders ----------------------
+# Each generator lists the diagrams below a in one natural order of P_n from
+# a's blocks alone, without testing pairs; verify compares them with
+# ``ehresmann.natural_order``.  The pairwise block predicates for the same
+# orders are the oracles in tests/oracles.py.
 
 
-def leq_r_structural(a: Partition, b: Partition) -> bool:
-    """a <= b in the block-identity order: b refines a and every lower
-    non-transversal of b is a block of a."""
-    if not dg.refines(b, a):
-        return False
-    blocks_a = set(map(frozenset, a.blocks()))
-    return all(t in blocks_a for t in dg.lower_nontransversals(b))
+def block_identity_below(a: Partition, side: str):
+    """The diagrams x <= a in the block-identity order of ``side`` (x in Fa
+    for 'left', x in aF for 'right'): the coarsenings of a that leave each
+    lower ('left') or upper ('right') non-transversal of a a block.  The
+    other blocks are merged by each restricted growth string over them."""
+    n = a.n
+    upper, lower = set(a.code[:n]), set(a.code[n:])
+    frozen = lower - upper if side == "left" else upper - lower
+    free = [b for b in range(len(upper | lower)) if b not in frozen]
+    out = []
+    for merge in equivalences(len(free)):
+        label = dict(zip(free, merge.code))
+        label.update((b, -1 - b) for b in frozen)
+        out.append(Partition(n, _canonical(label[b] for b in a.code)))
+    return out
 
 
-def leq_l_structural(a: Partition, b: Partition) -> bool:
-    if not dg.refines(b, a):
-        return False
-    blocks_a = set(map(frozenset, a.blocks()))
-    return all(t in blocks_a for t in dg.upper_nontransversals(b))
-
-
-def leq_r_prime_structural(a: Partition, b: Partition) -> bool:
-    """a <= b in the partial-identity order: a arises from b by removing a
-    set of upper vertices from their blocks and leaving them as upper
-    singletons.  Checked block by block:
-
-    1. every lower non-transversal of b is a block of a;
-    2. for each upper non-transversal C of b, the members of C that are not
-       upper singletons of a either vanish or form a block of a;
-    3. for each transversal A u B' of b, the non-singleton part of A
-       together with B' is a block of a (just B' when all of A is removed).
-    """
-    if a.n != b.n:
-        return False
-    singles = {
-        next(iter(bl)) for bl in map(frozenset, a.blocks()) if len(bl) == 1
-    }
-    expected = set()
-    for bl in map(frozenset, b.blocks()):
-        upper = frozenset(x for x in bl if x > 0)
-        lower = frozenset(x for x in bl if x < 0)
-        kept = frozenset(x for x in upper if x not in singles)
-        for x in upper - kept:
-            expected.add(frozenset([x]))
-        if not upper:
-            expected.add(lower)  # rule 1
-        elif not lower:
-            if kept:
-                expected.add(kept)  # rule 2
-        else:
-            expected.add(kept | lower)  # rule 3
-    return expected == set(map(frozenset, a.blocks()))
+def partial_identity_below(a: Partition):
+    """The diagrams x <= a in the partial-identity order x in Ea: a with
+    each set of upper vertices split off as singletons (fresh labels)."""
+    n = a.n
+    return [
+        Partition(n, _canonical(
+            2 * n + v if split >> v & 1 else b for v, b in enumerate(a.code)
+        ))
+        for split in range(1 << n)
+    ]

@@ -209,6 +209,82 @@ def all_subsets(n):
         yield from combinations(pts, k)
 
 
+# -- reference natural orders of P_n --------------------------------------------
+
+
+def upper_nontransversals(a):
+    """Blocks contained in the upper row, as frozensets of signed points."""
+    return tuple(
+        frozenset(bl) for bl in a.blocks() if all(x > 0 for x in bl)
+    )
+
+
+def lower_nontransversals(a):
+    """Blocks contained in the lower row, as frozensets of signed points."""
+    return tuple(
+        frozenset(bl) for bl in a.blocks() if all(x < 0 for x in bl)
+    )
+
+
+def _coarsens(a, b):
+    """Every block of b lies inside a block of a (same degree)."""
+    home = {x: i for i, bl in enumerate(a.blocks()) for x in bl}
+    return a.n == b.n and all(
+        len({home[x] for x in bl}) == 1 for bl in b.blocks()
+    )
+
+
+def leq_r_structural(a, b):
+    """a <= b in the block-identity order x in Fy: b refines a and every
+    lower non-transversal of b is a block of a."""
+    if not _coarsens(a, b):
+        return False
+    blocks_a = set(map(frozenset, a.blocks()))
+    return all(t in blocks_a for t in lower_nontransversals(b))
+
+
+def leq_l_structural(a, b):
+    """a <= b in the block-identity order x in yF: as ``leq_r_structural``
+    with the upper non-transversals of b."""
+    if not _coarsens(a, b):
+        return False
+    blocks_a = set(map(frozenset, a.blocks()))
+    return all(t in blocks_a for t in upper_nontransversals(b))
+
+
+def leq_r_prime_structural(a, b):
+    """a <= b in the partial-identity order: a arises from b by removing a
+    set of upper vertices from their blocks and leaving them as upper
+    singletons.  Checked block by block:
+
+    1. every lower non-transversal of b is a block of a;
+    2. for each upper non-transversal C of b, the members of C that are not
+       upper singletons of a either vanish or form a block of a;
+    3. for each transversal A u B' of b, the non-singleton part of A
+       together with B' is a block of a (just B' when all of A is removed).
+    """
+    if a.n != b.n:
+        return False
+    singles = {
+        next(iter(bl)) for bl in map(frozenset, a.blocks()) if len(bl) == 1
+    }
+    expected = set()
+    for bl in map(frozenset, b.blocks()):
+        upper = frozenset(x for x in bl if x > 0)
+        lower = frozenset(x for x in bl if x < 0)
+        kept = frozenset(x for x in upper if x not in singles)
+        for x in upper - kept:
+            expected.add(frozenset([x]))
+        if not upper:
+            expected.add(lower)  # rule 1
+        elif not lower:
+            if kept:
+                expected.add(kept)  # rule 2
+        else:
+            expected.add(kept | lower)  # rule 3
+    return expected == set(map(frozenset, a.blocks()))
+
+
 # -- reference Cayley tables and Green's relations ------------------------------
 
 

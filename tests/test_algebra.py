@@ -135,6 +135,26 @@ def test_transform_requires_the_right_containment():
         algebra.stein_transform(pfd2, f, "sideways")
 
 
+def test_transform_reuses_a_given_report_and_order():
+    s = zoo.build("PT2")
+    e = zoo.semilattice_for("E", "PT2")
+    report = eh.check_axioms(s, e)
+    below = algebra.natural_order(s, e, "left")
+    assert algebra.stein_transform(s, e, "left", report, below) == (
+        algebra.stein_transform(s, e, "left")
+    )
+    assert algebra.verify_stein(s, e, "left", report, below)
+    # an order that is not reflexive, or has a cycle, has no unitriangular
+    # zeta matrix
+    for bad in ([b - {y} for y, b in enumerate(below)],
+                [b | {0} if y == 1 else b | {1} if y == 0 else b
+                 for y, b in enumerate(below)]):
+        with pytest.raises(StateError):
+            algebra.stein_transform(s, e, "left", report, bad)
+        with pytest.raises(StateError):
+            algebra.verify_stein(s, e, "left", report, bad)
+
+
 def _stein_cases(max_degree):
     """(name, kind, side) for each family up to max_degree with a transform."""
     for name in _families(max_degree):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from diagmon import verify
+from diagmon import diagrams as dg
+from diagmon import verify, zoo
 from diagmon.errors import ValidationError
 
 
@@ -35,3 +36,35 @@ def test_counting_helpers():
     assert verify.expected_size("P", 3) == 203
     with pytest.raises(ValidationError):
         verify.expected_size("RP", 2)
+
+
+def _every_coarsening(a, side):
+    """``zoo.block_identity_below`` with no non-transversal frozen."""
+    blocks = a.blocks()
+    return [
+        dg.from_blocks(
+            [
+                [x for i, bl in enumerate(blocks) if m.code[i] == c for x in bl]
+                for c in set(m.code)
+            ],
+            a.n,
+        )
+        for m in zoo.equivalences(len(blocks))
+    ]
+
+
+def test_order_characterizations_fail_on_broken_generators(monkeypatch):
+    [result] = verify.check_order_characterizations()
+    assert result.passed
+    with monkeypatch.context() as m:
+        m.setattr(zoo, "block_identity_below", _every_coarsening)
+        [result] = verify.check_order_characterizations()
+        assert not result.passed
+    # split off subsets of the first n - 1 upper points only
+    original = zoo.partial_identity_below
+    monkeypatch.setattr(
+        zoo, "partial_identity_below",
+        lambda a: original(a)[: 1 << (a.n - 1)],
+    )
+    [result] = verify.check_order_characterizations()
+    assert not result.passed

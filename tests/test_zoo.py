@@ -12,6 +12,9 @@ from oracles import (
     bell_numbers,
     block_bijection_count,
     full_domain_count,
+    leq_l_structural,
+    leq_r_prime_structural,
+    leq_r_structural,
     odd_double_factorial,
     partial_bijection_count,
     rook_multiply,
@@ -164,11 +167,42 @@ def test_order_characterizations_spot_checks():
     # fusing blocks of b while keeping its lower non-transversals
     b = dg.from_blocks([[1, -1], [2], [-2]], 2)
     a = dg.from_blocks([[1, 2, -1], [-2]], 2)
-    assert zoo.leq_r_structural(a, b)
-    assert not zoo.leq_r_structural(b, a)
+    assert leq_r_structural(a, b)
+    assert not leq_r_structural(b, a)
     # removing upper points from blocks of b
     c = dg.from_blocks([[1], [2], [-1], [-2]], 2)
     d = dg.from_blocks([[1, -1], [2, -2]], 2)
-    assert zoo.leq_r_prime_structural(c, d)
-    assert not zoo.leq_r_prime_structural(d, c)
-    assert zoo.leq_r_prime_structural(d, d)
+    assert leq_r_prime_structural(c, d)
+    assert not leq_r_prime_structural(d, c)
+    assert leq_r_prime_structural(d, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generated_below_sets_match_the_pairwise_oracles(n):
+    universe = zoo.partition_universe(n)
+    orders = (
+        (lambda y: zoo.block_identity_below(y, "left"), leq_r_structural),
+        (lambda y: zoo.block_identity_below(y, "right"), leq_l_structural),
+        (zoo.partial_identity_below, leq_r_prime_structural),
+    )
+    for below, oracle in orders:
+        for y in universe:
+            assert set(below(y)) == {x for x in universe if oracle(x, y)}
+
+
+def test_generated_below_sets_spot_checks():
+    # the identity of P_2: merging its two transversals, nothing frozen
+    one = dg.identity(2)
+    merged = dg.from_blocks([[1, 2, -1, -2]], 2)
+    assert set(zoo.block_identity_below(one, "left")) == {one, merged}
+    # a lower non-transversal stays whole in x in Fy, an upper one in x in yF
+    b = dg.from_blocks([[1, -1], [2], [-2]], 2)
+    assert set(zoo.block_identity_below(b, "left")) == {
+        b, dg.from_blocks([[1, 2, -1], [-2]], 2)
+    }
+    assert set(zoo.block_identity_below(b, "right")) == {
+        b, dg.from_blocks([[1, -1, -2], [2]], 2)
+    }
+    # 2^n splittings, fewer distinct diagrams once upper points are alone
+    assert len(zoo.partial_identity_below(one)) == 4
+    assert len(set(zoo.partial_identity_below(b))) == 2
