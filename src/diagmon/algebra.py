@@ -106,19 +106,6 @@ def zeta_matrix(below):
     return z
 
 
-def is_unitriangular(matrix, order):
-    """Upper unitriangular once rows and columns are permuted by order."""
-    pos = {x: i for i, x in enumerate(order)}
-    for x, row in enumerate(matrix):
-        for y, v in enumerate(row):
-            if x == y:
-                if v != 1:
-                    return False
-            elif v and pos[x] > pos[y]:
-                return False
-    return True
-
-
 def mobius_inverse(below):
     """The Mobius matrix of the order; integer, with zeta * mobius = 1."""
     d = len(below)

@@ -21,6 +21,7 @@ import tempfile
 from . import algebra, ehresmann as eh, dotout, verify, zoo
 from .errors import ResourceCapError, StateError, ValidationError
 from .monoid import TABLE_CAP
+from .relations import BinaryRelation
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -89,21 +90,25 @@ def cmd_analyze(args):
 
 def _identify(s, indices):
     """Name a known family whose element set equals the given subset,
-    decided by the families' membership tests without building them."""
-    elements = frozenset(s.decode(i) for i in indices)
-    n = s.decode(0).n
+    without building the candidates: a set of diagrams is compared with the
+    family cuts of its degree, a set of relations with the partial
+    functions."""
+    elements = {s.decode(i) for i in indices}
+    sample = s.decode(0)
+    n = sample.n
+    if isinstance(sample, BinaryRelation):
+        pt = set(zoo.partial_functions(n))
+        return f"PT{n}" if elements == pt else None
+    place = zoo.build(f"P{n}").index
+    positions = tuple(sorted(place[x] for x in elements))
     specs = [
-        zoo.FamilySpec(fam, n)
-        for fam in ("I", "J", "T", "PT", "Pfd", "RR", "LL")
+        zoo.FamilySpec(fam, n) for fam in ("I", "J", "T", "Pfd", "RR", "LL")
     ]
     if n >= 1:  # rook diagrams of degree n-1 live in degree n
         specs.append(zoo.FamilySpec("RJ", n - 1))
     # every monoid that builds has degree n <= 4, inside each candidate's cap
     for spec in specs:
-        universe, test = zoo.membership(spec)
-        if all(map(test, elements)) and len(elements) == sum(
-            map(test, universe)
-        ):
+        if zoo.family_cut(spec) == positions:
             return str(spec)
     return None
 

@@ -14,8 +14,8 @@ A ``FiniteMonoid`` indexes its elements 0..m-1 and carries a certified
 generating set with its right and left generator graphs.  ``from_graph``
 takes both from the enumeration, and tabulates traced rows when the monoid
 fits under ``TABLE_CAP``; above the cap it multiplies by tracing.
-``submonoid`` tabulates a closed index subset, such as a family cut out by
-a membership predicate, by restricting the parent's rows.  It picks its
+``submonoid`` tabulates a closed index subset, such as a diagram family's
+positions in P_n, by restricting the parent's rows.  It picks its
 generators greedily, top-down in the parent's J-order, adding an element
 only when the closure grown so far has not reached it, and reads its graphs
 off the table.  ``_build_table`` is the one table maker, and a product

@@ -482,12 +482,10 @@ def check_transform_isomorphism(nmax=None):
         e = zoo.semilattice_for(kind, name)
         report = eh.check_axioms(s, e)
         below = eh.natural_order(s, e, side)
+        # raises StateError unless the zeta matrix is unitriangular
         ok = algebra.verify_stein(s, e, side, report, below)
-        z = algebra.stein_transform(s, e, side, report, below)
         m = algebra.mobius_inverse(below)  # verifies Z * M = identity
-        ok = ok and algebra.is_unitriangular(
-            z, algebra.topological_order(below)
-        ) and len(m) == s.size
+        ok = ok and len(m) == s.size
         out.append(
             CheckResult(
                 f"{name}, {side} order: basis transform is multiplicative, "

@@ -1,12 +1,16 @@
 """Named constructors for the diagram and relation monoids under study.
 
-Membership predicates define the families, and closure under the product
-is a checked fact.  P_n, BX_n and PT_n are enumerated from generators into
-the order of their predicate-filtered universes, and each other diagram
-family is an index subset of one P_n whose table restricts the traced
-products of P_n.  Rook diagrams of degree n are represented by their image
-in the degree-(n+1) partition monoid, with the extra point playing the
-role of the absorbing vertex; there is a single multiplication code path.
+A membership test defines each family, and closure under the product is a
+checked fact.  P_n is enumerated from its standard generators, each of
+which acts on a diagram by relabelling its lower row, into the order of
+``partition_universe(n)``; BX_n and PT_n are enumerated from generators
+into the order of their relation universes.  Every other diagram family is
+an index subset of one P_n, and its table restricts the traced products of
+P_n.  One pass per degree (``family_cuts``) computes each diagram's
+parameters once and cuts every family from them.  Rook diagrams of degree
+n are represented by their image in the degree-(n+1) partition monoid,
+with the extra point playing the role of the absorbing vertex, so rook and
+partition diagrams share one product.
 """
 
 from __future__ import annotations
@@ -108,51 +112,77 @@ def equivalences(n):
     return tuple(SetPartition(n, code) for code in set_partition_codes(n))
 
 
-# -- membership predicates ---------------------------------------------------
+# -- family cuts --------------------------------------------------------------
 
 
-def _diagram_predicate(family, n):
+ROOK_FAMILIES = ("RP", "RJ")
+
+
+def _family_predicates(n):
+    """The membership test of every diagram family cut from P_n, as a
+    function of a diagram and its ``dg.params``: the degree-n families and,
+    for n >= 1, the rook families of degree n - 1."""
     delta = SetPartition.discrete(n)
     nabla = SetPartition.universal(n)
     full = frozenset(range(1, n + 1))
+    tests = {
+        "B": lambda a, q: dg.is_brauer(a),
+        "PB": lambda a, q: dg.is_partial_brauer(a),
+        "I": lambda a, q: q.ker == delta and q.coker == delta,
+        "J": lambda a, q: q.dom.members == full and q.codom.members == full,
+        "T": lambda a, q: q.dom.members == full and q.coker == delta,
+        "Pfd": lambda a, q: q.dom.members == full,
+        "Pfcd": lambda a, q: q.codom.members == full,
+        "Pfk": lambda a, q: q.ker == nabla,
+        "RR": lambda a, q: q.dom.members == full or q.ker == nabla,
+        "LL": lambda a, q: q.codom.members == full or q.coker == nabla,
+        "D0": lambda a, q: not q.dom.members and q.ker == nabla,
+        "D1": lambda a, q: q.dom.members == full and q.ker == nabla,
+    }
+    if n >= 1:  # no extra point to absorb rook dots at degree 0
+        tests["RP"] = lambda a, q: has_absorbing_block(a)
+        tests["RJ"] = lambda a, q: (
+            has_absorbing_block(a)
+            and q.dom.members == full
+            and q.codom.members == full
+        )
+    return tests
 
-    def p(a):
-        if family == "RP":
-            return has_absorbing_block(a)
+
+@lru_cache(maxsize=None)
+def family_cuts(n):
+    """Each diagram family cut from P_n within its degree cap, as the sorted
+    tuple of its positions in ``partition_universe(n)``, keyed by family
+    ('RP' and 'RJ' are the rook families of degree n - 1).  One pass
+    computes ``dg.params`` once per diagram and runs every family's test
+    on it."""
+    tests = [
+        (fam, test) for fam, test in _family_predicates(n).items()
+        if n - (fam in ROOK_FAMILIES) <= CAPS[fam]
+    ]
+    cuts = {fam: [] for fam, _ in tests}
+    for i, a in enumerate(partition_universe(n)):
         q = dg.params(a)
-        if family == "RJ":
-            return (
-                has_absorbing_block(a)
-                and q.dom.members == full
-                and q.codom.members == full
-            )
-        if family == "B":
-            return dg.is_brauer(a)
-        if family == "PB":
-            return dg.is_partial_brauer(a)
-        if family == "I":
-            return q.ker == delta and q.coker == delta
-        if family == "J":
-            return q.dom.members == full and q.codom.members == full
-        if family == "T":
-            return q.dom.members == full and q.coker == delta
-        if family == "Pfd":
-            return q.dom.members == full
-        if family == "Pfcd":
-            return q.codom.members == full
-        if family == "Pfk":
-            return q.ker == nabla
-        if family == "RR":
-            return q.dom.members == full or q.ker == nabla
-        if family == "LL":
-            return q.codom.members == full or q.coker == nabla
-        if family == "D0":
-            return not q.dom.members and q.ker == nabla
-        if family == "D1":
-            return q.dom.members == full and q.ker == nabla
-        raise ValidationError(f"no diagram predicate for {family}")
+        for fam, test in tests:
+            if test(a, q):
+                cuts[fam].append(i)
+    return {fam: tuple(kept) for fam, kept in cuts.items()}
 
-    return p
+
+def family_cut(spec: FamilySpec):
+    """The positions of a diagram family in the universe it is cut from:
+    ``partition_universe(n)``, or ``partition_universe(n + 1)`` for a rook
+    family of degree n."""
+    spec.check_cap()
+    rook = spec.family in ROOK_FAMILIES
+    return family_cuts(spec.n + rook)[spec.family]
+
+
+@lru_cache(maxsize=None)
+def partial_functions(n):
+    """PT_n: the partial functions among all relations on n points, in
+    ``relation_universe(n)`` order."""
+    return tuple(filter(rel.is_partial_function, relation_universe(n)))
 
 
 def has_absorbing_block(a: Partition):
@@ -165,62 +195,71 @@ def has_absorbing_block(a: Partition):
 # -- builders ----------------------------------------------------------------
 
 
+def partition_actions(n):
+    """x -> x*g for each g in ``partition_generators(n)``, as relabellings
+    of x's lower row: a transposition s_i swaps lower points i and i+1, the
+    partial identity gives lower point n a fresh label, and the block
+    identity merges the blocks of lower points n-1 and n."""
+
+    def swap(i):
+        u, v = n + i - 1, n + i
+
+        def act(x):
+            code = list(x.code)
+            code[u], code[v] = code[v], code[u]
+            return Partition(n, _canonical(code))
+
+        return act
+
+    def isolate(x):
+        return Partition(n, _canonical(x.code[:-1] + (2 * n,)))
+
+    def merge(x):
+        old, new = x.code[-1], x.code[-2]
+        return Partition(n, _canonical(new if b == old else b for b in x.code))
+
+    actions = [swap(i) for i in range(1, n)]
+    if n >= 1:
+        actions.append(isolate)
+    if n >= 2:
+        actions.append(merge)
+    return actions
+
+
 @lru_cache(maxsize=None)
 def partition_graph(n):
     """The Cayley graphs of P_n over ``partition_generators(n)``, enumerated
-    once and numbered in ``partition_universe(n)`` order.  Reaching all
-    Bell(2n) diagrams certifies the generating set and closure."""
+    once by the generators' actions (``partition_actions``) and numbered in
+    ``partition_universe(n)`` order.  Reaching all Bell(2n) diagrams
+    certifies the generating set and closure."""
     return froidure_pin(
-        partition_generators(n), dg.multiply, dg.identity(n),
+        partition_actions(n), lambda x, act: act(x), dg.identity(n),
         universe=partition_universe(n),
     )
-
-
-def membership(spec: FamilySpec):
-    """The universe a family is cut from, and its membership test.
-
-    Diagram families are cut from P_n (rook families from P_{n+1}) by their
-    predicate, relation families from all relations on n points.  The test
-    rejects an element of another kind or degree, so it applies to any
-    diagram or relation; nothing is tabulated.
-    """
-    spec.check_cap()
-    fam, n = spec.family, spec.n
-    if fam in ("BX", "PT"):
-        universe = relation_universe(n)
-        pred = rel.is_partial_function if fam == "PT" else None
-    else:
-        n = n + 1 if fam in ("RP", "RJ") else n
-        universe = partition_universe(n)
-        pred = None if fam == "P" else _diagram_predicate(fam, n)
-    kind = type(universe[0])
-
-    def test(a):
-        return type(a) is kind and a.n == n and (pred is None or pred(a))
-
-    return universe, test
 
 
 @lru_cache(maxsize=None)
 def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
 
-    Diagram families are index subsets of one partition monoid, tabulated
-    by restricting its traced products.  Relation families are enumerated
-    from ``relation_generators``; reaching their whole filtered universe
-    certifies the generators and closure.
+    Diagram families are index subsets of one partition monoid, cut by
+    ``family_cut`` and tabulated by restricting its traced products.
+    Relation families are enumerated from ``relation_generators``; reaching
+    all of BX_n's relations, or all of PT_n's partial functions, certifies
+    the generators and closure.
     """
     spec = FamilySpec.parse(str(name))
-    universe, test = membership(spec)
-    if spec.family == "P":
-        return FiniteMonoid.from_graph(partition_graph(spec.n))
-    kept = [i for i, a in enumerate(universe) if test(a)]
-    if spec.family in ("BX", "PT"):
+    spec.check_cap()
+    fam, n = spec.family, spec.n
+    if fam == "P":
+        return FiniteMonoid.from_graph(partition_graph(n))
+    if fam in ("BX", "PT"):
+        universe = relation_universe(n) if fam == "BX" else partial_functions(n)
         return FiniteMonoid.from_graph(froidure_pin(
-            relation_generators(spec.family, spec.n), rel.compose,
-            rel.identity_rel(spec.n), universe=[universe[i] for i in kept],
+            relation_generators(fam, n), rel.compose, rel.identity_rel(n),
+            universe=universe,
         ))
-    return build(f"P{universe[0].n}").submonoid(kept)
+    return build(f"P{n + (fam in ROOK_FAMILIES)}").submonoid(family_cut(spec))
 
 
 SEMILATTICE_KINDS = ("E", "F", "G")
@@ -291,7 +330,7 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
     spec.check_cap()  # the error build would give comes first
     _check_kind(kind, spec.family in ("BX", "PT"))
     parent = build(str(name))
-    base = spec.n if spec.family in ("RP", "RJ") and kind in ("E", "F") else None
+    base = spec.n if spec.family in ROOK_FAMILIES and kind in ("E", "F") else None
     return semilattice(kind, parent, base_degree=base)
 
 

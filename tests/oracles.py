@@ -209,6 +209,65 @@ def all_subsets(n):
         yield from combinations(pts, k)
 
 
+# -- reference enumeration and families of P_n ----------------------------------
+
+
+def cayley_graph_by_products(generators, op, identity, universe):
+    """Right and left Cayley graphs, short-lex words, prefixes and generator
+    positions of the monoid generated under op, numbered in universe order.
+    Breadth first with one op call per edge, x*g and g*x alike."""
+    words, prefix, queue = {identity: ()}, {identity: None}, [identity]
+    for x in queue:
+        for k, g in enumerate(generators):
+            y = op(x, g)
+            if y not in words:
+                words[y], prefix[y] = words[x] + (k,), x
+                queue.append(y)
+    assert set(words) == set(universe)
+    place = {x: i for i, x in enumerate(universe)}
+    return {
+        "right": [[place[op(x, g)] for g in generators] for x in universe],
+        "left": [[place[op(g, x)] for g in generators] for x in universe],
+        "words": [words[x] for x in universe],
+        "prefix": [None if prefix[x] is None else place[prefix[x]]
+                   for x in universe],
+        "generators": [place[g] for g in generators],
+    }
+
+
+def family_member(family, a):
+    """Whether diagram a lies in a diagram family, read off its signed
+    blocks (the rook families 'RP' and 'RJ' of degree n are tested on their
+    images in degree n + 1)."""
+    n = a.n
+    blocks = [frozenset(bl) for bl in a.blocks()]
+    upper = [{x for x in bl if x > 0} for bl in blocks]
+    lower = [{-x for x in bl if x < 0} for bl in blocks]
+    kernel = [u for u in upper if u]
+    cokernel = [v for v in lower if v]
+    dom = {x for u, v in zip(upper, lower) if v for x in u}
+    codom = {x for u, v in zip(upper, lower) if u for x in v}
+    full = set(range(1, n + 1))
+    absorbing = any(n in bl and -n in bl for bl in blocks)
+    member = {
+        "B": all(len(bl) == 2 for bl in blocks),
+        "PB": all(len(bl) <= 2 for bl in blocks),
+        "I": all(len(u) <= 1 for u in upper) and all(len(v) <= 1 for v in lower),
+        "J": dom == full and codom == full,
+        "T": dom == full and all(len(v) <= 1 for v in lower),
+        "Pfd": dom == full,
+        "Pfcd": codom == full,
+        "Pfk": len(kernel) <= 1,
+        "RR": dom == full or len(kernel) <= 1,
+        "LL": codom == full or len(cokernel) <= 1,
+        "D0": not dom and len(kernel) <= 1,
+        "D1": dom == full and len(kernel) <= 1,
+        "RP": absorbing,
+        "RJ": absorbing and dom == full and codom == full,
+    }
+    return member[family]
+
+
 # -- reference natural orders of P_n --------------------------------------------
 
 
@@ -283,6 +342,23 @@ def leq_r_prime_structural(a, b):
         else:
             expected.add(kept | lower)  # rule 3
     return expected == set(map(frozenset, a.blocks()))
+
+
+# -- reference transform matrices ----------------------------------------------
+
+
+def is_unitriangular(matrix, order):
+    """Upper unitriangular once rows and columns are permuted by order,
+    entry by entry on the dense matrix."""
+    pos = {x: i for i, x in enumerate(order)}
+    for x, row in enumerate(matrix):
+        for y, v in enumerate(row):
+            if x == y:
+                if v != 1:
+                    return False
+            elif v and pos[x] > pos[y]:
+                return False
+    return True
 
 
 # -- reference Cayley tables and Green's relations ------------------------------

@@ -9,7 +9,12 @@ from diagmon import algebra, diagrams as dg, ehresmann as eh, zoo
 from diagmon.errors import StateError, ValidationError
 from diagmon.monoid import FiniteMonoid, froidure_pin
 
-from oracles import algebra_associative, radical_nullity, stein_pairwise
+from oracles import (
+    algebra_associative,
+    is_unitriangular,
+    radical_nullity,
+    stein_pairwise,
+)
 
 # the Ehresmann pairs whose category algebras the verify suites use
 CATEGORY_PAIRS = (
@@ -118,7 +123,7 @@ def test_transform_shapes_and_triangularity():
     z = algebra.stein_transform(s, e, "left")
     assert len(z) == 9 and all(len(row) == 9 for row in z)
     below = algebra.natural_order(s, e, "left")
-    assert algebra.is_unitriangular(z, algebra.topological_order(below))
+    assert is_unitriangular(z, algebra.topological_order(below))
     # trivial monoid
     t = zoo.build("P0")
     f = zoo.semilattice_for("F", "P0")

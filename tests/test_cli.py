@@ -5,6 +5,12 @@ import json
 import pytest
 
 from diagmon import cli, zoo
+from diagmon import ehresmann as eh
+from diagmon import relations as rel
+from diagmon.diagrams import Partition
+from diagmon.errors import ValidationError
+
+from oracles import family_member
 
 
 def run(args, tmp_path, name="out"):
@@ -191,3 +197,54 @@ def test_relation_kind_rejected_before_building(monkeypatch, capsys, argv, kind)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: semilattice {kind} undefined for relations\n"
+
+
+def identify_by_counting(s, indices):
+    """``cli._identify`` by counting each candidate's members in its whole
+    universe, one membership test per element."""
+    elements = frozenset(s.decode(i) for i in indices)
+    n = s.decode(0).n
+    specs = [(fam, n) for fam in ("I", "J", "T", "PT", "Pfd", "RR", "LL")]
+    if n >= 1:
+        specs.append(("RJ", n - 1))
+    for fam, deg in specs:
+        if fam == "PT":
+            universe = zoo.relation_universe(deg)
+
+            def test(a):
+                return isinstance(a, rel.BinaryRelation) and a.n == deg and (
+                    rel.is_partial_function(a))
+        else:
+            m = deg + (fam in zoo.ROOK_FAMILIES)  # rook diagrams live in P_m
+            universe = zoo.partition_universe(m)
+
+            def test(a):
+                return isinstance(a, Partition) and a.n == m and (
+                    family_member(fam, a))
+        if all(map(test, elements)) and len(elements) == sum(map(test, universe)):
+            return f"{fam}{deg}"
+    return None
+
+
+def _identify_cases(name):
+    """The regular parts of a monoid over each of its semilattices, and the
+    whole monoid."""
+    s = zoo.build(name)
+    yield range(s.size)
+    for kind in zoo.SEMILATTICE_KINDS:
+        try:
+            e = zoo.semilattice_for(kind, name)
+        except ValidationError:
+            continue
+        yield eh.reg_e(s, e)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{f}{n}" for f in zoo.FAMILIES for n in range(min(zoo.CAPS[f], 3) + 1)]
+    + ["RR4", "LL4", "P4"],
+)
+def test_identify_matches_universe_counting(name):
+    s = zoo.build(name)
+    for indices in _identify_cases(name):
+        assert cli._identify(s, indices) == identify_by_counting(s, indices)

@@ -13,6 +13,7 @@ from diagmon.errors import ResourceCapError, StateError, ValidationError
 
 from oracles import (
     bell_numbers,
+    cayley_graph_by_products,
     embedding_pairwise,
     escape_pairwise,
     green_principal_ideals,
@@ -219,6 +220,27 @@ def test_enumeration_reaches_every_partition(n):
             assert g.elements[g.left[x][k]] == dg.multiply(gen, g.elements[x])
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_generator_actions_match_multiply(n):
+    actions = zoo.partition_actions(n)
+    gens = zoo.partition_generators(n)
+    assert len(actions) == len(gens)
+    for x in zoo.partition_universe(n):
+        for act, g in zip(actions, gens):
+            assert act(x) == dg.multiply(x, g)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_enumeration_matches_the_product_driven_oracle(n):
+    g = zoo.partition_graph(n)
+    want = cayley_graph_by_products(
+        zoo.partition_generators(n), dg.multiply, dg.identity(n),
+        zoo.partition_universe(n),
+    )
+    for field in ("right", "left", "words", "prefix", "generators"):
+        assert list(getattr(g, field)) == want[field], field
+
+
 def test_enumeration_rejects_a_non_generating_set():
     with pytest.raises(ValidationError):
         mon.froidure_pin(
@@ -240,7 +262,8 @@ def test_traced_tables_match_multiply(family):
 def test_relation_tables_match_compose(name):
     m = zoo.build(name)
     spec = zoo.FamilySpec.parse(name)
-    universe, test = zoo.membership(spec)
+    universe = zoo.relation_universe(spec.n)
+    test = rel.is_partial_function if spec.family == "PT" else lambda a: True
     assert m.elements == [a for a in universe if test(a)]  # universe order
     assert m.decode(m.identity) == rel.identity_rel(spec.n)
     gens = zoo.relation_generators(spec.family, spec.n)

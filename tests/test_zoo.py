@@ -11,6 +11,7 @@ from diagmon.errors import ResourceCapError, ValidationError
 from oracles import (
     bell_numbers,
     block_bijection_count,
+    family_member,
     full_domain_count,
     leq_l_structural,
     leq_r_prime_structural,
@@ -63,6 +64,30 @@ def test_sizes_match_formulas():
         assert len(zoo.build(f"BX{n}").elements) == 2 ** (n * n)
         assert len(zoo.build(f"PT{n}").elements) == (n + 1) ** n
         assert len(zoo.build(f"T{n}").elements) == n**n
+
+
+@pytest.mark.parametrize("family", sorted(set(zoo.FAMILIES) - {"P", "BX", "PT"}))
+def test_family_cuts_match_the_per_element_oracle(family):
+    rook = family in zoo.ROOK_FAMILIES
+    for n in range(zoo.CAPS[family] + 1):
+        universe = zoo.partition_universe(n + rook)
+        want = tuple(
+            i for i, a in enumerate(universe) if family_member(family, a)
+        )
+        assert zoo.family_cut(zoo.FamilySpec(family, n)) == want, n
+        assert zoo.build(f"{family}{n}").elements == [universe[i] for i in want]
+
+
+def test_family_cuts_cover_each_family_within_its_cap():
+    rook = set(zoo.ROOK_FAMILIES)
+    diagram = set(zoo.FAMILIES) - {"P", "BX", "PT"}
+    assert set(zoo.family_cuts(0)) == diagram - rook  # no rook diagrams at 0
+    for n in range(1, 4):
+        assert set(zoo.family_cuts(n)) == diagram
+    assert set(zoo.family_cuts(4)) == diagram - {"PB"}  # PB is capped at 3
+    for name in ("PB4", "RJ4", "RP4"):
+        with pytest.raises(ResourceCapError):
+            zoo.family_cut(zoo.FamilySpec.parse(name))
 
 
 def test_family_spec_parsing():
