@@ -6,21 +6,22 @@ semigroups".  Each element gets its short-lex least word over the
 generators, and the right and left Cayley graphs record x*g and g*x for
 every element x and generator g.  Only x*g calls the concrete operation:
 g*x follows from the words, and so does every later product.  The product
-x*y is read off by tracing the word of y through the right graph from x,
-and a whole row x*S costs one graph lookup per element, taken in word
-order.
+x*y is read off by tracing the word of y through the right graph from x.
 
 A ``FiniteMonoid`` indexes its elements 0..m-1 and carries a certified
-generating set with its right and left generator graphs.  ``from_graph``
-takes both from the enumeration, and tabulates traced rows when the monoid
-fits under ``TABLE_CAP``; above the cap it multiplies by tracing.
-``submonoid`` tabulates a closed index subset, such as a diagram family's
-positions in P_n, by restricting the parent's rows.  It picks its
-generators greedily, top-down in the parent's J-order, adding an element
-only when the closure grown so far has not reached it, and reads its graphs
-off the table.  ``_build_table`` is the one table maker, and a product
-leaving the universe or the subset raises ``ValidationError``, so closure
-is exact; ``escape`` runs the same test on any index subset.
+generating set with its right and left generator graphs.  A Cayley table
+is filled from the generators' left actions: for x = x'*g, row x is row x'
+read through the column of products g*y, one map per element.
+``from_graph`` takes the actions and the words from the enumeration, and
+tabulates when the monoid fits under ``TABLE_CAP``; above the cap it
+multiplies by tracing.  ``submonoid`` tabulates a closed index subset,
+such as a diagram family's positions in P_n.  It finds the identity and
+picks generators greedily from the parent's products, top-down in the
+parent's J-order, adding an element only when the closure grown so far
+has not reached it.  That walk computes x*g for every element x and
+generator g, and a product leaving the subset raises ``ValidationError``,
+so closure is exact; ``escape`` tests any index subset against the rows
+restricted to it.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
@@ -185,19 +186,27 @@ class FiniteMonoid:
 
     @classmethod
     def from_graph(cls, graph):
-        """The monoid a Cayley graph enumerates, with a table of traced rows
-        when it fits under ``TABLE_CAP``."""
+        """The monoid a Cayley graph enumerates, tabulated under ``TABLE_CAP``
+        with each word's prefix and last letter, shortest words first."""
         m = cls(graph.elements, graph.identity, graph=graph)
         if m.size <= TABLE_CAP:
-            m.table = m._build_table(graph, range(m.size))
+            words, prefix = graph.words, graph.prefix
+            tree = [
+                (x, prefix[x], words[x][-1] if words[x] else None)
+                for x in sorted(range(m.size), key=lambda x: len(words[x]))
+            ]
+            m.table = m._build_table(tree, list(zip(*graph.left)))
         return m
 
     def submonoid(self, indices):
         """The sub-(semi)group on a closed index subset, reindexed.
 
-        Its table restricts this monoid's rows; a product that leaves the
-        subset raises ValidationError.  Its generators are picked top-down
-        in this monoid's J-order, ties broken by index.
+        Its identity, generators and graphs come from this monoid's
+        products.  Generators are picked top-down in this monoid's J-order,
+        ties broken by index: a candidate the closure grown so far has not
+        reached is added, and the closure regrown.  The walk takes x*g for
+        every x and generator g, and one outside the subset raises
+        ValidationError, so closure is exact.
         """
         indices = sorted(indices)
         sub = FiniteMonoid([self.elements[i] for i in indices], None)
@@ -206,74 +215,76 @@ class FiniteMonoid:
                 f"{sub.size} elements exceed the Cayley-table cap {TABLE_CAP}",
                 TABLE_CAP,
             )
-        sub.table = table = sub._build_table(self, indices)
-        sub.identity = sub._find_identity()
+        mul, local = self.mul, dict(zip(indices, range(sub.size)))
         gs = green(self)
         height = gs.heights()
-        gens = sub._cover(sorted(
-            range(sub.size),
-            key=lambda x: (-height[gs.d_class[indices[x]]], x),
-        ))
-        sub.generators = gens
-        sub.right = [[row[g] for g in gens] for row in table]
-        sub.left = [[table[g][x] for g in gens] for x in range(sub.size)]
-        return sub
-
-    def _cover(self, candidates):
-        """Greedy generators from the table: each candidate the closure
-        grown so far has not reached is added, and the closure regrown.
-        Every element is reached at the end, which certifies the set."""
-        table = self.table
-        gens = []
-        members = [] if self.identity is None else [self.identity]
+        rank = [height[gs.d_class[p]] for p in indices]
+        sub.identity = next((
+            local[e] for e in indices
+            if all(mul(e, x) == x == mul(x, e) for x in indices)
+        ), None)
+        gens, right = [], [[] for _ in indices]
+        members = [] if sub.identity is None else [sub.identity]
+        tree = [(x, None, None) for x in members]  # how each x is reached
         reached = set(members)
-        for c in candidates:
+        for c in sorted(range(sub.size), key=lambda x: (-rank[x], x)):
             if c in reached:
                 continue
+            k, old = len(gens), len(members)
             gens.append(c)
-            # a new element's word has a shortest prefix x*c, x reached before
-            frontier = [c] + [table[x][c] for x in members]
-            for y in frontier:  # grows while it is walked
-                if y not in reached:
-                    reached.add(y)
-                    members.append(y)
-                    frontier.extend(table[y][g] for g in gens)
-        return gens
+            reached.add(c)
+            members.append(c)
+            tree.append((c, None, k))
+            # earlier members gain the column x*c; c and the elements
+            # reached from here on get every column
+            for i, x in enumerate(members):  # grows while it is walked
+                for j in (k,) if i < old else range(k + 1):
+                    p = local.get(mul(indices[x], indices[gens[j]]))
+                    if p is None:
+                        raise ValidationError(
+                            f"elements not closed: the product of "
+                            f"{indices[x]},{indices[gens[j]]} escapes the set"
+                        )
+                    right[x].append(p)
+                    if p not in reached:
+                        reached.add(p)
+                        members.append(p)
+                        tree.append((p, x, j))
+        actions = [[local[mul(indices[g], y)] for y in indices] for g in gens]
+        sub.generators, sub.right = gens, right
+        sub.left = [list(r) for r in zip(*actions)] or [[] for _ in indices]
+        sub.table = sub._build_table(tree, actions)
+        return sub
 
-    def _build_table(self, parent, indices):
-        """The Cayley table, as the rows of ``parent`` (a CayleyGraph or a
-        FiniteMonoid) restricted to ``indices``.  A product outside this
-        monoid raises ValidationError."""
-        table = []
-        pair = _restrict(parent, indices, table)
-        if pair is not None:
-            raise ValidationError(
-                f"elements not closed: the product of {pair[0]},{pair[1]} "
-                "escapes the set"
+    def _build_table(self, tree, actions):
+        """The Cayley table from the generators' left actions, ``actions[k]``
+        listing g_k*y for every y: as x*y = x'*(g_k*y) for x = x'*g_k, row
+        x is row x' read through ``actions[k]``.  ``tree`` lists (x, x', k)
+        with x' before x; x' is None for x = g_k, and k None for the
+        identity."""
+        rows = [None] * self.size
+        for x, pre, k in tree:
+            base = range(self.size) if pre is None else rows[pre]
+            rows[x] = list(
+                base if k is None else map(base.__getitem__, actions[k])
             )
-        return table
+        return rows
 
     def escape(self, indices):
         """The first pair (x, y) of the sequence ``indices``, row by row in
         its order, whose product is not in it, or None when it is closed."""
-        pair = _restrict(self, indices)
-        return pair and (indices[pair[0]], indices[pair[1]])
+        inside = set(indices)
+        for x, row in zip(indices, self._rows(indices)):
+            if not inside.issuperset(row):
+                y = next(y for y, p in zip(indices, row) if p not in inside)
+                return x, y
+        return None
 
     def _rows(self, indices):
         if self.table is None:
             return self.graph._rows(indices)
         rows = map(self.table.__getitem__, indices)
         return ([row[j] for j in indices] for row in rows)
-
-    def _find_identity(self):
-        """The identity, read off the table."""
-        ident = list(range(self.size))
-        for i, row in enumerate(self.table):
-            if row == ident and all(
-                r[i] == x for x, r in enumerate(self.table)
-            ):
-                return i
-        return None
 
     # -- products ----------------------------------------------------------
 
@@ -294,22 +305,6 @@ class FiniteMonoid:
             "mul": [v for row in self.table for v in row],
             "elements": [x.to_json() for x in self.elements],
         }
-
-
-def _restrict(parent, indices, rows=None):
-    """The one closure test: the positions (i, j) in ``indices`` of the first
-    product outside them in the rows of ``parent`` (a CayleyGraph or a
-    FiniteMonoid), or None.  Rows passed are renumbered into ``rows``."""
-    local = [-1] * len(parent.elements)
-    for i, p in enumerate(indices):
-        local[p] = i
-    for i, row in enumerate(parent._rows(indices)):
-        row = list(map(local.__getitem__, row))
-        if -1 in row:
-            return i, row.index(-1)
-        if rows is not None:
-            rows.append(row)
-    return None
 
 
 def generates(m: FiniteMonoid, generators) -> bool:

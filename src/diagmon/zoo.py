@@ -5,12 +5,12 @@ checked fact.  P_n is enumerated from its standard generators, each of
 which acts on a diagram by relabelling its lower row, into the order of
 ``partition_universe(n)``; BX_n and PT_n are enumerated from generators
 into the order of their relation universes.  Every other diagram family is
-an index subset of one P_n, and its table restricts the traced products of
-P_n.  One pass per degree (``family_cuts``) computes each diagram's
-parameters once and cuts every family from them.  Rook diagrams of degree
-n are represented by their image in the degree-(n+1) partition monoid,
-with the extra point playing the role of the absorbing vertex, so rook and
-partition diagrams share one product.
+an index subset of one P_n, which ``FiniteMonoid.submonoid`` tabulates
+from its generators' left actions.  One pass per degree (``family_cuts``)
+computes each diagram's parameters once and cuts every family from them.
+Rook diagrams of degree n are represented by their image in the
+degree-(n+1) partition monoid, with the extra point playing the role of
+the absorbing vertex, so rook and partition diagrams share one product.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from . import diagrams as dg
 from . import relations as rel
@@ -180,9 +180,11 @@ def family_cut(spec: FamilySpec):
 
 @lru_cache(maxsize=None)
 def partial_functions(n):
-    """PT_n: the partial functions among all relations on n points, in
-    ``relation_universe(n)`` order."""
-    return tuple(filter(rel.is_partial_function, relation_universe(n)))
+    """PT_n: the relations on n points in which each point has at most one
+    image, listed directly in ``relation_universe(n)`` order (each row
+    bitmask is 0 or one bit, taken in increasing order)."""
+    rows = (0,) + tuple(1 << j for j in range(n))
+    return tuple(rel.BinaryRelation(n, r) for r in product(rows, repeat=n))
 
 
 def has_absorbing_block(a: Partition):
@@ -243,7 +245,7 @@ def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
 
     Diagram families are index subsets of one partition monoid, cut by
-    ``family_cut`` and tabulated by restricting its traced products.
+    ``family_cut`` and tabulated by ``FiniteMonoid.submonoid``.
     Relation families are enumerated from ``relation_generators``; reaching
     all of BX_n's relations, or all of PT_n's partial functions, certifies
     the generators and closure.

@@ -235,6 +235,13 @@ def cayley_graph_by_products(generators, op, identity, universe):
     }
 
 
+def partial_functions_by_filter(universe):
+    """PT_n by filtering every relation of ``universe`` (all 2^(n*n)
+    relations on n points): a row bitmask with at most one bit is a point
+    with at most one image."""
+    return tuple(a for a in universe if all(r & (r - 1) == 0 for r in a.rows))
+
+
 def family_member(family, a):
     """Whether diagram a lies in a diagram family, read off its signed
     blocks (the rook families 'RP' and 'RJ' of degree n are tested on their
@@ -368,6 +375,49 @@ def op_table(elements, op):
     """The Cayley table of a closed element list, one op call per product."""
     index = {x: i for i, x in enumerate(elements)}
     return [[index[op(x, y)] for y in elements] for x in elements]
+
+
+def restricted_submonoid(parent, indices, height):
+    """``FiniteMonoid.submonoid`` before generator actions: the parent's
+    rows restricted to the subset (``_rows``), the identity read off the
+    table, and generators grown greedily on the table, the candidates taken
+    top-down by ``height`` (the parent's J-height of each parent element)
+    with ties broken by index.  Returns the table, identity, generators and
+    right and left generator graphs."""
+    indices = sorted(indices)
+    local = {p: i for i, p in enumerate(indices)}
+    table = [[local[p] for p in row] for row in parent._rows(indices)]
+    rng = range(len(indices))
+    identity = next((
+        i for i in rng
+        if table[i] == list(rng) and all(table[x][i] == x for x in rng)
+    ), None)
+    gens = []
+    members = [] if identity is None else [identity]
+    reached = set(members)
+    for c in sorted(rng, key=lambda x: (-height[indices[x]], x)):
+        if c in reached:
+            continue
+        gens.append(c)
+        frontier = [c] + [table[x][c] for x in members]
+        for y in frontier:  # grows while it is walked
+            if y not in reached:
+                reached.add(y)
+                members.append(y)
+                frontier.extend(table[y][g] for g in gens)
+    return {
+        "table": table,
+        "identity": identity,
+        "generators": gens,
+        "right": [[row[g] for g in gens] for row in table],
+        "left": [[table[g][x] for g in gens] for x in rng],
+    }
+
+
+def graph_rows(graph):
+    """The Cayley table of an enumerated monoid before generator actions:
+    every row traced through the right graph by ``CayleyGraph._rows``."""
+    return list(graph._rows(range(len(graph.elements))))
 
 
 def embedding_pairwise(f, s, t):

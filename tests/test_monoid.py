@@ -16,11 +16,13 @@ from oracles import (
     cayley_graph_by_products,
     embedding_pairwise,
     escape_pairwise,
+    graph_rows,
     green_principal_ideals,
     inverse_pairwise,
     monoid_associative,
     op_table,
     regular_pairwise,
+    restricted_submonoid,
     right_zeros_pairwise,
 )
 
@@ -269,6 +271,34 @@ def test_relation_tables_match_compose(name):
     gens = zoo.relation_generators(spec.family, spec.n)
     assert [m.elements[i] for i in m.generators] == gens
     assert m.table == op_table(m.elements, rel.compose)
+
+
+@pytest.mark.parametrize(
+    "name",
+    "RR4 LL4 Pfd4 Pfcd4 J4 I4 T4 B4 D04 D14 Pfk4 RP3 RJ3 B0".split(),
+)
+def test_submonoid_matches_the_row_restriction_oracle(name):
+    # RP3 and RJ3 live in P4 with an identity that is not P4's; D04, D14
+    # and Pfk4 are semigroups; B0 has no generators
+    spec = zoo.FamilySpec.parse(name)
+    parent = zoo.build(f"P{spec.n + (spec.family in zoo.ROOK_FAMILIES)}")
+    gs = mon.green(parent)
+    height = gs.heights()
+    m = zoo.build(name)
+    want = restricted_submonoid(
+        parent, zoo.family_cut(spec), [height[d] for d in gs.d_class]
+    )
+    for key, value in want.items():
+        assert getattr(m, key) == value, key
+    mon.green(m)
+
+
+@pytest.mark.parametrize("name", ["P3", "PT4", "BX3", "P0"])
+def test_from_graph_table_matches_traced_rows(name):
+    m = zoo.build(name)
+    assert m.table == graph_rows(m.graph)
+    assert (m.right, m.left) == (m.graph.right, m.graph.left)
+    mon.green(m)
 
 
 def test_bx3_needs_its_extra_generator():

@@ -18,6 +18,7 @@ from oracles import (
     leq_r_structural,
     odd_double_factorial,
     partial_bijection_count,
+    partial_functions_by_filter,
     rook_multiply,
 )
 
@@ -76,6 +77,14 @@ def test_family_cuts_match_the_per_element_oracle(family):
         )
         assert zoo.family_cut(zoo.FamilySpec(family, n)) == want, n
         assert zoo.build(f"{family}{n}").elements == [universe[i] for i in want]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_partial_functions_match_the_filtered_universe(n):
+    # listed directly, in the order of the filtered relation universe
+    want = partial_functions_by_filter(zoo.relation_universe(n))
+    assert zoo.partial_functions(n) == want
+    assert len(want) == (n + 1) ** n
 
 
 def test_family_cuts_cover_each_family_within_its_cap():
