@@ -226,10 +226,6 @@ class RationalAlgebra:
     def of_monoid(cls, s: FiniteMonoid):
         return cls(s.size, s.mul)
 
-    @classmethod
-    def of_category(cls, cat: EhresmannCategory):
-        return cls(cat.monoid.size, cat.compose)
-
     def multiply(self, u, v):
         out = {}
         for i, a in u.items():

@@ -211,12 +211,6 @@ def multiply(a: Partition, b: Partition) -> Partition:
     return Partition(n, _canonical(outer))
 
 
-def involute(a: Partition) -> Partition:
-    """Swap upper and lower rows (reflect the diagram)."""
-    n = a.n
-    return Partition(n, _canonical(a.code[n:] + a.code[:n]))
-
-
 @dataclass(frozen=True)
 class DiagramParams:
     dom: Subset

@@ -7,6 +7,11 @@ the one-sided congruence axioms with reproducible failure witnesses, the
 (resp. yE), the largest restriction subsemigroups, the E-regular inverse
 subsemigroup, and the monoid classes of idempotents under the tilde-H
 relation.
+
+All of these are read off the products f*x and x*f for f in E, which come
+as whole rows and columns of S (``FiniteMonoid.row`` and ``column``), one
+per member of E.  The congruence sweep likewise reads one whole row or
+column per element theta it sweeps.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StateError, ValidationError
-from .monoid import FiniteMonoid, _classes_by_key, generates, green
+from .monoid import FiniteMonoid, _classes_by_key, green
 
 
 @dataclass(frozen=True)
@@ -51,26 +56,38 @@ class Semilattice:
         return x in self.members
 
 
-def e_left(x, e: Semilattice):
-    """Members of E that are left identities for x."""
-    s = e.parent
-    return frozenset(f for f in e.members if s.mul(f, x) == x)
+def _products(s: FiniteMonoid, e: Semilattice, side: str):
+    """For every x, the tuple of f*x ('left') or x*f ('right') over the
+    members f of E, read off their whole rows or columns."""
+    if side == "left":
+        lines = map(s.row, e.members)
+    elif side == "right":
+        lines = map(s.column, e.members)
+    else:
+        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    return list(zip(*lines)) or [()] * s.size
 
 
-def e_right(x, e: Semilattice):
-    s = e.parent
-    return frozenset(f for f in e.members if s.mul(x, f) == x)
+def _identity_sets(products, e: Semilattice):
+    return [
+        frozenset(f for f, p in zip(e.members, ps) if p == x)
+        for x, ps in enumerate(products)
+    ]
+
+
+def identity_sets(s: FiniteMonoid, e: Semilattice, side: str):
+    """E_L(x), the members f of E with f*x = x ('left'), or E_R(x), those
+    with x*f = x ('right'), for every x."""
+    return _identity_sets(_products(s, e, side), e)
 
 
 def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
     """Class ids of the tilde-R ('left' identity sets) or tilde-L relation."""
-    if side == "r":
-        keys = [e_left(x, e) for x in range(s.size)]
-    elif side == "l":
-        keys = [e_right(x, e) for x in range(s.size)]
-    else:
+    if side not in ("r", "l"):
         raise ValidationError(f"side must be 'r' or 'l', got {side!r}")
-    return _classes_by_key(keys)
+    return _classes_by_key(
+        identity_sets(s, e, "left" if side == "r" else "right")
+    )
 
 
 @dataclass
@@ -112,49 +129,44 @@ def _unique_member_check(classes, members):
     return True, None
 
 
-def _congruence_check(s, classes, thetas, left):
-    """One-sided congruence sweep; returns (ok, witness (theta, x, y))."""
+def _congruence_check(classes, thetas, image):
+    """One-sided congruence sweep over whole rows or columns, ``image(th)``
+    listing th*x (or x*th) for every x.  Returns (ok, witness (th, x, y))
+    for the first th and the first y whose image's class differs from that
+    of x, the first member of y's class."""
+    first = {}
+    rep = [first.setdefault(c, x) for x, c in enumerate(classes)]
     for th in thetas:
-        seen = {}
-        for x in range(s.size):
-            img = s.mul(th, x) if left else s.mul(x, th)
-            c, d = classes[x], classes[img]
-            if c in seen:
-                x0, d0 = seen[c]
-                if d0 != d:
-                    return False, (th, x0, x)
-            else:
-                seen[c] = (x, d)
+        img = list(map(classes.__getitem__, image(th)))
+        if list(map(img.__getitem__, rep)) != img:
+            y = next(y for y, x in enumerate(rep) if img[y] != img[x])
+            return False, (th, rep[y], y)
     return True, None
 
 
-def check_axioms(s: FiniteMonoid, e: Semilattice, generators=None) -> EhresmannReport:
-    """Check L1, L2, R1, R2 and, when the Ehresmann halves hold, L3, R3.
+def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
+    """Check L1, L2, R1, R2 and the restriction containments L3, R3.
 
     The congruence sweep ranges over all elements when the monoid has a
-    Cayley table, otherwise over a generating set, by default the certified
-    ``s.generators`` (sufficient for one-sided congruences).  A supplied
-    set that does not generate s raises ValidationError.
+    Cayley table, otherwise over its certified generators ``s.generators``
+    (sufficient for one-sided congruences).
     """
-    if generators is None:
-        generators = s.generators
-    elif not generates(s, generators):
-        raise ValidationError("the given elements do not generate the monoid")
-    r_tilde = tilde_classes(s, e, "r")
-    l_tilde = tilde_classes(s, e, "l")
+    left, right = _products(s, e, "left"), _products(s, e, "right")
+    r_tilde = _classes_by_key(_identity_sets(left, e))
+    l_tilde = _classes_by_key(_identity_sets(right, e))
     if s.table is not None:
         thetas, sweep = range(s.size), "full"
     else:  # only an enumerated monoid has no table
-        thetas, sweep = sorted(set(generators)), "generators"
+        thetas, sweep = sorted(set(s.generators)), "generators"
 
     checks = {
         "L1": _unique_member_check(r_tilde, e.members),
         "R1": _unique_member_check(l_tilde, e.members),
-        "L2": _congruence_check(s, r_tilde, thetas, left=True),
-        "R2": _congruence_check(s, l_tilde, thetas, left=False),
+        "L2": _congruence_check(r_tilde, thetas, s.row),
+        "R2": _congruence_check(l_tilde, thetas, s.column),
         # restriction containments (checked definitionally, witnesses minimal)
-        "L3": _containment_check(s, e, left=True),
-        "R3": _containment_check(s, e, left=False),
+        "L3": _containment_check(right, left, e),
+        "R3": _containment_check(left, right, e),
     }
     report = EhresmannReport(
         axioms={a: ok for a, (ok, _) in checks.items()},
@@ -177,14 +189,15 @@ def _representatives(classes, e: Semilattice):
     return [rep[c] for c in classes]
 
 
-def _containment_check(s, e, left):
-    """L3 (xE in Ex) or R3 (Ex in xE) for every x; witness (x, e)."""
-    mul = s.mul if left else lambda a, b: s.mul(b, a)
-    for x in range(s.size):
-        other = {mul(f, x) for f in e.members}
-        for f in e.members:  # sorted by Semilattice.create
-            if mul(x, f) not in other:
-                return False, (x, f)
+def _containment_check(inner, outer, e):
+    """Whether each inner[x] lies in outer[x], as sets of products: L3
+    (xE in Ex) or R3 (Ex in xE).  The witness (x, f) is the first x and
+    member f whose product with x lies outside."""
+    for x, (ins, outs) in enumerate(zip(inner, outer)):
+        outs = set(outs)
+        if not outs.issuperset(ins):
+            f = next(f for f, p in zip(e.members, ins) if p not in outs)
+            return False, (x, f)
     return True, None
 
 
@@ -195,9 +208,10 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
     contain the semilattice.
     """
     rest_l, rest_r = [], []
-    for x in range(s.size):
-        xe = {s.mul(x, f) for f in e.members}
-        ex = {s.mul(f, x) for f in e.members}
+    for x, (ex, xe) in enumerate(
+        zip(_products(s, e, "left"), _products(s, e, "right"))
+    ):
+        ex, xe = set(ex), set(xe)
         if xe <= ex:
             rest_l.append(x)
         if ex <= xe:
@@ -245,25 +259,4 @@ def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice, r_tilde, l_tilde):
 def natural_order(s: FiniteMonoid, e: Semilattice, side: str):
     """below[y] = {x : x <= y} for the natural order of a restriction side:
     x <= y iff x in Ey ('left') or x in yE ('right')."""
-    if side == "left":
-        return [
-            frozenset(s.mul(f, y) for f in e.members) for y in range(s.size)
-        ]
-    if side == "right":
-        return [
-            frozenset(s.mul(y, f) for f in e.members) for y in range(s.size)
-        ]
-    raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def is_partial_order(below):
-    """Reflexivity, antisymmetry and transitivity of a below-set family."""
-    for y, b in enumerate(below):
-        if y not in b:
-            return False
-        for x in b:
-            if x != y and y in below[x]:
-                return False
-            if not below[x] <= b:
-                return False
-    return True
+    return list(map(frozenset, _products(s, e, side)))

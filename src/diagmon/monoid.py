@@ -14,14 +14,18 @@ is filled from the generators' left actions: for x = x'*g, row x is row x'
 read through the column of products g*y, one map per element.
 ``from_graph`` takes the actions and the words from the enumeration, and
 tabulates when the monoid fits under ``TABLE_CAP``; above the cap it
-multiplies by tracing.  ``submonoid`` tabulates a closed index subset,
-such as a diagram family's positions in P_n.  It finds the identity and
-picks generators greedily from the parent's products, top-down in the
-parent's J-order, adding an element only when the closure grown so far
-has not reached it.  That walk computes x*g for every element x and
-generator g, and a product leaving the subset raises ``ValidationError``,
-so closure is exact; ``escape`` tests any index subset against the rows
-restricted to it.
+multiplies by tracing.  ``row(a)`` and ``column(a)`` give a*S and S*a as
+whole lists: a table row and column, or above the cap the generators'
+actions composed along the word of a, one map per letter.
+
+``submonoid`` tabulates a closed index subset, such as a diagram family's
+positions in P_n, and ``escape`` tests any index subset for closure.  Both
+walk the same greedy closure: generators are picked from the parent's
+products, top-down in the parent's J-order, adding an element only when
+the closure grown so far has not reached it.  That walk computes x*g for
+every element x and generator g, and a product leaving the subset stops
+it, so closure is exact; ``escape`` then names the first escaping pair row
+by row.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from operator import itemgetter
 
 from .errors import ResourceCapError, StateError, ValidationError
 
@@ -65,35 +69,6 @@ class CayleyGraph:
         for k in self.words[y]:
             x = right[x][k]
         return x
-
-    def _rows(self, indices):
-        """For each x in indices, the products x*y for y in indices.
-
-        Every y is the product of its prefix and its last letter, so a row
-        is filled in word order over the prefix-closure of indices, one
-        batch per (word length, last letter).
-        """
-        words, prefix, one = self.words, self.prefix, self.identity
-        need = set()
-        for y in indices:
-            while y != one and y not in need:
-                need.add(y)
-                y = prefix[y]
-        key = lambda y: (len(words[y]), words[y][-1])
-        order = sorted(need, key=key)
-        pos = {one: 0}
-        pos.update((y, p) for p, y in enumerate(order, 1))
-        batches = [
-            (last, [pos[prefix[y]] for y in batch])
-            for (_, last), batch in groupby(order, key=key)
-        ]
-        take = [pos[y] for y in indices]
-        right = self.right
-        for x in indices:
-            row = [x]
-            for k, pre in batches:
-                row.extend([right[z][k] for z in map(row.__getitem__, pre)])
-            yield list(map(row.__getitem__, take))
 
 
 def froidure_pin(
@@ -181,6 +156,7 @@ class FiniteMonoid:
             self.generators = graph.generators
             self.right, self.left = graph.right, graph.left
         self._green = None  # memo of green(self)
+        self._generator_actions = None  # memo of _actions()
 
     # -- construction -----------------------------------------------------
 
@@ -202,11 +178,8 @@ class FiniteMonoid:
         """The sub-(semi)group on a closed index subset, reindexed.
 
         Its identity, generators and graphs come from this monoid's
-        products.  Generators are picked top-down in this monoid's J-order,
-        ties broken by index: a candidate the closure grown so far has not
-        reached is added, and the closure regrown.  The walk takes x*g for
-        every x and generator g, and one outside the subset raises
-        ValidationError, so closure is exact.
+        products, the generators and right graph from ``_closure_walk``,
+        which raises ValidationError when the subset is not closed.
         """
         indices = sorted(indices)
         sub = FiniteMonoid([self.elements[i] for i in indices], None)
@@ -216,18 +189,35 @@ class FiniteMonoid:
                 TABLE_CAP,
             )
         mul, local = self.mul, dict(zip(indices, range(sub.size)))
-        gs = green(self)
-        height = gs.heights()
-        rank = [height[gs.d_class[p]] for p in indices]
         sub.identity = next((
             local[e] for e in indices
             if all(mul(e, x) == x == mul(x, e) for x in indices)
         ), None)
-        gens, right = [], [[] for _ in indices]
         members = [] if sub.identity is None else [sub.identity]
+        gens, right, tree = self._closure_walk(indices, members)
+        actions = [[local[mul(indices[g], y)] for y in indices] for g in gens]
+        sub.generators, sub.right = gens, right
+        sub.left = [list(r) for r in zip(*actions)] or [[] for _ in indices]
+        sub.table = sub._build_table(tree, actions)
+        return sub
+
+    def _closure_walk(self, indices, members):
+        """The greedy closure walk over the sorted index subset ``indices``,
+        numbered locally by position and seeded with ``members`` (the
+        identity, or nothing): candidates top-down in the J-order, ties
+        broken by index, and x*g for every reached x and picked g.  Raises
+        ValidationError on a product outside the subset.  Returns the
+        generators, the right graph ``right[x][j]`` = x*g_j and the tree of
+        ``_build_table``, in local numbers."""
+        mul, local = self.mul, dict(zip(indices, range(len(indices))))
+        gs = green(self)
+        height = gs.heights()
+        rank = [height[gs.d_class[p]] for p in indices]
+        gens, right = [], [[] for _ in indices]
+        members = list(members)
         tree = [(x, None, None) for x in members]  # how each x is reached
         reached = set(members)
-        for c in sorted(range(sub.size), key=lambda x: (-rank[x], x)):
+        for c in sorted(range(len(indices)), key=lambda x: (-rank[x], x)):
             if c in reached:
                 continue
             k, old = len(gens), len(members)
@@ -250,11 +240,7 @@ class FiniteMonoid:
                         reached.add(p)
                         members.append(p)
                         tree.append((p, x, j))
-        actions = [[local[mul(indices[g], y)] for y in indices] for g in gens]
-        sub.generators, sub.right = gens, right
-        sub.left = [list(r) for r in zip(*actions)] or [[] for _ in indices]
-        sub.table = sub._build_table(tree, actions)
-        return sub
+        return gens, right, tree
 
     def _build_table(self, tree, actions):
         """The Cayley table from the generators' left actions, ``actions[k]``
@@ -272,21 +258,54 @@ class FiniteMonoid:
 
     def escape(self, indices):
         """The first pair (x, y) of the sequence ``indices``, row by row in
-        its order, whose product is not in it, or None when it is closed."""
-        inside = set(indices)
-        for x, row in zip(indices, self._rows(indices)):
-            if not inside.issuperset(row):
-                y = next(y for y, p in zip(indices, row) if p not in inside)
-                return x, y
+        its order, whose product is not in it, or None when it is closed.
+
+        Closure is decided by ``_closure_walk``; only a subset that is not
+        closed is scanned row by row for the first escaping pair.
+        """
+        try:
+            self._closure_walk(sorted(set(indices)), ())
+        except ValidationError:
+            inside = set(indices)
+            for x in indices:
+                row = self.row(x)
+                for y in indices:
+                    if row[y] not in inside:
+                        return x, y
         return None
 
-    def _rows(self, indices):
-        if self.table is None:
-            return self.graph._rows(indices)
-        rows = map(self.table.__getitem__, indices)
-        return ([row[j] for j in indices] for row in rows)
-
     # -- products ----------------------------------------------------------
+
+    def row(self, a):
+        """The products a*y for every y, as a list indexed by y (on a
+        tabled monoid the table's own row, not to be modified)."""
+        if self.table is not None:
+            return self.table[a]
+        actions = self._actions()[0]
+        row = range(self.size)
+        for k in reversed(self.graph.words[a]):
+            row = map(actions[k].__getitem__, row)
+        return list(row)
+
+    def column(self, a):
+        """The products y*a for every y, as a list indexed by y."""
+        if self.table is not None:
+            return list(map(itemgetter(a), self.table))
+        actions = self._actions()[1]
+        col = range(self.size)
+        for k in self.graph.words[a]:
+            col = map(actions[k].__getitem__, col)
+        return list(col)
+
+    def _actions(self):
+        """The generators' left and right actions, g_k*y and y*g_k for
+        every y under index k, computed once: an untabled monoid composes
+        its rows and columns from them along each element's word."""
+        if self._generator_actions is None:
+            self._generator_actions = (
+                list(zip(*self.left)), list(zip(*self.right))
+            )
+        return self._generator_actions
 
     def mul(self, i, j):
         if self.table is not None:

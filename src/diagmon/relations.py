@@ -73,14 +73,6 @@ def partial_identity(a: Subset) -> BinaryRelation:
     return from_pairs(a.n, [(x, x) for x in a.members])
 
 
-def empty_rel(n) -> BinaryRelation:
-    return BinaryRelation(n, (0,) * n)
-
-
-def full_rel(n) -> BinaryRelation:
-    return BinaryRelation(n, ((1 << n) - 1,) * n)
-
-
 def compose(a: BinaryRelation, b: BinaryRelation) -> BinaryRelation:
     """(x,y) in ab iff (x,u) in a and (u,y) in b for some u."""
     if a.n != b.n:
@@ -164,10 +156,6 @@ def predicates(a: BinaryRelation) -> RelationPredicates:
 def is_partial_function(a: BinaryRelation) -> bool:
     """Membership in the partial transformation monoid (coinjective)."""
     return all(row == 0 or row & (row - 1) == 0 for row in a.rows)
-
-
-def is_total_function(a: BinaryRelation) -> bool:
-    return all(row != 0 and row & (row - 1) == 0 for row in a.rows)
 
 
 def is_partial_bijection(a: BinaryRelation) -> bool:

@@ -158,24 +158,17 @@ def check_identity_set_formulas(nmax=None):
     e = zoo.semilattice_for("E", f"P{n}")
     f = zoo.semilattice_for("F", f"P{n}")
     par = [dg.params(a) for a in s.elements]
-    ok = True
-    for x, q in enumerate(par):
-        e_l = frozenset(
-            i for i in e.members if par[i].dom.members >= q.supp.members
-        )
-        e_r = frozenset(
-            i for i in e.members if par[i].dom.members >= q.cosupp.members
-        )
-        f_l = frozenset(i for i in f.members if par[i].ker.refines(q.ker))
-        f_r = frozenset(i for i in f.members if par[i].ker.refines(q.coker))
-        if (
-            eh.e_left(x, e) != e_l
-            or eh.e_right(x, e) != e_r
-            or eh.e_left(x, f) != f_l
-            or eh.e_right(x, f) != f_r
-        ):
-            ok = False
-            break
+    closed_forms = (
+        (e, "left", lambda p, q: p.dom.members >= q.supp.members),
+        (e, "right", lambda p, q: p.dom.members >= q.cosupp.members),
+        (f, "left", lambda p, q: p.ker.refines(q.ker)),
+        (f, "right", lambda p, q: p.ker.refines(q.coker)),
+    )
+    ok = all(
+        got == {i for i in sl.members if holds(par[i], q)}
+        for sl, side, holds in closed_forms
+        for got, q in zip(eh.identity_sets(s, sl, side), par)
+    )
     # the induced equivalences then only depend on supp/cosupp/ker/coker
     ok = ok and all(
         same_classes(eh.tilde_classes(s, sl, side), [key(q) for q in par])
@@ -617,10 +610,8 @@ def check_rook_suite(nmax=None):
         a = rp.index[w["alpha"]]
         b = rp.index[w["beta"]]
         t = rp.index[w["theta"]]
-        ok = (
-            eh.e_left(a, f) == eh.e_left(b, f)
-            and eh.e_left(rp.mul(t, a), f) != eh.e_left(rp.mul(t, b), f)
-        )
+        e_l = eh.identity_sets(rp, f, "left")
+        ok = e_l[a] == e_l[b] and e_l[rp.mul(t, a)] != e_l[rp.mul(t, b)]
         out.append(
             CheckResult(
                 "lifted block identities fail left-congruence in the "

@@ -10,6 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+from diagmon import algebra
+from diagmon import diagrams as dg
+from diagmon import relations as rel
+
 
 def bell_numbers(count):
     """First ``count`` Bell numbers via the Bell triangle."""
@@ -379,14 +383,14 @@ def op_table(elements, op):
 
 def restricted_submonoid(parent, indices, height):
     """``FiniteMonoid.submonoid`` before generator actions: the parent's
-    rows restricted to the subset (``_rows``), the identity read off the
-    table, and generators grown greedily on the table, the candidates taken
-    top-down by ``height`` (the parent's J-height of each parent element)
-    with ties broken by index.  Returns the table, identity, generators and
-    right and left generator graphs."""
+    products restricted to the subset, one ``parent.mul`` per pair, the
+    identity read off that table, and generators grown greedily on it, the
+    candidates taken top-down by ``height`` (the parent's J-height of each
+    parent element) with ties broken by index.  Returns the table,
+    identity, generators and right and left generator graphs."""
     indices = sorted(indices)
     local = {p: i for i, p in enumerate(indices)}
-    table = [[local[p] for p in row] for row in parent._rows(indices)]
+    table = [[local[parent.mul(x, y)] for y in indices] for x in indices]
     rng = range(len(indices))
     identity = next((
         i for i in rng
@@ -416,8 +420,9 @@ def restricted_submonoid(parent, indices, height):
 
 def graph_rows(graph):
     """The Cayley table of an enumerated monoid before generator actions:
-    every row traced through the right graph by ``CayleyGraph._rows``."""
-    return list(graph._rows(range(len(graph.elements))))
+    every product traced through the right graph by ``_product``."""
+    rng = range(len(graph.elements))
+    return [[graph._product(x, y) for y in rng] for x in rng]
 
 
 def embedding_pairwise(f, s, t):
@@ -567,6 +572,137 @@ def green_principal_ideals(m):
         "d_order": d_order,
         "d_equals_j": all(j_rep[a] == a for a in reps),
     }
+
+
+# -- reference Ehresmann analysis -----------------------------------------------
+# The definitions, one ``s.mul`` per (f, x) or (theta, x) pair, as the
+# package computed them before reading whole rows and columns.
+
+
+def e_left(x, e):
+    """Members of E that are left identities for x."""
+    s = e.parent
+    return frozenset(f for f in e.members if s.mul(f, x) == x)
+
+
+def e_right(x, e):
+    """Members of E that are right identities for x."""
+    s = e.parent
+    return frozenset(f for f in e.members if s.mul(x, f) == x)
+
+
+def congruence_pairwise(s, classes, thetas, left):
+    """One-sided congruence sweep; returns (ok, witness (theta, x, y)) with
+    x the first element of y's class met in index order."""
+    for th in thetas:
+        seen = {}
+        for x in range(s.size):
+            img = s.mul(th, x) if left else s.mul(x, th)
+            c, d = classes[x], classes[img]
+            if c in seen:
+                x0, d0 = seen[c]
+                if d0 != d:
+                    return False, (th, x0, x)
+            else:
+                seen[c] = (x, d)
+    return True, None
+
+
+def containment_pairwise(s, e, left):
+    """L3 (xE in Ex) or R3 (Ex in xE) for every x; witness (x, f)."""
+    mul = s.mul if left else lambda a, b: s.mul(b, a)
+    for x in range(s.size):
+        other = {mul(f, x) for f in e.members}
+        for f in e.members:  # sorted by Semilattice.create
+            if mul(x, f) not in other:
+                return False, (x, f)
+    return True, None
+
+
+def unique_member_pairwise(classes, members):
+    """L1/R1: the first class, by id, not holding exactly one member of E,
+    as (its least element, its members in E)."""
+    for c in sorted(set(classes)):
+        got = tuple(x for x in members if classes[x] == c)
+        if len(got) != 1:
+            return False, (classes.index(c), got)
+    return True, None
+
+
+def axioms_pairwise(s, e):
+    """The six axiom results of ``check_axioms`` as name -> (ok, witness),
+    with the tilde classes they are read from."""
+    r_tilde = _first_occurrence_ids([e_left(x, e) for x in range(s.size)])
+    l_tilde = _first_occurrence_ids([e_right(x, e) for x in range(s.size)])
+    thetas = range(s.size) if s.table is not None else sorted(set(s.generators))
+    checks = {
+        "L1": unique_member_pairwise(r_tilde, e.members),
+        "R1": unique_member_pairwise(l_tilde, e.members),
+        "L2": congruence_pairwise(s, r_tilde, thetas, left=True),
+        "R2": congruence_pairwise(s, l_tilde, thetas, left=False),
+        "L3": containment_pairwise(s, e, left=True),
+        "R3": containment_pairwise(s, e, left=False),
+    }
+    return checks, r_tilde, l_tilde
+
+
+def rest_sets_pairwise(s, e):
+    """The left, right and two-sided restriction sets by their definition."""
+    rest_l, rest_r = [], []
+    for x in range(s.size):
+        xe = {s.mul(x, f) for f in e.members}
+        ex = {s.mul(f, x) for f in e.members}
+        if xe <= ex:
+            rest_l.append(x)
+        if ex <= xe:
+            rest_r.append(x)
+    rest = sorted(set(rest_l) & set(rest_r))
+    return tuple(rest_l), tuple(rest_r), tuple(rest)
+
+
+def natural_order_pairwise(s, e, side):
+    """below[y] = Ey ('left') or yE ('right')."""
+    if side == "left":
+        return [frozenset(s.mul(f, y) for f in e.members) for y in range(s.size)]
+    return [frozenset(s.mul(y, f) for f in e.members) for y in range(s.size)]
+
+
+def is_partial_order(below):
+    """Reflexivity, antisymmetry and transitivity of a below-set family."""
+    for y, b in enumerate(below):
+        if y not in b:
+            return False
+        for x in b:
+            if x != y and y in below[x]:
+                return False
+            if not below[x] <= b:
+                return False
+    return True
+
+
+# -- helpers only the tests use -------------------------------------------------
+
+
+def involute(a):
+    """Swap the upper and lower rows of a partition diagram."""
+    return dg.from_blocks([[-x for x in b] for b in a.blocks()], a.n)
+
+
+def empty_rel(n):
+    return rel.BinaryRelation(n, (0,) * n)
+
+
+def full_rel(n):
+    return rel.BinaryRelation(n, ((1 << n) - 1,) * n)
+
+
+def is_total_function(a):
+    return all(row != 0 and row & (row - 1) == 0 for row in a.rows)
+
+
+def category_algebra(cat):
+    """The category algebra: undefined compositions are zero."""
+    return algebra.RationalAlgebra(cat.monoid.size, cat.compose)
 
 
 # -- reference transform check ------------------------------------------------

@@ -11,6 +11,7 @@ from diagmon.monoid import FiniteMonoid, froidure_pin
 
 from oracles import (
     algebra_associative,
+    category_algebra,
     is_unitriangular,
     radical_nullity,
     stein_pairwise,
@@ -30,7 +31,7 @@ def _families(max_degree):
 
 def _category_algebra(name, kind):
     cat = algebra.build_category(zoo.build(name), zoo.semilattice_for(kind, name))
-    return algebra.RationalAlgebra.of_category(cat)
+    return category_algebra(cat)
 
 
 def test_hom_sets_partition_the_monoid():
@@ -244,7 +245,7 @@ def test_rational_algebra_associativity_and_products():
     a = algebra.RationalAlgebra.of_monoid(s)
     assert algebra_associative(a)
     cat = algebra.build_category(s, zoo.semilattice_for("E", "PT2"))
-    c = algebra.RationalAlgebra.of_category(cat)
+    c = category_algebra(cat)
     assert algebra_associative(c)
     # vector product with cancellation
     u = {0: Fraction(1, 2), 1: Fraction(-1, 2)}

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -53,6 +54,23 @@ def test_analyze_partial_identities_reports_failure(tmp_path):
     assert data["axioms"]["L2"] is False
     assert "L2" in data["witnesses"]
     assert data["regular_family"] == "I2"
+
+
+# P4 is the one monoid above the Cayley-table cap these commands reach, so
+# they run the Ehresmann layer and the closure walk on products composed
+# from generator actions; the digests were recorded before that layer read
+# whole rows and columns.
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("F", "8984351bbe82d096d3f84f9194dd87ceeb1b0570931d182588089c560c652880"),
+        ("E", "bfeb39e86fe94fe88ef077548be407753fab5046fc467e1d547a405fb0110949"),
+    ],
+)
+def test_analyze_untabled_p4_output_is_pinned(capsys, kind, digest):
+    assert cli.main(["analyze", "P4", kind]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_partial_brauer(tmp_path):

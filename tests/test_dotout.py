@@ -3,6 +3,8 @@
 from diagmon import dotout, relations as rel, zoo
 from diagmon.diagrams import from_blocks
 
+from oracles import empty_rel
+
 GOLDEN_B2 = """digraph "B2" {
   rankdir=TB;
   node [shape=plaintext, fontname="monospace"];
@@ -48,5 +50,5 @@ def test_element_text_and_slug():
     assert dotout.element_slug(a) == "p2_0_1_0_2"
     r = rel.from_pairs(2, [(1, 2)])
     assert dotout.element_text(r) == "1>2"
-    assert dotout.element_text(rel.empty_rel(2)) == "(empty)"
+    assert dotout.element_text(empty_rel(2)) == "(empty)"
     assert dotout.element_slug(r) == "r2_2_0"
