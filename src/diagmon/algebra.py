@@ -213,9 +213,8 @@ def is_multiplicative(cat: EhresmannCategory, phi) -> bool:
 class RationalAlgebra:
     """An algebra whose basis products are single basis elements or zero.
 
-    Vectors are dicts index -> Fraction.  Covers both the semigroup
-    algebra (product always defined) and the category algebra (undefined
-    compositions are zero).
+    Covers both the semigroup algebra (product always defined) and the
+    category algebra (undefined compositions are zero).
     """
 
     def __init__(self, dimension, basis_mul):
@@ -225,19 +224,6 @@ class RationalAlgebra:
     @classmethod
     def of_monoid(cls, s: FiniteMonoid):
         return cls(s.size, s.mul)
-
-    def multiply(self, u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                k = self.basis_mul(i, j)
-                if k is not None:
-                    c = out.get(k, 0) + a * b
-                    if c:
-                        out[k] = c
-                    else:
-                        out.pop(k, None)
-        return out
 
     def trace_left(self, k):
         """Trace of left multiplication by basis element k."""

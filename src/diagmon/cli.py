@@ -126,12 +126,22 @@ def cmd_eggbox(args):
 
 
 def _shade_indices(m, data, family):
-    """Indices of the elements listed in a shade file's JSON array."""
+    """Indices of the elements listed in a shade file's JSON array.  Each
+    item's degree ``n`` must be the family's before the item is decoded,
+    as the decoder allocates per point."""
     if not isinstance(data, list):
         raise ValidationError("the shade file must hold a JSON array")
-    decode = type(m.elements[0]).from_json
+    sample = m.elements[0]
+    decode, n = type(sample).from_json, sample.n
     out = set()
     for item in data:
+        if not isinstance(item, dict) or type(item.get("n")) is not int:
+            raise ValidationError(f"malformed shade item {item!r}")
+        if item["n"] != n:
+            raise ValidationError(
+                f"shade item {item!r} is not of degree {n}, the degree of "
+                f"the elements of {family}"
+            )
         try:
             x = decode(item)
         except (LookupError, TypeError, ValueError):

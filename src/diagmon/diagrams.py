@@ -44,10 +44,6 @@ class Subset:
     def of(cls, n, members):
         return cls(n, frozenset(members))
 
-    @classmethod
-    def full(cls, n):
-        return cls(n, frozenset(range(1, n + 1)))
-
     def __contains__(self, x):
         return x in self.members
 
@@ -89,27 +85,12 @@ class SetPartition:
     def universal(cls, n):
         return cls(n, (0,) * n)
 
-    def classes(self):
-        """Blocks as a tuple of frozensets of points, ordered by block id."""
-        k = len(set(self.code))
-        out = [[] for _ in range(k)]
-        for i, b in enumerate(self.code):
-            out[b].append(i + 1)
-        return tuple(frozenset(c) for c in out)
-
     def num_classes(self):
         return len(set(self.code))
 
     def refines(self, other):
         """True iff every block of self lies inside a block of other."""
         return refines(self, other)
-
-    def join(self, other):
-        """Least common coarsening of two set partitions."""
-        if self.n != other.n:
-            raise DegreeMismatchError(f"degree {self.n} != {other.n}")
-        find = _join_labellings(self.n, ((0, self.code), (0, other.code)))
-        return SetPartition(self.n, _canonical(map(find, range(self.n))))
 
 
 class Partition:

@@ -2,24 +2,24 @@
 
 A monoid given by generators is enumerated once, breadth first from the
 identity, as in Froidure & Pin (1997), "Algorithms for computing finite
-semigroups".  Each element gets its short-lex least word over the
-generators, and the right and left Cayley graphs record x*g and g*x for
-every element x and generator g.  Only x*g calls the concrete operation:
-g*x follows from the words, and so does every later product.  The product
-x*y is read off by tracing the word of y through the right graph from x.
+semigroups".  The right and left Cayley graphs record x*g and g*x for
+every element x and generator g, and a tree records how each element is
+reached, x = x'*g with x' found first, so that it spells each element's
+short-lex least word.  Only x*g calls the concrete operation: g*x follows
+from the tree, and so does every later product.
 
-A ``FiniteMonoid`` indexes its elements 0..m-1 and carries a certified
-generating set with its right and left generator graphs.  A Cayley table
-is filled from the generators' left actions: for x = x'*g, row x is row x'
-read through the column of products g*y, one map per element.
-``from_graph`` takes the actions and the words from the enumeration, and
-tabulates when the monoid fits under ``TABLE_CAP``; above the cap it
-multiplies by tracing.  ``row(a)`` and ``column(a)`` give a*S and S*a as
-whole lists: a table row and column, or above the cap the generators'
-actions composed along the word of a, one map per letter.
+A ``FiniteMonoid`` is that record: its elements indexed 0..m-1, a
+certified generating set, the right and left generator graphs and the
+tree.  ``froidure_pin`` returns one, and so does ``submonoid`` for a
+closed index subset, such as a diagram family's positions in P_n.  Up to
+``TABLE_CAP`` elements the constructor fills a Cayley table from the
+generators' left actions: for x = x'*g, row x is row x' read through the
+column of products g*y, one map per element.  Above the cap x*y is traced
+along the word of y through the right graph from x, and ``row(a)`` and
+``column(a)``, which give a*S and S*a as whole lists, compose the
+generators' actions along the word of a, one map per letter.
 
-``submonoid`` tabulates a closed index subset, such as a diagram family's
-positions in P_n, and ``escape`` tests any index subset for closure.  Both
+``submonoid`` and ``escape``, which tests any index subset for closure,
 walk the same greedy closure: generators are picked from the parent's
 products, top-down in the parent's J-order, adding an element only when
 the closure grown so far has not reached it.  That walk computes x*g for
@@ -46,52 +46,27 @@ TABLE_CAP = 1000
 MAX_ELEMENTS = 100000
 
 
-class CayleyGraph:
-    """Right and left Cayley graphs of a monoid over its generators.
-
-    ``right[x][k]`` is the index of x*g_k and ``left[x][k]`` that of g_k*x.
-    ``words[x]`` is the short-lex least word (a tuple of generator numbers)
-    spelling x, and ``prefix[x]`` the element spelt by that word without its
-    last letter (None for the identity).
-    """
-
-    def __init__(self, elements, generators, right, left, words, prefix):
-        self.elements = elements
-        self.generators = generators  # element index of each generator
-        self.right = right
-        self.left = left
-        self.words = words
-        self.prefix = prefix
-        self.identity = prefix.index(None)
-
-    def _product(self, x, y):
-        right = self.right
-        for k in self.words[y]:
-            x = right[x][k]
-        return x
-
-
 def froidure_pin(
     generators, op, identity, universe=None, max_size=MAX_ELEMENTS
 ):
-    """Enumerate the monoid generated under op by the given elements.
+    """The monoid generated under op by the given elements.
 
     Elements are found breadth first from the identity, so the first word
-    reaching an element is its short-lex least word.  With ``universe``, a
-    sequence of every element the monoid should have, the result is
-    renumbered into the universe's order, and the generators must generate
-    all of it: reaching exactly ``len(universe)`` elements, each in the
-    universe, certifies both the generating set and closure.
+    reaching an element is its short-lex least word, and the tree lists
+    each element x = x'*g_k as (x, x', k) in that order.  With
+    ``universe``, a sequence of every element the monoid should have, the
+    result is renumbered into the universe's order, and the generators must
+    generate all of it: reaching exactly ``len(universe)`` elements, each in
+    the universe, certifies both the generating set and closure.
     """
     elements = [identity]
     index = {identity: 0}
-    words = [()]
-    prefix = [None]
+    tree = [(0, None, None)]
     right = []
-    for x, word in zip(elements, words):  # grows while it is walked
+    for x, a in enumerate(elements):  # grows while it is walked
         row = []
         for k, g in enumerate(generators):
-            p = op(x, g)
+            p = op(a, g)
             i = index.get(p)
             if i is None:
                 i = index[p] = len(elements)
@@ -100,17 +75,15 @@ def froidure_pin(
                         f"closure exceeded the element cap {max_size}", max_size
                     )
                 elements.append(p)
-                words.append(word + (k,))
-                prefix.append(len(right))
+                tree.append((i, x, k))
             row.append(i)
         right.append(row)
     # g*x = (g*y)*h for x = y*h, with y before x in breadth-first order
     left = [right[0]]
-    for x in range(1, len(elements)):
-        h = words[x][-1]
-        left.append([right[z][h] for z in left[prefix[x]]])
+    for _, y, h in tree[1:]:
+        left.append([right[z][h] for z in left[y]])
     if universe is None:
-        return CayleyGraph(elements, right[0], right, left, words, prefix)
+        return FiniteMonoid(elements, 0, right[0], right, left, tree)
 
     place = {x: i for i, x in enumerate(universe)}
     try:
@@ -125,81 +98,73 @@ def froidure_pin(
     def renumber(rows):
         out = [None] * len(new)
         for i, row in zip(new, rows):
-            out[i] = row
+            out[i] = [new[j] for j in row]
         return out
 
-    return CayleyGraph(
-        tuple(universe),
+    return FiniteMonoid(
+        universe,
+        new[0],
         [new[i] for i in right[0]],
-        renumber([new[i] for i in row] for row in right),
-        renumber([new[i] for i in row] for row in left),
-        renumber(words),
-        renumber(None if p is None else new[p] for p in prefix),
+        renumber(right),
+        renumber(left),
+        [(new[x], None if y is None else new[y], k) for x, y, k in tree],
     )
 
 
 class FiniteMonoid:
-    """A finite monoid (or semigroup) over an indexed element universe."""
+    """A finite monoid (or semigroup) over an indexed element universe.
 
-    def __init__(self, elements, identity, graph=None):
+    ``generators`` lists the element index of each generator g_k,
+    ``right[x][k]`` and ``left[x][k]`` the indices of x*g_k and g_k*x, and
+    ``tree`` how each element is reached: (x, x', k) for x = x'*g_k with x'
+    listed before x, or (x, None, k) for x = g_k itself, and (x, None,
+    None) for the identity.
+    ``identity`` is an index, or None for a semigroup.  Up to ``TABLE_CAP``
+    elements the Cayley table is filled from the tree; above it products
+    are traced along the words the tree spells.
+    """
+
+    def __init__(self, elements, identity, generators, right, left, tree):
         self.elements = list(elements)
         self.size = len(self.elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != self.size:
             raise ValidationError("duplicate elements in universe")
-        self.identity = identity  # index, or None for a semigroup
+        self.identity = identity
+        self.generators, self.right, self.left = generators, right, left
+        self.tree = tree
         self.table = None
-        self.graph = graph  # the enumeration's CayleyGraph, or None
-        # element index of each generator, and x*g_k, g_k*x for each x
-        self.generators = self.right = self.left = None
-        if graph is not None:
-            self.generators = graph.generators
-            self.right, self.left = graph.right, graph.left
         self._green = None  # memo of green(self)
         self._generator_actions = None  # memo of _actions()
+        self._word_list = None  # memo of _words()
+        if self.size <= TABLE_CAP:
+            self.table = self._build_table(tree, list(zip(*left)))
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_graph(cls, graph):
-        """The monoid a Cayley graph enumerates, tabulated under ``TABLE_CAP``
-        with each word's prefix and last letter, shortest words first."""
-        m = cls(graph.elements, graph.identity, graph=graph)
-        if m.size <= TABLE_CAP:
-            words, prefix = graph.words, graph.prefix
-            tree = [
-                (x, prefix[x], words[x][-1] if words[x] else None)
-                for x in sorted(range(m.size), key=lambda x: len(words[x]))
-            ]
-            m.table = m._build_table(tree, list(zip(*graph.left)))
-        return m
 
     def submonoid(self, indices):
         """The sub-(semi)group on a closed index subset, reindexed.
 
-        Its identity, generators and graphs come from this monoid's
-        products, the generators and right graph from ``_closure_walk``,
-        which raises ValidationError when the subset is not closed.
+        Its identity and generators' left actions come from this monoid's
+        products, the generators, right graph and tree from
+        ``_closure_walk``, which raises ValidationError when the subset is
+        not closed.
         """
         indices = sorted(indices)
-        sub = FiniteMonoid([self.elements[i] for i in indices], None)
-        if sub.size > TABLE_CAP:
-            raise ResourceCapError(
-                f"{sub.size} elements exceed the Cayley-table cap {TABLE_CAP}",
-                TABLE_CAP,
-            )
-        mul, local = self.mul, dict(zip(indices, range(sub.size)))
-        sub.identity = next((
+        mul, local = self.mul, dict(zip(indices, range(len(indices))))
+        identity = next((
             local[e] for e in indices
             if all(mul(e, x) == x == mul(x, e) for x in indices)
         ), None)
-        members = [] if sub.identity is None else [sub.identity]
-        gens, right, tree = self._closure_walk(indices, members)
-        actions = [[local[mul(indices[g], y)] for y in indices] for g in gens]
-        sub.generators, sub.right = gens, right
-        sub.left = [list(r) for r in zip(*actions)] or [[] for _ in indices]
-        sub.table = sub._build_table(tree, actions)
-        return sub
+        gens, right, tree = self._closure_walk(
+            indices, [] if identity is None else [identity]
+        )
+        parent_gens = [indices[g] for g in gens]
+        left = [[local[mul(g, y)] for g in parent_gens] for y in indices]
+        return FiniteMonoid(
+            [self.elements[i] for i in indices], identity, gens, right, left,
+            tree,
+        )
 
     def _closure_walk(self, indices, members):
         """The greedy closure walk over the sorted index subset ``indices``,
@@ -245,9 +210,7 @@ class FiniteMonoid:
     def _build_table(self, tree, actions):
         """The Cayley table from the generators' left actions, ``actions[k]``
         listing g_k*y for every y: as x*y = x'*(g_k*y) for x = x'*g_k, row
-        x is row x' read through ``actions[k]``.  ``tree`` lists (x, x', k)
-        with x' before x; x' is None for x = g_k, and k None for the
-        identity."""
+        x is row x' read through ``actions[k]``, along ``tree``."""
         rows = [None] * self.size
         for x, pre, k in tree:
             base = range(self.size) if pre is None else rows[pre]
@@ -283,7 +246,7 @@ class FiniteMonoid:
             return self.table[a]
         actions = self._actions()[0]
         row = range(self.size)
-        for k in reversed(self.graph.words[a]):
+        for k in reversed(self._words()[a]):
             row = map(actions[k].__getitem__, row)
         return list(row)
 
@@ -293,7 +256,7 @@ class FiniteMonoid:
             return list(map(itemgetter(a), self.table))
         actions = self._actions()[1]
         col = range(self.size)
-        for k in self.graph.words[a]:
+        for k in self._words()[a]:
             col = map(actions[k].__getitem__, col)
         return list(col)
 
@@ -307,10 +270,25 @@ class FiniteMonoid:
             )
         return self._generator_actions
 
+    def _words(self):
+        """Each element's word over the generators, spelt by the tree and
+        computed once: an untabled monoid multiplies along them."""
+        if self._word_list is None:
+            words = self._word_list = [()] * self.size
+            for x, pre, k in self.tree:
+                if k is not None:
+                    words[x] = (() if pre is None else words[pre]) + (k,)
+        return self._word_list
+
     def mul(self, i, j):
+        """The index of x_i*x_j: a table entry, or above the table cap the
+        word of x_j traced through the right graph from x_i."""
         if self.table is not None:
             return self.table[i][j]
-        return self.graph._product(i, j)
+        right = self.right
+        for k in self._words()[j]:
+            i = right[i][k]
+        return i
 
     def decode(self, i):
         return self.elements[i]
@@ -326,21 +304,6 @@ class FiniteMonoid:
         }
 
 
-def generates(m: FiniteMonoid, generators) -> bool:
-    """True iff the elements with the given indices generate m.
-
-    Judged by the size of their traced closure: as a monoid, or as a
-    semigroup (with a formal identity adjoined) when m has no identity.
-    """
-    if any(not 0 <= g < m.size for g in generators):
-        raise ValidationError(f"generator index outside 0..{m.size - 1}")
-    if m.identity is not None:
-        closure = froidure_pin(generators, m.mul, m.identity)
-        return len(closure.elements) == m.size
-    op = lambda x, g: g if x < 0 else m.mul(x, g)
-    return len(froidure_pin(generators, op, -1).elements) == m.size + 1
-
-
 # -- Green's relations ------------------------------------------------------
 
 
@@ -353,9 +316,6 @@ class GreenStructure:
     j_class: list
     d_order: set = field(default_factory=set)  # pairs (a, b): D_a <= D_b
     d_equals_j: bool = True
-
-    def num(self, rel):
-        return len(set(getattr(self, rel + "_class")))
 
     def heights(self):
         """The number of D-classes at or below each D-class, which orders

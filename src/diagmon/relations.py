@@ -134,25 +134,6 @@ def rel_params(a: BinaryRelation) -> RelationParams:
     return RelationParams(Subset(n, dom), Subset(n, codom), ker, coker)
 
 
-@dataclass(frozen=True)
-class RelationPredicates:
-    injective: bool
-    coinjective: bool
-    surjective: bool
-    cosurjective: bool
-
-
-def predicates(a: BinaryRelation) -> RelationPredicates:
-    p = rel_params(a)
-    trivial_on = lambda rel, s: rel == frozenset((x, x) for x in s.members)
-    return RelationPredicates(
-        injective=trivial_on(p.ker, p.dom),
-        coinjective=trivial_on(p.coker, p.codom),
-        surjective=len(p.codom) == a.n,
-        cosurjective=len(p.dom) == a.n,
-    )
-
-
 def is_partial_function(a: BinaryRelation) -> bool:
     """Membership in the partial transformation monoid (coinjective)."""
     return all(row == 0 or row & (row - 1) == 0 for row in a.rows)

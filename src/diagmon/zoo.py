@@ -1,13 +1,15 @@
 """Named constructors for the diagram and relation monoids under study.
 
 A membership test defines each family, and closure under the product is a
-checked fact.  P_n is enumerated from its standard generators, each of
-which acts on a diagram by relabelling its lower row, into the order of
-``partition_universe(n)``; BX_n and PT_n are enumerated from generators
-into the order of their relation universes.  Every other diagram family is
-an index subset of one P_n, which ``FiniteMonoid.submonoid`` tabulates
-from its generators' left actions.  One pass per degree (``family_cuts``)
-computes each diagram's parameters once and cuts every family from them.
+checked fact.  ``froidure_pin`` enumerates P_n from its standard
+generators, each of which acts on a diagram by relabelling its lower row,
+into the order of ``partition_universe(n)``, and BX_n and PT_n from
+generators into the order of their relation universes.  Every other
+diagram family is an index subset of one P_n, which
+``FiniteMonoid.submonoid`` turns into a monoid of the same kind: greedy
+generators, right and left graphs, and a table under the table cap.  One
+pass per degree (``family_cuts``) computes each diagram's parameters once
+and cuts every family from them.
 Rook diagrams of degree n are represented by their image in the
 degree-(n+1) partition monoid, with the extra point playing the role of
 the absorbing vertex, so rook and partition diagrams share one product.
@@ -229,38 +231,32 @@ def partition_actions(n):
 
 
 @lru_cache(maxsize=None)
-def partition_graph(n):
-    """The Cayley graphs of P_n over ``partition_generators(n)``, enumerated
-    once by the generators' actions (``partition_actions``) and numbered in
-    ``partition_universe(n)`` order.  Reaching all Bell(2n) diagrams
-    certifies the generating set and closure."""
-    return froidure_pin(
-        partition_actions(n), lambda x, act: act(x), dg.identity(n),
-        universe=partition_universe(n),
-    )
-
-
-@lru_cache(maxsize=None)
 def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
 
-    Diagram families are index subsets of one partition monoid, cut by
-    ``family_cut`` and tabulated by ``FiniteMonoid.submonoid``.
-    Relation families are enumerated from ``relation_generators``; reaching
-    all of BX_n's relations, or all of PT_n's partial functions, certifies
-    the generators and closure.
+    P_n is enumerated by ``froidure_pin`` from the actions of
+    ``partition_generators(n)`` (``partition_actions``), into
+    ``partition_universe(n)`` order; reaching all Bell(2n) diagrams
+    certifies the generating set and closure.  Every other diagram family
+    is an index subset of one P_n, cut by ``family_cut`` and made a monoid
+    by ``FiniteMonoid.submonoid``.  Relation families are enumerated from
+    ``relation_generators``; reaching all of BX_n's relations, or all of
+    PT_n's partial functions, certifies the generators and closure.
     """
     spec = FamilySpec.parse(str(name))
     spec.check_cap()
     fam, n = spec.family, spec.n
     if fam == "P":
-        return FiniteMonoid.from_graph(partition_graph(n))
+        return froidure_pin(
+            partition_actions(n), lambda x, act: act(x), dg.identity(n),
+            universe=partition_universe(n),
+        )
     if fam in ("BX", "PT"):
         universe = relation_universe(n) if fam == "BX" else partial_functions(n)
-        return FiniteMonoid.from_graph(froidure_pin(
+        return froidure_pin(
             relation_generators(fam, n), rel.compose, rel.identity_rel(n),
             universe=universe,
-        ))
+        )
     return build(f"P{n + (fam in ROOK_FAMILIES)}").submonoid(family_cut(spec))
 
 

@@ -9,10 +9,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from types import SimpleNamespace
 
 from diagmon import algebra
 from diagmon import diagrams as dg
 from diagmon import relations as rel
+from diagmon.monoid import froidure_pin
 
 
 def bell_numbers(count):
@@ -418,11 +420,18 @@ def restricted_submonoid(parent, indices, height):
     }
 
 
-def graph_rows(graph):
-    """The Cayley table of an enumerated monoid before generator actions:
-    every product traced through the right graph by ``_product``."""
-    rng = range(len(graph.elements))
-    return [[graph._product(x, y) for y in rng] for x in rng]
+def graph_rows(m):
+    """The Cayley table of a monoid without its generators' left actions:
+    x*y traced from x through the right graph along the word of y."""
+    words = m._words()
+
+    def trace(x, y):
+        for k in words[y]:
+            x = m.right[x][k]
+        return x
+
+    rng = range(m.size)
+    return [[trace(x, y) for y in rng] for x in rng]
 
 
 def embedding_pairwise(f, s, t):
@@ -703,6 +712,71 @@ def is_total_function(a):
 def category_algebra(cat):
     """The category algebra: undefined compositions are zero."""
     return algebra.RationalAlgebra(cat.monoid.size, cat.compose)
+
+
+def algebra_multiply(a, u, v):
+    """The product of two vectors of a ``RationalAlgebra``, each a dict
+    index -> Fraction with no zero entries."""
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            k = a.basis_mul(i, j)
+            if k is not None:
+                out[k] = out.get(k, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def generates(m, generators):
+    """True iff the elements with the given indices generate m, judged by
+    the size of their closure: as a monoid, or as a semigroup (with a
+    formal identity adjoined) when m has no identity."""
+    if m.identity is not None:
+        return froidure_pin(generators, m.mul, m.identity).size == m.size
+    op = lambda x, g: g if x < 0 else m.mul(x, g)
+    return froidure_pin(generators, op, -1).size == m.size + 1
+
+
+def green_class_count(gs, rel):
+    """The number of classes of Green's relation 'r', 'l', 'h', 'd' or 'j'."""
+    return len(set(getattr(gs, rel + "_class")))
+
+
+def full_subset(n):
+    return dg.Subset.of(n, range(1, n + 1))
+
+
+def set_partition_classes(p):
+    """The blocks of a set partition as frozensets, ordered by block id."""
+    return tuple(
+        frozenset(x + 1 for x, b in enumerate(p.code) if b == c)
+        for c in range(len(set(p.code)))
+    )
+
+
+def set_partition_join(p, q):
+    """The least common coarsening of two set partitions of one degree:
+    their blocks, merged while any two overlap."""
+    merged = []
+    for block in set_partition_classes(p) + set_partition_classes(q):
+        block = set(block)
+        for other in [m for m in merged if m & block]:
+            merged.remove(other)
+            block |= other
+        merged.append(block)
+    return dg.SetPartition.from_blocks(p.n, merged)
+
+
+def relation_predicates(a):
+    """Injectivity and surjectivity of a relation and of its converse,
+    from its domain, codomain, kernel and cokernel."""
+    p = rel.rel_params(a)
+    trivial_on = lambda pairs, s: pairs == frozenset((x, x) for x in s.members)
+    return SimpleNamespace(
+        injective=trivial_on(p.ker, p.dom),
+        coinjective=trivial_on(p.coker, p.codom),
+        surjective=len(p.codom) == a.n,
+        cosurjective=len(p.dom) == a.n,
+    )
 
 
 # -- reference transform check ------------------------------------------------

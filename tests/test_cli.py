@@ -73,6 +73,28 @@ def test_analyze_untabled_p4_output_is_pinned(capsys, kind, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the other two commands on untabled P4; the digests were recorded before
+# the enumeration and the submonoids shared one monoid record
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["eggbox", "P4"],
+            "e686ff23d11e4eefc4cb6855e6a30c4b5a0958313271a1da4b56890455e8a51d",
+        ),
+        (
+            ["category", "P4", "F"],
+            "aadb9485398e4d88469059b7384712b4903d9d4e5b5195052dcb9d475b4e2c9f",
+        ),
+    ],
+    ids=["eggbox", "category"],
+)
+def test_untabled_p4_output_is_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_analyze_partial_brauer(tmp_path):
     code, text = run(["analyze", "PB2", "E"], tmp_path)
     data = json.loads(text)
@@ -93,19 +115,23 @@ def test_eggbox_and_shade(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "items",
+    "family, items",
     [
         # a diagram of P3 outside P2, written out so that collecting this
         # module builds no monoid
-        [{"n": 3, "blocks": [[1, 2, 3, -1, -2, -3]]}],
-        [{"n": 2}],
-        [[1]],
+        ("P2", [{"n": 3, "blocks": [[1, 2, 3, -1, -2, -3]]}]),
+        ("P2", [{"n": 2}]),
+        ("P2", [[1]]),
+        # a degree the decoder would allocate for: rejected before decoding
+        ("P2", [{"n": 10**18, "blocks": [[1, -1]]}]),
+        ("BX2", [{"n": 10**18, "pairs": [[1, 1]]}]),
     ],
+    ids=[f"items{i}" for i in range(5)],
 )
-def test_eggbox_shade_rejects_bad_items(tmp_path, capsys, items):
+def test_eggbox_shade_rejects_bad_items(tmp_path, capsys, family, items):
     shade_file = tmp_path / "shade.json"
     shade_file.write_text(json.dumps(items))
-    code = cli.main(["eggbox", "P2", "--shade", str(shade_file)])
+    code = cli.main(["eggbox", family, "--shade", str(shade_file)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

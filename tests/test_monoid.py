@@ -16,7 +16,9 @@ from oracles import (
     cayley_graph_by_products,
     embedding_pairwise,
     escape_pairwise,
+    generates,
     graph_rows,
+    green_class_count,
     green_principal_ideals,
     inverse_pairwise,
     monoid_associative,
@@ -38,10 +40,8 @@ def test_from_elements_builds_identity_and_table():
 
 def test_closure_from_generators_recovers_partition_monoids():
     for n, size in ((2, 15), (3, 203)):
-        m = mon.FiniteMonoid.from_graph(
-            mon.froidure_pin(
-                zoo.partition_generators(n), dg.multiply, dg.identity(n)
-            )
+        m = mon.froidure_pin(
+            zoo.partition_generators(n), dg.multiply, dg.identity(n)
         )
         assert m.size == size
 
@@ -57,7 +57,7 @@ def test_closure_respects_element_cap():
 def test_duplicate_elements_rejected():
     e = dg.identity(2)
     with pytest.raises(ValidationError):
-        mon.FiniteMonoid([e, e], identity=0)
+        mon.FiniteMonoid([e, e], 0, [], [[], []], [[], []], [(0, None, None)])
 
 
 def brute_force_j_classes(m):
@@ -113,9 +113,9 @@ def test_green_class_counts_partition_monoid_degree_3():
     # R-classes are (dom, ker) pairs, L-classes (codom, coker) pairs,
     # D-classes the four ranks
     pars = [dg.params(a) for a in m.elements]
-    assert gs.num("r") == len({(p.dom, p.ker) for p in pars})
-    assert gs.num("l") == len({(p.codom, p.coker) for p in pars})
-    assert gs.num("d") == len({p.rank for p in pars}) == 4
+    assert green_class_count(gs, "r") == len({(p.dom, p.ker) for p in pars})
+    assert green_class_count(gs, "l") == len({(p.codom, p.coker) for p in pars})
+    assert green_class_count(gs, "d") == len({p.rank for p in pars}) == 4
     assert gs.d_equals_j
 
 
@@ -205,16 +205,16 @@ SMALL = [
 
 @pytest.mark.parametrize("n", range(5))
 def test_enumeration_reaches_every_partition(n):
-    g = zoo.partition_graph(n)
+    g = zoo.build(f"P{n}")
     assert len(g.elements) == bell_numbers(2 * n + 1)[-1]
-    assert g.elements == zoo.partition_universe(n)
+    assert tuple(g.elements) == zoo.partition_universe(n)
     gens = zoo.partition_generators(n)
     assert [g.elements[i] for i in g.generators] == gens
     if n == 4:
         return  # the word and edge checks below would cost 40k products
     for x in range(len(g.elements)):
         a = dg.identity(n)
-        for k in g.words[x]:
+        for k in g._words()[x]:
             a = dg.multiply(a, gens[k])
         assert a == g.elements[x]
         for k, gen in enumerate(gens):
@@ -234,13 +234,20 @@ def test_generator_actions_match_multiply(n):
 
 @pytest.mark.parametrize("n", range(5))
 def test_enumeration_matches_the_product_driven_oracle(n):
-    g = zoo.partition_graph(n)
+    g = zoo.build(f"P{n}")
     want = cayley_graph_by_products(
         zoo.partition_generators(n), dg.multiply, dg.identity(n),
         zoo.partition_universe(n),
     )
-    for field in ("right", "left", "words", "prefix", "generators"):
-        assert list(getattr(g, field)) == want[field], field
+    prefix = [None] * g.size
+    for x, pre, _ in g.tree:
+        prefix[x] = pre
+    got = {
+        "right": g.right, "left": g.left, "words": g._words(),
+        "prefix": prefix, "generators": g.generators,
+    }
+    for field, value in got.items():
+        assert value == want[field], field
 
 
 def test_enumeration_rejects_a_non_generating_set():
@@ -295,9 +302,9 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
 
 @pytest.mark.parametrize("name", ["P3", "PT4", "BX3", "P0"])
 def test_from_graph_table_matches_traced_rows(name):
+    # the table filled from the tree against products traced along words
     m = zoo.build(name)
-    assert m.table == graph_rows(m.graph)
-    assert (m.right, m.left) == (m.graph.right, m.graph.left)
+    assert m.table == graph_rows(m)
     mon.green(m)
 
 
@@ -309,6 +316,28 @@ def test_bx3_needs_its_extra_generator():
         mon.froidure_pin(
             gens, rel.compose, one, universe=zoo.relation_universe(3)
         )
+
+
+def test_submonoid_above_the_table_cap_is_untabled():
+    # all of P4 as a submonoid of itself: greedy generators, both graphs
+    # and the tree, with products traced along the tree's words
+    p4 = zoo.build("P4")
+    sub = p4.submonoid(range(p4.size))
+    assert sub.table is None and sub.elements == p4.elements
+    assert sub.identity == p4.identity
+    rng = random.Random(23)
+    for _ in range(2000):
+        i, j = rng.randrange(p4.size), rng.randrange(p4.size)
+        assert sub.mul(i, j) == p4.mul(i, j)
+        assert sub.elements[sub.mul(i, j)] == dg.multiply(
+            sub.elements[i], sub.elements[j]
+        )
+    for a in rng.sample(range(p4.size), 5) + sub.generators:
+        assert sub.row(a) == p4.row(a)
+        assert sub.column(a) == p4.column(a)
+    got, want = mon.green(sub), mon.green(p4)
+    for key in ("r_class", "l_class", "d_class"):
+        assert mon.same_classes(getattr(got, key), getattr(want, key)), key
 
 
 def test_traced_p4_products_match_multiply():
@@ -352,11 +381,11 @@ def test_relation_closure_error():
 
 def test_generates_checks_the_closure_size():
     p4 = zoo.build("P4")
-    assert mon.generates(p4, p4.generators)
-    assert not mon.generates(p4, p4.generators[:-1])
+    assert generates(p4, p4.generators)
+    assert not generates(p4, p4.generators[:-1])
     d0 = zoo.build("D03")  # a semigroup: no identity to adjoin for free
-    assert mon.generates(d0, range(d0.size))
-    assert not mon.generates(d0, [0])
+    assert generates(d0, range(d0.size))
+    assert not generates(d0, [0])
 
 
 @pytest.mark.parametrize(
@@ -374,7 +403,7 @@ def test_every_built_monoid_carries_certified_generators(family):
     for n in range(zoo.CAPS[family] + 1):
         m = zoo.build(f"{family}{n}")
         assert len(m.right) == len(m.left) == m.size, f"{family}{n}"
-        assert mon.generates(m, m.generators), f"{family}{n}"
+        assert generates(m, m.generators), f"{family}{n}"
 
 
 @pytest.mark.parametrize("name", ["J3", "RP2", "Pfk3", "I4", "Pfd4", "RR4"])
@@ -394,7 +423,7 @@ def test_submonoid_generators_cover_semigroups_and_regular_parts():
     p3 = zoo.build("P3")
     reg = p3.submonoid(eh.reg_e(p3, zoo.semilattice_for("F", "P3")))
     assert mon.is_inverse(reg)  # J_3
-    assert mon.generates(reg, reg.generators)
+    assert generates(reg, reg.generators)
 
 
 @pytest.mark.parametrize("name", ["P3", "P4"])

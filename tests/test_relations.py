@@ -5,11 +5,16 @@ import random
 import pytest
 
 from diagmon import relations as rel
-from diagmon.diagrams import Subset
 from diagmon.errors import DegreeMismatchError, ValidationError
 from diagmon.zoo import relation_universe
 
-from oracles import empty_rel, full_rel, is_total_function
+from oracles import (
+    empty_rel,
+    full_rel,
+    full_subset,
+    is_total_function,
+    relation_predicates,
+)
 
 
 def compose_by_pairs(a, b):
@@ -57,7 +62,7 @@ def test_identity_empty_full():
         assert rel.compose(a, e) == a
         assert rel.compose(z, a) == z
     assert rel.compose(f, f) == f
-    assert rel.partial_identity(Subset.full(n)) == e
+    assert rel.partial_identity(full_subset(n)) == e
 
 
 def test_function_predicates_against_pair_counts():
@@ -94,7 +99,7 @@ def test_rel_params_domain_codomain():
     p = rel.rel_params(a)
     assert p.dom.members == frozenset({1})
     assert p.codom.members == frozenset({2, 3})
-    q = rel.predicates(a)
+    q = relation_predicates(a)
     assert q.injective and not q.coinjective
     assert not q.surjective and not q.cosurjective
 
