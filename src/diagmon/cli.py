@@ -118,7 +118,14 @@ def cmd_eggbox(args):
     shade = None
     if args.shade:
         with open(args.shade, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                # bad UTF-8 or JSON, an integer too long for int(), or
+                # nesting too deep for the decoder
+                raise ValidationError(
+                    f"unreadable shade file {args.shade}: {exc}"
+                ) from None
         shade = _shade_indices(m, data, args.family)
     dot = dotout.emit_eggbox(m, shade=shade, title=args.family)
     _write_out(dot, args.out)
@@ -257,8 +264,7 @@ def main(argv=None):
     except ResourceCapError as exc:
         print(f"error: {exc} (cap {exc.cap})", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, StateError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, StateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

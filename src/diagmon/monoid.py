@@ -1,31 +1,36 @@
 """Finite monoids: Froidure–Pin enumeration, Cayley graphs, Green's relations.
 
-A monoid given by generators is enumerated once, breadth first from the
-identity, as in Froidure & Pin (1997), "Algorithms for computing finite
-semigroups".  The right and left Cayley graphs record x*g and g*x for
-every element x and generator g, and a tree records how each element is
+Every monoid here lives in a known universe of elements and is found by
+one closure walk, ``_walk``, which multiplies each element reached by
+each generator on the right and numbers every product by its position in
+the universe; a product outside the universe stops it, so closure is
+exact.  ``froidure_pin`` walks breadth first from the identity, as in
+Froidure & Pin (1997), "Algorithms for computing finite semigroups", and
+its universe, which the generators must reach whole, certifies both the
+generating set and closure.  The right graph records x*g for every
+element x and generator g, and a tree records how each element is
 reached, x = x'*g with x' found first, so that it spells each element's
 short-lex least word.  Only x*g calls the concrete operation: g*x follows
 from the tree, and so does every later product.
 
 A ``FiniteMonoid`` is that record: its elements indexed 0..m-1, a
-certified generating set, the right and left generator graphs and the
-tree.  ``froidure_pin`` returns one, and so does ``submonoid`` for a
-closed index subset, such as a diagram family's positions in P_n.  Up to
-``TABLE_CAP`` elements the constructor fills a Cayley table from the
-generators' left actions: for x = x'*g, row x is row x' read through the
-column of products g*y, one map per element.  Above the cap x*y is traced
-along the word of y through the right graph from x, and ``row(a)`` and
-``column(a)``, which give a*S and S*a as whole lists, compose the
-generators' actions along the word of a, one map per letter.
+certified generating set, the right graph and the tree, from which it
+derives the left graph.  ``froidure_pin`` returns one, and so does
+``submonoid`` for a closed index subset, such as a diagram family's
+positions in P_n.  Up to ``TABLE_CAP`` elements the constructor fills a
+Cayley table from the generators' left actions: for x = x'*g, row x is
+row x' read through the column of products g*y, one map per element.
+Above the cap x*y is traced along the word of y through the right graph
+from x, and ``row(a)`` and ``column(a)``, which give a*S and S*a as whole
+lists, compose the generators' actions along the word of a, one map per
+letter.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
-walk the same greedy closure: generators are picked from the parent's
-products, top-down in the parent's J-order, adding an element only when
-the closure grown so far has not reached it.  That walk computes x*g for
-every element x and generator g, and a product leaving the subset stops
-it, so closure is exact; ``escape`` then names the first escaping pair row
-by row.
+run the same walk inside the subset greedily: generators are picked from
+the parent's products, top-down in the parent's J-order, adding an
+element only when the closure grown so far has not reached it, and the
+walk goes on from each pick.  ``escape`` then names the first escaping
+pair row by row.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
@@ -40,99 +45,90 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import ResourceCapError, StateError, ValidationError
+from .errors import StateError, ValidationError
 
 TABLE_CAP = 1000
-MAX_ELEMENTS = 100000
 
 
-def froidure_pin(
-    generators, op, identity, universe=None, max_size=MAX_ELEMENTS
-):
-    """The monoid generated under op by the given elements.
+def froidure_pin(generators, op, identity, universe):
+    """The monoid generated under op by the given elements, numbered by
+    their positions in ``universe``, a sequence of every element it should
+    have.
 
     Elements are found breadth first from the identity, so the first word
     reaching an element is its short-lex least word, and the tree lists
-    each element x = x'*g_k as (x, x', k) in that order.  With
-    ``universe``, a sequence of every element the monoid should have, the
-    result is renumbered into the universe's order, and the generators must
-    generate all of it: reaching exactly ``len(universe)`` elements, each in
-    the universe, certifies both the generating set and closure.
+    each element x = x'*g_k as (x, x', k) in that order.  A product outside
+    the universe raises ValidationError as soon as it is found, and so does
+    a closure smaller than the universe: reaching every element certifies
+    both the generating set and closure.
     """
-    elements = [identity]
-    index = {identity: 0}
-    tree = [(0, None, None)]
-    right = []
-    for x, a in enumerate(elements):  # grows while it is walked
-        row = []
-        for k, g in enumerate(generators):
-            p = op(a, g)
-            i = index.get(p)
-            if i is None:
-                i = index[p] = len(elements)
-                if i >= max_size:
-                    raise ResourceCapError(
-                        f"closure exceeded the element cap {max_size}", max_size
-                    )
-                elements.append(p)
-                tree.append((i, x, k))
-            row.append(i)
-        right.append(row)
-    # g*x = (g*y)*h for x = y*h, with y before x in breadth-first order
-    left = [right[0]]
-    for _, y, h in tree[1:]:
-        left.append([right[z][h] for z in left[y]])
-    if universe is None:
-        return FiniteMonoid(elements, 0, right[0], right, left, tree)
-
     place = {x: i for i, x in enumerate(universe)}
-    try:
-        new = [place[x] for x in elements]
-    except KeyError:
-        raise ValidationError("a product left the given universe") from None
-    if len(new) != len(universe):
+    start = place.get(identity)
+    if start is None:
+        raise ValidationError("the identity is not in the given universe")
+    members, right = [start], [[] for _ in universe]
+    tree = [(start, None, None)]
+    _walk(op, universe, place, generators, members, {start}, right, tree)
+    if len(members) != len(universe):
         raise ValidationError(
-            f"the generators give {len(new)} of the {len(universe)} elements"
+            f"the generators give {len(members)} of the {len(universe)} "
+            f"elements"
         )
+    return FiniteMonoid(universe, start, right[start], right, tree)
 
-    def renumber(rows):
-        out = [None] * len(new)
-        for i, row in zip(new, rows):
-            out[i] = [new[j] for j in row]
-        return out
 
-    return FiniteMonoid(
-        universe,
-        new[0],
-        [new[i] for i in right[0]],
-        renumber(right),
-        renumber(left),
-        [(new[x], None if y is None else new[y], k) for x, y, k in tree],
-    )
+def _walk(op, elements, place, generators, members, reached, right, tree):
+    """Close ``members`` under right multiplication by the generators.
+
+    Each member x, ``members`` growing while it is walked, gains in
+    ``right[x]`` the products x*g_j it lacks, numbered by ``place``, from
+    ``op(elements[x], generators[j])``; a product not yet ``reached`` joins
+    ``members`` and the ``tree`` as (p, x, j).  Raises ValidationError at
+    the first product ``place`` does not number.
+    """
+    for x in members:
+        row, a = right[x], elements[x]
+        for j in range(len(row), len(generators)):
+            p = place.get(op(a, generators[j]))
+            if p is None:
+                raise ValidationError(
+                    f"not closed: the product of {a!r} and generator {j} "
+                    f"escapes the set"
+                )
+            row.append(p)
+            if p not in reached:
+                reached.add(p)
+                members.append(p)
+                tree.append((p, x, j))
 
 
 class FiniteMonoid:
     """A finite monoid (or semigroup) over an indexed element universe.
 
     ``generators`` lists the element index of each generator g_k,
-    ``right[x][k]`` and ``left[x][k]`` the indices of x*g_k and g_k*x, and
-    ``tree`` how each element is reached: (x, x', k) for x = x'*g_k with x'
-    listed before x, or (x, None, k) for x = g_k itself, and (x, None,
-    None) for the identity.
-    ``identity`` is an index, or None for a semigroup.  Up to ``TABLE_CAP``
-    elements the Cayley table is filled from the tree; above it products
-    are traced along the words the tree spells.
+    ``right[x][k]`` the index of x*g_k, and ``tree`` how each element is
+    reached: (x, x', k) for x = x'*g_k with x' listed before x, or (x,
+    None, k) for x = g_k itself, and (x, None, None) for the identity.
+    ``identity`` is an index, or None for a semigroup.  The left graph,
+    ``left[x][k]`` = g_k*x, follows along the tree: the identity's row is
+    the generators, g_j*g_k is ``right[g_j][k]``, and g_j*x is
+    (g_j*x')*g_k for x = x'*g_k.  Up to ``TABLE_CAP`` elements the Cayley
+    table is filled from the tree; above it products are traced along the
+    words the tree spells.
     """
 
-    def __init__(self, elements, identity, generators, right, left, tree):
+    def __init__(self, elements, identity, generators, right, tree):
         self.elements = list(elements)
         self.size = len(self.elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != self.size:
             raise ValidationError("duplicate elements in universe")
         self.identity = identity
-        self.generators, self.right, self.left = generators, right, left
-        self.tree = tree
+        self.generators, self.right, self.tree = generators, right, tree
+        left = self.left = [None] * self.size
+        for x, pre, k in tree:
+            base = generators if pre is None else left[pre]
+            left[x] = list(base) if k is None else [right[y][k] for y in base]
         self.table = None
         self._green = None  # memo of green(self)
         self._generator_actions = None  # memo of _actions()
@@ -145,66 +141,52 @@ class FiniteMonoid:
     def submonoid(self, indices):
         """The sub-(semi)group on a closed index subset, reindexed.
 
-        Its identity and generators' left actions come from this monoid's
-        products, the generators, right graph and tree from
-        ``_closure_walk``, which raises ValidationError when the subset is
-        not closed.
+        Its identity comes from this monoid's products, its generators,
+        right graph and tree from ``_closure_walk``, which raises
+        ValidationError when the subset is not closed.
         """
         indices = sorted(indices)
-        mul, local = self.mul, dict(zip(indices, range(len(indices))))
+        mul = self.mul
         identity = next((
-            local[e] for e in indices
+            i for i, e in enumerate(indices)
             if all(mul(e, x) == x == mul(x, e) for x in indices)
         ), None)
         gens, right, tree = self._closure_walk(
             indices, [] if identity is None else [identity]
         )
-        parent_gens = [indices[g] for g in gens]
-        left = [[local[mul(g, y)] for g in parent_gens] for y in indices]
         return FiniteMonoid(
-            [self.elements[i] for i in indices], identity, gens, right, left,
-            tree,
+            [self.elements[i] for i in indices], identity, gens, right, tree
         )
 
     def _closure_walk(self, indices, members):
         """The greedy closure walk over the sorted index subset ``indices``,
         numbered locally by position and seeded with ``members`` (the
         identity, or nothing): candidates top-down in the J-order, ties
-        broken by index, and x*g for every reached x and picked g.  Raises
-        ValidationError on a product outside the subset.  Returns the
-        generators, the right graph ``right[x][j]`` = x*g_j and the tree of
-        ``_build_table``, in local numbers."""
-        mul, local = self.mul, dict(zip(indices, range(len(indices))))
+        broken by index, each one not yet reached added as a generator and
+        the walk continued with it.  Raises ValidationError on a product
+        outside the subset.  Returns the generators, the right graph
+        ``right[x][j]`` = x*g_j and the tree of ``_build_table``, in local
+        numbers."""
+        local = dict(zip(indices, range(len(indices))))
         gs = green(self)
         height = gs.heights()
         rank = [height[gs.d_class[p]] for p in indices]
-        gens, right = [], [[] for _ in indices]
+        gens, picked, right = [], [], [[] for _ in indices]
         members = list(members)
         tree = [(x, None, None) for x in members]  # how each x is reached
         reached = set(members)
         for c in sorted(range(len(indices)), key=lambda x: (-rank[x], x)):
             if c in reached:
                 continue
-            k, old = len(gens), len(members)
+            tree.append((c, None, len(gens)))
             gens.append(c)
+            picked.append(indices[c])
             reached.add(c)
             members.append(c)
-            tree.append((c, None, k))
-            # earlier members gain the column x*c; c and the elements
+            # earlier members gain the column x*c, and c and the elements
             # reached from here on get every column
-            for i, x in enumerate(members):  # grows while it is walked
-                for j in (k,) if i < old else range(k + 1):
-                    p = local.get(mul(indices[x], indices[gens[j]]))
-                    if p is None:
-                        raise ValidationError(
-                            f"elements not closed: the product of "
-                            f"{indices[x]},{indices[gens[j]]} escapes the set"
-                        )
-                    right[x].append(p)
-                    if p not in reached:
-                        reached.add(p)
-                        members.append(p)
-                        tree.append((p, x, j))
+            _walk(self.mul, indices, local, picked, members, reached, right,
+                  tree)
         return gens, right, tree
 
     def _build_table(self, tree, actions):

@@ -51,8 +51,15 @@ class FamilySpec:
     def parse(cls, name: str) -> "FamilySpec":
         # longest family prefix wins (D0/D1 contain a digit themselves)
         for fam in sorted(FAMILIES, key=len, reverse=True):
-            if name.startswith(fam) and re.fullmatch(r"\d+", name[len(fam):]):
-                return cls(fam, int(name[len(fam):]))
+            digits = name[len(fam):]
+            if name.startswith(fam) and re.fullmatch(r"\d+", digits):
+                try:
+                    return cls(fam, int(digits))
+                except ValueError:  # more digits than int() converts
+                    raise ResourceCapError(
+                        f"{fam}_n with {len(digits)} digits exceeds the "
+                        f"degree cap {CAPS[fam]}", CAPS[fam],
+                    ) from None
         raise ValidationError(f"unknown family name {name!r}")
 
     def check_cap(self):
@@ -271,47 +278,31 @@ def _check_kind(kind, relations):
         raise ValidationError(f"semilattice {kind} undefined for relations")
 
 
-def semilattice(kind: str, parent: FiniteMonoid, base_degree=None) -> Semilattice:
-    """The semilattice of partial identities (E), block identities (F), or
-    block identities over the enlarged base set of a rook monoid (G).
-
-    For a rook-monoid parent, pass the underlying degree as base_degree to
-    get the lifted copy of E or F (the elements of degree n acquire the
-    separate absorbing block).
-    """
-    sample = parent.elements[0]
-    _check_kind(kind, isinstance(sample, rel.BinaryRelation))
-    if isinstance(sample, rel.BinaryRelation):
-        n = sample.n
+def semilattice_for(kind: str, name: str) -> Semilattice:
+    """The semilattice of partial identities (E) or block identities (F)
+    of a family given by name, or of block identities over every point of
+    its diagrams (G), a rook monoid's absorbing point included.  In a rook
+    monoid of degree n, E and F are taken at degree n and lifted.  A kind
+    the family does not have is rejected before the family is built."""
+    spec = FamilySpec.parse(str(name))
+    spec.check_cap()  # the error build would give comes first
+    relations = spec.family in ("BX", "PT")
+    _check_kind(kind, relations)
+    parent = build(str(name))
+    n, rook = spec.n, spec.family in ROOK_FAMILIES
+    if kind == "E":
+        ident = rel.partial_identity if relations else dg.id_subset
         members = [
-            rel.partial_identity(Subset.of(n, c))
+            ident(Subset.of(n, c))
             for k in range(n + 1)
             for c in combinations(range(1, n + 1), k)
         ]
     else:
-        n = sample.n
-        lift = False
-        if base_degree is not None:
-            if base_degree == n - 1:
-                lift = True
-                n = base_degree
-            elif base_degree != n:
-                raise ValidationError(
-                    f"base degree {base_degree} incompatible with degree {n}"
-                )
-        if kind == "E":
-            members = [
-                dg.id_subset(Subset.of(n, c))
-                for k in range(n + 1)
-                for c in combinations(range(1, n + 1), k)
-            ]
-        elif kind == "F":
-            members = [dg.id_equiv(e) for e in equivalences(n)]
-        else:  # G: block identities over every point incl. the absorbing one
-            members = [dg.id_equiv(e) for e in equivalences(sample.n)]
-            lift = False
-        if lift:
-            members = [lift_to_rook(x) for x in members]
+        members = [
+            dg.id_equiv(e) for e in equivalences(n + (rook and kind == "G"))
+        ]
+    if rook and kind != "G":
+        members = [lift_to_rook(x) for x in members]
     try:
         idx = [parent.index[x] for x in members]
     except KeyError:
@@ -319,17 +310,6 @@ def semilattice(kind: str, parent: FiniteMonoid, base_degree=None) -> Semilattic
             f"semilattice {kind} is not contained in the given monoid"
         ) from None
     return Semilattice.create(parent, idx)
-
-
-def semilattice_for(kind: str, name: str) -> Semilattice:
-    """Semilattice by family name, lifting E/F into rook monoids.  A kind
-    the family does not have is rejected before the family is built."""
-    spec = FamilySpec.parse(str(name))
-    spec.check_cap()  # the error build would give comes first
-    _check_kind(kind, spec.family in ("BX", "PT"))
-    parent = build(str(name))
-    base = spec.n if spec.family in ROOK_FAMILIES and kind in ("E", "F") else None
-    return semilattice(kind, parent, base_degree=base)
 
 
 def partition_generators(n):

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 from diagmon import algebra
 from diagmon import diagrams as dg
 from diagmon import relations as rel
-from diagmon.monoid import froidure_pin
 
 
 def bell_numbers(count):
@@ -726,14 +725,28 @@ def algebra_multiply(a, u, v):
     return {k: c for k, c in out.items() if c}
 
 
+def closure(generators, op, start):
+    """Every element reached from ``start`` by right multiplication by the
+    generators, as a list in breadth-first discovery order."""
+    seen = {start}
+    out = [start]
+    for x in out:  # grows while it is walked
+        for g in generators:
+            p = op(x, g)
+            if p not in seen:
+                seen.add(p)
+                out.append(p)
+    return out
+
+
 def generates(m, generators):
     """True iff the elements with the given indices generate m, judged by
     the size of their closure: as a monoid, or as a semigroup (with a
     formal identity adjoined) when m has no identity."""
     if m.identity is not None:
-        return froidure_pin(generators, m.mul, m.identity).size == m.size
+        return len(closure(generators, m.mul, m.identity)) == m.size
     op = lambda x, g: g if x < 0 else m.mul(x, g)
-    return froidure_pin(generators, op, -1).size == m.size + 1
+    return len(closure(generators, op, -1)) == m.size + 1
 
 
 def green_class_count(gs, rel):

@@ -232,7 +232,7 @@ def test_sweep_needs_the_identity_pairs():
     # a right-zero semigroup {a, b} with an identity adjoined, E = {1}: the
     # map sending 1 to a and fixing a, b passes every (x, generator) pair,
     # but phi(b) phi(1) = b a = a differs from phi(b) = b
-    s = froidure_pin(["a", "b"], lambda x, g: g, "1")
+    s = froidure_pin(["a", "b"], lambda x, g: g, "1", ["1", "a", "b"])
     cat = algebra.build_category(s, eh.Semilattice.create(s, [s.identity]))
     a, b = s.index["a"], s.index["b"]
     phi = [[a], [a], [b]]
@@ -258,7 +258,7 @@ def test_rational_algebra_associativity_and_products():
 def test_radical_dimensions():
     # the two-element group: semisimple over the rationals
     op = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    g = froidure_pin(["s"], lambda x, y: op[(x, y)], "e")
+    g = froidure_pin(["s"], lambda x, y: op[(x, y)], "e", ["e", "s"])
     assert algebra.radical_dim(algebra.RationalAlgebra.of_monoid(g)) == 0
     assert (
         algebra.radical_dim(algebra.RationalAlgebra.of_monoid(zoo.build("PT2")))

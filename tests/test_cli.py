@@ -191,6 +191,8 @@ SHADE_FILES = {
     "malformed_item": b"[[1]]",
     "non_utf8": b"\xff\xfe[]",
     "empty": b"[]",
+    "long_int": b'[{"n": 1' + b"0" * 5000 + b', "blocks": []}]',
+    "deep": b"[" * 100000 + b"]" * 100000,
 }
 
 
@@ -212,6 +214,10 @@ SHADE_FILES = {
         (["build", "P2", "--out", "{dir}/missing/out.json"], 2),
         (["eggbox", "P2", "--format", "dot"], 2),  # the removed flag
         (["stein", "Pfd2", "F", "--side", "right", "--format", "json"], 2),
+        # too many digits for int(), and nesting too deep for the decoder
+        (["analyze", "P" + "9" * 5000, "F"], 3),
+        (["eggbox", "P2", "--shade", "{long_int}"], 2),
+        (["eggbox", "P2", "--shade", "{deep}"], 2),
     ],
 )
 def test_cli_fuzz_exit_codes(tmp_path, capsys, argv, code):

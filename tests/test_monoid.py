@@ -9,11 +9,12 @@ from diagmon import ehresmann as eh
 from diagmon import monoid as mon
 from diagmon import relations as rel
 from diagmon import zoo
-from diagmon.errors import ResourceCapError, StateError, ValidationError
+from diagmon.errors import StateError, ValidationError
 
 from oracles import (
     bell_numbers,
     cayley_graph_by_products,
+    closure,
     embedding_pairwise,
     escape_pairwise,
     generates,
@@ -40,24 +41,38 @@ def test_from_elements_builds_identity_and_table():
 
 def test_closure_from_generators_recovers_partition_monoids():
     for n, size in ((2, 15), (3, 203)):
-        m = mon.froidure_pin(
-            zoo.partition_generators(n), dg.multiply, dg.identity(n)
-        )
+        gens = zoo.partition_generators(n)
+        universe = closure(gens, dg.multiply, dg.identity(n))
+        assert set(universe) == set(zoo.partition_universe(n))
+        m = mon.froidure_pin(gens, dg.multiply, dg.identity(n), universe)
         assert m.size == size
+        assert m.elements == universe  # breadth first, in discovery order
 
 
-def test_closure_respects_element_cap():
-    with pytest.raises(ResourceCapError):
-        mon.froidure_pin(
-            zoo.partition_generators(3), dg.multiply, dg.identity(3),
-            max_size=50,
-        )
+def test_closure_stops_at_the_first_product_outside_the_universe():
+    # the universe holds the identity but misses g*h for two generators
+    gens = zoo.partition_generators(3)
+    missing = dg.multiply(gens[-2], gens[-1])
+    universe = [x for x in zoo.partition_universe(3) if x != missing]
+    assert dg.identity(3) in universe and len(universe) == 202
+    products = []
+
+    def op(x, g):
+        products.append(dg.multiply(x, g))
+        return products[-1]
+
+    with pytest.raises(ValidationError):
+        mon.froidure_pin(gens, op, dg.identity(3), universe)
+    inside = set(universe)
+    assert products[-1] == missing
+    assert len(products) > len(gens)
+    assert all(p in inside for p in products[:-1])
 
 
 def test_duplicate_elements_rejected():
     e = dg.identity(2)
     with pytest.raises(ValidationError):
-        mon.FiniteMonoid([e, e], 0, [], [[], []], [[], []], [(0, None, None)])
+        mon.FiniteMonoid([e, e], 0, [], [[], []], [(0, None, None)])
 
 
 def brute_force_j_classes(m):
@@ -311,8 +326,8 @@ def test_from_graph_table_matches_traced_rows(name):
 def test_bx3_needs_its_extra_generator():
     gens = zoo.relation_generators("BX", 3)[:-1]
     one = rel.identity_rel(3)
-    assert len(mon.froidure_pin(gens, rel.compose, one).elements) == 506
-    with pytest.raises(ValidationError):
+    assert len(closure(gens, rel.compose, one)) == 506
+    with pytest.raises(ValidationError, match="506 of the 512"):
         mon.froidure_pin(
             gens, rel.compose, one, universe=zoo.relation_universe(3)
         )
@@ -338,6 +353,20 @@ def test_submonoid_above_the_table_cap_is_untabled():
     got, want = mon.green(sub), mon.green(p4)
     for key in ("r_class", "l_class", "d_class"):
         assert mon.same_classes(getattr(got, key), getattr(want, key)), key
+
+
+def test_untabled_semigroup_derives_its_left_graph_from_the_tree():
+    # the rank <= 1 ideal of P4: no identity, so the tree's roots are the
+    # greedy generators themselves, and g_j*g_k is read off the right graph
+    p4 = zoo.build("P4")
+    ideal = [i for i, a in enumerate(p4.elements) if dg.params(a).rank <= 1]
+    s = p4.submonoid(ideal)
+    assert (s.size, s.identity, s.table) == (1594, None, None)
+    assert len(s.generators) == 73
+    for x, row in enumerate(s.left):
+        assert [ideal[gx] for gx in row] == [
+            p4.mul(ideal[g], ideal[x]) for g in s.generators
+        ], x
 
 
 def test_traced_p4_products_match_multiply():
@@ -412,8 +441,7 @@ def test_each_submonoid_generator_is_new(name):
     m = zoo.build(name)
     op = lambda x, g: g if x is None else m.mul(x, g)  # Pfk3 has no identity
     for k, g in enumerate(m.generators):
-        closure = mon.froidure_pin(m.generators[:k], op, m.identity)
-        assert g not in closure.elements, (name, k)
+        assert g not in closure(m.generators[:k], op, m.identity), (name, k)
 
 
 def test_submonoid_generators_cover_semigroups_and_regular_parts():
