@@ -106,7 +106,7 @@ def _identify(s, indices):
     ]
     if n >= 1:  # rook diagrams of degree n-1 live in degree n
         specs.append(zoo.FamilySpec("RJ", n - 1))
-    # every monoid that builds has degree n <= 4, inside each candidate's cap
+    # every monoid that builds has degree n <= 4, in budget for each candidate
     for spec in specs:
         if zoo.family_cut(spec) == positions:
             return str(spec)

@@ -63,6 +63,8 @@ def froidure_pin(generators, op, identity, universe):
     both the generating set and closure.
     """
     place = {x: i for i, x in enumerate(universe)}
+    if len(place) != len(universe):
+        raise ValidationError("duplicate elements in universe")
     start = place.get(identity)
     if start is None:
         raise ValidationError("the identity is not in the given universe")
@@ -74,7 +76,7 @@ def froidure_pin(generators, op, identity, universe):
             f"the generators give {len(members)} of the {len(universe)} "
             f"elements"
         )
-    return FiniteMonoid(universe, start, right[start], right, tree)
+    return FiniteMonoid(place, start, right[start], right, tree)
 
 
 def _walk(op, elements, place, generators, members, reached, right, tree):
@@ -105,9 +107,10 @@ def _walk(op, elements, place, generators, members, reached, right, tree):
 class FiniteMonoid:
     """A finite monoid (or semigroup) over an indexed element universe.
 
-    ``generators`` lists the element index of each generator g_k,
-    ``right[x][k]`` the index of x*g_k, and ``tree`` how each element is
-    reached: (x, x', k) for x = x'*g_k with x' listed before x, or (x,
+    ``index`` numbers the elements 0..m-1 in key order, the order of
+    ``elements``.  ``generators`` lists the element index of each generator
+    g_k, ``right[x][k]`` the index of x*g_k, and ``tree`` how each element
+    is reached: (x, x', k) for x = x'*g_k with x' listed before x, or (x,
     None, k) for x = g_k itself, and (x, None, None) for the identity.
     ``identity`` is an index, or None for a semigroup.  The left graph,
     ``left[x][k]`` = g_k*x, follows along the tree: the identity's row is
@@ -117,12 +120,9 @@ class FiniteMonoid:
     words the tree spells.
     """
 
-    def __init__(self, elements, identity, generators, right, tree):
-        self.elements = list(elements)
+    def __init__(self, index, identity, generators, right, tree):
+        self.index, self.elements = index, list(index)
         self.size = len(self.elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        if len(self.index) != self.size:
-            raise ValidationError("duplicate elements in universe")
         self.identity = identity
         self.generators, self.right, self.tree = generators, right, tree
         left = self.left = [None] * self.size
@@ -145,7 +145,7 @@ class FiniteMonoid:
         right graph and tree from ``_closure_walk``, which raises
         ValidationError when the subset is not closed.
         """
-        indices = sorted(indices)
+        indices = sorted(set(indices))
         mul = self.mul
         identity = next((
             i for i, e in enumerate(indices)
@@ -154,9 +154,8 @@ class FiniteMonoid:
         gens, right, tree = self._closure_walk(
             indices, [] if identity is None else [identity]
         )
-        return FiniteMonoid(
-            [self.elements[i] for i in indices], identity, gens, right, tree
-        )
+        index = {self.elements[i]: k for k, i in enumerate(indices)}
+        return FiniteMonoid(index, identity, gens, right, tree)
 
     def _closure_walk(self, indices, members):
         """The greedy closure walk over the sorted index subset ``indices``,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -50,19 +49,6 @@ def _cap(natural, nmax):
 # -- counting oracles (combinatorial formulas, not the diagram pipeline) -----
 
 
-@lru_cache(maxsize=None)
-def stirling2(n, k):
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
-def bell(n):
-    return sum(stirling2(n, k) for k in range(n + 1))
-
-
 def double_factorial_odd(n):
     """(2n - 1)!! with the empty-product convention at n = 0."""
     out = 1
@@ -73,11 +59,13 @@ def double_factorial_odd(n):
 
 def expected_size(family, n):
     if family == "P":
-        return bell(2 * n)
+        return zoo.bell(2 * n)
     if family == "I":
         return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
     if family == "J":
-        return sum(stirling2(n, k) ** 2 * factorial(k) for k in range(n + 1))
+        return sum(
+            zoo.stirling2(n, k) ** 2 * factorial(k) for k in range(n + 1)
+        )
     if family == "B":
         return double_factorial_odd(n)
     if family == "T":
@@ -87,7 +75,7 @@ def expected_size(family, n):
     if family == "BX":
         return 2 ** (n * n)
     if family == "D0":
-        return bell(n)
+        return zoo.bell(n)
     raise ValidationError(f"no counting formula for family {family}")
 
 

@@ -34,12 +34,33 @@ FAMILIES = (
     "RR", "LL", "RJ", "BX", "D0", "D1",
 )
 
-# full-table degree caps; enumeration above these would not fit desk scale
-CAPS = {
-    "P": 4, "B": 4, "PB": 3, "RP": 3, "I": 4, "J": 4, "T": 4, "PT": 4,
-    "Pfd": 4, "Pfcd": 4, "Pfk": 4, "RR": 4, "LL": 4, "RJ": 3, "BX": 3,
-    "D0": 4, "D1": 4,
-}
+ROOK_FAMILIES = ("RP", "RJ")
+
+# the most elements a family's universe may have: Bell(8) = |P_4|
+UNIVERSE_BUDGET = 4140
+
+
+@lru_cache(maxsize=None)
+def stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def bell(n):
+    return sum(stirling2(n, k) for k in range(n + 1))
+
+
+def _universe_size(family, n):
+    """The size of the universe a family of degree n is enumerated in or
+    cut from: BX_n, PT_n, or P_n (P_(n+1) for a rook family)."""
+    if family == "BX":
+        return 2 ** (n * n)
+    if family == "PT":
+        return (n + 1) ** n
+    return bell(2 * (n + (family in ROOK_FAMILIES)))
 
 
 @dataclass(frozen=True)
@@ -58,16 +79,18 @@ class FamilySpec:
                 except ValueError:  # more digits than int() converts
                     raise ResourceCapError(
                         f"{fam}_n with {len(digits)} digits exceeds the "
-                        f"degree cap {CAPS[fam]}", CAPS[fam],
+                        f"element budget", UNIVERSE_BUDGET,
                     ) from None
         raise ValidationError(f"unknown family name {name!r}")
 
-    def check_cap(self):
-        cap = CAPS[self.family]
-        if self.n > cap:
-            raise ResourceCapError(
-                f"{self.family}_{self.n} exceeds the degree cap {cap}", cap
-            )
+    def __post_init__(self):
+        # universes grow with n, so walking up never sizes a huge n itself
+        for k in range(self.n + 1):
+            if _universe_size(self.family, k) > UNIVERSE_BUDGET:
+                raise ResourceCapError(
+                    f"{self.family}_n from degree {k} exceeds the element "
+                    f"budget", UNIVERSE_BUDGET,
+                )
 
     def __str__(self):
         return f"{self.family}{self.n}"
@@ -124,9 +147,6 @@ def equivalences(n):
 # -- family cuts --------------------------------------------------------------
 
 
-ROOK_FAMILIES = ("RP", "RJ")
-
-
 def _family_predicates(n):
     """The membership test of every diagram family cut from P_n, as a
     function of a diagram and its ``dg.params``: the degree-n families and,
@@ -160,15 +180,11 @@ def _family_predicates(n):
 
 @lru_cache(maxsize=None)
 def family_cuts(n):
-    """Each diagram family cut from P_n within its degree cap, as the sorted
-    tuple of its positions in ``partition_universe(n)``, keyed by family
-    ('RP' and 'RJ' are the rook families of degree n - 1).  One pass
-    computes ``dg.params`` once per diagram and runs every family's test
-    on it."""
-    tests = [
-        (fam, test) for fam, test in _family_predicates(n).items()
-        if n - (fam in ROOK_FAMILIES) <= CAPS[fam]
-    ]
+    """Each diagram family cut from P_n, as the sorted tuple of its
+    positions in ``partition_universe(n)``, keyed by family ('RP' and 'RJ'
+    are the rook families of degree n - 1).  One pass computes
+    ``dg.params`` once per diagram and runs every family's test on it."""
+    tests = tuple(_family_predicates(n).items())
     cuts = {fam: [] for fam, _ in tests}
     for i, a in enumerate(partition_universe(n)):
         q = dg.params(a)
@@ -182,7 +198,6 @@ def family_cut(spec: FamilySpec):
     """The positions of a diagram family in the universe it is cut from:
     ``partition_universe(n)``, or ``partition_universe(n + 1)`` for a rook
     family of degree n."""
-    spec.check_cap()
     rook = spec.family in ROOK_FAMILIES
     return family_cuts(spec.n + rook)[spec.family]
 
@@ -251,7 +266,6 @@ def build(name) -> FiniteMonoid:
     PT_n's partial functions, certifies the generators and closure.
     """
     spec = FamilySpec.parse(str(name))
-    spec.check_cap()
     fam, n = spec.family, spec.n
     if fam == "P":
         return froidure_pin(
@@ -284,8 +298,7 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
     its diagrams (G), a rook monoid's absorbing point included.  In a rook
     monoid of degree n, E and F are taken at degree n and lifted.  A kind
     the family does not have is rejected before the family is built."""
-    spec = FamilySpec.parse(str(name))
-    spec.check_cap()  # the error build would give comes first
+    spec = FamilySpec.parse(str(name))  # over the budget: fails first
     relations = spec.family in ("BX", "PT")
     _check_kind(kind, relations)
     parent = build(str(name))

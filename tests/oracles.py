@@ -14,6 +14,8 @@ from types import SimpleNamespace
 from diagmon import algebra
 from diagmon import diagrams as dg
 from diagmon import relations as rel
+from diagmon import zoo
+from diagmon.errors import ResourceCapError
 
 
 def bell_numbers(count):
@@ -72,6 +74,18 @@ def full_domain_count(n):
             inner += s[n][j] * factorial(j) // factorial(j - k)
         total += s[n][k] * inner
     return total if n else 1
+
+
+def top_degree(family):
+    """The largest degree ``zoo.FamilySpec`` admits for a family under the
+    element budget, found by probing degrees upwards."""
+    n = 0
+    while True:
+        try:
+            zoo.FamilySpec(family, n + 1)
+        except ResourceCapError:
+            return n
+        n += 1
 
 
 # -- reference diagram multiplication -----------------------------------------

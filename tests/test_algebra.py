@@ -16,6 +16,7 @@ from oracles import (
     is_unitriangular,
     radical_nullity,
     stein_pairwise,
+    top_degree,
 )
 
 # the Ehresmann pairs whose category algebras the verify suites use
@@ -26,7 +27,7 @@ CATEGORY_PAIRS = (
 
 def _families(max_degree):
     for fam in zoo.FAMILIES:
-        for n in range(min(zoo.CAPS[fam], max_degree) + 1):
+        for n in range(min(top_degree(fam), max_degree) + 1):
             yield f"{fam}{n}"
 
 

@@ -11,7 +11,7 @@ from diagmon import relations as rel
 from diagmon.diagrams import Partition
 from diagmon.errors import ValidationError
 
-from oracles import family_member
+from oracles import family_member, top_degree
 
 
 def run(args, tmp_path, name="out"):
@@ -165,7 +165,7 @@ def test_verify_command(tmp_path):
 
 def test_exit_codes(tmp_path, capsys):
     assert cli.main(["build", "Zzz9"]) == 2  # unknown family
-    assert cli.main(["build", "P9"]) == 3  # over the degree cap
+    assert cli.main(["build", "P9"]) == 3  # over the element budget
     assert cli.main(["build", "P4"]) == 3  # over the table cap
     assert cli.main(["analyze", "P2", "Q"]) == 2  # bad semilattice kind
     assert cli.main(["frobnicate"]) == 2  # unknown subcommand
@@ -202,7 +202,7 @@ SHADE_FILES = {
         (["build", "Zzz9"], 2),  # unknown family names
         (["analyze", "Q3", "F"], 2),
         (["eggbox", "P-1"], 2),
-        (["build", "P999999999999999999999"], 3),  # over the degree cap
+        (["build", "P999999999999999999999"], 3),  # over the element budget
         (["analyze", "RJ4", "F"], 3),
         (["analyze", "P2", "Q"], 2),  # bad semilattice kinds
         (["category", "PT2", "F"], 2),
@@ -293,7 +293,7 @@ def _identify_cases(name):
 
 @pytest.mark.parametrize(
     "name",
-    [f"{f}{n}" for f in zoo.FAMILIES for n in range(min(zoo.CAPS[f], 3) + 1)]
+    [f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 3) + 1)]
     + ["RR4", "LL4", "P4"],
 )
 def test_identify_matches_universe_counting(name):

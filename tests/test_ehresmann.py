@@ -21,6 +21,7 @@ from oracles import (
     is_partial_order,
     natural_order_pairwise,
     rest_sets_pairwise,
+    top_degree,
 )
 
 
@@ -245,7 +246,7 @@ def _names(max_degree):
     return [
         f"{fam}{n}"
         for fam in zoo.FAMILIES
-        for n in range(min(zoo.CAPS[fam], max_degree) + 1)
+        for n in range(min(top_degree(fam), max_degree) + 1)
     ]
 
 

@@ -27,6 +27,7 @@ from oracles import (
     regular_pairwise,
     restricted_submonoid,
     right_zeros_pairwise,
+    top_degree,
 )
 
 
@@ -71,8 +72,8 @@ def test_closure_stops_at_the_first_product_outside_the_universe():
 
 def test_duplicate_elements_rejected():
     e = dg.identity(2)
-    with pytest.raises(ValidationError):
-        mon.FiniteMonoid([e, e], 0, [], [[], []], [(0, None, None)])
+    with pytest.raises(ValidationError, match="duplicate"):
+        mon.froidure_pin([], dg.multiply, e, [e, e])
 
 
 def brute_force_j_classes(m):
@@ -208,13 +209,15 @@ def test_submonoid_reindexes_closed_subsets():
     idx = [i for i, a in enumerate(m.elements) if dg.params(a).rank == 2]
     sub = m.submonoid(idx)  # the symmetric group inside P_2
     assert sub.size == 2 and sub.identity is not None
+    # a repeated index names the same element once
+    assert m.submonoid(idx + idx[::-1]).right == sub.right
 
 
 # -- the Froidure-Pin engine against the definitional code ----------------------
 
 DIAGRAM_FAMILIES = [f for f in zoo.FAMILIES if f not in ("BX", "PT")]
 SMALL = [
-    f"{f}{n}" for f in zoo.FAMILIES for n in range(min(zoo.CAPS[f], 3) + 1)
+    f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 3) + 1)
 ]
 
 
@@ -275,7 +278,7 @@ def test_enumeration_rejects_a_non_generating_set():
 
 @pytest.mark.parametrize("family", DIAGRAM_FAMILIES)
 def test_traced_tables_match_multiply(family):
-    for n in range(min(zoo.CAPS[family], 3) + 1):
+    for n in range(min(top_degree(family), 3) + 1):
         m = zoo.build(f"{family}{n}")
         assert m.table == op_table(m.elements, dg.multiply), f"{family}{n}"
 
@@ -429,7 +432,7 @@ def test_structural_predicates_match_pairwise_oracles(name):
 
 @pytest.mark.parametrize("family", zoo.FAMILIES)
 def test_every_built_monoid_carries_certified_generators(family):
-    for n in range(zoo.CAPS[family] + 1):
+    for n in range(top_degree(family) + 1):
         m = zoo.build(f"{family}{n}")
         assert len(m.right) == len(m.left) == m.size, f"{family}{n}"
         assert generates(m, m.generators), f"{family}{n}"

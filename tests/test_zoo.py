@@ -1,6 +1,7 @@
 """Family constructors: sizes, predicates, rook plumbing, fixed witnesses."""
 
 import random
+import time
 
 import pytest
 
@@ -20,15 +21,17 @@ from oracles import (
     partial_bijection_count,
     partial_functions_by_filter,
     rook_multiply,
+    top_degree,
 )
 
 BELL = bell_numbers(10)
 
-# sizes frozen after cross-checking against the combinatorial formulas
+# sizes frozen after cross-checking against the combinatorial formulas, up
+# to the last degree the element budget admits
 FROZEN_SIZES = {
     "P": [1, 2, 15, 203, 4140],
     "B": [1, 1, 3, 15, 105],
-    "PB": [1, 2, 10, 76],
+    "PB": [1, 2, 10, 76, 764],
     "I": [1, 2, 7, 34, 209],
     "J": [1, 1, 3, 25, 339],
     "T": [1, 1, 4, 27, 256],
@@ -50,6 +53,8 @@ FROZEN_SIZES = {
 def test_frozen_family_sizes(family):
     for n, want in enumerate(FROZEN_SIZES[family]):
         assert len(zoo.build(f"{family}{n}").elements) == want
+    with pytest.raises(ResourceCapError):
+        zoo.build(f"{family}{len(FROZEN_SIZES[family])}")
 
 
 def test_sizes_match_formulas():
@@ -70,7 +75,7 @@ def test_sizes_match_formulas():
 @pytest.mark.parametrize("family", sorted(set(zoo.FAMILIES) - {"P", "BX", "PT"}))
 def test_family_cuts_match_the_per_element_oracle(family):
     rook = family in zoo.ROOK_FAMILIES
-    for n in range(zoo.CAPS[family] + 1):
+    for n in range(top_degree(family) + 1):
         universe = zoo.partition_universe(n + rook)
         want = tuple(
             i for i, a in enumerate(universe) if family_member(family, a)
@@ -91,12 +96,27 @@ def test_family_cuts_cover_each_family_within_its_cap():
     rook = set(zoo.ROOK_FAMILIES)
     diagram = set(zoo.FAMILIES) - {"P", "BX", "PT"}
     assert set(zoo.family_cuts(0)) == diagram - rook  # no rook diagrams at 0
-    for n in range(1, 4):
+    for n in range(1, 5):
         assert set(zoo.family_cuts(n)) == diagram
-    assert set(zoo.family_cuts(4)) == diagram - {"PB"}  # PB is capped at 3
-    for name in ("PB4", "RJ4", "RP4"):
+    for name in ("RJ4", "RP4"):
         with pytest.raises(ResourceCapError):
             zoo.family_cut(zoo.FamilySpec.parse(name))
+
+
+@pytest.mark.parametrize("name", ["P5", "RP4", "RJ4", "BX4", "PT5"])
+def test_names_over_the_budget_are_refused_before_enumeration(
+    monkeypatch, name
+):
+    def enumerate_universe(n):
+        raise AssertionError(f"a universe of degree {n} was enumerated")
+
+    for universe in ("partition_universe", "relation_universe",
+                     "partial_functions"):
+        monkeypatch.setattr(zoo, universe, enumerate_universe)
+    with pytest.raises(ResourceCapError):
+        zoo.build(name)
+    with pytest.raises(ResourceCapError):
+        zoo.semilattice_for("E", name)
 
 
 def test_family_spec_parsing():
@@ -109,6 +129,12 @@ def test_family_spec_parsing():
             zoo.FamilySpec.parse(bad)
     with pytest.raises(ResourceCapError):
         zoo.build("P5")
+    # the budget walks the degrees up from 0 and stops at P5, so a huge
+    # degree is refused without sizing its own universe
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        zoo.FamilySpec.parse("P" + "9" * 4000)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_semilattice_sizes():
