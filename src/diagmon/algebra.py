@@ -20,13 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from .ehresmann import (
-    EhresmannReport,
-    Semilattice,
-    check_axioms,
-    natural_order,
-    reg_e,
-)
+from .ehresmann import Semilattice, check_axioms, natural_order, reg_e
 from .errors import StateError, ValidationError
 from .monoid import FiniteMonoid
 
@@ -58,9 +52,8 @@ class EhresmannCategory:
         return self.hom.get((e, e), ())
 
 
-def build_category(s: FiniteMonoid, e: Semilattice,
-                   report: EhresmannReport | None = None) -> EhresmannCategory:
-    report = report or check_axioms(s, e)
+def build_category(s: FiniteMonoid, e: Semilattice) -> EhresmannCategory:
+    report = check_axioms(s, e)
     if not report.is_ehresmann():
         failed = [a for a in ("L1", "L2", "R1", "R2") if not report.axioms[a]]
         raise StateError(f"category needs the Ehresmann axioms; {failed} fail")
@@ -139,22 +132,20 @@ def matrix_to_json(matrix):
 # -- the transform onto the category algebra ---------------------------------
 
 
-def stein_transform(s: FiniteMonoid, e: Semilattice, side: str,
-                    report: EhresmannReport | None = None, below=None):
+def stein_transform(s: FiniteMonoid, e: Semilattice, side: str):
     """Matrix of the basis map x -> sum of all elements below x.
 
     Requires the Ehresmann axioms plus the restriction containment on the
-    requested side (L3 for 'left', R3 for 'right').  ``report`` and
-    ``below`` (``natural_order`` of the side) are computed when not given.
+    requested side (L3 for 'left', R3 for 'right').
     """
-    return zeta_matrix(_transform_order(s, e, side, report, below)[1])
+    return zeta_matrix(_transform_order(s, e, side))
 
 
-def _transform_order(s, e, side, report, below):
-    """(report, below) once the transform of ``side`` is known to exist:
-    the axioms hold and the zeta matrix of ``below`` is unitriangular
-    under ``topological_order``, read off the below-sets."""
-    report = report or check_axioms(s, e)
+def _transform_order(s, e, side):
+    """The ``natural_order`` of ``side`` once its transform is known to
+    exist: the axioms hold and the zeta matrix of the order is
+    unitriangular under ``topological_order``, read off the below-sets."""
+    report = check_axioms(s, e)
     needed = {"left": "L3", "right": "R3"}.get(side)
     if needed is None:
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
@@ -162,17 +153,16 @@ def _transform_order(s, e, side, report, below):
         raise StateError(
             f"the transform needs the Ehresmann axioms and {needed}"
         )
-    below = natural_order(s, e, side) if below is None else below
+    below = natural_order(s, e, side)
     pos = {x: i for i, x in enumerate(topological_order(below))}
     if not all(
         y in b and all(pos[x] <= pos[y] for x in b) for y, b in enumerate(below)
     ):
         raise StateError("zeta matrix is not unitriangular under the order")
-    return report, below
+    return below
 
 
-def verify_stein(s: FiniteMonoid, e: Semilattice, side: str,
-                 report: EhresmannReport | None = None, below=None) -> bool:
+def verify_stein(s: FiniteMonoid, e: Semilattice, side: str) -> bool:
     """Multiplicativity of the transform into the category algebra, exactly.
 
     phi(x) phi(y), expanded with the category product (undefined compositions
@@ -184,10 +174,9 @@ def verify_stein(s: FiniteMonoid, e: Semilattice, side: str,
     (x w, g) and (w, g).  The pairs (x, 1) cover the empty word; a semigroup
     has no identity, and each of its elements has a non-empty word.
     Bijectivity holds structurally: the matrix is unitriangular.
-    ``report`` and ``below`` are as for ``stein_transform``.
     """
-    report, below = _transform_order(s, e, side, report, below)
-    cat = build_category(s, e, report)
+    below = _transform_order(s, e, side)
+    cat = build_category(s, e)
     return is_multiplicative(cat, [sorted(b) for b in below])
 
 

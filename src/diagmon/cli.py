@@ -177,11 +177,9 @@ def cmd_category(args):
 
 def cmd_stein(args):
     s, e = _monoid_and_semilattice(args.family, args.semilattice)
-    report = eh.check_axioms(s, e)
-    below = eh.natural_order(s, e, args.side)
-    z = algebra.stein_transform(s, e, args.side, report, below)
-    m = algebra.mobius_inverse(below)
-    ok = algebra.verify_stein(s, e, args.side, report, below)
+    z = algebra.stein_transform(s, e, args.side)
+    m = algebra.mobius_inverse(algebra.natural_order(s, e, args.side))
+    ok = algebra.verify_stein(s, e, args.side)
     data = {
         "side": args.side,
         "dimension": s.size,

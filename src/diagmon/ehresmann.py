@@ -11,12 +11,14 @@ relation.
 All of these are read off the products f*x and x*f for f in E, which come
 as whole rows and columns of S (``FiniteMonoid.row`` and ``column``), one
 per member of E.  The congruence sweep likewise reads one whole row or
-column per element theta it sweeps.
+column per element theta it sweeps.  E, which knows its parent S, is the
+one record of the pair: it keeps both sides' products and the axiom
+report once computed, and every function here reads them from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import StateError, ValidationError
 from .monoid import FiniteMonoid, _classes_by_key, green
@@ -24,10 +26,17 @@ from .monoid import FiniteMonoid, _classes_by_key, green
 
 @dataclass(frozen=True)
 class Semilattice:
-    """A validated commuting-idempotent subset of a parent monoid."""
+    """A validated commuting-idempotent subset of a parent monoid.
+
+    ``_memo`` keeps the products of each side ('left', 'right') and the
+    axiom report ('report') once computed, as ``FiniteMonoid`` keeps its
+    Green structure."""
 
     parent: FiniteMonoid
     members: tuple
+    _memo: dict = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def create(cls, parent, members):
@@ -56,16 +65,21 @@ class Semilattice:
         return x in self.members
 
 
+def _check_parent(s: FiniteMonoid, e: Semilattice):
+    if e.parent is not s:
+        raise ValidationError("the semilattice lies in another monoid")
+
+
 def _products(s: FiniteMonoid, e: Semilattice, side: str):
     """For every x, the tuple of f*x ('left') or x*f ('right') over the
-    members f of E, read off their whole rows or columns."""
-    if side == "left":
-        lines = map(s.row, e.members)
-    elif side == "right":
-        lines = map(s.column, e.members)
-    else:
+    members f of E, read off their whole rows or columns once per E."""
+    _check_parent(s, e)
+    line = {"left": s.row, "right": s.column}.get(side)
+    if line is None:
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    return list(zip(*lines)) or [()] * s.size
+    if side not in e._memo:
+        e._memo[side] = tuple(zip(*map(line, e.members))) or ((),) * s.size
+    return e._memo[side]
 
 
 def _identity_sets(products, e: Semilattice):
@@ -90,7 +104,7 @@ def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EhresmannReport:
     axioms: dict  # name -> bool for L1, L2, R1, R2, L3, R3
     witnesses: dict  # name -> minimal witness tuple for each failed axiom
@@ -149,9 +163,12 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
 
     The congruence sweep ranges over all elements when the monoid has a
     Cayley table, otherwise over its certified generators ``s.generators``
-    (sufficient for one-sided congruences).
+    (sufficient for one-sided congruences).  The report is computed once
+    per E and shared by every later call.
     """
     left, right = _products(s, e, "left"), _products(s, e, "right")
+    if "report" in e._memo:
+        return e._memo["report"]
     r_tilde = _classes_by_key(_identity_sets(left, e))
     l_tilde = _classes_by_key(_identity_sets(right, e))
     if s.table is not None:
@@ -168,18 +185,17 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
         "L3": _containment_check(right, left, e),
         "R3": _containment_check(left, right, e),
     }
-    report = EhresmannReport(
-        axioms={a: ok for a, (ok, _) in checks.items()},
+    axioms = {a: ok for a, (ok, _) in checks.items()}
+    e._memo["report"] = EhresmannReport(
+        axioms=axioms,
         witnesses={a: w for a, (_, w) in checks.items() if w},
         r_tilde=r_tilde,
         l_tilde=l_tilde,
+        plus=_representatives(r_tilde, e) if axioms["L1"] else None,
+        star=_representatives(l_tilde, e) if axioms["R1"] else None,
         theta_sweep=sweep,
     )
-    if report.axioms["L1"]:
-        report.plus = _representatives(r_tilde, e)
-    if report.axioms["R1"]:
-        report.star = _representatives(l_tilde, e)
-    return report
+    return e._memo["report"]
 
 
 def _representatives(classes, e: Semilattice):
@@ -227,6 +243,7 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
 
 def reg_e(s: FiniteMonoid, e: Semilattice):
     """E-regular elements: Green-R-related and L-related to members of E."""
+    _check_parent(s, e)
     gs = green(s)
     r_of_e = {gs.r_class[x] for x in e.members}
     l_of_e = {gs.l_class[x] for x in e.members}
@@ -237,16 +254,15 @@ def reg_e(s: FiniteMonoid, e: Semilattice):
     )
 
 
-def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice, r_tilde, l_tilde):
+def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice):
     """The tilde-H class of a semilattice member, with a closure flag.
 
-    ``r_tilde`` and ``l_tilde`` are ``tilde_classes(s, e, "r")`` and
-    ``tilde_classes(s, e, "l")``, computed once by the caller.  Returns
-    (members, closed, witness) where witness is a product pair escaping the
-    class when it is not closed.
+    Returns (members, closed, witness) where witness is a product pair
+    escaping the class when it is not closed.
     """
     if idem not in e.members:
         raise ValidationError(f"element {idem} is not in the semilattice")
+    r_tilde, l_tilde = tilde_classes(s, e, "r"), tilde_classes(s, e, "l")
     cls = tuple(
         x
         for x in range(s.size)

@@ -143,24 +143,32 @@ def test_transform_requires_the_right_containment():
         algebra.stein_transform(pfd2, f, "sideways")
 
 
-def test_transform_reuses_a_given_report_and_order():
+def test_transform_rejects_an_order_without_a_unitriangular_zeta_matrix(
+    monkeypatch,
+):
     s = zoo.build("PT2")
     e = zoo.semilattice_for("E", "PT2")
-    report = eh.check_axioms(s, e)
     below = algebra.natural_order(s, e, "left")
-    assert algebra.stein_transform(s, e, "left", report, below) == (
-        algebra.stein_transform(s, e, "left")
-    )
-    assert algebra.verify_stein(s, e, "left", report, below)
+    assert algebra.verify_stein(s, e, "left")
     # an order that is not reflexive, or has a cycle, has no unitriangular
     # zeta matrix
     for bad in ([b - {y} for y, b in enumerate(below)],
                 [b | {0} if y == 1 else b | {1} if y == 0 else b
                  for y, b in enumerate(below)]):
+        monkeypatch.setattr(algebra, "natural_order", lambda *_: bad)
         with pytest.raises(StateError):
-            algebra.stein_transform(s, e, "left", report, bad)
+            algebra.stein_transform(s, e, "left")
         with pytest.raises(StateError):
-            algebra.verify_stein(s, e, "left", report, bad)
+            algebra.verify_stein(s, e, "left")
+
+
+def test_transform_checks_its_semilattice_lies_in_the_monoid():
+    e = zoo.semilattice_for("E", "PT2")
+    for call in (algebra.stein_transform, algebra.verify_stein):
+        with pytest.raises(ValidationError):
+            call(zoo.build("PT3"), e, "left")
+    with pytest.raises(ValidationError):
+        algebra.build_category(zoo.build("PT3"), e)
 
 
 def _stein_cases(max_degree):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from diagmon import cli, zoo
+from diagmon import algebra, cli, zoo
 from diagmon import ehresmann as eh
 from diagmon import relations as rel
 from diagmon.diagrams import Partition
@@ -95,6 +95,37 @@ def test_untabled_p4_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# outputs read off a semilattice's memoized products and report; the
+# digests were recorded while callers still passed the report and orders
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            # failure witnesses on a tabled monoid
+            ["analyze", "P3", "E"],
+            "b512497b7bd5ab198609ada357bef8ee1c1b573aa0008bf0fcb8e55144322279",
+        ),
+        (
+            ["stein", "Pfd3", "F", "--side", "right"],
+            "2f7690ed03d3db72a8d29118b740548592718307898f14085594a117a9730536",
+        ),
+        (
+            ["stein", "I3", "E", "--side", "right"],
+            "3adbc03ff400c6c0b26f54d452166efdc5279a0c53b5119d815d0e26de284bd9",
+        ),
+        (
+            ["category", "P3", "F"],
+            "a79b9ab88dacd43204805efcd14e35e461c6af2ef0dfa0a4342046c8472748fc",
+        ),
+    ],
+    ids=["analyze-P3-E", "stein-Pfd3-F", "stein-I3-E", "category-P3-F"],
+)
+def test_memoized_semilattice_output_is_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_analyze_partial_brauer(tmp_path):
     code, text = run(["analyze", "PB2", "E"], tmp_path)
     data = json.loads(text)
@@ -161,6 +192,38 @@ def test_verify_command(tmp_path):
     assert code == 0
     assert "FAIL" not in text
     assert text.strip().endswith("checks passed")
+
+
+def test_broken_precondition_in_verify_is_a_failed_check(monkeypatch, capsys):
+    # PT2's order loses reflexivity, so its transform has no unitriangular
+    # zeta matrix; the other checks still run and print
+    original = algebra.natural_order
+    pt2 = zoo.build("PT2")
+
+    def natural_order(s, e, side):
+        below = original(s, e, side)
+        return [b - {y} for y, b in enumerate(below)] if s is pt2 else below
+
+    monkeypatch.setattr(algebra, "natural_order", natural_order)
+    assert cli.main(["verify", "2", "--nmax", "2"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == ""
+    assert [x for x in lines if x.startswith("[FAIL]")] == [
+        "[FAIL] PT2, left order: basis transform is multiplicative, "
+        "unitriangular, inverted by its order's Mobius matrix  "
+        "(zeta matrix is not unitriangular under the order)"
+    ]
+    assert lines[-1] == "5/6 checks passed"
+
+
+def test_non_ei_category_in_verify_is_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(algebra, "is_ei", lambda cat: (False, 0))
+    assert cli.main(["verify", "2", "--nmax", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [x for x in lines if x.startswith("[FAIL]")]
+    assert len(failed) == 2 and all("non-invertible" in x for x in failed)
+    assert lines[-1] == "4/6 checks passed"
 
 
 def test_exit_codes(tmp_path, capsys):

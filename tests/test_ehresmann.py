@@ -36,6 +36,49 @@ def test_semilattice_validation():
         eh.Semilattice.create(p2, [zeta, e1])  # product escapes the set
 
 
+@pytest.mark.parametrize("monoid, semilattice", [("P2", "P3"), ("P3", "P2")])
+def test_semilattice_of_another_monoid_is_rejected(monoid, semilattice):
+    # before the check, the first pair indexed past P2's rows and the second
+    # reported every axiom false
+    s = zoo.build(monoid)
+    e = zoo.semilattice_for("E", semilattice)
+    calls = (
+        lambda: eh.check_axioms(s, e),
+        lambda: eh.identity_sets(s, e, "left"),
+        lambda: eh.tilde_classes(s, e, "l"),
+        lambda: eh.natural_order(s, e, "right"),
+        lambda: eh.rest_subsemigroups(s, e),
+        lambda: eh.reg_e(s, e),
+        lambda: eh.tilde_h_class(e.members[0], s, e),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="another monoid"):
+            call()
+    assert eh.check_axioms(e.parent, e).axioms["L1"]
+
+
+def test_second_calls_on_one_semilattice_read_no_rows(monkeypatch):
+    s = zoo.build("P3")
+    e = zoo.semilattice_for("F", "P3")
+    report = eh.check_axioms(s, e)
+    orders = {side: eh.natural_order(s, e, side) for side in ("left", "right")}
+    calls = []
+    for name in ("row", "column"):
+        def counted(m, a, original=getattr(mon.FiniteMonoid, name)):
+            calls.append(a)
+            return original(m, a)
+        monkeypatch.setattr(mon.FiniteMonoid, name, counted)
+    assert eh.check_axioms(s, e) is report
+    for side, below in orders.items():
+        assert eh.natural_order(s, e, side) == below
+    assert calls == []
+    # the memo is no part of the value: an equal semilattice starts empty
+    fresh = eh.Semilattice(s, e.members)
+    assert fresh == e and repr(fresh) == repr(e)
+    assert eh.check_axioms(s, fresh).axioms == report.axioms
+    assert calls
+
+
 def test_block_identities_give_ehresmann_structure():
     s = zoo.build("P2")
     f = zoo.semilattice_for("F", "P2")
@@ -159,19 +202,17 @@ def test_tilde_h_class_closure_flag():
     f = zoo.semilattice_for("F", "P3")
     e = zoo.semilattice_for("E", "P3")
     ident = s.identity
-    tilde_f = eh.tilde_classes(s, f, "r"), eh.tilde_classes(s, f, "l")
-    tilde_e = eh.tilde_classes(s, e, "r"), eh.tilde_classes(s, e, "l")
-    members, closed, witness = eh.tilde_h_class(ident, s, f, *tilde_f)
+    members, closed, witness = eh.tilde_h_class(ident, s, f)
     assert closed and witness is None
     assert len(members) == 34  # partial bijections on three points
-    members_e, closed_e, witness_e = eh.tilde_h_class(ident, s, e, *tilde_e)
+    members_e, closed_e, witness_e = eh.tilde_h_class(ident, s, e)
     assert not closed_e and witness_e is not None
     x, y = witness_e
     assert x in members_e and y in members_e
     assert s.mul(x, y) not in set(members_e)
     swap = s.index[dg.from_blocks([[1, -2], [2, -1], [3, -3]], 3)]
     with pytest.raises(ValidationError):
-        eh.tilde_h_class(swap, s, f, *tilde_f)
+        eh.tilde_h_class(swap, s, f)
 
 
 def test_below_sets_are_partial_orders():
@@ -198,11 +239,11 @@ def test_escape_matches_pairwise_on_tilde_h_classes(name, kind):
     for cls in classes.values():
         assert s.escape(cls) == escape_pairwise(s, cls)
     for idem in e.members:
-        members, closed, witness = eh.tilde_h_class(idem, s, e, *tilde)
+        members, closed, witness = eh.tilde_h_class(idem, s, e)
         assert witness == escape_pairwise(s, members)
         assert closed == (witness is None)
     if (name, kind) == ("P3", "E"):  # the identity's class is not closed
-        assert not eh.tilde_h_class(s.identity, s, e, *tilde)[1]
+        assert not eh.tilde_h_class(s.identity, s, e)[1]
 
 
 @pytest.mark.parametrize("name, kind", [("P3", "F"), ("BX3", "E")])
