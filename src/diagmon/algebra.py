@@ -124,11 +124,6 @@ def mobius_inverse(below):
     return m
 
 
-def matrix_to_json(matrix):
-    """Row-major [numerator, denominator] pairs; an integer v gives [v, 1]."""
-    return [[v.numerator, v.denominator] for row in matrix for v in row]
-
-
 # -- the transform onto the category algebra ---------------------------------
 
 

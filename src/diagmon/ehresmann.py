@@ -12,8 +12,9 @@ All of these are read off the products f*x and x*f for f in E, which come
 as whole rows and columns of S (``FiniteMonoid.row`` and ``column``), one
 per member of E.  The congruence sweep likewise reads one whole row or
 column per element theta it sweeps.  E, which knows its parent S, is the
-one record of the pair: it keeps both sides' products and the axiom
-report once computed, and every function here reads them from it.
+one record of the pair: it keeps both sides' products, the tilde labellings
+and the axiom report once computed, and every function here reads them
+from it.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .monoid import FiniteMonoid, _classes_by_key, green
 class Semilattice:
     """A validated commuting-idempotent subset of a parent monoid.
 
-    ``_memo`` keeps the products of each side ('left', 'right') and the
-    axiom report ('report') once computed, as ``FiniteMonoid`` keeps its
-    Green structure."""
+    ``_memo`` keeps the products of each side ('left', 'right'), the tilde
+    labellings ('r', 'l') and the axiom report ('report') once computed, as
+    ``FiniteMonoid`` keeps its Green structure."""
 
     parent: FiniteMonoid
     members: tuple
@@ -96,12 +97,14 @@ def identity_sets(s: FiniteMonoid, e: Semilattice, side: str):
 
 
 def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
-    """Class ids of the tilde-R ('left' identity sets) or tilde-L relation."""
+    """Class ids of the tilde-R ('left' identity sets) or tilde-L relation,
+    computed once per E."""
     if side not in ("r", "l"):
         raise ValidationError(f"side must be 'r' or 'l', got {side!r}")
-    return _classes_by_key(
-        identity_sets(s, e, "left" if side == "r" else "right")
-    )
+    products = _products(s, e, "left" if side == "r" else "right")
+    if side not in e._memo:
+        e._memo[side] = _classes_by_key(_identity_sets(products, e))
+    return e._memo[side]
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,7 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
     left, right = _products(s, e, "left"), _products(s, e, "right")
     if "report" in e._memo:
         return e._memo["report"]
-    r_tilde = _classes_by_key(_identity_sets(left, e))
-    l_tilde = _classes_by_key(_identity_sets(right, e))
+    r_tilde, l_tilde = tilde_classes(s, e, "r"), tilde_classes(s, e, "l")
     if s.table is not None:
         thetas, sweep = range(s.size), "full"
     else:  # only an enumerated monoid has no table

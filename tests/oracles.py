@@ -387,6 +387,12 @@ def is_unitriangular(matrix, order):
     return True
 
 
+def matrix_to_json(matrix):
+    """The ``stein`` output's encoding of a matrix as one list: row-major
+    [numerator, denominator] pairs, an integer v giving [v, 1]."""
+    return [[v.numerator, v.denominator] for row in matrix for v in row]
+
+
 # -- reference Cayley tables and Green's relations ------------------------------
 
 

@@ -14,6 +14,7 @@ from oracles import (
     algebra_multiply,
     category_algebra,
     is_unitriangular,
+    matrix_to_json,
     radical_nullity,
     stein_pairwise,
     top_degree,
@@ -374,7 +375,9 @@ def test_semisimple_quotient_needs_invertible_endomorphisms():
 
 
 def test_matrix_json_format():
-    assert algebra.matrix_to_json([[1, 0], [Fraction(1, 2), -1]]) == [
+    # the flat-pair encoding of the stein output, which the CLI writes
+    # straight from the dense rows (tests/test_cli.py compares the two)
+    assert matrix_to_json([[1, 0], [Fraction(1, 2), -1]]) == [
         [1, 1],
         [0, 1],
         [1, 2],

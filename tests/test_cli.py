@@ -2,16 +2,20 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagmon import algebra, cli, zoo
 from diagmon import ehresmann as eh
 from diagmon import relations as rel
 from diagmon.diagrams import Partition
 from diagmon.errors import ValidationError
+from diagmon.monoid import FiniteMonoid
 
-from oracles import family_member, top_degree
+from oracles import family_member, matrix_to_json, top_degree
 
 
 def run(args, tmp_path, name="out"):
@@ -363,3 +367,184 @@ def test_identify_matches_universe_counting(name):
     s = zoo.build(name)
     for indices in _identify_cases(name):
         assert cli._identify(s, indices) == identify_by_counting(s, indices)
+
+
+# -- the chunked JSON writer against json.dumps --------------------------------
+
+
+def dumps(obj):
+    """The text ``cli._json_text`` must equal."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def plain(obj):
+    """``obj`` with each ``cli._PairMatrix`` replaced by the flat pair list
+    that ``json.dumps`` writes as the stein output."""
+    if type(obj) is cli._PairMatrix:
+        return matrix_to_json(obj.rows)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+# quotes, backslashes, control characters and non-ASCII text, beside the
+# characters hypothesis draws
+TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f/é€\U0001f600ab')) | st.text()
+LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+    | st.lists(st.integers(), max_size=30)
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=6)
+        | st.tuples(inner, inner)
+        | st.dictionaries(TEXT, inner, max_size=6)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+    ),
+    max_leaves=40,
+)
+MATRICES = st.lists(
+    st.lists(
+        st.integers(-3, 3) | st.fractions(max_denominator=5), max_size=5
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MATRICES, st.integers(0, 3))
+def test_pair_matrix_matches_the_flat_pair_list(rows, depth):
+    obj = cli._PairMatrix(rows)
+    for _ in range(depth):
+        obj = {"m": obj, "k": [obj]}
+    assert cli._json_text(obj) == dumps(plain(obj))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        list(range(-5000, 5000)),  # more than one slice of integers
+        tuple(range(cli._INT_SLICE + 1)),
+        [1, True, 2, False],  # bools are not integers to the writer
+        [1, 2.5, None, "x"],
+        {"z": 1, "a": [1, [2, [3, {"y": None}]]], "é": "\u2028"},
+        {2: "b", 10: "a"},  # non-string keys: sorted as json.dumps does
+        {True: 1},
+        [[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]],
+        "plain",
+        7,
+        cli._PairMatrix([[], []]),
+        cli._PairMatrix([[], [1, Fraction(-2, 3)], [], [0]]),
+    ],
+    ids=lambda obj: type(obj).__name__,
+)
+def test_json_writer_edge_cases(obj):
+    assert cli._json_text(obj) == dumps(plain(obj))
+
+
+def _json_outputs(monkeypatch, argv):
+    """The object handed to ``cli._json_text`` and the text written, or
+    None when the command writes no JSON."""
+    seen = []
+    original = cli._json_text
+
+    def capture(obj):
+        seen.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(cli, "_json_text", capture)
+    written = []
+    monkeypatch.setattr(
+        cli, "_write_out", lambda text, out: written.append(text)
+    )
+    cli.main(argv)
+    if not seen:
+        return None
+    [obj], [text] = seen, written
+    return obj, text
+
+
+def _json_commands(name):
+    yield ["build", name]
+    for kind in zoo.SEMILATTICE_KINDS:
+        yield ["analyze", name, kind]
+        yield ["category", name, kind]
+        for side in ("left", "right"):
+            yield ["stein", name, kind, "--side", side]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 3) + 1)],
+)
+def test_every_json_output_matches_json_dumps(monkeypatch, capsys, name):
+    # stein compares against the flat pair lists the CLI wrote before
+    written = 0
+    for argv in _json_commands(name):
+        got = _json_outputs(monkeypatch, argv)
+        if got is not None:
+            obj, text = got
+            assert text == dumps(plain(obj)), argv
+            written += 1
+    capsys.readouterr()
+    assert written  # at least the build dump
+
+
+# the two degree-4 stein outputs, recorded while json.dumps wrote them
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["stein", "I4", "E", "--side", "left"],
+            "5c8a59dea98ac5a2d8e1b04a2f03ba8413d106f73afeb6634827fa167656593b",
+        ),
+        (
+            ["stein", "Pfd4", "F", "--side", "right"],
+            "1434635b6591af663263ccaea70e610d55e17c370314ac9e8a1d5482601e3f3a",
+        ),
+    ],
+    ids=["I4-E-left", "Pfd4-F-right"],
+)
+def test_degree4_stein_output_is_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "section, check, most",
+    [
+        ("3", "check_relation_suite", 8),
+        # the restriction sets of P2 have at most 7 elements
+        ("4", "check_restriction_subsemigroups", 4),
+    ],
+)
+def test_state_error_in_a_check_is_one_failed_line(
+    monkeypatch, capsys, section, check, most
+):
+    # every subset of more than ``most`` elements reads as not closed, so
+    # rest_subsemigroups raises StateError; the suite still prints and exits 1
+    original = FiniteMonoid.escape
+
+    def escape(m, indices):
+        return (0, 0) if len(set(indices)) > most else original(m, indices)
+
+    monkeypatch.setattr(FiniteMonoid, "escape", escape)
+    assert cli.main(["verify", section, "--nmax", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [x for x in out.splitlines() if x.startswith("[FAIL]")]
+    assert f"[FAIL] {check}  (left restriction set not closed)" in failed
+    assert out.splitlines()[-1].endswith("checks passed")

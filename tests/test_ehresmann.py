@@ -305,6 +305,30 @@ def test_rows_match_the_pairwise_oracles(name):
         _matches_the_pairwise_oracles(s, e)
 
 
+@pytest.mark.parametrize("name", _names(3))
+def test_kept_tilde_labellings_match_fresh_ones(name):
+    # the labellings are kept on E by the first call; the report, later
+    # calls and tilde_h_class read them, and an equal semilattice with an
+    # empty memo computes equal ones
+    s = zoo.build(name)
+    for kind in zoo.SEMILATTICE_KINDS:
+        try:
+            e = zoo.semilattice_for(kind, name)
+        except ValidationError:
+            continue
+        kept = {side: eh.tilde_classes(s, e, side) for side in "rl"}
+        report = eh.check_axioms(s, e)
+        assert (report.r_tilde, report.l_tilde) == (kept["r"], kept["l"])
+        fresh = eh.Semilattice(s, e.members)
+        for side in "rl":
+            assert eh.tilde_classes(s, e, side) is kept[side]
+            assert eh.tilde_classes(s, fresh, side) == kept[side]
+        for idem in e.members:
+            assert eh.tilde_h_class(idem, s, e) == eh.tilde_h_class(
+                idem, s, eh.Semilattice(s, e.members)
+            )
+
+
 @pytest.mark.parametrize("kind", ["E", "F"])
 def test_untabled_p4_matches_the_pairwise_oracles(kind):
     s = zoo.build("P4")
