@@ -10,12 +10,15 @@ semigroups and categories"), here certified on (element, generator) pairs.
 Its matrix is the zeta matrix of the order and its inverse the Mobius
 matrix.  All linear algebra is exact.  Radical dimensions come from the
 trace-form criterion: the rank of the integer Gram matrix is bounded below
-by elimination mod a prime and above by integer kernel vectors checked
-exactly, so no rational elimination runs.
+by elimination mod a prime below 2**26, on rows packed 32 residues to a
+Python int, and above by integer kernel vectors checked exactly, so no
+rational elimination runs.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
@@ -224,8 +227,8 @@ def radical_dim(a: RationalAlgebra) -> int:
     (x, y) -> trace(L_xy), so it is the nullity of the integer Gram matrix
     G[i][j] = t(ij) on the basis, where t holds the d traces of left
     multiplication, computed once.  The rank of G is certified exactly
-    without rational elimination: elimination mod a 61-bit prime gives a
-    lower bound, and integer kernel vectors checked by G v = 0 give the
+    without rational elimination: elimination mod a prime below 2**26 gives
+    a lower bound, and integer kernel vectors checked by G v = 0 give the
     matching upper bound.
     """
     return a.dimension - _integer_rank(_gram(a))
@@ -268,49 +271,120 @@ def _is_prime(n):
 
 
 def _primes():
-    """The primes below 2**61 in descending order, starting at 2**61 - 1."""
-    n = 2**61 - 1
+    """The primes below 2**26 in descending order, starting at 67,108,859.
+
+    Below 2**26 a product of two residues is below 2**52, so the lazy slot
+    arithmetic of ``_rref_mod`` stays within 64 bits for 4,095 updates.
+    """
+    n = 2**26 - 1
     while True:
         if _is_prime(n):
             yield n
         n -= 2
 
 
+# A row of ``_rref_mod`` is a list of ints, each packing _SLOTS 64-bit slots,
+# so one big-int multiply-add updates _SLOTS entries.  Packing goes through
+# array("Q") bytes in the native byte order, which puts the first slot of a
+# chunk in its low bits on little-endian hosts and its high bits otherwise.
+_SLOTS = 32
+_CHUNK_BYTES = 8 * _SLOTS
+_MASK = 2**64 - 1
+_SHIFTS = [64 * k for k in range(_SLOTS)]
+if sys.byteorder == "big":
+    _SHIFTS.reverse()
+
+
+def _pack(values):
+    """Chunks of the non-negative values below 2**64, zero-padded."""
+    a = array("Q", values)
+    a.extend([0] * (-len(a) % _SLOTS))
+    b = a.tobytes()
+    return [
+        int.from_bytes(b[i : i + _CHUNK_BYTES], sys.byteorder)
+        for i in range(0, len(b), _CHUNK_BYTES)
+    ]
+
+
+def _unpack(chunks):
+    """The slots of packed chunks, padding included."""
+    a = array("Q")
+    for x in chunks:
+        a.frombytes(x.to_bytes(_CHUNK_BYTES, sys.byteorder))
+    return a
+
+
+def _reduce(row, p):
+    return _pack([x % p for x in _unpack(row)])
+
+
 def _rref_mod(rows, ncols, p):
     """Pivot columns and reduced pivot rows of an integer matrix mod p.
 
-    Each returned row has 1 at its pivot and 0 at every other pivot column.
+    Each returned row has 1 at its pivot and 0 at every other pivot column,
+    with entries in [0, p).  When every column has a pivot the rows are only
+    forward-reduced (echelon form), which is all ``_integer_rank`` reads.
+
+    Rows are packed into 64-bit slots (``_pack``) whose values are kept
+    non-negative and congruent to the entries mod p, but reduced lazily.
+    A pivot row is reduced and scaled to 1 at its pivot, so an update that
+    adds (p - f) times it to another row adds at most (p - 1)**2 to a slot.
+    After u updates since its last reduction a slot is below
+    p + u * (p - 1)**2, which fits in 64 bits while
+    u <= (2**64 - p) // (p - 1)**2; every row is reduced again once it has
+    taken that many updates (4,095 for the primes of ``_primes``), so no
+    slot carries into its neighbour.  Needs p < 2**32.
     """
-    m = [[x % p for x in row] for row in rows]
+    if p >= 2**32:
+        raise ValueError(f"prime {p} is too large for 64-bit slots")
+    limit = (2**64 - p) // (p - 1) ** 2
+    m = [_pack([x % p for x in row]) for row in rows]
     pivots = []
+    since = 0  # updates any row has taken since the last reduction
     for c in range(ncols):
         r = len(pivots)
-        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        j, s = c // _SLOTS, _SHIFTS[c % _SLOTS]
+        k = next(
+            (i for i in range(r, len(m)) if (m[i][j] >> s & _MASK) % p), None
+        )
         if k is None:
             continue
         m[r], m[k] = m[k], m[r]
-        inv = pow(m[r][c], -1, p)
-        prow = m[r]
-        prow[c:] = [x * inv % p for x in prow[c:]]
-        tail = prow[c:]
+        slots = _unpack(m[r])
+        inv = pow(slots[c] % p, -1, p)
+        m[r] = _pack([x * inv % p for x in slots])
+        tail = m[r][j:]
         for i in range(r + 1, len(m)):
             row = m[i]
-            f = row[c]
+            f = (row[j] >> s & _MASK) % p
             if f:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+                g = p - f
+                row[j:] = [x + g * y for x, y in zip(row[j:], tail)]
         pivots.append(c)
+        since += 1
+        if since == limit:
+            m[r + 1 :] = [_reduce(row, p) for row in m[r + 1 :]]
+            since = 0
         if len(pivots) == len(m):
             break
     m = m[: len(pivots)]
     if len(pivots) < ncols:
+        since = 0  # pivot rows take no update in the forward pass
         for i in range(len(pivots) - 1, 0, -1):
             c = pivots[i]
-            tail = m[i][c:]
+            j, s = c // _SLOTS, _SHIFTS[c % _SLOTS]
+            m[i] = _reduce(m[i], p)
+            tail = m[i][j:]
             for row in m[:i]:
-                f = row[c]
+                f = (row[j] >> s & _MASK) % p
                 if f:
-                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
-    return pivots, m
+                    g = p - f
+                    row[j:] = [x + g * y for x, y in zip(row[j:], tail)]
+            since += 1
+            if since == limit:
+                m[:i] = [_reduce(row, p) for row in m[:i]]
+                since = 0
+    return pivots, [[x % p for x in _unpack(row)[:ncols]] for row in m]
 
 
 def _reconstruct(u, m):
@@ -360,9 +434,11 @@ def _integer_rank(rows):
     rank is at most the mod-p rank and the answer is exact.  A failed
     reconstruction or check takes the next prime: residues of primes with
     the same pivot columns are combined by the Chinese remainder theorem,
-    and a prime with lower rank or later pivots is dropped.  Only finitely
-    many primes are unlucky and the Hadamard bound caps the modulus the
-    reconstruction needs, so the loop ends.
+    and a prime with lower rank or later pivots is dropped.  The primes of
+    ``_primes`` are below 2**26, so a kernel entry e needs about
+    log2(2 * e**2) / 26 of them.  Only finitely many primes are unlucky and
+    the Hadamard bound caps the modulus the reconstruction needs, so the
+    loop ends.
     """
     rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))
     if not rows:

@@ -873,3 +873,42 @@ def rational_rank(rows):
 def radical_nullity(a):
     """dim rad A as the nullity of the rational trace form."""
     return a.dimension - rational_rank(gram_fractions(a))
+
+
+def rref_mod_lists(rows, ncols, p):
+    """Pivot columns and reduced pivot rows of an integer matrix mod p, by
+    elimination on lists of residues, one modular operation per entry.
+
+    Each returned row has 1 at its pivot and 0 at every other pivot column;
+    with a pivot in every column the rows are left in echelon form.
+    """
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], -1, p)
+        prow = m[r]
+        prow[c:] = [x * inv % p for x in prow[c:]]
+        tail = prow[c:]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            if f:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    m = m[: len(pivots)]
+    if len(pivots) < ncols:
+        for i in range(len(pivots) - 1, 0, -1):
+            c = pivots[i]
+            tail = m[i][c:]
+            for row in m[:i]:
+                f = row[c]
+                if f:
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+    return pivots, m

@@ -1,7 +1,8 @@
 """Categories, the basis transform, Mobius inversion, and radicals."""
 
+import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import pytest
 
@@ -16,6 +17,7 @@ from oracles import (
     is_unitriangular,
     matrix_to_json,
     radical_nullity,
+    rref_mod_lists,
     stein_pairwise,
     top_degree,
 )
@@ -343,10 +345,11 @@ def test_integer_rank_retries_past_unlucky_primes(monkeypatch):
     used.clear()
     assert algebra._integer_rank([[p1, 1], [2 * p1, 2]]) == 1
     assert len(used) == 4
-    # a kernel entry of 2**40 + 1 is out of reach of one 61-bit prime
+    # a kernel entry of 2**40 + 1 needs a modulus of at least
+    # 2 * (2**40 + 1)**2 > 2**81, and three 26-bit primes give under 2**78
     used.clear()
     assert algebra._integer_rank([[1, -(2**40 + 1)], [3, -3 * (2**40 + 1)]]) == 1
-    assert len(used) == 2
+    assert len(used) == 4
 
 
 def test_integer_rank_of_empty_and_zero_matrices():
@@ -357,11 +360,84 @@ def test_integer_rank_of_empty_and_zero_matrices():
     assert algebra.radical_dim(null) == 3
 
 
-def test_primes_are_descending_61_bit_primes():
+def test_primes_are_descending_26_bit_primes():
     ps = [p for _, p in zip(range(3), algebra._primes())]
-    assert ps[0] == 2**61 - 1
-    assert ps == sorted(ps, reverse=True) and ps[-1] > 2**60
+    assert ps[0] == 67_108_859
+    assert ps == sorted(ps, reverse=True) and 2**25 < ps[-1] and ps[0] < 2**26
     assert all(pow(2, p - 1, p) == 1 for p in ps)
+    # no prime is skipped: trial division finds exactly these
+    trial = [
+        n for n in range(ps[0] + 1, ps[-1] - 1, -1)
+        if all(n % q for q in range(2, isqrt(n) + 1))
+    ]
+    assert trial == ps
+
+
+def test_rref_mod_matches_the_list_oracle_on_gram_matrices():
+    p = next(algebra._primes())
+    algebras = [
+        algebra.RationalAlgebra.of_monoid(s)
+        for s in map(zoo.build, _families(4))
+        if s.size <= 300
+    ]
+    algebras += [_category_algebra(name, kind) for name, kind in CATEGORY_PAIRS]
+    for a in algebras:
+        g = algebra._gram(a)
+        assert algebra._rref_mod(g, a.dimension, p) == rref_mod_lists(
+            g, a.dimension, p
+        )
+
+
+def _test_matrices(rng):
+    """Integer matrices of the shapes elimination treats specially."""
+    # pivot rows e_k - e_8 and a last row with 1 at every pivot: each update
+    # of that row adds the largest possible (p - 1)**2 to its column 8
+    rows = [[int(c == k) - int(c == 8) for c in range(10)] for k in range(8)]
+    yield rows + [[1] * 8 + [0, 0]]
+    yield [[rng.randint(-9, 9)]]
+    yield [[0]]
+    yield [[rng.randint(-(2**70), 2**70)]]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 80), rng.randint(1, 70)
+        rank = rng.randint(0, min(nrows, ncols))
+        basis = [
+            [rng.randint(-(2**40), 2**40) for _ in range(ncols)]
+            for _ in range(rank)
+        ]
+        rows = []
+        for _ in range(nrows):
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            rows.append(
+                [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(ncols)]
+            )
+        rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+        rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        for k in rng.sample(range(ncols), rng.randint(0, ncols // 4)):
+            for row in rows:
+                row[k] = 0
+        rng.shuffle(rows)
+        yield rows
+
+
+# mod 2**31 - 1 rows are reduced again after (2**64 - p) // (p - 1)**2 = 4
+# updates, so the refresh runs on every matrix of rank above 4
+@pytest.mark.parametrize("p", [67_108_859, 2**31 - 1, 3])
+def test_rref_mod_matches_the_list_oracle_on_random_matrices(p):
+    for rows in _test_matrices(random.Random(p)):
+        ncols = len(rows[0])
+        assert algebra._rref_mod(rows, ncols, p) == rref_mod_lists(rows, ncols, p)
+
+
+def test_rref_mod_needs_a_prime_below_2_to_the_32():
+    with pytest.raises(ValueError):
+        algebra._rref_mod([[1]], 1, 2**32 + 15)
+
+
+def test_semisimple_quotient_at_degree_4():
+    # rank 209 of a 625 x 625 Gram matrix: radical 416 = 625 - 209
+    s, e = zoo.build("PT4"), zoo.semilattice_for("E", "PT4")
+    assert len(eh.reg_e(s, e)) == 209
+    assert algebra.check_semisimple_quotient(s, e)
 
 
 def test_semisimple_quotient_needs_invertible_endomorphisms():
