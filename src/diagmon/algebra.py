@@ -274,7 +274,7 @@ def _primes():
     """The primes below 2**26 in descending order, starting at 67,108,859.
 
     Below 2**26 a product of two residues is below 2**52, so the lazy slot
-    arithmetic of ``_rref_mod`` stays within 64 bits for 4,095 updates.
+    arithmetic of ``_rref_mod`` stays within 64 bits for 4,096 updates.
     """
     n = 2**26 - 1
     while True:
@@ -315,6 +315,7 @@ def _unpack(chunks):
 
 
 def _reduce(row, p):
+    """The packed row with every slot reduced mod p."""
     return _pack([x % p for x in _unpack(row)])
 
 
@@ -323,7 +324,8 @@ def _rref_mod(rows, ncols, p):
 
     Each returned row has 1 at its pivot and 0 at every other pivot column,
     with entries in [0, p).  When every column has a pivot the rows are only
-    forward-reduced (echelon form), which is all ``_integer_rank`` reads.
+    forward-reduced (echelon form); ``_integer_rank`` then reads only the
+    pivots.
 
     Rows are packed into 64-bit slots (``_pack``) whose values are kept
     non-negative and congruent to the entries mod p, but reduced lazily.
@@ -332,8 +334,8 @@ def _rref_mod(rows, ncols, p):
     After u updates since its last reduction a slot is below
     p + u * (p - 1)**2, which fits in 64 bits while
     u <= (2**64 - p) // (p - 1)**2; every row is reduced again once it has
-    taken that many updates (4,095 for the primes of ``_primes``), so no
-    slot carries into its neighbour.  Needs p < 2**32.
+    taken that many updates (at least 4,096 below 2**26), so no slot
+    carries into its neighbour.  Needs p < 2**32.
     """
     if p >= 2**32:
         raise ValueError(f"prime {p} is too large for 64-bit slots")
