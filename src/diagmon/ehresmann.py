@@ -10,11 +10,12 @@ relation.
 
 All of these are read off the products f*x and x*f for f in E, which come
 as whole rows and columns of S (``FiniteMonoid.row`` and ``column``), one
-per member of E.  The congruence sweep likewise reads one whole row or
-column per element theta it sweeps.  E, which knows its parent S, is the
-one record of the pair: it keeps both sides' products, the tilde labellings
-and the axiom report once computed, and every function here reads them
-from it.
+per member of E.  L2 and R2 are swept over the certified generators, whose
+products are the generator graphs, and on a tabled monoid a failed sweep
+is rerun over every theta, one whole row or column each, for the minimal
+witness.  E, which knows its parent S, is the one record of the pair: it
+keeps both sides' products, the tilde labellings and the axiom report once
+computed, and every function here reads them from it.
 """
 
 from __future__ import annotations
@@ -161,28 +162,36 @@ def _congruence_check(classes, thetas, image):
     return True, None
 
 
+def _sweep(s: FiniteMonoid, classes, actions, line):
+    """L2 or R2 over the generators, theta = g_k acting as ``actions[k]``
+    (theta*x is ``s.left[x][k]``, x*theta ``s.right[x][k]``), and on a
+    tabled monoid, when that fails, over every theta's ``line``."""
+    images = dict(zip(s.generators, actions))
+    found = _congruence_check(classes, sorted(images), images.__getitem__)
+    if found[0] or s.table is None:
+        return found
+    return _congruence_check(classes, range(s.size), line)
+
+
 def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
     """Check L1, L2, R1, R2 and the restriction containments L3, R3.
 
-    The congruence sweep ranges over all elements when the monoid has a
-    Cayley table, otherwise over its certified generators ``s.generators``
-    (sufficient for one-sided congruences).  The report is computed once
-    per E and shared by every later call.
+    L2 and R2 are swept over the certified generators (``_sweep``),
+    which suffice for one-sided congruences.  On a tabled monoid
+    ``theta_sweep`` reads 'full': a failed generator sweep is rerun over
+    every theta, so the witness is the minimal one over all elements.
+    The report is computed once per E and shared by every later call.
     """
     left, right = _products(s, e, "left"), _products(s, e, "right")
     if "report" in e._memo:
         return e._memo["report"]
     r_tilde, l_tilde = tilde_classes(s, e, "r"), tilde_classes(s, e, "l")
-    if s.table is not None:
-        thetas, sweep = range(s.size), "full"
-    else:  # only an enumerated monoid has no table
-        thetas, sweep = sorted(set(s.generators)), "generators"
-
+    actions = s._actions()
     checks = {
         "L1": _unique_member_check(r_tilde, e.members),
         "R1": _unique_member_check(l_tilde, e.members),
-        "L2": _congruence_check(r_tilde, thetas, s.row),
-        "R2": _congruence_check(l_tilde, thetas, s.column),
+        "L2": _sweep(s, r_tilde, actions[0], s.row),
+        "R2": _sweep(s, l_tilde, actions[1], s.column),
         # restriction containments (checked definitionally, witnesses minimal)
         "L3": _containment_check(right, left, e),
         "R3": _containment_check(left, right, e),
@@ -195,7 +204,7 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
         l_tilde=l_tilde,
         plus=_representatives(r_tilde, e) if axioms["L1"] else None,
         star=_representatives(l_tilde, e) if axioms["R1"] else None,
-        theta_sweep=sweep,
+        theta_sweep="generators" if s.table is None else "full",
     )
     return e._memo["report"]
 

@@ -8,8 +8,9 @@ generators into the order of their relation universes.  Every other
 diagram family is an index subset of one P_n, which
 ``FiniteMonoid.submonoid`` turns into a monoid of the same kind: greedy
 generators, right and left graphs, and a table under the table cap.  One
-pass per degree (``family_cuts``) computes each diagram's parameters once
-and cuts every family from them.
+pass per degree (``family_cuts``) reads each diagram's code, not its
+parameters: every membership test is a fact about the sets of upper and
+lower block labels, the block sizes or the absorbing block.
 Rook diagrams of degree n are represented by their image in the
 degree-(n+1) partition monoid, with the extra point playing the role of
 the absorbing vertex, so rook and partition diagrams share one product.
@@ -147,51 +148,46 @@ def equivalences(n):
 # -- family cuts --------------------------------------------------------------
 
 
-def _family_predicates(n):
-    """The membership test of every diagram family cut from P_n, as a
-    function of a diagram and its ``dg.params``: the degree-n families and,
-    for n >= 1, the rook families of degree n - 1."""
-    delta = SetPartition.discrete(n)
-    nabla = SetPartition.universal(n)
-    full = frozenset(range(1, n + 1))
-    tests = {
-        "B": lambda a, q: dg.is_brauer(a),
-        "PB": lambda a, q: dg.is_partial_brauer(a),
-        "I": lambda a, q: q.ker == delta and q.coker == delta,
-        "J": lambda a, q: q.dom.members == full and q.codom.members == full,
-        "T": lambda a, q: q.dom.members == full and q.coker == delta,
-        "Pfd": lambda a, q: q.dom.members == full,
-        "Pfcd": lambda a, q: q.codom.members == full,
-        "Pfk": lambda a, q: q.ker == nabla,
-        "RR": lambda a, q: q.dom.members == full or q.ker == nabla,
-        "LL": lambda a, q: q.codom.members == full or q.coker == nabla,
-        "D0": lambda a, q: not q.dom.members and q.ker == nabla,
-        "D1": lambda a, q: q.dom.members == full and q.ker == nabla,
-    }
-    if n >= 1:  # no extra point to absorb rook dots at degree 0
-        tests["RP"] = lambda a, q: has_absorbing_block(a)
-        tests["RJ"] = lambda a, q: (
-            has_absorbing_block(a)
-            and q.dom.members == full
-            and q.codom.members == full
-        )
-    return tests
-
-
 @lru_cache(maxsize=None)
 def family_cuts(n):
     """Each diagram family cut from P_n, as the sorted tuple of its
     positions in ``partition_universe(n)``, keyed by family ('RP' and 'RJ'
-    are the rook families of degree n - 1).  One pass computes
-    ``dg.params`` once per diagram and runs every family's test on it."""
-    tests = tuple(_family_predicates(n).items())
-    cuts = {fam: [] for fam, _ in tests}
+    are the rook families of degree n - 1).
+
+    Every membership test reads the code alone.  With U and L the sets of
+    upper and lower block labels: dom is full iff U <= L, codom is full iff
+    L <= U, the kernel is discrete iff |U| = n and universal iff |U| <= 1
+    (the cokernel likewise from L), and there is no transversal iff U and L
+    are disjoint.  Block sizes come from ``code.count``, and the rook test
+    is ``has_absorbing_block``'s.  One pass groups the diagrams by these
+    facts, and each family takes the groups its test admits."""
+    groups = {}
     for i, a in enumerate(partition_universe(n)):
-        q = dg.params(a)
-        for fam, test in tests:
-            if test(a, q):
-                cuts[fam].append(i)
-    return {fam: tuple(kept) for fam, kept in cuts.items()}
+        code = a.code
+        upper, lower = set(code[:n]), set(code[n:])
+        sizes = set(map(code.count, upper | lower))
+        key = (
+            len(upper), len(lower), upper <= lower, lower <= upper,
+            upper.isdisjoint(lower), sizes <= {2}, sizes <= {1, 2},
+            n >= 1 and code[n - 1] == code[2 * n - 1],
+        )
+        groups.setdefault(key, []).append(i)
+    cuts = {}
+    for (ku, kl, dom, codom, none, brauer, partial, rook), kept in (
+        groups.items()
+    ):
+        member = {
+            "B": brauer, "PB": partial, "I": ku == kl == n,
+            "J": dom and codom, "T": dom and kl == n, "Pfd": dom,
+            "Pfcd": codom, "Pfk": ku <= 1, "RR": dom or ku <= 1,
+            "LL": codom or kl <= 1, "D0": none and ku <= 1,
+            "D1": dom and ku <= 1, "RP": rook, "RJ": rook and dom and codom,
+        }
+        for fam, test in member.items():
+            cuts.setdefault(fam, []).extend(kept if test else ())
+    if n == 0:  # no extra point to absorb rook dots at degree 0
+        del cuts["RP"], cuts["RJ"]
+    return {fam: tuple(sorted(kept)) for fam, kept in cuts.items()}
 
 
 def family_cut(spec: FamilySpec):

@@ -447,6 +447,9 @@ def test_pair_matrix_matches_the_flat_pair_list(rows, depth):
         7,
         cli._PairMatrix([[], []]),
         cli._PairMatrix([[], [1, Fraction(-2, 3)], [], [0]]),
+        # four slices of integers whose texts are made once: values repeat
+        # across slices, and -10**20 and 10**20 first appear in the last
+        [v % 7 - 3 for v in range(3 * cli._INT_SLICE)] + [-10**20, 4, 10**20],
     ],
     ids=lambda obj: type(obj).__name__,
 )

@@ -79,6 +79,43 @@ def test_second_calls_on_one_semilattice_read_no_rows(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("name", ["P3", "RR3"])
+def test_generator_sweep_settles_l2_and_r2_without_theta_rows(
+    monkeypatch, name
+):
+    # L2 and R2 hold, so the sweep over the generators settles them on the
+    # tabled monoid: the only rows and columns read are E's product lines
+    s = zoo.build(name)
+    e = zoo.semilattice_for("F", name)
+    calls = {"row": [], "column": []}
+    for method, seen in calls.items():
+        def counted(m, a, original=getattr(mon.FiniteMonoid, method),
+                    seen=seen):
+            seen.append(a)
+            return original(m, a)
+        monkeypatch.setattr(mon.FiniteMonoid, method, counted)
+    report = eh.check_axioms(s, e)
+    assert s.table is not None and report.theta_sweep == "full"
+    assert report.axioms["L2"] and report.axioms["R2"]
+    assert calls == {"row": list(e.members), "column": list(e.members)}
+
+
+@pytest.mark.parametrize(
+    "name, kind", [("RR4", "F"), ("LL4", "F"), ("I4", "E"), ("PT4", "E")]
+)
+def test_generator_sweep_matches_the_full_sweep_at_degree_4(name, kind):
+    # the tabled degree-4 pairs the CLI and the exact-algebra calls use
+    s = zoo.build(name)
+    report = eh.check_axioms(s, zoo.semilattice_for(kind, name))
+    assert s.table is not None and report.theta_sweep == "full"
+    for axiom, classes, line in (
+        ("L2", report.r_tilde, s.row), ("R2", report.l_tilde, s.column)
+    ):
+        ok, witness = eh._congruence_check(classes, range(s.size), line)
+        assert report.axioms[axiom] == ok
+        assert report.witnesses.get(axiom) == witness
+
+
 def test_block_identities_give_ehresmann_structure():
     s = zoo.build("P2")
     f = zoo.semilattice_for("F", "P2")
