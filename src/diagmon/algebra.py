@@ -8,20 +8,22 @@ it in the natural partial order is an algebra isomorphism from the
 semigroup algebra onto the category algebra (Stein, "Algebras of Ehresmann
 semigroups and categories"), here certified on (element, generator) pairs.
 Its matrix is the zeta matrix of the order and its inverse the Mobius
-matrix.  All linear algebra is exact.  Radical dimensions come from the
-trace-form criterion: the rank of the integer Gram matrix is bounded below
-by elimination mod a prime below 2**26, on rows packed 32 residues to a
-Python int, and above by integer kernel vectors checked exactly, so no
-rational elimination runs.
+matrix.  The certificate reads one column of products per basis element
+below each generator, grouped by source object, so it forms only defined
+compositions.  All linear algebra is exact.  Radical dimensions come from
+the trace-form criterion, read off the rows of basis products: the rank of
+the integer Gram matrix is bounded below by elimination mod a prime below
+2**26, on rows packed 32 residues to a Python int, and above by integer
+kernel vectors checked exactly, so no rational elimination runs.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
+from operator import eq
 
 from .ehresmann import Semilattice, check_axioms, natural_order, reg_e
 from .errors import StateError, ValidationError
@@ -171,7 +173,10 @@ def verify_stein(s: FiniteMonoid, e: Semilattice, side: str) -> bool:
     phi(x w) phi(g) = phi(x) phi(w) phi(g) = phi(x) phi(y) by the pairs
     (x w, g) and (w, g).  The pairs (x, 1) cover the empty word; a semigroup
     has no identity, and each of its elements has a non-empty word.
-    Bijectivity holds structurally: the matrix is unitriangular.
+    The sweep reads a*b as entry a of the column of b, taking the columns
+    of the b in phi(y) whose source object b+ is the target a* of a: these
+    are exactly the defined compositions.  Bijectivity holds structurally:
+    the matrix is unitriangular.
     """
     below = _transform_order(s, e, side)
     cat = build_category(s, e)
@@ -185,11 +190,16 @@ def is_multiplicative(cat: EhresmannCategory, phi) -> bool:
     ys = list(s.generators)
     if s.identity is not None:
         ys.append(s.identity)
-    for x in range(s.size):
-        for y in ys:
-            lhs = Counter(cat.compose(a, b) for a in phi[x] for b in phi[y])
-            del lhs[None]  # undefined compositions contribute zero
-            if lhs != Counter(phi[s.mul(x, y)]):
+    targets = [sorted(p) for p in phi]
+    star = cat.star
+    for y in ys:
+        by_object = {}  # source object -> columns of the b in phi(y)
+        for b in phi[y]:
+            by_object.setdefault(cat.plus[b], []).append(s.column(b))
+        for x, z in enumerate(s.column(y)):
+            lhs = [c[a] for a in phi[x] for c in by_object.get(star[a], ())]
+            lhs.sort()  # phi(x) phi(y) and phi(xy) as multisets
+            if lhs != targets[z]:
                 return False
     return True
 
@@ -204,20 +214,20 @@ class RationalAlgebra:
     category algebra (undefined compositions are zero).
     """
 
-    def __init__(self, dimension, basis_mul):
-        self.dimension = dimension
+    def __init__(self, dimension, basis_mul, row=None):
+        self.dimension = d = dimension
         self.basis_mul = basis_mul  # (i, j) -> index or None
+        # row(i) lists basis_mul(i, j) for every j
+        self.row = row or (lambda i: [basis_mul(i, j) for j in range(d)])
 
     @classmethod
     def of_monoid(cls, s: FiniteMonoid):
-        return cls(s.size, s.mul)
+        return cls(s.size, s.mul, s.row)
 
     def trace_left(self, k):
-        """Trace of left multiplication by basis element k."""
-        if k is None:
-            return 0
-        mul = self.basis_mul
-        return sum(1 for j in range(self.dimension) if mul(k, j) == j)
+        """Trace of left multiplication by basis element k: the number of
+        fixed points of its row."""
+        return sum(map(eq, self.row(k), range(self.dimension)))
 
 
 def radical_dim(a: RationalAlgebra) -> int:
@@ -237,16 +247,9 @@ def radical_dim(a: RationalAlgebra) -> int:
 def _gram(a: RationalAlgebra):
     """The integer trace-form matrix; 0 where a basis product is undefined."""
     d = a.dimension
-    mul = a.basis_mul
-    traces = [a.trace_left(k) for k in range(d)]
-    gram = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            k = mul(i, j)
-            row.append(0 if k is None else traces[k])
-        gram.append(row)
-    return gram
+    traces = {k: a.trace_left(k) for k in range(d)}
+    traces[None] = 0
+    return [list(map(traces.__getitem__, a.row(i))) for i in range(d)]
 
 
 # -- exact integer rank: a mod-p lower bound and a kernel certificate ---------

@@ -8,7 +8,7 @@ rename).  The JSON text is byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, but joined
 from chunks of bounded size (``_json_text``): on 2 vCPUs ``build RR4``
 peaks at 47 MB in 0.6 s and ``stein Pfd4 F --side right`` at 122 MB in
-1.2 s, where ``json.dumps`` took 92 MB and 527 MB, 1.0 s and 8.3 s.
+0.9 s, where ``json.dumps`` took 92 MB and 527 MB, 1.0 s and 8.3 s.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.

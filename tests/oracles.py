@@ -6,6 +6,7 @@ counting) so agreement is a genuine two-sided check.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -815,9 +816,28 @@ def relation_predicates(a):
 # -- reference transform check ------------------------------------------------
 
 
+def stein_generator_pairs(cat, phi):
+    """The sweep of ``algebra.is_multiplicative`` on (element, generator)
+    pairs, by definition: every composition of phi(x) phi(y) through
+    ``EhresmannCategory.compose``, undefined ones dropped, compared with
+    phi(xy) as a multiset."""
+    s = cat.monoid
+    ys = list(s.generators)
+    if s.identity is not None:
+        ys.append(s.identity)
+    for x in range(s.size):
+        for y in ys:
+            lhs = Counter(cat.compose(a, b) for a in phi[x] for b in phi[y])
+            del lhs[None]  # undefined compositions contribute zero
+            if lhs != Counter(phi[s.mul(x, y)]):
+                return False
+    return True
+
+
 def stein_pairwise(cat, phi):
-    """``algebra.is_multiplicative`` on every pair (x, y), not only on
-    (element, generator) pairs, counting compositions in a plain dict."""
+    """phi(x) phi(y) = phi(xy) on every pair (x, y), not only on the
+    (element, generator) pairs of ``stein_generator_pairs``, counting
+    compositions in a plain dict."""
     s = cat.monoid
     rng = range(s.size)
     for x in rng:
@@ -837,12 +857,13 @@ def stein_pairwise(cat, phi):
 
 
 def gram_fractions(a):
-    """The trace-form Gram matrix, one definitional trace per entry."""
-    d = a.dimension
-    return [
-        [Fraction(a.trace_left(a.basis_mul(i, j))) for j in range(d)]
-        for i in range(d)
-    ]
+    """The trace-form Gram matrix from definitional traces: the trace of
+    left multiplication by k counts the j with k*j = j."""
+    d, mul = a.dimension, a.basis_mul
+    trace = {None: 0}
+    for k in range(d):
+        trace[k] = sum(1 for j in range(d) if mul(k, j) == j)
+    return [[Fraction(trace[mul(i, j)]) for j in range(d)] for i in range(d)]
 
 
 def rational_rank(rows):

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, isqrt
 
 import pytest
 
 from diagmon import algebra, diagrams as dg, ehresmann as eh, zoo
+from diagmon import monoid as mon
 from diagmon.errors import StateError, ValidationError
 from diagmon.monoid import froidure_pin
 
@@ -14,10 +16,12 @@ from oracles import (
     algebra_associative,
     algebra_multiply,
     category_algebra,
+    gram_fractions,
     is_unitriangular,
     matrix_to_json,
     radical_nullity,
     rref_mod_lists,
+    stein_generator_pairs,
     stein_pairwise,
     top_degree,
 )
@@ -204,6 +208,9 @@ def test_verify_stein_matches_the_pairwise_oracle():
         e = zoo.semilattice_for(kind, name)
         cat, phi = _category_and_phi(name, kind, side)
         assert algebra.verify_stein(s, e, side) == stein_pairwise(cat, phi)
+        assert algebra.is_multiplicative(cat, phi) == stein_generator_pairs(
+            cat, phi
+        ), (name, kind, side)
     assert len(cases) == 198
 
 
@@ -235,9 +242,49 @@ def test_sweep_matches_the_oracle_on_every_perturbation_up_to_degree_2():
     for case in _stein_cases(2):
         cat, phi = _category_and_phi(*case)
         for bad in _perturbations(phi):
-            assert algebra.is_multiplicative(cat, bad) == stein_pairwise(
-                cat, bad
-            ), case
+            swept = algebra.is_multiplicative(cat, bad)
+            assert swept == stein_pairwise(cat, bad), case
+            assert swept == stein_generator_pairs(cat, bad), case
+
+
+def test_sweep_compares_products_as_multisets():
+    cat, phi = _category_and_phi("PT2", "E", "left")
+    # unsorted images: the same map
+    unsorted = [b[::-1] for b in phi]
+    assert any(b != sorted(b) for b in unsorted)
+    # every image twice: phi(x) phi(y) has each product four times, so the
+    # sets of products agree with phi(xy) but the multisets do not
+    doubled = [b + b for b in unsorted]
+    # one image with a repeated entry
+    repeated = phi[:3] + [phi[3] + phi[3][:1]] + phi[4:]
+    for bad, want in ((unsorted, True), (doubled, False), (repeated, False)):
+        assert algebra.is_multiplicative(cat, bad) is want
+        assert stein_generator_pairs(cat, bad) is want
+        assert stein_pairwise(cat, bad) is want
+
+
+@pytest.mark.parametrize("name, kind, side", [
+    ("PT3", "E", "left"), ("Pfd3", "F", "right"),
+])
+def test_sweep_on_untabled_copies_matches_the_oracle(
+    monkeypatch, name, kind, side
+):
+    # an untabled monoid composes each column along the element's word
+    with monkeypatch.context() as patch:
+        patch.setattr(mon, "TABLE_CAP", 0)
+        s = zoo.build.__wrapped__(name)
+    assert s.table is None
+    e = eh.Semilattice.create(s, zoo.semilattice_for(kind, name).members)
+    cat = algebra.build_category(s, e)
+    phi = [sorted(b) for b in algebra.natural_order(s, e, side)]
+    assert algebra.verify_stein(s, e, side)
+    assert algebra.is_multiplicative(cat, phi)
+    assert stein_generator_pairs(cat, phi)
+    # the perturbations that drop one entry of one image come first
+    for bad in islice(_perturbations(phi), sum(map(len, phi))):
+        assert algebra.is_multiplicative(cat, bad) == stein_generator_pairs(
+            cat, bad
+        )
 
 
 def test_sweep_needs_the_identity_pairs():
@@ -312,14 +359,26 @@ def test_radical_dim_matches_the_rational_oracle_on_category_algebras():
         assert algebra.radical_dim(a) == radical_nullity(a), name
 
 
-def test_gram_matrix_is_symmetric():
-    # t(ij) = tr(L_i L_j) = tr(L_j L_i) = t(ji)
+def _gram_algebras():
+    """The monoid algebras up to degree 3 and the category algebras."""
     algebras = [
         algebra.RationalAlgebra.of_monoid(zoo.build(name))
         for name in _families(3)
     ]
-    algebras += [_category_algebra(name, kind) for name, kind in CATEGORY_PAIRS]
-    for a in algebras:
+    return algebras + [
+        _category_algebra(name, kind) for name, kind in CATEGORY_PAIRS
+    ]
+
+
+def test_gram_matrix_matches_the_definitional_traces():
+    null = algebra.RationalAlgebra(3, lambda i, j: None)
+    for a in _gram_algebras() + [null]:
+        assert algebra._gram(a) == gram_fractions(a)
+
+
+def test_gram_matrix_is_symmetric():
+    # t(ij) = tr(L_i L_j) = tr(L_j L_i) = t(ji)
+    for a in _gram_algebras():
         g = algebra._gram(a)
         assert all(
             g[i][j] == g[j][i] for i in range(len(g)) for j in range(i)
