@@ -237,20 +237,3 @@ def refines(a, b) -> bool:
         if image.setdefault(x, y) != y:
             return False
     return True
-
-
-def _block_sizes(a: Partition):
-    counts = {}
-    for b in a.code:
-        counts[b] = counts.get(b, 0) + 1
-    return counts.values()
-
-
-def is_brauer(a: Partition) -> bool:
-    """All blocks have size exactly 2."""
-    return all(s == 2 for s in _block_sizes(a))
-
-
-def is_partial_brauer(a: Partition) -> bool:
-    """All blocks have size at most 2."""
-    return all(s <= 2 for s in _block_sizes(a))

@@ -4,12 +4,20 @@ Each check recomputes a structural fact from first principles (definitional
 sweeps on one side, closed-form or combinatorial descriptions on the other)
 and reports a named result.  The counting formulas here are independent of
 the enumeration pipeline, so size agreement is a two-sided check.
+
+A check is declared once, with ``claim``: a generator of the lines it prints
+at one degree n, the degrees it runs at, and any further parts with their
+own degrees.  ``claim`` is the one place that caps the degrees at ``nmax``,
+prints a "(skipped)" line for a check with nothing under the cap, and turns
+a ``StateError`` into one failed line for the (part, degree) that raised
+it, keeping every line printed before it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial, wraps
 from itertools import combinations
 from math import comb, factorial
 
@@ -42,8 +50,45 @@ class CheckResult:
         return f"[{status}] {self.name}{tail}"
 
 
-def _cap(natural, nmax):
-    return natural if nmax is None else min(natural, nmax)
+# What a part is called with, given its declared degrees up to the cap.
+_SHAPES = {
+    "each": lambda degrees: degrees,  # once per degree
+    "top": lambda degrees: degrees[-1:],  # at the largest degree only
+    "span": lambda degrees: [degrees],  # once, with all the degrees
+}
+
+
+def claim(degrees, *more, how="each", skipped=""):
+    """Declare a check by ``lines(n)``, the generator of its results at n.
+
+    ``lines`` runs at ``degrees`` (``None``: once, at any cap), then each
+    part ``(lines, degrees[, how])`` of ``more`` at its own; the result is
+    the public ``check(nmax=None)``, a list.  A ``StateError`` ends only its
+    (part, degree), as one failed line naming the check.
+    """
+
+    def declare(lines):
+        parts = [(lines, degrees, how), *((*p, "each")[:3] for p in more)]
+
+        @wraps(lines)
+        def check(nmax=None):
+            out = []
+            for part, degs, shape in parts:
+                capped = [n for n in degs or () if nmax is None or n <= nmax]
+                for arg in [None] if degs is None else _SHAPES[shape](capped):
+                    try:
+                        for result in part(arg):
+                            out.append(result)
+                    except StateError as exc:
+                        out.append(CheckResult(lines.__name__, False, str(exc)))
+            if not out and skipped:
+                out.append(CheckResult(skipped, True))
+            return out
+
+        del check.__wrapped__  # its signature is (nmax=None), not the part's
+        return check
+
+    return declare
 
 
 # -- counting oracles (combinatorial formulas, not the diagram pipeline) -----
@@ -79,10 +124,21 @@ def expected_size(family, n):
     raise ValidationError(f"no counting formula for family {family}")
 
 
+def _sizes(fam, degrees, name=None):
+    """One line: the built sizes of a family against ``expected_size``."""
+    sizes = [(n, zoo.build(f"{fam}{n}").size) for n in degrees]
+    yield CheckResult(
+        name or f"{fam} family sizes match the counting formula",
+        all(got == expected_size(fam, n) for n, got in sizes),
+        " ".join(f"{fam}_{n}={got}" for n, got in sizes),
+    )
+
+
 # -- section 4: partition monoids ---------------------------------------------
 
 
-def check_worked_example(nmax=None):
+@claim(None)
+def check_worked_example(_):
     w = zoo.witness_sets()
     a, b, ab = w["alpha6"], w["beta6"], w["alpha_beta6"]
     pa, pb = dg.params(a), dg.params(b)
@@ -93,28 +149,23 @@ def check_worked_example(nmax=None):
         and pb.supp.members == frozenset({1, 2, 3, 4, 5})
         and pb.cosupp.members == frozenset({1, 4, 5, 6})
     )
-    return [CheckResult("degree-6 product and parameters of the fixed pair", ok)]
+    yield CheckResult("degree-6 product and parameters of the fixed pair", ok)
 
 
-def check_block_identity_axioms(nmax=None):
-    out = []
-    for n in range(2, _cap(4, nmax) + 1):
-        s = zoo.build(f"P{n}")
-        f = zoo.semilattice_for("F", f"P{n}")
-        rep = eh.check_axioms(s, f)
-        out.append(
-            CheckResult(
-                f"P_{n} satisfies L1, L2, R1, R2 for the block identities",
-                rep.is_ehresmann(),
-                f"sweep={rep.theta_sweep}",
-            )
-        )
-    return out
+@claim((2, 3, 4))
+def check_block_identity_axioms(n):
+    s = zoo.build(f"P{n}")
+    f = zoo.semilattice_for("F", f"P{n}")
+    rep = eh.check_axioms(s, f)
+    yield CheckResult(
+        f"P_{n} satisfies L1, L2, R1, R2 for the block identities",
+        rep.is_ehresmann(),
+        f"sweep={rep.theta_sweep}",
+    )
 
 
-def check_partial_identity_failure(nmax=None):
-    if _cap(2, nmax) < 2:
-        return [CheckResult("degree-2 congruence failure (skipped)", True)]
+@claim((2,), skipped="degree-2 congruence failure (skipped)")
+def check_partial_identity_failure(_):
     s = zoo.build("P2")
     rep = eh.check_axioms(s, zoo.semilattice_for("E", "P2"))
     w = zoo.witness_sets()["not_e"]
@@ -129,19 +180,15 @@ def check_partial_identity_failure(nmax=None):
         and dg.params(at).cosupp != dg.params(bt).cosupp
     )
     ok = not rep.axioms["L2"] and not rep.axioms["R2"] and witness_ok
-    return [
-        CheckResult(
-            "P_2 fails L2 and R2 for the partial identities, "
-            "with the fixed witness triple",
-            ok,
-        )
-    ]
+    yield CheckResult(
+        "P_2 fails L2 and R2 for the partial identities, "
+        "with the fixed witness triple",
+        ok,
+    )
 
 
-def check_identity_set_formulas(nmax=None):
-    n = _cap(3, nmax)
-    if n < 2:
-        return [CheckResult("identity-set formulas (skipped)", True)]
+@claim((2, 3), how="top", skipped="identity-set formulas (skipped)")
+def check_identity_set_formulas(n):
     s = zoo.build(f"P{n}")
     e = zoo.semilattice_for("E", f"P{n}")
     f = zoo.semilattice_for("F", f"P{n}")
@@ -167,19 +214,15 @@ def check_identity_set_formulas(nmax=None):
             (f, "l", lambda q: q.coker),
         )
     )
-    return [
-        CheckResult(
-            f"identity sets and induced equivalences in P_{n} match their "
-            "closed forms",
-            ok,
-        )
-    ]
+    yield CheckResult(
+        f"identity sets and induced equivalences in P_{n} match their "
+        "closed forms",
+        ok,
+    )
 
 
-def check_order_characterizations(nmax=None):
-    n = _cap(3, nmax)
-    if n < 2:
-        return [CheckResult("order characterizations (skipped)", True)]
+@claim((2, 3), how="top", skipped="order characterizations (skipped)")
+def check_order_characterizations(n):
     s = zoo.build(f"P{n}")
     e = zoo.semilattice_for("E", f"P{n}")
     f = zoo.semilattice_for("F", f"P{n}")
@@ -196,270 +239,223 @@ def check_order_characterizations(nmax=None):
         for below, below_y in orders
         for y in range(s.size)
     )
-    return [
-        CheckResult(
-            f"both natural orders on P_{n} match their block descriptions",
-            ok,
-        )
-    ]
-
-
-def check_regular_subsemigroups(nmax=None):
-    out = []
-    for n in range(2, _cap(3, nmax) + 1):
-        s = zoo.build(f"P{n}")
-        e = zoo.semilattice_for("E", f"P{n}")
-        f = zoo.semilattice_for("F", f"P{n}")
-        regular_f, regular_e = eh.reg_e(s, f), eh.reg_e(s, e)
-        j_set = frozenset(zoo.build(f"J{n}").elements)
-        i_set = frozenset(zoo.build(f"I{n}").elements)
-        ok = (
-            frozenset(s.decode(i) for i in regular_f) == j_set
-            and frozenset(s.decode(i) for i in regular_e) == i_set
-            and is_inverse(s.submonoid(regular_f))
-            and is_inverse(s.submonoid(regular_e))
-        )
-        # each monoid class of a block identity is a partial-bijection monoid
-        for eps in zoo.equivalences(n):
-            idx = s.index[dg.id_equiv(eps)]
-            members, closed, _ = eh.tilde_h_class(idx, s, f)
-            if not closed or len(members) != expected_size(
-                "I", eps.num_classes()
-            ):
-                ok = False
-        out.append(
-            CheckResult(
-                f"regular parts of P_{n} are the expected inverse submonoids "
-                "and the block-identity classes close up with the right sizes",
-                ok,
-            )
-        )
-    # the class of the identity for the partial identities is not closed
-    if _cap(3, nmax) >= 3:
-        s = zoo.build("P3")
-        w = zoo.witness_sets()["h_escape"]
-        a, b = w["alpha"], w["beta"]
-        pa, pb = dg.params(a), dg.params(b)
-        full = frozenset(range(1, 4))
-        pab = dg.params(dg.multiply(a, b))
-        ok = (
-            pa.supp.members == pa.cosupp.members == full
-            and pb.supp.members == pb.cosupp.members == full
-            and not (pab.supp.members == pab.cosupp.members == full)
-        )
-        out.append(
-            CheckResult(
-                "the partial-identity class of the identity of P_3 is not "
-                "closed (fixed escaping product)",
-                ok,
-            )
-        )
-    return out
-
-
-def check_restriction_subsemigroups(nmax=None):
-    out = []
-    for n in range(2, _cap(3, nmax) + 1):
-        s = zoo.build(f"P{n}")
-        f = zoo.semilattice_for("F", f"P{n}")
-        rest_l, rest_r, rest = eh.rest_subsemigroups(s, f)
-        nabla = dg.SetPartition.universal(n)
-        full = frozenset(range(1, n + 1))
-        par = [dg.params(a) for a in s.elements]
-        by_shape_r = frozenset(
-            x
-            for x, q in enumerate(par)
-            if q.dom.members == full or q.ker == nabla
-        )
-        by_shape_l = frozenset(
-            x
-            for x, q in enumerate(par)
-            if q.codom.members == full or q.coker == nabla
-        )
-        rr_set = frozenset(zoo.build(f"RR{n}").elements)
-        j_set = frozenset(zoo.build(f"J{n}").elements)
-        z = s.index[dg.zeta(n)]
-        ok = (
-            frozenset(rest_r) == by_shape_r
-            and frozenset(rest_l) == by_shape_l
-            and frozenset(s.decode(x) for x in rest_r) == rr_set
-            and frozenset(s.decode(x) for x in rest) == j_set | {dg.zeta(n)}
-            and len(rest) == expected_size("J", n) + 1  # |J_n u {zeta}|
-            and all(
-                s.mul(x, z) == z and s.mul(z, x) == z for x in rest
-            )
-        )
-        out.append(
-            CheckResult(
-                f"largest restriction subsemigroups of P_{n} match their "
-                "block descriptions, with the two-block diagram as zero",
-                ok,
-            )
-        )
-    return out
-
-
-def check_rank_chain_structure(nmax=None):
-    out = []
-    for fam in ("Pfd", "RR"):
-        for n in range(2, _cap(4, nmax) + 1):
-            s = zoo.build(f"{fam}{n}")
-            gs = green(s)
-            par = [dg.params(a) for a in s.elements]
-            ok = (
-                is_regular(s)
-                and same_classes(gs.r_class, [(q.dom, q.ker) for q in par])
-                and same_classes(gs.l_class, [(q.codom, q.coker) for q in par])
-                and same_classes(gs.d_class, [q.rank for q in par])
-                and gs.d_equals_j
-            )
-            # D-classes form a chain, i.e. the order is total
-            d_ids = set(gs.d_class)
-            ok = ok and all(
-                (a, b) in gs.d_order or (b, a) in gs.d_order
-                for a in d_ids
-                for b in d_ids
-            )
-            # group cells in the rank-mu class have size mu!
-            h_size = Counter(gs.h_class)
-            ok = ok and all(
-                h_size[gs.h_class[x]] == factorial(par[x].rank)
-                for x in idempotents(s)
-            )
-            # right zeros and the minimal ideal
-            zeros = right_zeros(s)
-            low = 1 if fam == "Pfd" else 0
-            nabla = dg.SetPartition.universal(n)
-            bottom = frozenset(
-                x
-                for x in range(s.size)
-                if par[x].rank == low and par[x].ker == nabla
-            )
-            ok = ok and zeros == bottom and minimal_ideal(s) == bottom
-            out.append(
-                CheckResult(
-                    f"{'full-domain' if fam == 'Pfd' else 'right-restriction'}"
-                    f" monoid at degree {n}: regular, rank-chain classes, "
-                    "group cells of size rank!, bottom right zeros",
-                    ok,
-                )
-            )
-    if _cap(4, nmax) >= 4:
-        dot = dotout.emit_eggbox(zoo.build("RR4"), title="RR4")
-        out.append(
-            CheckResult(
-                "degree-4 right-restriction egg-box has 5 chained clusters",
-                dot.count("subgraph") == 5,
-            )
-        )
-    return out
-
-
-def _size_check(fam, degrees, name=None):
-    """The built sizes of a family against ``expected_size``."""
-    sizes = [(n, zoo.build(f"{fam}{n}").size) for n in degrees]
-    return CheckResult(
-        name or f"{fam} family sizes match the counting formula",
-        all(got == expected_size(fam, n) for n, got in sizes),
-        " ".join(f"{fam}_{n}={got}" for n, got in sizes),
+    yield CheckResult(
+        f"both natural orders on P_{n} match their block descriptions", ok
     )
 
 
-def check_partition_sizes(nmax=None):
-    out = [_size_check(fam, range(_cap(4, nmax) + 1)) for fam in "PIJ"]
-    # derived consistency: the right-restriction monoid splits by rank
+def _identity_class_escape(_):
+    """The class of the identity for the partial identities is not closed."""
+    w = zoo.witness_sets()["h_escape"]
+    a, b = w["alpha"], w["beta"]
+    pa, pb = dg.params(a), dg.params(b)
+    full = frozenset(range(1, 4))
+    pab = dg.params(dg.multiply(a, b))
+    ok = (
+        pa.supp.members == pa.cosupp.members == full
+        and pb.supp.members == pb.cosupp.members == full
+        and not (pab.supp.members == pab.cosupp.members == full)
+    )
+    yield CheckResult(
+        "the partial-identity class of the identity of P_3 is not "
+        "closed (fixed escaping product)",
+        ok,
+    )
+
+
+@claim((2, 3), (_identity_class_escape, (3,)))
+def check_regular_subsemigroups(n):
+    s = zoo.build(f"P{n}")
+    e = zoo.semilattice_for("E", f"P{n}")
+    f = zoo.semilattice_for("F", f"P{n}")
+    regular_f, regular_e = eh.reg_e(s, f), eh.reg_e(s, e)
+    j_set = frozenset(zoo.build(f"J{n}").elements)
+    i_set = frozenset(zoo.build(f"I{n}").elements)
+    ok = (
+        frozenset(s.decode(i) for i in regular_f) == j_set
+        and frozenset(s.decode(i) for i in regular_e) == i_set
+        and is_inverse(s.submonoid(regular_f))
+        and is_inverse(s.submonoid(regular_e))
+    )
+    # each monoid class of a block identity is a partial-bijection monoid
+    for eps in zoo.equivalences(n):
+        idx = s.index[dg.id_equiv(eps)]
+        members, closed, _ = eh.tilde_h_class(idx, s, f)
+        if not closed or len(members) != expected_size("I", eps.num_classes()):
+            ok = False
+    yield CheckResult(
+        f"regular parts of P_{n} are the expected inverse submonoids "
+        "and the block-identity classes close up with the right sizes",
+        ok,
+    )
+
+
+@claim((2, 3))
+def check_restriction_subsemigroups(n):
+    s = zoo.build(f"P{n}")
+    f = zoo.semilattice_for("F", f"P{n}")
+    rest_l, rest_r, rest = eh.rest_subsemigroups(s, f)
+    nabla = dg.SetPartition.universal(n)
+    full = frozenset(range(1, n + 1))
+    par = [dg.params(a) for a in s.elements]
+    by_shape_r = frozenset(
+        x for x, q in enumerate(par) if q.dom.members == full or q.ker == nabla
+    )
+    by_shape_l = frozenset(
+        x for x, q in enumerate(par) if q.codom.members == full or q.coker == nabla
+    )
+    rr_set = frozenset(zoo.build(f"RR{n}").elements)
+    j_set = frozenset(zoo.build(f"J{n}").elements)
+    z = s.index[dg.zeta(n)]
+    ok = (
+        frozenset(rest_r) == by_shape_r
+        and frozenset(rest_l) == by_shape_l
+        and frozenset(s.decode(x) for x in rest_r) == rr_set
+        and frozenset(s.decode(x) for x in rest) == j_set | {dg.zeta(n)}
+        and len(rest) == expected_size("J", n) + 1  # |J_n u {zeta}|
+        and all(s.mul(x, z) == z and s.mul(z, x) == z for x in rest)
+    )
+    yield CheckResult(
+        f"largest restriction subsemigroups of P_{n} match their "
+        "block descriptions, with the two-block diagram as zero",
+        ok,
+    )
+
+
+def _rank_chain(fam, n):
+    s = zoo.build(f"{fam}{n}")
+    gs = green(s)
+    par = [dg.params(a) for a in s.elements]
+    ok = (
+        is_regular(s)
+        and same_classes(gs.r_class, [(q.dom, q.ker) for q in par])
+        and same_classes(gs.l_class, [(q.codom, q.coker) for q in par])
+        and same_classes(gs.d_class, [q.rank for q in par])
+        and gs.d_equals_j
+    )
+    # D-classes form a chain, i.e. the order is total
+    d_ids = set(gs.d_class)
+    ok = ok and all(
+        (a, b) in gs.d_order or (b, a) in gs.d_order
+        for a in d_ids
+        for b in d_ids
+    )
+    # group cells in the rank-mu class have size mu!
+    h_size = Counter(gs.h_class)
+    ok = ok and all(
+        h_size[gs.h_class[x]] == factorial(par[x].rank)
+        for x in idempotents(s)
+    )
+    # right zeros and the minimal ideal
+    zeros = right_zeros(s)
+    low = 1 if fam == "Pfd" else 0
+    nabla = dg.SetPartition.universal(n)
+    bottom = frozenset(
+        x
+        for x in range(s.size)
+        if par[x].rank == low and par[x].ker == nabla
+    )
+    ok = ok and zeros == bottom and minimal_ideal(s) == bottom
+    yield CheckResult(
+        f"{'full-domain' if fam == 'Pfd' else 'right-restriction'}"
+        f" monoid at degree {n}: regular, rank-chain classes, "
+        "group cells of size rank!, bottom right zeros",
+        ok,
+    )
+
+
+def _rr4_eggbox(_):
+    dot = dotout.emit_eggbox(zoo.build("RR4"), title="RR4")
+    yield CheckResult(
+        "degree-4 right-restriction egg-box has 5 chained clusters",
+        dot.count("subgraph") == 5,
+    )
+
+
+@claim((2, 3, 4), (partial(_rank_chain, "RR"), (2, 3, 4)), (_rr4_eggbox, (4,)))
+def check_rank_chain_structure(n):
+    return _rank_chain("Pfd", n)
+
+
+def _rank_split(degrees):
+    """The right-restriction monoid is its full-domain part plus rank 0."""
     ok = True
-    for n in range(1, _cap(4, nmax) + 1):
+    for n in degrees:
         rr = len(zoo.build(f"RR{n}").elements)
         pfd = len(zoo.build(f"Pfd{n}").elements)
         d0 = len(zoo.build(f"D0{n}").elements)
         ok = ok and rr == pfd + d0 and d0 == expected_size("D0", n)
-    out.append(
-        CheckResult(
-            "right-restriction monoid splits as full-domain part plus the "
-            "rank-0 floor",
-            ok,
-        )
+    yield CheckResult(
+        "right-restriction monoid splits as full-domain part plus the "
+        "rank-0 floor",
+        ok,
     )
-    return out
+
+
+@claim((0, 1, 2, 3, 4), (partial(_sizes, "I"), (0, 1, 2, 3, 4), "span"),
+       (partial(_sizes, "J"), (0, 1, 2, 3, 4), "span"),
+       (_rank_split, (1, 2, 3, 4), "span"), how="span")
+def check_partition_sizes(degrees):
+    return _sizes("P", degrees)
 
 
 # -- section 3: binary relations ----------------------------------------------
 
 
-def check_relation_suite(nmax=None):
-    out = []
-    for n in range(1, _cap(3, nmax) + 1):
-        s = zoo.build(f"BX{n}")
-        e = zoo.semilattice_for("E", f"BX{n}")
-        rep = eh.check_axioms(s, e)
-        # tilde classes are exactly equality of domain / codomain
-        par = [rel_params(a) for a in s.elements]
-        ok = (
-            rep.is_ehresmann()
-            and same_classes(rep.r_tilde, [p.dom for p in par])
-            and same_classes(rep.l_tilde, [p.codom for p in par])
-        )
-        out.append(
-            CheckResult(
-                f"all binary relations on {n} points: Ehresmann for partial "
-                "identities, classes given by domain and codomain",
-                ok,
-            )
-        )
-        rest_l, rest_r, rest = eh.rest_subsemigroups(s, e)
-        pt_set = frozenset(zoo.build(f"PT{n}").elements)
-        i_set = frozenset(a for a in s.elements if is_partial_bijection(a))
-        got_l = frozenset(s.decode(x) for x in rest_l)
-        got_two = frozenset(s.decode(x) for x in rest)
-        reg = frozenset(s.decode(x) for x in eh.reg_e(s, e))
-        out.append(
-            CheckResult(
-                f"degree-{n} relations: largest left-restriction part is the "
-                "partial functions, two-sided and regular parts are the "
-                "partial bijections",
-                got_l == pt_set and got_two == i_set and reg == i_set,
-            )
-        )
-        pt = zoo.build(f"PT{n}")
-        ept = zoo.semilattice_for("E", f"PT{n}")
-        cat = algebra.build_category(pt, ept)
-        flag, _ = algebra.is_ei(cat)
-        out.append(
-            CheckResult(
-                f"endomorphisms in the partial-function category at degree "
-                f"{n} are all invertible",
-                flag,
-            )
-        )
-    return out
+@claim((1, 2, 3))
+def check_relation_suite(n):
+    s = zoo.build(f"BX{n}")
+    e = zoo.semilattice_for("E", f"BX{n}")
+    rep = eh.check_axioms(s, e)
+    # tilde classes are exactly equality of domain / codomain
+    par = [rel_params(a) for a in s.elements]
+    ok = (
+        rep.is_ehresmann()
+        and same_classes(rep.r_tilde, [p.dom for p in par])
+        and same_classes(rep.l_tilde, [p.codom for p in par])
+    )
+    yield CheckResult(
+        f"all binary relations on {n} points: Ehresmann for partial "
+        "identities, classes given by domain and codomain",
+        ok,
+    )
+    rest_l, rest_r, rest = eh.rest_subsemigroups(s, e)
+    pt_set = frozenset(zoo.build(f"PT{n}").elements)
+    i_set = frozenset(a for a in s.elements if is_partial_bijection(a))
+    got_l = frozenset(s.decode(x) for x in rest_l)
+    got_two = frozenset(s.decode(x) for x in rest)
+    reg = frozenset(s.decode(x) for x in eh.reg_e(s, e))
+    yield CheckResult(
+        f"degree-{n} relations: largest left-restriction part is the "
+        "partial functions, two-sided and regular parts are the "
+        "partial bijections",
+        got_l == pt_set and got_two == i_set and reg == i_set,
+    )
+    pt = zoo.build(f"PT{n}")
+    ept = zoo.semilattice_for("E", f"PT{n}")
+    cat = algebra.build_category(pt, ept)
+    flag, _ = algebra.is_ei(cat)
+    yield CheckResult(
+        f"endomorphisms in the partial-function category at degree "
+        f"{n} are all invertible",
+        flag,
+    )
 
 
-def check_relation_sizes(nmax=None):
-    return [
-        _size_check(fam, range(1, _cap(cap, nmax) + 1))
-        for fam, cap in (("T", 4), ("PT", 4), ("BX", 3))
-    ]
+@claim((1, 2, 3, 4), (partial(_sizes, "PT"), (1, 2, 3, 4), "span"),
+       (partial(_sizes, "BX"), (1, 2, 3), "span"), how="span")
+def check_relation_sizes(degrees):
+    return _sizes("T", degrees)
 
 
 # -- section 2: transform and radical ------------------------------------------
 
 
-def check_transform_isomorphism(nmax=None):
-    out = []
-    cases = [
-        ("PT2", "E", "left", 2),
-        ("PT3", "E", "left", 3),
-        ("Pfd2", "F", "right", 2),
-        ("Pfd3", "F", "right", 3),
-        ("I2", "E", "left", 2),
-        ("I2", "E", "right", 2),
-    ]
-    for name, kind, side, n in cases:
-        if n > _cap(4, nmax):
-            continue
-        s = zoo.build(name)
-        e = zoo.semilattice_for(kind, name)
+def _transform(fam, kind, sides, n):
+    name = f"{fam}{n}"
+    s = zoo.build(name)
+    e = zoo.semilattice_for(kind, name)
+    for side in sides:
         label = (
             f"{name}, {side} order: basis transform is multiplicative, "
             "unitriangular, inverted by its order's Mobius matrix"
@@ -468,157 +464,138 @@ def check_transform_isomorphism(nmax=None):
             ok = algebra.verify_stein(s, e, side)
             m = algebra.mobius_inverse(algebra.natural_order(s, e, side))
         except StateError as exc:
-            out.append(CheckResult(label, False, str(exc)))
-            continue
-        out.append(CheckResult(label, ok and len(m) == s.size))
-    if not out:
-        out.append(CheckResult("transform checks (skipped)", True))
-    return out
+            yield CheckResult(label, False, str(exc))
+        else:
+            yield CheckResult(label, ok and len(m) == s.size)
 
 
-def check_semisimple_dimensions(nmax=None):
-    out = []
-    cases = [("PT2", "E", 2), ("PT3", "E", 3), ("Pfd2", "F", 2)]
-    for name, kind, n in cases:
-        if n > _cap(4, nmax):
-            continue
-        s = zoo.build(name)
-        e = zoo.semilattice_for(kind, name)
-        reg = eh.reg_e(s, e)
-        label = (
-            f"{name}: semigroup algebra modulo its radical has dimension "
-            f"{len(reg)}, and the regular part's algebra is semisimple"
-        )
-        try:  # StateError unless every endomorphism is invertible
-            ok = algebra.check_semisimple_quotient(s, e)
-        except StateError as exc:
-            out.append(CheckResult(label, False, str(exc)))
-            continue
-        reg_rad = algebra.radical_dim(
-            algebra.RationalAlgebra.of_monoid(s.submonoid(reg))
-        )
-        out.append(
-            CheckResult(
-                label, ok and reg_rad == 0,
-                f"dim={s.size} radical={s.size - len(reg)}",
-            )
-        )
-    if not out:
-        out.append(CheckResult("dimension checks (skipped)", True))
-    return out
+@claim((2, 3), (partial(_transform, "Pfd", "F", ("right",)), (2, 3)),
+       (partial(_transform, "I", "E", ("left", "right")), (2,)),
+       skipped="transform checks (skipped)")
+def check_transform_isomorphism(n):
+    return _transform("PT", "E", ("left",), n)
+
+
+def _semisimple(fam, kind, n):
+    name = f"{fam}{n}"
+    s = zoo.build(name)
+    e = zoo.semilattice_for(kind, name)
+    reg = eh.reg_e(s, e)
+    label = (
+        f"{name}: semigroup algebra modulo its radical has dimension "
+        f"{len(reg)}, and the regular part's algebra is semisimple"
+    )
+    try:  # StateError unless every endomorphism is invertible
+        ok = algebra.check_semisimple_quotient(s, e)
+    except StateError as exc:
+        yield CheckResult(label, False, str(exc))
+        return
+    reg_rad = algebra.radical_dim(
+        algebra.RationalAlgebra.of_monoid(s.submonoid(reg))
+    )
+    yield CheckResult(
+        label, ok and reg_rad == 0,
+        f"dim={s.size} radical={s.size - len(reg)}",
+    )
+
+
+@claim((2, 3), (partial(_semisimple, "Pfd", "F"), (2,)),
+       skipped="dimension checks (skipped)")
+def check_semisimple_dimensions(n):
+    return _semisimple("PT", "E", n)
 
 
 # -- section 5: Brauer and rook monoids ----------------------------------------
 
 
-def check_brauer_failure(nmax=None):
-    if _cap(2, nmax) < 2:
-        return [CheckResult("partial-Brauer congruence failure (skipped)", True)]
+@claim((2,), skipped="partial-Brauer congruence failure (skipped)")
+def check_brauer_failure(_):
     s = zoo.build("PB2")
     rep = eh.check_axioms(s, zoo.semilattice_for("E", "PB2"))
     w = zoo.witness_sets()["not_e"]
-    ok = (
-        not rep.axioms["L2"]
-        and all(x in s.index for x in w.values())
+    ok = not rep.axioms["L2"] and all(x in s.index for x in w.values())
+    yield CheckResult(
+        "partial Brauer monoid at degree 2 fails the left-congruence "
+        "axiom, with the same degree-2 witnesses inside it",
+        ok,
     )
-    return [
-        CheckResult(
-            "partial Brauer monoid at degree 2 fails the left-congruence "
-            "axiom, with the same degree-2 witnesses inside it",
-            ok,
-        )
-    ]
 
 
-def check_brauer_regular_part(nmax=None):
-    out = []
-    for n in range(1, _cap(3, nmax) + 1):
-        s = zoo.build(f"PB{n}")
-        e = zoo.semilattice_for("E", f"PB{n}")
-        reg = frozenset(s.decode(x) for x in eh.reg_e(s, e))
-        i_set = frozenset(zoo.build(f"I{n}").elements)
-        ok = reg == i_set
-        # the class of each partial identity has double-factorial size
-        for k in range(n + 1):
-            for c in combinations(range(1, n + 1), k):
-                idx = s.index[dg.id_subset(dg.Subset.of(n, c))]
-                members, _, _ = eh.tilde_h_class(idx, s, e)
-                if len(members) != double_factorial_odd(k):
-                    ok = False
-        out.append(
-            CheckResult(
-                f"partial Brauer monoid at degree {n}: regular part is the "
-                "partial bijections, identity classes have double-factorial "
-                "sizes",
-                ok,
-            )
-        )
-    return out
+@claim((1, 2, 3))
+def check_brauer_regular_part(n):
+    s = zoo.build(f"PB{n}")
+    e = zoo.semilattice_for("E", f"PB{n}")
+    reg = frozenset(s.decode(x) for x in eh.reg_e(s, e))
+    i_set = frozenset(zoo.build(f"I{n}").elements)
+    ok = reg == i_set
+    # the class of each partial identity has double-factorial size
+    for k in range(n + 1):
+        for c in combinations(range(1, n + 1), k):
+            idx = s.index[dg.id_subset(dg.Subset.of(n, c))]
+            members, _, _ = eh.tilde_h_class(idx, s, e)
+            if len(members) != double_factorial_odd(k):
+                ok = False
+    yield CheckResult(
+        f"partial Brauer monoid at degree {n}: regular part is the "
+        "partial bijections, identity classes have double-factorial "
+        "sizes",
+        ok,
+    )
 
 
-def check_rook_suite(nmax=None):
-    out = []
-    for n in range(1, _cap(3, nmax) + 1):
-        first, second = zoo.tower_maps(n)
-        pn = zoo.build(f"P{n}")
-        rp = zoo.build(f"RP{n}")
-        pn1 = zoo.build(f"P{n + 1}")
-        out.append(
-            CheckResult(
-                f"tower embeddings at degree {n} are injective homomorphisms",
-                check_embedding(first, pn, rp)
-                and check_embedding(second, rp, pn1),
-            )
-        )
-    for n in range(1, _cap(2, nmax) + 1):
-        rp = zoo.build(f"RP{n}")
-        g = zoo.semilattice_for("G", f"RP{n}")
-        rep = eh.check_axioms(rp, g)
-        out.append(
-            CheckResult(
-                f"rook monoid at degree {n} is Ehresmann for the enlarged "
-                "block identities",
-                rep.is_ehresmann(),
-            )
-        )
-    for n in range(1, _cap(3, nmax) + 1):
-        rp = zoo.build(f"RP{n}")
-        g = zoo.semilattice_for("G", f"RP{n}")
-        reg = frozenset(rp.decode(x) for x in eh.reg_e(rp, g))
-        rj = frozenset(zoo.build(f"RJ{n}").elements)
-        out.append(
-            CheckResult(
-                f"regular part of the rook monoid at degree {n} is its "
-                "full-domain full-codomain submonoid",
-                reg == rj,
-            )
-        )
-    if _cap(2, nmax) >= 2:
-        rp = zoo.build("RP2")
-        f = zoo.semilattice_for("F", "RP2")
-        w = zoo.witness_sets()["rook"]
-        a = rp.index[w["alpha"]]
-        b = rp.index[w["beta"]]
-        t = rp.index[w["theta"]]
-        e_l = eh.identity_sets(rp, f, "left")
-        ok = e_l[a] == e_l[b] and e_l[rp.mul(t, a)] != e_l[rp.mul(t, b)]
-        out.append(
-            CheckResult(
-                "lifted block identities fail left-congruence in the "
-                "degree-2 rook monoid (fixed witness triple)",
-                ok,
-            )
-        )
-    return out
+def _rook_axioms(n):
+    rep = eh.check_axioms(zoo.build(f"RP{n}"), zoo.semilattice_for("G", f"RP{n}"))
+    yield CheckResult(
+        f"rook monoid at degree {n} is Ehresmann for the enlarged "
+        "block identities",
+        rep.is_ehresmann(),
+    )
 
 
-def check_brauer_sizes(nmax=None):
-    return [
-        _size_check(
-            "B", range(1, _cap(4, nmax) + 1),
-            "Brauer family sizes match the double factorials",
-        )
-    ]
+def _rook_regular_part(n):
+    rp = zoo.build(f"RP{n}")
+    g = zoo.semilattice_for("G", f"RP{n}")
+    reg = frozenset(rp.decode(x) for x in eh.reg_e(rp, g))
+    rj = frozenset(zoo.build(f"RJ{n}").elements)
+    yield CheckResult(
+        f"regular part of the rook monoid at degree {n} is its "
+        "full-domain full-codomain submonoid",
+        reg == rj,
+    )
+
+
+def _rook_witness(_):
+    rp = zoo.build("RP2")
+    f = zoo.semilattice_for("F", "RP2")
+    w = zoo.witness_sets()["rook"]
+    a, b, t = (rp.index[w[k]] for k in ("alpha", "beta", "theta"))
+    e_l = eh.identity_sets(rp, f, "left")
+    ok = e_l[a] == e_l[b] and e_l[rp.mul(t, a)] != e_l[rp.mul(t, b)]
+    yield CheckResult(
+        "lifted block identities fail left-congruence in the "
+        "degree-2 rook monoid (fixed witness triple)",
+        ok,
+    )
+
+
+@claim((1, 2, 3), (_rook_axioms, (1, 2)), (_rook_regular_part, (1, 2, 3)),
+       (_rook_witness, (2,)))
+def check_rook_suite(n):
+    first, second = zoo.tower_maps(n)
+    pn = zoo.build(f"P{n}")
+    rp = zoo.build(f"RP{n}")
+    pn1 = zoo.build(f"P{n + 1}")
+    yield CheckResult(
+        f"tower embeddings at degree {n} are injective homomorphisms",
+        check_embedding(first, pn, rp) and check_embedding(second, rp, pn1),
+    )
+
+
+@claim((1, 2, 3, 4), how="span")
+def check_brauer_sizes(degrees):
+    return _sizes(
+        "B", degrees, "Brauer family sizes match the double factorials"
+    )
 
 
 # -- suite driver --------------------------------------------------------------
@@ -657,14 +634,4 @@ def run_suite(section, nmax=None):
         raise ValidationError(f"unknown suite {section!r}")
     if nmax is not None and nmax < 0:
         raise ValidationError(f"degree cap must be non-negative, got {nmax}")
-    checks = [check for sec in sections for check in SUITES[sec]]
-    return [r for check in checks for r in _run(check, nmax)]
-
-
-def _run(check, nmax):
-    """A check's results, or one failed result naming the check and the
-    message when a hypothesis it relies on breaks (a ``StateError``)."""
-    try:
-        return check(nmax)
-    except StateError as exc:
-        return [CheckResult(check.__name__, False, str(exc))]
+    return [r for sec in sections for check in SUITES[sec] for r in check(nmax)]

@@ -262,6 +262,21 @@ def partial_functions_by_filter(universe):
     return tuple(a for a in universe if all(r & (r - 1) == 0 for r in a.rows))
 
 
+def _block_sizes(a):
+    """The block sizes of diagram a, counted from its block code."""
+    return Counter(a.code).values()
+
+
+def is_brauer(a):
+    """All blocks have size exactly 2."""
+    return all(s == 2 for s in _block_sizes(a))
+
+
+def is_partial_brauer(a):
+    """All blocks have size at most 2."""
+    return all(s <= 2 for s in _block_sizes(a))
+
+
 def family_member(family, a):
     """Whether diagram a lies in a diagram family, read off its signed
     blocks (the rook families 'RP' and 'RJ' of degree n are tested on their

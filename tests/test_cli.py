@@ -12,7 +12,7 @@ from diagmon import algebra, cli, zoo
 from diagmon import ehresmann as eh
 from diagmon import relations as rel
 from diagmon.diagrams import Partition
-from diagmon.errors import ValidationError
+from diagmon.errors import StateError, ValidationError
 from diagmon.monoid import FiniteMonoid
 
 from oracles import family_member, matrix_to_json, top_degree
@@ -548,6 +548,43 @@ def test_state_error_in_a_check_is_one_failed_line(
     assert cli.main(["verify", section, "--nmax", "2"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
-    failed = [x for x in out.splitlines() if x.startswith("[FAIL]")]
-    assert f"[FAIL] {check}  (left restriction set not closed)" in failed
-    assert out.splitlines()[-1].endswith("checks passed")
+    lines = out.splitlines()
+    failure = f"[FAIL] {check}  (left restriction set not closed)"
+    assert failure in [x for x in lines if x.startswith("[FAIL]")]
+    assert lines[-1].endswith("checks passed")
+    if section == "3":
+        # the error ends only degree 2 of the relation suite: the degree-1
+        # lines and the degree-2 Ehresmann line stay, the sizes follow
+        kept = (
+            "all binary relations on 1 points",
+            "degree-1 relations",
+            "endomorphisms in the partial-function category at degree 1",
+            "all binary relations on 2 points",
+        )
+        assert lines.index(failure) == len(kept)
+        assert all(x.startswith(f"[PASS] {k}") for x, k in zip(lines, kept))
+        assert lines[-1] == "7/8 checks passed"
+
+
+@pytest.mark.parametrize("name", ["P2", "P3"])
+def test_state_error_is_contained_per_check_and_degree(
+    monkeypatch, capsys, name
+):
+    # a monoid that cannot be built fails each (check, degree) that needs
+    # it with one line; every other line of the suite prints as before
+    assert cli.main(["verify", "all"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    original = zoo.build
+
+    def build(family):
+        if family == name:
+            raise StateError(f"{name} withheld")
+        return original(family)
+
+    monkeypatch.setattr(zoo, "build", build)
+    assert cli.main(["verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(clean) == 59
+    changed = [x for x, y in zip(lines[:-1], clean[:-1]) if x != y]
+    assert changed and all(x.startswith("[FAIL] check_") for x in changed)
+    assert lines[-1] == f"{58 - len(changed)}/58 checks passed"

@@ -12,6 +12,8 @@ from diagmon.zoo import partition_universe
 
 from oracles import (
     involute,
+    is_brauer,
+    is_partial_brauer,
     multiply_blocks,
     set_partition_classes,
     set_partition_join,
@@ -146,8 +148,8 @@ def test_refinement_properties():
 
 def test_brauer_predicates():
     u = partition_universe(2)
-    assert sum(dg.is_brauer(a) for a in u) == 3
-    assert sum(dg.is_partial_brauer(a) for a in u) == 10
+    assert sum(is_brauer(a) for a in u) == 3
+    assert sum(is_partial_brauer(a) for a in u) == 10
 
 
 def test_validation_errors():
