@@ -47,12 +47,6 @@ class EhresmannCategory:
     def objects(self):
         return self.semilattice.members
 
-    def compose(self, x, y):
-        """x then y; defined iff the target of x is the source of y."""
-        if self.star[x] != self.plus[y]:
-            return None
-        return self.monoid.mul(x, y)
-
     def endomorphisms(self, e):
         return self.hom.get((e, e), ())
 

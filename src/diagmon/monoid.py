@@ -17,13 +17,17 @@ A ``FiniteMonoid`` is that record: its elements indexed 0..m-1, a
 certified generating set, the right graph and the tree, from which it
 derives the left graph.  ``froidure_pin`` returns one, and so does
 ``submonoid`` for a closed index subset, such as a diagram family's
-positions in P_n.  Up to ``TABLE_CAP`` elements the constructor fills a
-Cayley table from the generators' left actions: for x = x'*g, row x is
-row x' read through the column of products g*y, one map per element.
-Above the cap x*y is traced along the word of y through the right graph
-from x, and ``row(a)`` and ``column(a)``, which give a*S and S*a as whole
-lists, compose the generators' actions along the word of a, one map per
-letter.
+positions in P_n.  No Cayley table is filled up front.  Up to
+``TABLE_CAP`` elements ``row(a)``, the list a*S, is kept once read: a
+missing row is filled from its tree parent's, as for a = a'*g the row of a
+is row a' read through the column of products g*y, and each missing
+ancestor row is filled on the way.  Above the cap ``row(a)`` composes the
+generators' left actions along the word of a, one map per letter, and
+keeps nothing.  On every monoid ``column(a)``, the list S*a, composes the
+right actions along the word of a, and x*y is read off row x when it is
+kept and is otherwise traced along the word of y through the right graph
+from x.  The structural algorithms read the generator graphs, so most
+rows of most monoids are never filled.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
 run the same walk inside the subset greedily: generators are picked from
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import StateError, ValidationError
 
@@ -115,9 +118,10 @@ class FiniteMonoid:
     ``identity`` is an index, or None for a semigroup.  The left graph,
     ``left[x][k]`` = g_k*x, follows along the tree: the identity's row is
     the generators, g_j*g_k is ``right[g_j][k]``, and g_j*x is
-    (g_j*x')*g_k for x = x'*g_k.  Up to ``TABLE_CAP`` elements the Cayley
-    table is filled from the tree; above it products are traced along the
-    words the tree spells.
+    (g_j*x')*g_k for x = x'*g_k.  Up to ``TABLE_CAP`` elements ``table``
+    is the memo of the Cayley table's rows, each None until ``row`` or
+    ``_build_table`` fills it from the tree; above the cap ``table`` is
+    None and products are traced along the words the tree spells.
     """
 
     def __init__(self, index, identity, generators, right, tree):
@@ -129,12 +133,11 @@ class FiniteMonoid:
         for x, pre, k in tree:
             base = generators if pre is None else left[pre]
             left[x] = list(base) if k is None else [right[y][k] for y in base]
-        self.table = None
+        self.table = [None] * self.size if self.size <= TABLE_CAP else None
         self._green = None  # memo of green(self)
         self._generator_actions = None  # memo of _actions()
         self._word_list = None  # memo of _words()
-        if self.size <= TABLE_CAP:
-            self.table = self._build_table(tree, list(zip(*left)))
+        self._steps = None  # memo of x -> (x', k) for x = x'*g_k, by _fill
 
     # -- construction -----------------------------------------------------
 
@@ -164,8 +167,7 @@ class FiniteMonoid:
         broken by index, each one not yet reached added as a generator and
         the walk continued with it.  Raises ValidationError on a product
         outside the subset.  Returns the generators, the right graph
-        ``right[x][j]`` = x*g_j and the tree of ``_build_table``, in local
-        numbers."""
+        ``right[x][j]`` = x*g_j and the tree, in local numbers."""
         local = dict(zip(indices, range(len(indices))))
         gs = green(self)
         height = gs.heights()
@@ -188,17 +190,34 @@ class FiniteMonoid:
                   tree)
         return gens, right, tree
 
-    def _build_table(self, tree, actions):
-        """The Cayley table from the generators' left actions, ``actions[k]``
-        listing g_k*y for every y: as x*y = x'*(g_k*y) for x = x'*g_k, row
-        x is row x' read through ``actions[k]``, along ``tree``."""
-        rows = [None] * self.size
-        for x, pre, k in tree:
-            base = range(self.size) if pre is None else rows[pre]
-            rows[x] = list(
+    def _build_table(self):
+        """Every row of the table, each missing one filled in tree order;
+        the ``build`` dump reads the whole table through here."""
+        table = self.table
+        for x, _, _ in self.tree:
+            if table[x] is None:
+                self._fill(x)
+        return table
+
+    def _fill(self, a):
+        """Fill row a of the table, and every missing row on its tree path
+        before it: as x*y = x'*(g_k*y) for x = x'*g_k, row x is row x' read
+        through g_k's left action.  Returns row a."""
+        table, steps = self.table, self._steps
+        if steps is None:
+            steps = self._steps = {x: (pre, k) for x, pre, k in self.tree}
+        path = []
+        while a is not None and table[a] is None:
+            path.append(a)
+            a = steps[a][0]
+        actions = self._actions()[0]
+        for x in reversed(path):
+            pre, k = steps[x]
+            base = range(self.size) if pre is None else table[pre]
+            table[x] = list(
                 base if k is None else map(base.__getitem__, actions[k])
             )
-        return rows
+        return table[path[0]]
 
     def escape(self, indices):
         """The first pair (x, y) of the sequence ``indices``, row by row in
@@ -222,9 +241,11 @@ class FiniteMonoid:
 
     def row(self, a):
         """The products a*y for every y, as a list indexed by y (on a
-        tabled monoid the table's own row, not to be modified)."""
-        if self.table is not None:
-            return self.table[a]
+        tabled monoid the memo's own row, not to be modified)."""
+        table = self.table
+        if table is not None:
+            row = table[a]
+            return self._fill(a) if row is None else row
         actions = self._actions()[0]
         row = range(self.size)
         for k in reversed(self._words()[a]):
@@ -233,8 +254,6 @@ class FiniteMonoid:
 
     def column(self, a):
         """The products y*a for every y, as a list indexed by y."""
-        if self.table is not None:
-            return list(map(itemgetter(a), self.table))
         actions = self._actions()[1]
         col = range(self.size)
         for k in self._words()[a]:
@@ -243,8 +262,8 @@ class FiniteMonoid:
 
     def _actions(self):
         """The generators' left and right actions, g_k*y and y*g_k for
-        every y under index k, computed once: an untabled monoid composes
-        its rows and columns from them along each element's word."""
+        every y under index k, computed once: rows are filled or composed
+        from the left ones and columns composed from the right ones."""
         if self._generator_actions is None:
             self._generator_actions = (
                 list(zip(*self.left)), list(zip(*self.right))
@@ -253,7 +272,7 @@ class FiniteMonoid:
 
     def _words(self):
         """Each element's word over the generators, spelt by the tree and
-        computed once: an untabled monoid multiplies along them."""
+        computed once: products not read off a kept row follow them."""
         if self._word_list is None:
             words = self._word_list = [()] * self.size
             for x, pre, k in self.tree:
@@ -262,10 +281,13 @@ class FiniteMonoid:
         return self._word_list
 
     def mul(self, i, j):
-        """The index of x_i*x_j: a table entry, or above the table cap the
-        word of x_j traced through the right graph from x_i."""
-        if self.table is not None:
-            return self.table[i][j]
+        """The index of x_i*x_j: an entry of row i when it is kept, or else
+        the word of x_j traced through the right graph from x_i."""
+        table = self.table
+        if table is not None:
+            row = table[i]
+            if row is not None:
+                return row[j]
         right = self.right
         for k in self._words()[j]:
             i = right[i][k]
@@ -275,12 +297,14 @@ class FiniteMonoid:
         return self.elements[i]
 
     def to_json(self):
+        """The size, the identity, the elements and the whole Cayley table
+        as ``mul``, a list of rows (the memo's own, not to be modified)."""
         if self.table is None:
             raise StateError("monoid has no materialised Cayley table")
         return {
             "size": self.size,
             "identity": self.identity,
-            "mul": [v for row in self.table for v in row],
+            "mul": self._build_table(),
             "elements": [x.to_json() for x in self.elements],
         }
 

@@ -379,9 +379,12 @@ def dumps(obj):
 
 def plain(obj):
     """``obj`` with each ``cli._PairMatrix`` replaced by the flat pair list
-    that ``json.dumps`` writes as the stein output."""
+    that ``json.dumps`` writes as the stein output, and each
+    ``cli._IntRows`` by the flat list of its entries."""
     if type(obj) is cli._PairMatrix:
         return matrix_to_json(obj.rows)
+    if type(obj) is cli._IntRows:
+        return [v for row in obj.rows for v in row]
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -447,6 +450,12 @@ def test_pair_matrix_matches_the_flat_pair_list(rows, depth):
         7,
         cli._PairMatrix([[], []]),
         cli._PairMatrix([[], [1, Fraction(-2, 3)], [], [0]]),
+        cli._IntRows([]),
+        cli._IntRows([[], []]),
+        # rows that cross slice boundaries, with empty rows between them
+        cli._IntRows(
+            [[7, -1], [], list(range(cli._INT_SLICE)), [], [10**20] * 3]
+        ),
         # four slices of integers whose texts are made once: values repeat
         # across slices, and -10**20 and 10**20 first appear in the last
         [v % 7 - 3 for v in range(3 * cli._INT_SLICE)] + [-10**20, 4, 10**20],

@@ -1,10 +1,12 @@
 """Generic monoid engine: enumeration, tables, Green's relations, egg-boxes."""
 
+import functools
 import random
 
 import pytest
 
 from diagmon import diagrams as dg
+from diagmon import dotout
 from diagmon import ehresmann as eh
 from diagmon import monoid as mon
 from diagmon import relations as rel
@@ -276,11 +278,29 @@ def test_enumeration_rejects_a_non_generating_set():
         )
 
 
+@functools.lru_cache(maxsize=None)
+def definitional_table(name):
+    """The Cayley table of a zoo monoid, one ``dg.multiply`` or
+    ``rel.compose`` call per product, made once for the tests here."""
+    op = rel.compose if name.startswith(("BX", "PT")) else dg.multiply
+    return op_table(zoo.build(name).elements, op)
+
+
+def fresh(m):
+    """A copy of m with no row of its table filled, sharing its graphs."""
+    return mon.FiniteMonoid(m.index, m.identity, m.generators, m.right, m.tree)
+
+
+def filled(m):
+    return sum(row is not None for row in m.table)
+
+
 @pytest.mark.parametrize("family", DIAGRAM_FAMILIES)
 def test_traced_tables_match_multiply(family):
     for n in range(min(top_degree(family), 3) + 1):
-        m = zoo.build(f"{family}{n}")
-        assert m.table == op_table(m.elements, dg.multiply), f"{family}{n}"
+        name = f"{family}{n}"
+        m = zoo.build(name)
+        assert m._build_table() == definitional_table(name), name
 
 
 @pytest.mark.parametrize(
@@ -295,7 +315,7 @@ def test_relation_tables_match_compose(name):
     assert m.decode(m.identity) == rel.identity_rel(spec.n)
     gens = zoo.relation_generators(spec.family, spec.n)
     assert [m.elements[i] for i in m.generators] == gens
-    assert m.table == op_table(m.elements, rel.compose)
+    assert m._build_table() == definitional_table(name)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +334,8 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
         parent, zoo.family_cut(spec), [height[d] for d in gs.d_class]
     )
     for key, value in want.items():
-        assert getattr(m, key) == value, key
+        got = m._build_table() if key == "table" else getattr(m, key)
+        assert got == value, key
     mon.green(m)
 
 
@@ -322,8 +343,49 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
 def test_from_graph_table_matches_traced_rows(name):
     # the table filled from the tree against products traced along words
     m = zoo.build(name)
-    assert m.table == graph_rows(m)
+    assert m._build_table() == graph_rows(m)
     mon.green(m)
+
+
+@pytest.mark.parametrize("name", SMALL + ["RR4", "LL4", "Pfd4", "PT4"])
+def test_rows_filled_on_demand_match_the_whole_table(name):
+    # rows read in a seeded random order, each with products read before
+    # and after it is filled, and every column, against the table of a
+    # fresh copy filled whole in tree order
+    m = zoo.build(name)
+    want = fresh(m)._build_table()
+    if zoo.FamilySpec.parse(name).n <= 3:
+        assert want == definitional_table(name)
+    lazy = fresh(m)
+    assert filled(lazy) == 0
+    rng = random.Random(f"rows {name}")
+    order = list(range(m.size))
+    rng.shuffle(order)
+    for i in order:
+        js = rng.sample(range(m.size), min(m.size, 12))
+        before = [lazy.mul(i, j) for j in js]
+        assert lazy.row(i) == want[i] and lazy.table[i] is lazy.row(i)
+        assert before == [lazy.mul(i, j) for j in js] == [want[i][j] for j in js]
+    assert filled(lazy) == m.size
+    for a in range(m.size):
+        assert lazy.column(a) == [row[a] for row in want], a
+    # a table partly filled on demand, then filled whole for the dump
+    part = fresh(m)
+    for i in order[: m.size // 3]:
+        part.row(i)
+    assert part._build_table() == want
+
+
+def test_structural_reads_fill_few_rows():
+    # the egg-box reads only the generator graphs, and the Ehresmann report
+    # only the rows of the semilattice's members and of their tree ancestors
+    ll4 = fresh(zoo.build("LL4"))
+    dotout.emit_eggbox(ll4)
+    assert filled(ll4) == 0
+    rr4 = fresh(zoo.build("RR4"))
+    f = eh.Semilattice.create(rr4, zoo.semilattice_for("F", "RR4").members)
+    eh.check_axioms(rr4, f)
+    assert 0 < filled(rr4) < rr4.size / 10
 
 
 def test_bx3_needs_its_extra_generator():
