@@ -156,7 +156,7 @@ def cmd_build(args):
             TABLE_CAP,
         )
     data = m.to_json()
-    data["mul"] = _IntRows(data["mul"])
+    data["mul"] = _IntRows(data.pop("rows"))  # written flat, row-major
     _write_out(_json_text(data), args.out)
     return EXIT_OK
 

@@ -298,13 +298,14 @@ class FiniteMonoid:
 
     def to_json(self):
         """The size, the identity, the elements and the whole Cayley table
-        as ``mul``, a list of rows (the memo's own, not to be modified)."""
+        as ``rows``, its list of rows (the memo's own, not to be modified);
+        how the table is written out is the caller's choice."""
         if self.table is None:
             raise StateError("monoid has no materialised Cayley table")
         return {
             "size": self.size,
             "identity": self.identity,
-            "mul": self._build_table(),
+            "rows": self._build_table(),
             "elements": [x.to_json() for x in self.elements],
         }
 

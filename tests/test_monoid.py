@@ -350,11 +350,14 @@ def test_from_graph_table_matches_traced_rows(name):
 @pytest.mark.parametrize("name", SMALL + ["RR4", "LL4", "Pfd4", "PT4"])
 def test_rows_filled_on_demand_match_the_whole_table(name):
     # rows read in a seeded random order, each with products read before
-    # and after it is filled, and every column, against the table of a
-    # fresh copy filled whole in tree order
+    # and after it is filled, and the columns (every one at degree <= 3, a
+    # seeded sample of 96 at degree 4, where reading all of them costs
+    # 0.3-0.6 s a monoid), against the table of a fresh copy filled whole
+    # in tree order
     m = zoo.build(name)
     want = fresh(m)._build_table()
-    if zoo.FamilySpec.parse(name).n <= 3:
+    small = zoo.FamilySpec.parse(name).n <= 3
+    if small:
         assert want == definitional_table(name)
     lazy = fresh(m)
     assert filled(lazy) == 0
@@ -367,7 +370,8 @@ def test_rows_filled_on_demand_match_the_whole_table(name):
         assert lazy.row(i) == want[i] and lazy.table[i] is lazy.row(i)
         assert before == [lazy.mul(i, j) for j in js] == [want[i][j] for j in js]
     assert filled(lazy) == m.size
-    for a in range(m.size):
+    columns = range(m.size) if small else rng.sample(range(m.size), 96)
+    for a in columns:
         assert lazy.column(a) == [row[a] for row in want], a
     # a table partly filled on demand, then filled whole for the dump
     part = fresh(m)
