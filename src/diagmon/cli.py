@@ -6,9 +6,11 @@ matrices, and run the verification suites.  Outputs are deterministic:
 JSON keys are sorted and files are written atomically (temp file plus
 rename).  The JSON text is byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, but joined
-from chunks of bounded size (``_json_text``): on 2 vCPUs ``build RR4``
-peaks at 41 MB in 0.4 s and ``stein Pfd4 F --side right`` at 117 MB in
-0.6 s, where ``json.dumps`` took 92 MB and 527 MB, 1.0 s and 8.3 s.
+from chunks of bounded size (``_json_text``), every flat table one row
+at a time (``_Rows``): on 2 vCPUs ``build RR4`` peaks at 41 MB in 0.4 s
+and ``stein Pfd4 F --side right`` at 117 MB in 0.6 s, where
+``json.dumps`` took 92 MB and 527 MB, 1.0 s and 8.3 s.  The format of
+the ``build`` dump is set here alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.
@@ -21,7 +23,8 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain, islice
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from . import algebra, ehresmann as eh, dotout, verify, zoo
 from .errors import ResourceCapError, StateError, ValidationError
@@ -50,30 +53,23 @@ def _write_out(text, out):
         raise
 
 
-class _PairMatrix:
-    """A dense matrix, written as the flat row-major list of its entries'
-    [numerator, denominator] pairs; an integer v gives [v, 1]."""
+class _Rows(NamedTuple):
+    """A table given as its rows, written as the flat row-major list of
+    its entries; ``text`` gives an entry's JSON text at indent 0."""
 
-    def __init__(self, rows):
-        self.rows = rows
-
-
-class _IntRows:
-    """A table of integers given as its rows, written as the flat
-    row-major list of its entries."""
-
-    def __init__(self, rows):
-        self.rows = rows
+    rows: list
+    text: Callable = str
 
 
-_INT_SLICE = 4096  # integers per chunk of a flat integer list
+def _pair(v):
+    """The [numerator, denominator] text of a rational; v gives [v, 1]."""
+    return json.dumps([v.numerator, v.denominator], indent=2)
 
 
 def _json_text(obj):
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, joined from
-    chunks of bounded size: a flat integer list or an ``_IntRows`` goes in
-    slices and a ``_PairMatrix`` row by row, so no list of every leaf is
-    held."""
+    chunks of bounded size: a ``_Rows`` or a flat integer list goes row by
+    row, so no list of every leaf is held."""
     return "".join(chain(_json_chunks(obj, "\n"), ("\n",)))
 
 
@@ -91,55 +87,35 @@ def _json_chunks(obj, nl):
             yield from _json_chunks(value, inner)
         yield nl + "}"
     elif type(obj) is list and obj and set(map(type, obj)) == {int}:
-        yield from _int_chunks(obj, nl)
+        yield from _rows_chunks(_Rows([obj]), nl)
     elif type(obj) is list and obj:
         yield "["
         for i, value in enumerate(obj):
             yield sep if i else inner
             yield from _json_chunks(value, inner)
         yield nl + "]"
-    elif type(obj) is _IntRows:
-        yield from _int_chunks(chain.from_iterable(obj.rows), nl)
-    elif type(obj) is _PairMatrix:
-        yield from _pair_matrix_chunks(obj.rows, nl)
+    elif type(obj) is _Rows:
+        yield from _rows_chunks(obj, nl)
     else:
         yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
 
 
-def _int_chunks(values, nl):
-    """The flat list of the integers ``values`` yields, in slices of
-    ``_INT_SLICE``, with the text of each distinct integer made once."""
+def _rows_chunks(obj, nl):
+    """The flat list of a ``_Rows``, one chunk per non-empty row, with the
+    text of each distinct entry made once."""
     inner = nl + "  "
     sep = "," + inner
     texts = {}
-    values, lead = iter(values), "[" + inner
-    for part in iter(lambda: list(islice(values, _INT_SLICE)), []):
-        texts.update((v, str(v)) for v in set(part).difference(texts))
-        # the lead goes out apart: a copy of each slice joined to it would
+    lead = "[" + inner
+    for row in filter(None, obj.rows):
+        for v in set(row).difference(texts):
+            texts[v] = obj.text(v).replace("\n", inner)
+        # the lead goes out apart: a copy of each row joined to it would
         # fragment the heap, by 4 MB on build RR4
         yield lead
-        yield sep.join(map(texts.__getitem__, part))
+        yield sep.join(map(texts.__getitem__, row))
         lead = sep
     yield nl + "]" if lead is sep else "[]"
-
-
-def _pair_matrix_chunks(rows, nl):
-    """The flat pair list of a ``_PairMatrix``, one chunk per row, with the
-    text of each distinct entry value made once."""
-    if not any(rows):
-        yield "[]"
-        return
-    inner = nl + "  "
-    deeper = inner + "  "
-    sep = "," + inner
-    texts = {}
-    yield "["
-    for i, row in enumerate(filter(None, rows)):
-        for v in set(row).difference(texts):
-            num, den = v.numerator, v.denominator
-            texts[v] = f"[{deeper}{num},{deeper}{den}{inner}]"
-        yield (sep if i else inner) + sep.join(map(texts.__getitem__, row))
-    yield nl + "]"
 
 
 def _monoid_and_semilattice(family, kind):
@@ -155,8 +131,12 @@ def cmd_build(args):
             f"cap {TABLE_CAP}; no dump emitted",
             TABLE_CAP,
         )
-    data = m.to_json()
-    data["mul"] = _IntRows(data.pop("rows"))  # written flat, row-major
+    data = {
+        "elements": [x.to_json() for x in m.elements],
+        "identity": m.identity,
+        "mul": _Rows(m._build_table()),
+        "size": m.size,
+    }
     _write_out(_json_text(data), args.out)
     return EXIT_OK
 
@@ -279,8 +259,8 @@ def cmd_stein(args):
         "side": args.side,
         "dimension": s.size,
         "multiplicative": ok,
-        "zeta": _PairMatrix(z),
-        "mobius": _PairMatrix(m),
+        "zeta": _Rows(z, _pair),
+        "mobius": _Rows(m, _pair),
     }
     _write_out(_json_text(data), args.out)
     return EXIT_OK if ok else EXIT_VERIFY

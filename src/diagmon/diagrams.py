@@ -78,10 +78,6 @@ class SetPartition:
         return cls(n, _canonical(assign[x] for x in range(1, n + 1)))
 
     @classmethod
-    def discrete(cls, n):
-        return cls(n, tuple(range(n)))
-
-    @classmethod
     def universal(cls, n):
         return cls(n, (0,) * n)
 
@@ -134,7 +130,10 @@ class Partition:
 
     @classmethod
     def from_json(cls, data):
-        return from_blocks(data["blocks"], data["n"])
+        blocks = data["blocks"]
+        if any(type(x) is not int for block in blocks for x in block):
+            raise ValidationError("a point of the blocks is not an integer")
+        return from_blocks(blocks, data["n"])
 
 
 def from_blocks(blocks: Iterable[Iterable[int]], n: int) -> Partition:

@@ -53,7 +53,10 @@ class BinaryRelation:
 
     @classmethod
     def from_json(cls, data):
-        return from_pairs(data["n"], data["pairs"])
+        pairs = data["pairs"]
+        if any(type(x) is not int for pair in pairs for x in pair):
+            raise ValidationError("a point of the pairs is not an integer")
+        return from_pairs(data["n"], pairs)
 
 
 def from_pairs(n, pairs) -> BinaryRelation:

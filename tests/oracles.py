@@ -8,7 +8,6 @@ counting) so agreement is a genuine two-sided check.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 from types import SimpleNamespace
 
@@ -90,10 +89,6 @@ def top_degree(family):
 
 
 # -- reference diagram multiplication -----------------------------------------
-
-
-def blocks_to_sets(blocks):
-    return [set(b) for b in blocks]
 
 
 def multiply_blocks(a_blocks, b_blocks, n):
@@ -221,12 +216,6 @@ def rook_multiply(a, b, n):
             if block:
                 blocks.append(tuple(block))
     return frozenset(map(frozenset, blocks)), tuple(dots)
-
-
-def all_subsets(n):
-    pts = range(1, n + 1)
-    for k in range(n + 1):
-        yield from combinations(pts, k)
 
 
 # -- reference enumeration and families of P_n ----------------------------------

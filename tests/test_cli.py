@@ -160,8 +160,11 @@ def test_eggbox_and_shade(tmp_path):
         # a degree the decoder would allocate for: rejected before decoding
         ("P2", [{"n": 10**18, "blocks": [[1, -1]]}]),
         ("BX2", [{"n": 10**18, "pairs": [[1, 1]]}]),
+        # JSON true is not the point 1
+        ("P2", [{"n": 2, "blocks": [[True, -1], [2, -2]]}]),
+        ("BX2", [{"n": 2, "pairs": [[True, 1]]}]),
     ],
-    ids=[f"items{i}" for i in range(5)],
+    ids=[f"items{i}" for i in range(7)],
 )
 def test_eggbox_shade_rejects_bad_items(tmp_path, capsys, family, items):
     shade_file = tmp_path / "shade.json"
@@ -378,12 +381,12 @@ def dumps(obj):
 
 
 def plain(obj):
-    """``obj`` with each ``cli._PairMatrix`` replaced by the flat pair list
-    that ``json.dumps`` writes as the stein output, and each
-    ``cli._IntRows`` by the flat list of its entries."""
-    if type(obj) is cli._PairMatrix:
+    """``obj`` with each ``cli._Rows`` of pairs replaced by the flat pair
+    list that ``json.dumps`` writes as the stein output, and each other
+    ``cli._Rows`` by the flat list of its entries."""
+    if type(obj) is cli._Rows and obj.text is cli._pair:
         return matrix_to_json(obj.rows)
-    if type(obj) is cli._IntRows:
+    if type(obj) is cli._Rows:
         return [v for row in obj.rows for v in row]
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
@@ -409,12 +412,11 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=40,
 )
-MATRICES = st.lists(
-    st.lists(
-        st.integers(-3, 3) | st.fractions(max_denominator=5), max_size=5
-    ),
-    max_size=5,
-)
+# small entries repeat within and across rows, whose texts are made once
+ENTRIES = {
+    "integers": (str, st.integers(-3, 3) | st.integers()),
+    "pairs": (cli._pair, st.integers(-3, 3) | st.fractions(max_denominator=5)),
+}
 
 
 @settings(max_examples=200, deadline=None)
@@ -423,10 +425,14 @@ def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == dumps(obj)
 
 
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
 @settings(max_examples=100, deadline=None)
-@given(MATRICES, st.integers(0, 3))
-def test_pair_matrix_matches_the_flat_pair_list(rows, depth):
-    obj = cli._PairMatrix(rows)
+@given(data=st.data(), depth=st.integers(0, 3))
+def test_rows_match_the_flat_list(kind, data, depth):
+    text, entries = ENTRIES[kind]
+    # rows of up to 5 entries, empty ones among them
+    rows = data.draw(st.lists(st.lists(entries, max_size=5), max_size=5))
+    obj = cli._Rows(rows, text)
     for _ in range(depth):
         obj = {"m": obj, "k": [obj]}
     assert cli._json_text(obj) == dumps(plain(obj))
@@ -438,8 +444,8 @@ def test_pair_matrix_matches_the_flat_pair_list(rows, depth):
         {},
         [],
         {"a": {}, "b": [], "c": [[]], "d": [{}]},
-        list(range(-5000, 5000)),  # more than one slice of integers
-        tuple(range(cli._INT_SLICE + 1)),
+        list(range(-5000, 5000)),
+        tuple(range(5000)),
         [1, True, 2, False],  # bools are not integers to the writer
         [1, 2.5, None, "x"],
         {"z": 1, "a": [1, [2, [3, {"y": None}]]], "é": "\u2028"},
@@ -448,19 +454,20 @@ def test_pair_matrix_matches_the_flat_pair_list(rows, depth):
         [[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]],
         "plain",
         7,
-        cli._PairMatrix([[], []]),
-        cli._PairMatrix([[], [1, Fraction(-2, 3)], [], [0]]),
-        cli._IntRows([]),
-        cli._IntRows([[], []]),
-        # rows that cross slice boundaries, with empty rows between them
-        cli._IntRows(
-            [[7, -1], [], list(range(cli._INT_SLICE)), [], [10**20] * 3]
-        ),
-        # four slices of integers whose texts are made once: values repeat
-        # across slices, and -10**20 and 10**20 first appear in the last
-        [v % 7 - 3 for v in range(3 * cli._INT_SLICE)] + [-10**20, 4, 10**20],
+        cli._Rows([[], []], cli._pair),
+        cli._Rows([[], [1, Fraction(-2, 3)], [], [0]], cli._pair),
+        cli._Rows([]),
+        cli._Rows([[], []]),
+        # empty rows between rows whose values repeat, and values first
+        # met in the last row
+        cli._Rows([[7, -1], [], [-1, 7, 7], [], [10**20] * 3]),
+        [v % 7 - 3 for v in range(100)] + [-10**20, 4, 10**20],
     ],
-    ids=lambda obj: type(obj).__name__,
+    # a table is named by its entries' text: integers or pairs
+    ids=lambda obj: (
+        ("_PairMatrix" if obj.text is cli._pair else "_IntRows")
+        if type(obj) is cli._Rows else type(obj).__name__
+    ),
 )
 def test_json_writer_edge_cases(obj):
     assert cli._json_text(obj) == dumps(plain(obj))

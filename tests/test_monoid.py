@@ -11,7 +11,7 @@ from diagmon import ehresmann as eh
 from diagmon import monoid as mon
 from diagmon import relations as rel
 from diagmon import zoo
-from diagmon.errors import StateError, ValidationError
+from diagmon.errors import ValidationError
 
 from oracles import (
     bell_numbers,
@@ -198,12 +198,6 @@ def test_check_embedding_matches_pairwise_oracle():
             for g in maps:
                 want = embedding_pairwise(g, s, t)
                 assert mon.check_embedding(g, s, t) == want
-
-
-def test_to_json_requires_table():
-    m = zoo.build("P4")  # above the table cap: graphs only
-    with pytest.raises(StateError):
-        m.to_json()
 
 
 def test_submonoid_reindexes_closed_subsets():
