@@ -12,6 +12,11 @@ are O(n).
 Multiplication stacks two diagrams, identifies the lower row of the first
 with the upper row of the second, and reads off connected components on
 the outer rows (a union-find over 3n nodes).
+
+``params`` reads a diagram's domain, codomain, support and cosupport as
+frozensets of points of {1..n}, and its kernel and cokernel as set
+partitions.  ``id_subset(n, points)`` and ``id_equiv`` build the partial
+and block identities back from such values.
 """
 
 from __future__ import annotations
@@ -29,29 +34,6 @@ def _canonical(labels):
 
 
 @dataclass(frozen=True)
-class Subset:
-    """A subset of the points {1..n}."""
-
-    n: int
-    members: frozenset
-
-    def __post_init__(self):
-        bad = [x for x in self.members if not 1 <= x <= self.n]
-        if bad:
-            raise ValidationError(f"point {bad[0]} outside 1..{self.n}")
-
-    @classmethod
-    def of(cls, n, members):
-        return cls(n, frozenset(members))
-
-    def __contains__(self, x):
-        return x in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class SetPartition:
     """A set partition of {1..n}, canonically labelled.
 
@@ -62,31 +44,11 @@ class SetPartition:
     code: tuple
 
     @classmethod
-    def from_blocks(cls, n, blocks):
-        assign = {}
-        for block in blocks:
-            bid = len(assign)
-            for x in block:
-                if not 1 <= x <= n:
-                    raise ValidationError(f"point {x} outside 1..{n}")
-                if x in assign:
-                    raise ValidationError(f"point {x} appears in two blocks")
-                assign[x] = bid
-        missing = [x for x in range(1, n + 1) if x not in assign]
-        if missing:
-            raise ValidationError(f"point {missing[0]} not covered")
-        return cls(n, _canonical(assign[x] for x in range(1, n + 1)))
-
-    @classmethod
     def universal(cls, n):
         return cls(n, (0,) * n)
 
     def num_classes(self):
         return len(set(self.code))
-
-    def refines(self, other):
-        """True iff every block of self lies inside a block of other."""
-        return refines(self, other)
 
 
 class Partition:
@@ -133,7 +95,10 @@ class Partition:
         blocks = data["blocks"]
         if any(type(x) is not int for block in blocks for x in block):
             raise ValidationError("a point of the blocks is not an integer")
-        return from_blocks(blocks, data["n"])
+        n = data["n"]
+        if type(n) is not int or n < 0:
+            raise ValidationError(f"degree {n!r} is not an integer >= 0")
+        return from_blocks(blocks, n)
 
 
 def from_blocks(blocks: Iterable[Iterable[int]], n: int) -> Partition:
@@ -167,12 +132,14 @@ def zeta(n: int) -> Partition:
     return Partition(n, (0,) * n + (1,) * n)
 
 
-def id_subset(a: Subset) -> Partition:
-    """The partial-identity diagram: {x,x'} for x in a, singletons elsewhere."""
-    blocks = [(x, -x) for x in a.members]
-    blocks += [(x,) for x in range(1, a.n + 1) if x not in a.members]
-    blocks += [(-x,) for x in range(1, a.n + 1) if x not in a.members]
-    return from_blocks(blocks, a.n)
+def id_subset(n: int, points) -> Partition:
+    """The partial-identity diagram of degree n: {x,x'} for each of the
+    points, singletons elsewhere."""
+    points = frozenset(points)
+    blocks = [(x, -x) for x in points]
+    blocks += [(x,) for x in range(1, n + 1) if x not in points]
+    blocks += [(-x,) for x in range(1, n + 1) if x not in points]
+    return from_blocks(blocks, n)
 
 
 def id_equiv(e: SetPartition) -> Partition:
@@ -193,13 +160,13 @@ def multiply(a: Partition, b: Partition) -> Partition:
 
 @dataclass(frozen=True)
 class DiagramParams:
-    dom: Subset
-    codom: Subset
+    dom: frozenset  # points of {1..n}
+    codom: frozenset
     ker: SetPartition
     coker: SetPartition
     rank: int
-    supp: Subset
-    cosupp: Subset
+    supp: frozenset
+    cosupp: frozenset
 
 
 def params(a: Partition) -> DiagramParams:
@@ -211,18 +178,14 @@ def params(a: Partition) -> DiagramParams:
     counts = {}
     for b in a.code:
         counts[b] = counts.get(b, 0) + 1
-    dom = frozenset(i + 1 for i in range(n) if upper[i] in transversal)
-    codom = frozenset(i + 1 for i in range(n) if lower[i] in transversal)
-    supp = frozenset(i + 1 for i in range(n) if counts[upper[i]] > 1)
-    cosupp = frozenset(i + 1 for i in range(n) if counts[lower[i]] > 1)
     return DiagramParams(
-        dom=Subset(n, dom),
-        codom=Subset(n, codom),
+        dom=frozenset(i + 1 for i in range(n) if upper[i] in transversal),
+        codom=frozenset(i + 1 for i in range(n) if lower[i] in transversal),
         ker=SetPartition(n, _canonical(upper)),
         coker=SetPartition(n, _canonical(lower)),
         rank=len(transversal),
-        supp=Subset(n, supp),
-        cosupp=Subset(n, cosupp),
+        supp=frozenset(i + 1 for i in range(n) if counts[upper[i]] > 1),
+        cosupp=frozenset(i + 1 for i in range(n) if counts[lower[i]] > 1),
     )
 
 

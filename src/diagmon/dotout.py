@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .diagrams import Partition
 from .monoid import FiniteMonoid, eggbox, green
-from .relations import BinaryRelation
 
 GROUP_COLOR = "#d3d3d3"
 SHADE_COLOR = "#ffa500"
@@ -25,12 +24,10 @@ def element_text(x):
         return " | ".join(
             " ".join(str(v) for v in block) for block in x.blocks()
         )
-    if isinstance(x, BinaryRelation):
-        pairs = sorted(x.pairs())
-        if not pairs:
-            return "(empty)"
-        return " ".join(f"{a}>{b}" for a, b in pairs)
-    return str(x)
+    pairs = sorted(x.pairs())
+    if not pairs:
+        return "(empty)"
+    return " ".join(f"{a}>{b}" for a, b in pairs)
 
 
 def element_slug(x):
@@ -38,10 +35,8 @@ def element_slug(x):
     if isinstance(x, Partition):
         body = "_".join(str(c) for c in x.code)
         return f"p{x.n}_{body}"
-    if isinstance(x, BinaryRelation):
-        body = "_".join(str(r) for r in x.rows)
-        return f"r{x.n}_{body}"
-    return "x" + "".join(ch if ch.isalnum() else "_" for ch in str(x))
+    body = "_".join(str(r) for r in x.rows)
+    return f"r{x.n}_{body}"
 
 
 def _escape(text):

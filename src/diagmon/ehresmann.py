@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import StateError, ValidationError
-from .monoid import FiniteMonoid, _classes_by_key, green
+from .monoid import FiniteMonoid, _check_indices, _classes_by_key, green
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class Semilattice:
 
     @classmethod
     def create(cls, parent, members):
-        members = tuple(sorted(set(members)))
+        members = tuple(sorted(set(_check_indices(parent, members))))
         for e in members:
             if parent.mul(e, e) != e:
                 raise ValidationError(f"element {e} is not idempotent")
@@ -56,15 +56,6 @@ class Semilattice:
                 f"not closed: product of {pair[0]},{pair[1]} escapes the set"
             )
         return cls(parent, members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
 
 
 def _check_parent(s: FiniteMonoid, e: Semilattice):

@@ -145,10 +145,11 @@ class FiniteMonoid:
         """The sub-(semi)group on a closed index subset, reindexed.
 
         Its identity comes from this monoid's products, its generators,
-        right graph and tree from ``_closure_walk``, which raises
-        ValidationError when the subset is not closed.
+        right graph and tree from ``_closure_walk``.  Raises
+        ValidationError when an index is not an element's or the subset is
+        not closed.
         """
-        indices = sorted(set(indices))
+        indices = sorted(set(_check_indices(self, indices)))
         mul = self.mul
         identity = next((
             i for i, e in enumerate(indices)
@@ -223,9 +224,10 @@ class FiniteMonoid:
         """The first pair (x, y) of the sequence ``indices``, row by row in
         its order, whose product is not in it, or None when it is closed.
 
-        Closure is decided by ``_closure_walk``; only a subset that is not
-        closed is scanned row by row for the first escaping pair.
+        Closure is decided by ``_closure_walk``, after every index is
+        checked; only a subset that is not closed is scanned row by row.
         """
+        indices = _check_indices(self, indices)
         try:
             self._closure_walk(sorted(set(indices)), ())
         except ValidationError:
@@ -295,6 +297,16 @@ class FiniteMonoid:
 
     def decode(self, i):
         return self.elements[i]
+
+
+def _check_indices(m, indices):
+    """``indices`` as a list, each checked to be an element index of m: an
+    int, not a bool, in range(m.size).  Raises ValidationError."""
+    indices = list(indices)
+    for i in indices:
+        if type(i) is not int or not 0 <= i < m.size:
+            raise ValidationError(f"{i!r} is not an element index")
+    return indices
 
 
 # -- Green's relations ------------------------------------------------------

@@ -2,14 +2,15 @@
 
 A relation is stored as one bitmask per source point, so composition is a
 bitwise OR over the rows picked out by the left factor.  This keeps
-exhaustive sweeps over all 2^(n*n) relations fast for n <= 3.
+exhaustive sweeps over all 2^(n*n) relations fast for n <= 3.  As for a
+diagram, the domain and codomain (``rel_params``) are frozensets of
+points, and ``partial_identity(n, points)`` is the identity on such a set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Subset
 from .errors import DegreeMismatchError, ValidationError
 
 
@@ -36,10 +37,6 @@ class BinaryRelation:
     def __repr__(self):
         return f"BinaryRelation({self.n}, pairs={sorted(self.pairs())})"
 
-    def __contains__(self, pair):
-        x, y = pair
-        return 1 <= x <= self.n and 1 <= y <= self.n and self.rows[x - 1] >> (y - 1) & 1
-
     def pairs(self):
         return frozenset(
             (x + 1, y + 1)
@@ -56,7 +53,10 @@ class BinaryRelation:
         pairs = data["pairs"]
         if any(type(x) is not int for pair in pairs for x in pair):
             raise ValidationError("a point of the pairs is not an integer")
-        return from_pairs(data["n"], pairs)
+        n = data["n"]
+        if type(n) is not int or n < 0:
+            raise ValidationError(f"degree {n!r} is not an integer >= 0")
+        return from_pairs(n, pairs)
 
 
 def from_pairs(n, pairs) -> BinaryRelation:
@@ -72,8 +72,8 @@ def identity_rel(n) -> BinaryRelation:
     return BinaryRelation(n, tuple(1 << i for i in range(n)))
 
 
-def partial_identity(a: Subset) -> BinaryRelation:
-    return from_pairs(a.n, [(x, x) for x in a.members])
+def partial_identity(n, points) -> BinaryRelation:
+    return from_pairs(n, [(x, x) for x in points])
 
 
 def compose(a: BinaryRelation, b: BinaryRelation) -> BinaryRelation:
@@ -108,8 +108,8 @@ def converse(a: BinaryRelation) -> BinaryRelation:
 
 @dataclass(frozen=True)
 class RelationParams:
-    dom: Subset
-    codom: Subset
+    dom: frozenset  # points of {1..n}
+    codom: frozenset
     ker: frozenset  # pairs over dom; reflexive and symmetric, maybe not transitive
     coker: frozenset  # pairs over codom
 
@@ -134,7 +134,7 @@ def rel_params(a: BinaryRelation) -> RelationParams:
         for y in range(n)
         if conv.rows[x] & conv.rows[y]
     )
-    return RelationParams(Subset(n, dom), Subset(n, codom), ker, coker)
+    return RelationParams(dom, codom, ker, coker)
 
 
 def is_partial_function(a: BinaryRelation) -> bool:

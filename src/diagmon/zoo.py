@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 from . import diagrams as dg
 from . import relations as rel
-from .diagrams import Partition, SetPartition, Subset, _canonical
+from .diagrams import Partition, SetPartition, _canonical
 from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice
 from .monoid import FiniteMonoid, froidure_pin
@@ -160,8 +160,9 @@ def family_cuts(n):
     L <= U, the kernel is discrete iff |U| = n and universal iff |U| <= 1
     (the cokernel likewise from L), and there is no transversal iff U and L
     are disjoint.  Block sizes come from ``code.count``, and the rook test
-    is ``has_absorbing_block``'s.  One pass groups the diagrams by these
-    facts, and each family takes the groups its test admits."""
+    is that the extra points n and n' share a block.  One pass groups the
+    diagrams by these facts, and each family takes the groups its test
+    admits."""
     groups = {}
     for i, a in enumerate(partition_universe(n)):
         code = a.code
@@ -208,21 +209,16 @@ def partial_functions(n):
     return tuple(rel.BinaryRelation(n, r) for r in product(rows, repeat=n))
 
 
-def has_absorbing_block(a: Partition):
-    """True iff the extra point and its primed copy share a block (the
-    rook-diagram condition inside the degree-(n+1) partition monoid)."""
-    n = a.n
-    return a.code[n - 1] == a.code[2 * n - 1]
-
-
 # -- builders ----------------------------------------------------------------
 
 
 def partition_actions(n):
-    """x -> x*g for each g in ``partition_generators(n)``, as relabellings
-    of x's lower row: a transposition s_i swaps lower points i and i+1, the
-    partial identity gives lower point n a fresh label, and the block
-    identity merges the blocks of lower points n-1 and n."""
+    """x -> x*g for each g of the standard generating set of P_n, as
+    relabellings of x's lower row: a transposition s_i swaps lower points
+    i and i+1, the partial identity on {1..n-1} gives lower point n a fresh
+    label, and the block identity of {n-1, n} merges the blocks of lower
+    points n-1 and n.  The tests certify each action against the product
+    with its generator, from the oracle generating set in tests/oracles.py."""
 
     def swap(i):
         u, v = n + i - 1, n + i
@@ -253,9 +249,9 @@ def partition_actions(n):
 def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
 
-    P_n is enumerated by ``froidure_pin`` from the actions of
-    ``partition_generators(n)`` (``partition_actions``), into
-    ``partition_universe(n)`` order; reaching all Bell(2n) diagrams
+    P_n is enumerated by ``froidure_pin`` from the actions of its standard
+    generators (``partition_actions``), into ``partition_universe(n)``
+    order; reaching all Bell(2n) diagrams
     certifies the generating set and closure.  Every other diagram family
     is an index subset of one P_n, cut by ``family_cut`` and made a monoid
     by ``FiniteMonoid.submonoid``.  Relation families are enumerated from
@@ -303,7 +299,7 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
     if kind == "E":
         ident = rel.partial_identity if relations else dg.id_subset
         members = [
-            ident(Subset.of(n, c))
+            ident(n, c)
             for k in range(n + 1)
             for c in combinations(range(1, n + 1), k)
         ]
@@ -320,24 +316,6 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
             f"semilattice {kind} is not contained in the given monoid"
         ) from None
     return Semilattice.create(parent, idx)
-
-
-def partition_generators(n):
-    """A standard generating set of the degree-n partition monoid:
-    adjacent transpositions, one partial identity, one block identity."""
-    gens = []
-    for i in range(1, n):
-        blocks = [(x, -x) for x in range(1, n + 1) if x not in (i, i + 1)]
-        blocks += [(i, -(i + 1)), (i + 1, -i)]
-        gens.append(dg.from_blocks(blocks, n))
-    if n >= 1:
-        gens.append(dg.id_subset(Subset.of(n, range(1, n))))
-    if n >= 2:
-        e = SetPartition.from_blocks(
-            n, [[n - 1, n]] + [[x] for x in range(1, n - 1)]
-        )
-        gens.append(dg.id_equiv(e))
-    return gens
 
 
 def relation_generators(family, n):

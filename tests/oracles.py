@@ -15,7 +15,7 @@ from diagmon import algebra
 from diagmon import diagrams as dg
 from diagmon import relations as rel
 from diagmon import zoo
-from diagmon.errors import ResourceCapError
+from diagmon.errors import ResourceCapError, ValidationError
 
 
 def bell_numbers(count):
@@ -297,6 +297,25 @@ def family_member(family, a):
         "RJ": absorbing and dom == full and codom == full,
     }
     return member[family]
+
+
+def params_from_blocks(a):
+    """The seven parameters of diagram a, read off its signed blocks as in
+    ``family_member``: kernel and cokernel as sets of blocks, support and
+    cosupport as the points whose block is not a singleton."""
+    blocks = [frozenset(bl) for bl in a.blocks()]
+    upper = [frozenset(x for x in bl if x > 0) for bl in blocks]
+    lower = [frozenset(-x for x in bl if x < 0) for bl in blocks]
+    sides = list(zip(blocks, upper, lower))
+    return {
+        "dom": frozenset(x for _, u, v in sides if v for x in u),
+        "codom": frozenset(x for _, u, v in sides if u for x in v),
+        "ker": frozenset(u for u in upper if u),
+        "coker": frozenset(v for v in lower if v),
+        "rank": sum(1 for _, u, v in sides if u and v),
+        "supp": frozenset(x for bl, u, _ in sides if len(bl) > 1 for x in u),
+        "cosupp": frozenset(x for bl, _, v in sides if len(bl) > 1 for x in v),
+    }
 
 
 # -- reference natural orders of P_n --------------------------------------------
@@ -789,10 +808,6 @@ def green_class_count(gs, rel):
     return len(set(getattr(gs, rel + "_class")))
 
 
-def full_subset(n):
-    return dg.Subset.of(n, range(1, n + 1))
-
-
 def set_partition_classes(p):
     """The blocks of a set partition as frozensets, ordered by block id."""
     return tuple(
@@ -811,14 +826,53 @@ def set_partition_join(p, q):
             merged.remove(other)
             block |= other
         merged.append(block)
-    return dg.SetPartition.from_blocks(p.n, merged)
+    return set_partition_from_blocks(p.n, merged)
+
+
+def set_partition_from_blocks(n, blocks):
+    """The set partition of {1..n} with the given blocks, canonically
+    labelled; raises ValidationError unless the blocks partition 1..n."""
+    assign = {}
+    for block in blocks:
+        bid = len(assign)
+        for x in block:
+            if not 1 <= x <= n:
+                raise ValidationError(f"point {x} outside 1..{n}")
+            if x in assign:
+                raise ValidationError(f"point {x} appears in two blocks")
+            assign[x] = bid
+    missing = [x for x in range(1, n + 1) if x not in assign]
+    if missing:
+        raise ValidationError(f"point {missing[0]} not covered")
+    code = dg._canonical(assign[x] for x in range(1, n + 1))
+    return dg.SetPartition(n, code)
+
+
+def partition_generators(n):
+    """A standard generating set of the degree-n partition monoid, as
+    diagrams: adjacent transpositions, the partial identity on {1..n-1} and
+    the block identity of {n-1, n}.  ``zoo.partition_actions(n)`` is the
+    right action of each, in this order."""
+    gens = []
+    for i in range(1, n):
+        blocks = [(x, -x) for x in range(1, n + 1) if x not in (i, i + 1)]
+        blocks += [(i, -(i + 1)), (i + 1, -i)]
+        gens.append(dg.from_blocks(blocks, n))
+    if n >= 1:
+        gens.append(dg.id_subset(n, range(1, n)))
+    if n >= 2:
+        e = set_partition_from_blocks(
+            n, [[n - 1, n]] + [[x] for x in range(1, n - 1)]
+        )
+        gens.append(dg.id_equiv(e))
+    return gens
 
 
 def relation_predicates(a):
     """Injectivity and surjectivity of a relation and of its converse,
     from its domain, codomain, kernel and cokernel."""
     p = rel.rel_params(a)
-    trivial_on = lambda pairs, s: pairs == frozenset((x, x) for x in s.members)
+    trivial_on = lambda pairs, s: pairs == frozenset((x, x) for x in s)
     return SimpleNamespace(
         injective=trivial_on(p.ker, p.dom),
         coinjective=trivial_on(p.coker, p.codom),

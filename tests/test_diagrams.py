@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagmon import diagrams as dg
+from diagmon import relations as rel
 from diagmon.errors import DegreeMismatchError, ValidationError
 from diagmon.zoo import partition_universe
 
@@ -15,7 +16,9 @@ from oracles import (
     is_brauer,
     is_partial_brauer,
     multiply_blocks,
+    params_from_blocks,
     set_partition_classes,
+    set_partition_from_blocks,
     set_partition_join,
 )
 
@@ -34,14 +37,14 @@ def test_fixed_parameters_degree_6():
     pa = dg.params(dg.from_blocks(ALPHA6, 6))
     pb = dg.params(dg.from_blocks(BETA6, 6))
     assert pa.rank == 1
-    assert pa.dom.members == frozenset({2, 3})
+    assert pa.dom == frozenset({2, 3})
     assert set_partition_classes(pa.coker) == (
         frozenset({1, 2, 6}),
         frozenset({3}),
         frozenset({4, 5}),
     )
-    assert pb.supp.members == frozenset({1, 2, 3, 4, 5})
-    assert pb.cosupp.members == frozenset({1, 4, 5, 6})
+    assert pb.supp == frozenset({1, 2, 3, 4, 5})
+    assert pb.cosupp == frozenset({1, 4, 5, 6})
 
 
 def blocks_of(a):
@@ -85,6 +88,33 @@ def test_involution_laws_exhaustive_degree_2():
             assert involute(dg.multiply(a, b)) == dg.multiply(
                 involute(b), involute(a)
             )
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_params_match_the_block_oracle(n):
+    for a in partition_universe(n):
+        p = dg.params(a)
+        got = {
+            "dom": p.dom, "codom": p.codom,
+            "ker": frozenset(set_partition_classes(p.ker)),
+            "coker": frozenset(set_partition_classes(p.coker)),
+            "rank": p.rank, "supp": p.supp, "cosupp": p.cosupp,
+        }
+        assert got == params_from_blocks(a), a
+        # plain values: the point sets are frozensets, not wrappers
+        assert {type(s) for s in (p.dom, p.codom, p.supp, p.cosupp)} == {
+            frozenset
+        }
+
+
+@pytest.mark.parametrize(
+    "make, n, points",
+    [(dg.id_subset, 2, [3]), (dg.id_subset, 2, [0]), (dg.id_subset, 2, [-1]),
+     (rel.partial_identity, 2, [0]), (rel.partial_identity, 2, [3])],
+)
+def test_partial_identities_reject_points_out_of_range(make, n, points):
+    with pytest.raises(ValidationError):
+        make(n, points)
 
 
 def test_involution_swaps_parameters():
@@ -137,6 +167,19 @@ def test_json_round_trip(a):
     assert dg.Partition.from_json(a.to_json()) == a
 
 
+@pytest.mark.parametrize("n", [True, False, -1, 2.0, "1", None])
+@pytest.mark.parametrize(
+    "decode, key, points",
+    [(dg.Partition.from_json, "blocks", [[1, -1]]),
+     (rel.BinaryRelation.from_json, "pairs", [[1, 1]])],
+)
+def test_json_decoders_reject_bad_degrees(decode, key, points, n):
+    # a bool is not a degree: unchecked, True with points on 1 would equal
+    # the degree-1 identity, and False or -1 an element of that "degree"
+    with pytest.raises(ValidationError, match="degree"):
+        decode({"n": n, key: points if n is True else []})
+
+
 def test_refinement_properties():
     u = partition_universe(2)
     for a in u:
@@ -164,10 +207,10 @@ def test_validation_errors():
 
 
 def test_set_partition_join_and_refines():
-    a = dg.SetPartition.from_blocks(4, [[1, 2], [3], [4]])
-    b = dg.SetPartition.from_blocks(4, [[1], [2, 3], [4]])
-    assert set_partition_join(a, b) == dg.SetPartition.from_blocks(
+    a = set_partition_from_blocks(4, [[1, 2], [3], [4]])
+    b = set_partition_from_blocks(4, [[1], [2, 3], [4]])
+    assert set_partition_join(a, b) == set_partition_from_blocks(
         4, [[1, 2, 3], [4]]
     )
-    assert a.refines(set_partition_join(a, b))
-    assert not set_partition_join(a, b).refines(a)
+    assert dg.refines(a, set_partition_join(a, b))
+    assert not dg.refines(set_partition_join(a, b), a)

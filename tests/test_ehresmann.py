@@ -31,7 +31,7 @@ def test_semilattice_validation():
     with pytest.raises(ValidationError):
         eh.Semilattice.create(p2, [swap])  # not idempotent
     zeta = p2.index[dg.zeta(2)]
-    e1 = p2.index[dg.id_subset(dg.Subset.of(2, [1]))]
+    e1 = p2.index[dg.id_subset(2, [1])]
     with pytest.raises(ValidationError):
         eh.Semilattice.create(p2, [zeta, e1])  # product escapes the set
 

@@ -26,6 +26,7 @@ from oracles import (
     inverse_pairwise,
     monoid_associative,
     op_table,
+    partition_generators,
     regular_pairwise,
     restricted_submonoid,
     right_zeros_pairwise,
@@ -44,7 +45,7 @@ def test_from_elements_builds_identity_and_table():
 
 def test_closure_from_generators_recovers_partition_monoids():
     for n, size in ((2, 15), (3, 203)):
-        gens = zoo.partition_generators(n)
+        gens = partition_generators(n)
         universe = closure(gens, dg.multiply, dg.identity(n))
         assert set(universe) == set(zoo.partition_universe(n))
         m = mon.froidure_pin(gens, dg.multiply, dg.identity(n), universe)
@@ -54,7 +55,7 @@ def test_closure_from_generators_recovers_partition_monoids():
 
 def test_closure_stops_at_the_first_product_outside_the_universe():
     # the universe holds the identity but misses g*h for two generators
-    gens = zoo.partition_generators(3)
+    gens = partition_generators(3)
     missing = dg.multiply(gens[-2], gens[-1])
     universe = [x for x in zoo.partition_universe(3) if x != missing]
     assert dg.identity(3) in universe and len(universe) == 202
@@ -222,7 +223,7 @@ def test_enumeration_reaches_every_partition(n):
     g = zoo.build(f"P{n}")
     assert len(g.elements) == bell_numbers(2 * n + 1)[-1]
     assert tuple(g.elements) == zoo.partition_universe(n)
-    gens = zoo.partition_generators(n)
+    gens = partition_generators(n)
     assert [g.elements[i] for i in g.generators] == gens
     if n == 4:
         return  # the word and edge checks below would cost 40k products
@@ -239,7 +240,7 @@ def test_enumeration_reaches_every_partition(n):
 @pytest.mark.parametrize("n", range(5))
 def test_generator_actions_match_multiply(n):
     actions = zoo.partition_actions(n)
-    gens = zoo.partition_generators(n)
+    gens = partition_generators(n)
     assert len(actions) == len(gens)
     for x in zoo.partition_universe(n):
         for act, g in zip(actions, gens):
@@ -250,7 +251,7 @@ def test_generator_actions_match_multiply(n):
 def test_enumeration_matches_the_product_driven_oracle(n):
     g = zoo.build(f"P{n}")
     want = cayley_graph_by_products(
-        zoo.partition_generators(n), dg.multiply, dg.identity(n),
+        partition_generators(n), dg.multiply, dg.identity(n),
         zoo.partition_universe(n),
     )
     prefix = [None] * g.size
@@ -267,7 +268,7 @@ def test_enumeration_matches_the_product_driven_oracle(n):
 def test_enumeration_rejects_a_non_generating_set():
     with pytest.raises(ValidationError):
         mon.froidure_pin(
-            zoo.partition_generators(3)[:-1], dg.multiply, dg.identity(3),
+            partition_generators(3)[:-1], dg.multiply, dg.identity(3),
             universe=zoo.partition_universe(3),
         )
 
@@ -515,6 +516,22 @@ def test_submonoid_generators_cover_semigroups_and_regular_parts():
     reg = p3.submonoid(eh.reg_e(p3, zoo.semilattice_for("F", "P3")))
     assert mon.is_inverse(reg)  # J_3
     assert generates(reg, reg.generators)
+
+
+@pytest.mark.parametrize(
+    "indices", [[15], [-1, 6], [True], [True, False], [1.0], ["0"], [None]]
+)
+def test_index_subsets_are_checked_before_any_product(indices):
+    # unchecked, [15] would raise IndexError, [-1, 6] a KeyError in escape,
+    # and the bools would pass as the indices 1 and 0
+    p2 = zoo.build("P2")
+    calls = (
+        p2.submonoid, p2.escape,
+        lambda idx: eh.Semilattice.create(p2, idx),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="not an element index"):
+            call(indices)
 
 
 @pytest.mark.parametrize("name", ["P3", "P4"])

@@ -11,7 +11,6 @@ from diagmon.zoo import relation_universe
 from oracles import (
     empty_rel,
     full_rel,
-    full_subset,
     is_total_function,
     relation_predicates,
 )
@@ -62,7 +61,7 @@ def test_identity_empty_full():
         assert rel.compose(a, e) == a
         assert rel.compose(z, a) == z
     assert rel.compose(f, f) == f
-    assert rel.partial_identity(full_subset(n)) == e
+    assert rel.partial_identity(n, range(1, n + 1)) == e
 
 
 def test_function_predicates_against_pair_counts():
@@ -97,11 +96,25 @@ def test_kernel_need_not_be_transitive():
 def test_rel_params_domain_codomain():
     a = rel.from_pairs(3, [(1, 2), (1, 3)])
     p = rel.rel_params(a)
-    assert p.dom.members == frozenset({1})
-    assert p.codom.members == frozenset({2, 3})
+    assert p.dom == frozenset({1})
+    assert p.codom == frozenset({2, 3})
     q = relation_predicates(a)
     assert q.injective and not q.coinjective
     assert not q.surjective and not q.cosurjective
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_rel_params_domain_codomain_match_the_pairs(n):
+    for a in relation_universe(n):
+        p = rel.rel_params(a)
+        assert p.dom == frozenset(x for x, _ in a.pairs())
+        assert p.codom == frozenset(y for _, y in a.pairs())
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_json_round_trip_every_relation(n):
+    for a in relation_universe(n):
+        assert rel.BinaryRelation.from_json(a.to_json()) == a
 
 
 def test_json_round_trip_and_errors():
