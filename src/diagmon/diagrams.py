@@ -92,22 +92,22 @@ class Partition:
 
     @classmethod
     def from_json(cls, data):
-        blocks = data["blocks"]
-        if any(type(x) is not int for block in blocks for x in block):
-            raise ValidationError("a point of the blocks is not an integer")
         n = data["n"]
         if type(n) is not int or n < 0:
             raise ValidationError(f"degree {n!r} is not an integer >= 0")
-        return from_blocks(blocks, n)
+        return from_blocks(data["blocks"], n)
 
 
 def from_blocks(blocks: Iterable[Iterable[int]], n: int) -> Partition:
-    """Build a diagram from blocks of signed points (+i upper, -i lower)."""
+    """Build a diagram from blocks of signed points (+i upper, -i lower).
+    A point must be exactly an ``int``: a bool or a float is refused."""
     size = 2 * n
     assign = [None] * size
     for block in blocks:
         bid = object()
         for x in block:
+            if type(x) is not int:
+                raise ValidationError(f"point {x!r} is not an integer")
             if x == 0 or abs(x) > n:
                 raise ValidationError(f"vertex {x} outside range for degree {n}")
             v = x - 1 if x > 0 else n - x - 1

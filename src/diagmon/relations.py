@@ -50,18 +50,19 @@ class BinaryRelation:
 
     @classmethod
     def from_json(cls, data):
-        pairs = data["pairs"]
-        if any(type(x) is not int for pair in pairs for x in pair):
-            raise ValidationError("a point of the pairs is not an integer")
         n = data["n"]
         if type(n) is not int or n < 0:
             raise ValidationError(f"degree {n!r} is not an integer >= 0")
-        return from_pairs(n, pairs)
+        return from_pairs(n, data["pairs"])
 
 
 def from_pairs(n, pairs) -> BinaryRelation:
+    """The relation of the given pairs of points; a point must be exactly
+    an ``int``: a bool or a float is refused."""
     rows = [0] * n
     for x, y in pairs:
+        if type(x) is not int or type(y) is not int:
+            raise ValidationError(f"pair ({x!r},{y!r}) is not of integers")
         if not (1 <= x <= n and 1 <= y <= n):
             raise ValidationError(f"pair ({x},{y}) outside 1..{n}")
         rows[x - 1] |= 1 << (y - 1)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
 import json
 from fractions import Fraction
@@ -376,8 +377,12 @@ def test_identify_matches_universe_counting(name):
 
 
 def dumps(obj):
-    """The text ``cli._json_text`` must equal."""
+    """The text the chunks of ``cli._json_stream`` must join to."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def json_text(obj):
+    return "".join(cli._json_stream(obj))
 
 
 def plain(obj):
@@ -422,7 +427,7 @@ ENTRIES = {
 @settings(max_examples=200, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == dumps(obj)
+    assert json_text(obj) == dumps(obj)
 
 
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
@@ -435,7 +440,7 @@ def test_rows_match_the_flat_list(kind, data, depth):
     obj = cli._Rows(rows, text)
     for _ in range(depth):
         obj = {"m": obj, "k": [obj]}
-    assert cli._json_text(obj) == dumps(plain(obj))
+    assert json_text(obj) == dumps(plain(obj))
 
 
 @pytest.mark.parametrize(
@@ -470,29 +475,29 @@ def test_rows_match_the_flat_list(kind, data, depth):
     ),
 )
 def test_json_writer_edge_cases(obj):
-    assert cli._json_text(obj) == dumps(plain(obj))
+    assert json_text(obj) == dumps(plain(obj))
 
 
 def _json_outputs(monkeypatch, argv):
-    """The object handed to ``cli._json_text`` and the text written, or
-    None when the command writes no JSON."""
-    seen = []
-    original = cli._json_text
+    """The object a command hands to ``cli._json_stream``, the length of
+    the longest chunk of that stream and the blocks written, or None when
+    the command writes no JSON."""
+    seen, longest, blocks = [], [0], []
+    original = cli._json_stream
 
-    def capture(obj):
+    def stream(obj):
         seen.append(obj)
-        return original(obj)
+        for chunk in original(obj):
+            longest[0] = max(longest[0], len(chunk))
+            yield chunk
 
-    monkeypatch.setattr(cli, "_json_text", capture)
-    written = []
-    monkeypatch.setattr(
-        cli, "_write_out", lambda text, out: written.append(text)
-    )
+    monkeypatch.setattr(cli, "_json_stream", stream)
+    monkeypatch.setattr(cli, "_write_out", lambda text, fh: blocks.append(text))
     cli.main(argv)
     if not seen:
         return None
-    [obj], [text] = seen, written
-    return obj, text
+    [obj] = seen
+    return obj, longest[0], blocks
 
 
 def _json_commands(name):
@@ -514,11 +519,57 @@ def test_every_json_output_matches_json_dumps(monkeypatch, capsys, name):
     for argv in _json_commands(name):
         got = _json_outputs(monkeypatch, argv)
         if got is not None:
-            obj, text = got
-            assert text == dumps(plain(obj)), argv
+            obj, _, blocks = got
+            assert "".join(blocks) == dumps(plain(obj)), argv
             written += 1
     capsys.readouterr()
     assert written  # at least the build dump
+
+
+def test_build_writes_bounded_blocks(monkeypatch):
+    # the 6.5 MB dump goes out while it is made, never as one string
+    _, longest, blocks = _json_outputs(monkeypatch, ["build", "RR4"])
+    assert len(blocks) > 1
+    assert max(map(len, blocks)) <= 64 * 1024 + longest
+
+
+@pytest.mark.parametrize("name", ["RR4", "LL4"])
+def test_out_file_matches_stdout(tmp_path, capsys, name):
+    for i, argv in enumerate(_json_commands(name)):
+        stdout, out = tmp_path / f"stdout{i}", tmp_path / f"out{i}"
+        with open(stdout, "w") as fh, contextlib.redirect_stdout(fh):
+            code = cli.main(argv)
+        assert cli.main(argv + ["--out", str(out)]) == code, argv
+        if code == 2:  # a kind the family lacks: nothing written
+            assert not out.exists() and stdout.stat().st_size == 0, argv
+        else:
+            assert out.read_bytes() == stdout.read_bytes(), argv
+            out.unlink()  # the stein outputs are 45 MB each
+        stdout.unlink()
+    capsys.readouterr()
+    assert not list(tmp_path.iterdir())  # no temp file left
+
+
+def test_failed_write_leaves_no_file(monkeypatch, tmp_path, capsys):
+    # the disk fills after the first block: exit 2, one error line and
+    # neither the target nor its temp file left behind
+    calls = []
+    original = cli._write_out
+
+    def write_out(text, fh):
+        calls.append(text)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        original(text, fh)
+
+    monkeypatch.setattr(cli, "_write_out", write_out)
+    target = tmp_path / "rr4.json"
+    assert cli.main(["build", "RR4", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # the two degree-4 stein outputs, recorded while json.dumps wrote them

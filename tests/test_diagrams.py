@@ -180,6 +180,22 @@ def test_json_decoders_reject_bad_degrees(decode, key, points, n):
         decode({"n": n, key: points if n is True else []})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        # True == 1, so an unchecked bool point builds the identity of P2
+        lambda: dg.from_blocks([[True, -1], [2, -2]], 2),
+        # a float point used to reach a list index: a bare TypeError
+        lambda: dg.from_blocks([[1.0, -1], [2, -2]], 2),
+        lambda: dg.id_subset(2, [1.0]),
+    ],
+    ids=["bool-block", "float-block", "float-id-subset"],
+)
+def test_points_must_be_exactly_int(build):
+    with pytest.raises(ValidationError, match="not an integer"):
+        build()
+
+
 def test_refinement_properties():
     u = partition_universe(2)
     for a in u:

@@ -117,6 +117,21 @@ def test_json_round_trip_every_relation(n):
         assert rel.BinaryRelation.from_json(a.to_json()) == a
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        # True == 1, so an unchecked bool pair is the relation {(1, 1)}
+        lambda: rel.from_pairs(2, [(True, True)]),
+        # a float point used to reach a list index: a bare TypeError
+        lambda: rel.partial_identity(2, [1.0]),
+    ],
+    ids=["bool-pair", "float-partial-identity"],
+)
+def test_points_must_be_exactly_int(build):
+    with pytest.raises(ValidationError, match="not of integers"):
+        build()
+
+
 def test_json_round_trip_and_errors():
     a = rel.from_pairs(2, [(1, 2), (2, 2)])
     assert rel.BinaryRelation.from_json(a.to_json()) == a
