@@ -145,11 +145,6 @@ def _rows_chunks(obj, nl):
     yield nl + "]" if lead is sep else "[]"
 
 
-def _monoid_and_semilattice(family, kind):
-    e = zoo.semilattice_for(kind, family)
-    return e.parent, e
-
-
 def cmd_build(args):
     m = zoo.build(args.family)
     if m.table is None:
@@ -169,7 +164,8 @@ def cmd_build(args):
 
 
 def cmd_analyze(args):
-    s, e = _monoid_and_semilattice(args.family, args.semilattice)
+    e = zoo.semilattice_for(args.semilattice, args.family)
+    s = e.parent
     report = eh.check_axioms(s, e)
     data = report.to_json()
     data["size"] = s.size
@@ -191,27 +187,27 @@ def cmd_analyze(args):
 
 
 def _identify(s, indices):
-    """Name a known family whose element set equals the given subset,
-    without building the candidates: a set of diagrams is compared with the
-    family cuts of its degree, a set of relations with the partial
-    functions."""
+    """Name the first family of ``zoo.FAMILIES`` marked ``named`` whose
+    element set equals the given subset.  A set of diagrams of degree n is
+    compared with the cuts in ``zoo.family_cuts(n)`` (a rook family's of
+    degree n - 1), none of them built; a set of relations with each built
+    relation family of degree n, which is a whole universe."""
     elements = {s.decode(i) for i in indices}
     sample = s.decode(0)
-    n = sample.n
-    if isinstance(sample, BinaryRelation):
-        pt = set(zoo.partial_functions(n))
-        return f"PT{n}" if elements == pt else None
-    place = zoo.build(f"P{n}").index
-    positions = tuple(sorted(place[x] for x in elements))
-    specs = [
-        zoo.FamilySpec(fam, n) for fam in ("I", "J", "T", "Pfd", "RR", "LL")
-    ]
-    if n >= 1:  # rook diagrams of degree n-1 live in degree n
-        specs.append(zoo.FamilySpec("RJ", n - 1))
-    # every monoid that builds has degree n <= 4, in budget for each candidate
-    for spec in specs:
-        if zoo.family_cut(spec) == positions:
-            return str(spec)
+    n, relations = sample.n, isinstance(sample, BinaryRelation)
+    for fam, family in zoo.FAMILIES.items():
+        rook = family.universe == "rook"
+        if not family.named or n < rook or relations != (
+            family.universe in ("BX", "PT")
+        ):
+            continue
+        if family.member is None:
+            members = zoo.build(f"{fam}{n}").elements
+        else:
+            universe = zoo.partition_universe(n)
+            members = [universe[i] for i in zoo.family_cuts(n)[fam]]
+        if elements == set(members):
+            return f"{fam}{n - rook}"
     return None
 
 
@@ -262,7 +258,8 @@ def _shade_indices(m, data, family):
 
 
 def cmd_category(args):
-    s, e = _monoid_and_semilattice(args.family, args.semilattice)
+    e = zoo.semilattice_for(args.semilattice, args.family)
+    s = e.parent
     cat = algebra.build_category(s, e)
     flag, witness = algebra.is_ei(cat)
     data = {
@@ -278,7 +275,8 @@ def cmd_category(args):
 
 
 def cmd_stein(args):
-    s, e = _monoid_and_semilattice(args.family, args.semilattice)
+    e = zoo.semilattice_for(args.semilattice, args.family)
+    s = e.parent
     z = algebra.stein_transform(s, e, args.side)
     m = algebra.mobius_inverse(algebra.natural_order(s, e, args.side))
     ok = algebra.verify_stein(s, e, args.side)

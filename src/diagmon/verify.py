@@ -35,8 +35,6 @@ from .monoid import (
     check_embedding,
 )
 
-SECTIONS = ("2", "3", "4", "5")
-
 
 @dataclass
 class CheckResult:
@@ -627,7 +625,7 @@ SUITES = {
 def run_suite(section, nmax=None):
     """Run one numbered suite (or 'all'); returns a list of CheckResults."""
     if section == "all":
-        sections = SECTIONS
+        sections = SUITES
     elif section in SUITES:
         sections = (section,)
     else:

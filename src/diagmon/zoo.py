@@ -1,7 +1,12 @@
 """Named constructors for the diagram and relation monoids under study.
 
-A membership test defines each family, and closure under the product is a
-checked fact.  ``froidure_pin`` enumerates P_n from its standard
+Each family is declared once, by its ``Family`` record in ``FAMILIES``:
+its universe, 'P' (cut from P_n), 'rook' (cut from P_(n+1)), 'BX' (all
+relations on n points) or 'PT' (the partial functions); its membership
+test on the ``_Facts`` of a diagram, None for a whole universe; and
+whether ``analyze`` may name a regular part after it, the first ``named``
+family in table order winning.  Closure under the product is a checked
+fact.  ``froidure_pin`` enumerates P_n from its standard
 generators, each of which acts on a diagram by relabelling its lower row,
 into the order of ``partition_universe(n)``, and BX_n and PT_n from
 generators into the order of their relation universes.  Every other
@@ -20,9 +25,11 @@ the absorbing vertex, so rook and partition diagrams share one product.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Callable
 
 from . import diagrams as dg
 from . import relations as rel
@@ -31,12 +38,36 @@ from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice
 from .monoid import FiniteMonoid, froidure_pin
 
-FAMILIES = (
-    "P", "B", "PB", "RP", "I", "J", "T", "PT", "Pfd", "Pfcd", "Pfk",
-    "RR", "LL", "RJ", "BX", "D0", "D1",
-)
 
-ROOK_FAMILIES = ("RP", "RJ")
+# not a NamedTuple: perfbench's tracer makes module dicts' tuples plain tuples
+@dataclass(frozen=True)
+class Family:
+    """A family's universe, membership test and nameability."""
+
+    universe: str
+    member: Callable[["_Facts"], bool] | None = None
+    named: bool = False
+
+
+FAMILIES = {
+    "P": Family("P"),
+    "B": Family("P", lambda f: f.brauer),
+    "PB": Family("P", lambda f: f.partial),
+    "RP": Family("rook", lambda f: f.rook),
+    "I": Family("P", lambda f: f.discrete and f.codiscrete, named=True),
+    "J": Family("P", lambda f: f.dom and f.codom, named=True),
+    "T": Family("P", lambda f: f.dom and f.codiscrete, named=True),
+    "PT": Family("PT", named=True),
+    "Pfd": Family("P", lambda f: f.dom, named=True),
+    "Pfcd": Family("P", lambda f: f.codom),
+    "Pfk": Family("P", lambda f: f.universal),
+    "RR": Family("P", lambda f: f.dom or f.universal, named=True),
+    "LL": Family("P", lambda f: f.codom or f.couniversal, named=True),
+    "RJ": Family("rook", lambda f: f.rook and f.dom and f.codom, named=True),
+    "BX": Family("BX"),
+    "D0": Family("P", lambda f: f.none and f.universal),
+    "D1": Family("P", lambda f: f.dom and f.universal),
+}
 
 # the most elements a family's universe may have: Bell(8) = |P_4|
 UNIVERSE_BUDGET = 4140
@@ -55,14 +86,13 @@ def bell(n):
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
-def _universe_size(family, n):
-    """The size of the universe a family of degree n is enumerated in or
-    cut from: BX_n, PT_n, or P_n (P_(n+1) for a rook family)."""
-    if family == "BX":
-        return 2 ** (n * n)
-    if family == "PT":
-        return (n + 1) ** n
-    return bell(2 * (n + (family in ROOK_FAMILIES)))
+# the size of each universe at degree n, without enumerating it
+_UNIVERSE_SIZES = {
+    "P": lambda n: bell(2 * n),
+    "rook": lambda n: bell(2 * n + 2),
+    "BX": lambda n: 2 ** (n * n),
+    "PT": lambda n: (n + 1) ** n,
+}
 
 
 @dataclass(frozen=True)
@@ -72,23 +102,28 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, name: str) -> "FamilySpec":
-        # longest family prefix wins (D0/D1 contain a digit themselves)
-        for fam in sorted(FAMILIES, key=len, reverse=True):
-            digits = name[len(fam):]
-            if name.startswith(fam) and re.fullmatch(r"\d+", digits):
-                try:
-                    return cls(fam, int(digits))
-                except ValueError:  # more digits than int() converts
-                    raise ResourceCapError(
-                        f"{fam}_n with {len(digits)} digits exceeds the "
-                        f"element budget", UNIVERSE_BUDGET,
-                    ) from None
-        raise ValidationError(f"unknown family name {name!r}")
+        # longest family first (D0/D1 contain a digit themselves); a degree
+        # spelled otherwise than str(n) is refused, so a family has one name
+        fams = "|".join(sorted(FAMILIES, key=len, reverse=True))
+        match = re.fullmatch(f"({fams})(0|[1-9][0-9]*)", name)
+        if match is None:
+            raise ValidationError(f"unknown family name {name!r}")
+        fam, digits = match.groups()
+        try:
+            return cls(fam, int(digits))
+        except ValueError:  # more digits than int() converts
+            raise ResourceCapError(
+                f"{fam}_n with {len(digits)} digits exceeds the element "
+                f"budget", UNIVERSE_BUDGET,
+            ) from None
 
     def __post_init__(self):
+        if self.family not in FAMILIES or type(self.n) is not int or self.n < 0:
+            raise ValidationError(f"no family {self.family}_{self.n}")
+        size = _UNIVERSE_SIZES[FAMILIES[self.family].universe]
         # universes grow with n, so walking up never sizes a huge n itself
         for k in range(self.n + 1):
-            if _universe_size(self.family, k) > UNIVERSE_BUDGET:
+            if size(k) > UNIVERSE_BUDGET:
                 raise ResourceCapError(
                     f"{self.family}_n from degree {k} exceeds the element "
                     f"budget", UNIVERSE_BUDGET,
@@ -102,20 +137,12 @@ class FamilySpec:
 
 
 def set_partition_codes(size):
-    """All canonical block-id sequences (restricted growth strings)."""
-    out = []
-
-    def extend(prefix, used):
-        if len(prefix) == size:
-            out.append(tuple(prefix))
-            return
-        for b in range(used + 1):
-            prefix.append(b)
-            extend(prefix, used + (1 if b == used else 0))
-            prefix.pop()
-
-    extend([], 0)
-    return out
+    """All canonical block-id sequences (restricted growth strings), in
+    lexicographic order."""
+    codes = [()]
+    for _ in range(size):
+        codes = [c + (b,) for c in codes for b in range(max(c, default=-1) + 2)]
+    return codes
 
 
 @lru_cache(maxsize=None)
@@ -127,17 +154,8 @@ def partition_universe(n):
 @lru_cache(maxsize=None)
 def relation_universe(n):
     return tuple(
-        rel.BinaryRelation(n, rows) for rows in _cartesian_rows(n, n)
+        rel.BinaryRelation(n, r) for r in product(range(1 << n), repeat=n)
     )
-
-
-def _cartesian_rows(count, width):
-    if count == 0:
-        yield ()
-        return
-    for rest in _cartesian_rows(count - 1, width):
-        for row in range(1 << width):
-            yield rest + (row,)
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +167,15 @@ def equivalences(n):
 # -- family cuts --------------------------------------------------------------
 
 
+_Facts = namedtuple("_Facts", "discrete codiscrete universal couniversal "
+                    "dom codom none brauer partial rook")
+
+
 @lru_cache(maxsize=None)
 def family_cuts(n):
-    """Each diagram family cut from P_n, as the sorted tuple of its
-    positions in ``partition_universe(n)``, keyed by family ('RP' and 'RJ'
-    are the rook families of degree n - 1).
+    """Each family with a membership test, cut from P_n, as the sorted
+    tuple of its positions in ``partition_universe(n)`` (a 'rook' family's
+    of degree n - 1, empty at n = 0).
 
     Every membership test reads the code alone.  With U and L the sets of
     upper and lower block labels: dom is full iff U <= L, codom is full iff
@@ -161,42 +183,33 @@ def family_cuts(n):
     (the cokernel likewise from L), and there is no transversal iff U and L
     are disjoint.  Block sizes come from ``code.count``, and the rook test
     is that the extra points n and n' share a block.  One pass groups the
-    diagrams by these facts, and each family takes the groups its test
-    admits."""
+    diagrams by these ``_Facts``, and each family takes the groups its
+    record's test admits."""
     groups = {}
     for i, a in enumerate(partition_universe(n)):
         code = a.code
         upper, lower = set(code[:n]), set(code[n:])
         sizes = set(map(code.count, upper | lower))
-        key = (
-            len(upper), len(lower), upper <= lower, lower <= upper,
+        key = _Facts(
+            len(upper) == n, len(lower) == n, len(upper) <= 1,
+            len(lower) <= 1, upper <= lower, lower <= upper,
             upper.isdisjoint(lower), sizes <= {2}, sizes <= {1, 2},
             n >= 1 and code[n - 1] == code[2 * n - 1],
         )
         groups.setdefault(key, []).append(i)
-    cuts = {}
-    for (ku, kl, dom, codom, none, brauer, partial, rook), kept in (
-        groups.items()
-    ):
-        member = {
-            "B": brauer, "PB": partial, "I": ku == kl == n,
-            "J": dom and codom, "T": dom and kl == n, "Pfd": dom,
-            "Pfcd": codom, "Pfk": ku <= 1, "RR": dom or ku <= 1,
-            "LL": codom or kl <= 1, "D0": none and ku <= 1,
-            "D1": dom and ku <= 1, "RP": rook, "RJ": rook and dom and codom,
-        }
-        for fam, test in member.items():
-            cuts.setdefault(fam, []).extend(kept if test else ())
-    if n == 0:  # no extra point to absorb rook dots at degree 0
-        del cuts["RP"], cuts["RJ"]
-    return {fam: tuple(sorted(kept)) for fam, kept in cuts.items()}
+    return {
+        fam: tuple(sorted(
+            i for f, kept in groups.items() if family.member(f) for i in kept
+        ))
+        for fam, family in FAMILIES.items() if family.member
+    }
 
 
 def family_cut(spec: FamilySpec):
     """The positions of a diagram family in the universe it is cut from:
     ``partition_universe(n)``, or ``partition_universe(n + 1)`` for a rook
     family of degree n."""
-    rook = spec.family in ROOK_FAMILIES
+    rook = FAMILIES[spec.family].universe == "rook"
     return family_cuts(spec.n + rook)[spec.family]
 
 
@@ -259,30 +272,23 @@ def build(name) -> FiniteMonoid:
     PT_n's partial functions, certifies the generators and closure.
     """
     spec = FamilySpec.parse(str(name))
-    fam, n = spec.family, spec.n
-    if fam == "P":
+    n, universe = spec.n, FAMILIES[spec.family].universe
+    if FAMILIES[spec.family].member:
+        rook = universe == "rook"
+        return build(f"P{n + rook}").submonoid(family_cut(spec))
+    if universe == "P":
         return froidure_pin(
             partition_actions(n), lambda x, act: act(x), dg.identity(n),
             universe=partition_universe(n),
         )
-    if fam in ("BX", "PT"):
-        universe = relation_universe(n) if fam == "BX" else partial_functions(n)
-        return froidure_pin(
-            relation_generators(fam, n), rel.compose, rel.identity_rel(n),
-            universe=universe,
-        )
-    return build(f"P{n + (fam in ROOK_FAMILIES)}").submonoid(family_cut(spec))
+    return froidure_pin(
+        relation_generators(universe, n), rel.compose, rel.identity_rel(n),
+        universe=relation_universe(n) if universe == "BX"
+        else partial_functions(n),
+    )
 
 
 SEMILATTICE_KINDS = ("E", "F", "G")
-
-
-def _check_kind(kind, relations):
-    """Reject an unknown semilattice kind, or one relations do not have."""
-    if kind not in SEMILATTICE_KINDS:
-        raise ValidationError(f"unknown semilattice kind {kind!r}")
-    if relations and kind != "E":
-        raise ValidationError(f"semilattice {kind} undefined for relations")
 
 
 def semilattice_for(kind: str, name: str) -> Semilattice:
@@ -292,10 +298,14 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
     monoid of degree n, E and F are taken at degree n and lifted.  A kind
     the family does not have is rejected before the family is built."""
     spec = FamilySpec.parse(str(name))  # over the budget: fails first
-    relations = spec.family in ("BX", "PT")
-    _check_kind(kind, relations)
-    parent = build(str(name))
-    n, rook = spec.n, spec.family in ROOK_FAMILIES
+    universe = FAMILIES[spec.family].universe
+    relations = universe in ("BX", "PT")
+    if kind not in SEMILATTICE_KINDS:
+        raise ValidationError(f"unknown semilattice kind {kind!r}")
+    if relations and kind != "E":
+        raise ValidationError(f"semilattice {kind} undefined for relations")
+    parent = build(str(spec))
+    n, rook = spec.n, universe == "rook"
     if kind == "E":
         ident = rel.partial_identity if relations else dg.id_subset
         members = [
@@ -361,18 +371,14 @@ def rook_embed(blocks, n, rook_dots=()) -> Partition:
 
 def lift_to_rook(a: Partition) -> Partition:
     """The copy of a degree-n diagram inside the rook monoid (no rook dots)."""
-    n = a.n
-    return dg.from_blocks(list(a.blocks()) + [(n + 1, -(n + 1))], n + 1)
+    return rook_embed(a.blocks(), a.n)
 
 
 def tower_maps(n):
-    """Index maps for the embeddings P_n -> RP_n -> P_{n+1}."""
-    pn = build(f"P{n}")
+    """Index maps of P_n -> RP_n -> P_{n+1}; the second is RP_n's cut."""
     rp = build(f"RP{n}")
-    pn1 = build(f"P{n + 1}")
-    first = [rp.index[lift_to_rook(a)] for a in pn.elements]
-    second = [pn1.index[a] for a in rp.elements]
-    return first, second
+    first = [rp.index[lift_to_rook(a)] for a in build(f"P{n}").elements]
+    return first, list(family_cut(FamilySpec("RP", n)))
 
 
 # -- fixed witness elements --------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import contextlib
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -289,6 +290,7 @@ SHADE_FILES = {
         (["analyze", "P" + "9" * 5000, "F"], 3),
         (["eggbox", "P2", "--shade", "{long_int}"], 2),
         (["eggbox", "P2", "--shade", "{deep}"], 2),
+        (["eggbox", "P\u0662"], 2),  # a degree in Arabic-Indic digits
     ],
 )
 def test_cli_fuzz_exit_codes(tmp_path, capsys, argv, code):
@@ -322,31 +324,52 @@ def test_relation_kind_rejected_before_building(monkeypatch, capsys, argv, kind)
     assert err == f"error: semilattice {kind} undefined for relations\n"
 
 
+def _member_test(fam, deg, m):
+    """Membership in a candidate of ``identify_by_counting``, of degree deg
+    and cut from P_m when it is a diagram family."""
+    if fam == "PT":
+        return lambda a: isinstance(a, rel.BinaryRelation) and a.n == deg and (
+            rel.is_partial_function(a))
+    return lambda a: isinstance(a, Partition) and a.n == m and (
+        family_member(fam, a))
+
+
+@functools.lru_cache(maxsize=None)
+def _universe_count(fam, deg, m):
+    """The members of a candidate, counted one by one in its universe."""
+    universe = (
+        zoo.relation_universe(deg) if fam == "PT" else zoo.partition_universe(m)
+    )
+    return sum(map(_member_test(fam, deg, m), universe))
+
+
 def identify_by_counting(s, indices):
     """``cli._identify`` by counting each candidate's members in its whole
     universe, one membership test per element."""
     elements = frozenset(s.decode(i) for i in indices)
     n = s.decode(0).n
-    specs = [(fam, n) for fam in ("I", "J", "T", "PT", "Pfd", "RR", "LL")]
+    specs = [(fam, n, n) for fam in ("I", "J", "T", "PT", "Pfd", "RR", "LL")]
     if n >= 1:
-        specs.append(("RJ", n - 1))
-    for fam, deg in specs:
-        if fam == "PT":
-            universe = zoo.relation_universe(deg)
-
-            def test(a):
-                return isinstance(a, rel.BinaryRelation) and a.n == deg and (
-                    rel.is_partial_function(a))
-        else:
-            m = deg + (fam in zoo.ROOK_FAMILIES)  # rook diagrams live in P_m
-            universe = zoo.partition_universe(m)
-
-            def test(a):
-                return isinstance(a, Partition) and a.n == m and (
-                    family_member(fam, a))
-        if all(map(test, elements)) and len(elements) == sum(map(test, universe)):
+        specs.append(("RJ", n - 1, n))  # rook diagrams live one degree up
+    for fam, deg, m in specs:
+        if all(map(_member_test(fam, deg, m), elements)) and (
+            len(elements) == _universe_count(fam, deg, m)
+        ):
             return f"{fam}{deg}"
     return None
+
+
+def test_identify_names_each_degree_0_cut_by_table_order(capsys):
+    # at degree 0 every cut is the one empty diagram, so the first named
+    # family, I, names it; PT is the first named family of relations
+    for fam in zoo.FAMILIES:
+        s = zoo.build(f"{fam}0")
+        sample = s.decode(0)
+        if sample.n == 0:
+            want = "PT0" if isinstance(sample, rel.BinaryRelation) else "I0"
+            assert cli._identify(s, range(s.size)) == want, fam
+    assert cli.main(["analyze", "D00", "E"]) == 0
+    assert json.loads(capsys.readouterr().out)["regular_family"] == "I0"
 
 
 def _identify_cases(name):
@@ -365,7 +388,7 @@ def _identify_cases(name):
 @pytest.mark.parametrize(
     "name",
     [f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 3) + 1)]
-    + ["RR4", "LL4", "P4"],
+    + [f"{f}4" for f in zoo.FAMILIES if top_degree(f) >= 4],
 )
 def test_identify_matches_universe_counting(name):
     s = zoo.build(name)

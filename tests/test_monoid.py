@@ -212,7 +212,6 @@ def test_submonoid_reindexes_closed_subsets():
 
 # -- the Froidure-Pin engine against the definitional code ----------------------
 
-DIAGRAM_FAMILIES = [f for f in zoo.FAMILIES if f not in ("BX", "PT")]
 SMALL = [
     f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 3) + 1)
 ]
@@ -277,8 +276,9 @@ def test_enumeration_rejects_a_non_generating_set():
 def definitional_table(name):
     """The Cayley table of a zoo monoid, one ``dg.multiply`` or
     ``rel.compose`` call per product, made once for the tests here."""
-    op = rel.compose if name.startswith(("BX", "PT")) else dg.multiply
-    return op_table(zoo.build(name).elements, op)
+    elements = zoo.build(name).elements
+    relations = isinstance(elements[0], rel.BinaryRelation)
+    return op_table(elements, rel.compose if relations else dg.multiply)
 
 
 def fresh(m):
@@ -290,7 +290,10 @@ def filled(m):
     return sum(row is not None for row in m.table)
 
 
-@pytest.mark.parametrize("family", DIAGRAM_FAMILIES)
+@pytest.mark.parametrize(
+    "family",
+    [f for f, x in zoo.FAMILIES.items() if x.universe in ("P", "rook")],
+)
 def test_traced_tables_match_multiply(family):
     for n in range(min(top_degree(family), 3) + 1):
         name = f"{family}{n}"
@@ -321,7 +324,8 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
     # RP3 and RJ3 live in P4 with an identity that is not P4's; D04, D14
     # and Pfk4 are semigroups; B0 has no generators
     spec = zoo.FamilySpec.parse(name)
-    parent = zoo.build(f"P{spec.n + (spec.family in zoo.ROOK_FAMILIES)}")
+    rook = zoo.FAMILIES[spec.family].universe == "rook"
+    parent = zoo.build(f"P{spec.n + rook}")
     gs = mon.green(parent)
     height = gs.heights()
     m = zoo.build(name)

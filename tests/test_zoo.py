@@ -73,9 +73,11 @@ def test_sizes_match_formulas():
         assert len(zoo.build(f"T{n}").elements) == n**n
 
 
-@pytest.mark.parametrize("family", sorted(set(zoo.FAMILIES) - {"P", "BX", "PT"}))
+@pytest.mark.parametrize(
+    "family", sorted(f for f, x in zoo.FAMILIES.items() if x.member)
+)
 def test_family_cuts_match_the_per_element_oracle(family):
-    rook = family in zoo.ROOK_FAMILIES
+    rook = zoo.FAMILIES[family].universe == "rook"
     for n in range(top_degree(family) + 1):
         universe = zoo.partition_universe(n + rook)
         want = tuple(
@@ -94,11 +96,12 @@ def test_partial_functions_match_the_filtered_universe(n):
 
 
 def test_family_cuts_cover_each_family_within_its_cap():
-    rook = set(zoo.ROOK_FAMILIES)
-    diagram = set(zoo.FAMILIES) - {"P", "BX", "PT"}
-    assert set(zoo.family_cuts(0)) == diagram - rook  # no rook diagrams at 0
-    for n in range(1, 5):
-        assert set(zoo.family_cuts(n)) == diagram
+    cut = {f: x.universe for f, x in zoo.FAMILIES.items() if x.member}
+    for n in range(5):
+        assert set(zoo.family_cuts(n)) == set(cut)
+    # no extra point to absorb rook dots at degree 0
+    for fam, universe in cut.items():
+        assert (zoo.family_cuts(0)[fam] == ()) == (universe == "rook"), fam
     for name in ("RJ4", "RP4"):
         with pytest.raises(ResourceCapError):
             zoo.family_cut(zoo.FamilySpec.parse(name))
@@ -125,9 +128,16 @@ def test_family_spec_parsing():
     assert zoo.FamilySpec.parse("D02") == zoo.FamilySpec("D0", 2)
     assert zoo.FamilySpec.parse("D13") == zoo.FamilySpec("D1", 3)
     assert str(zoo.FamilySpec.parse("RR4")) == "RR4"
-    for bad in ("Q3", "P", "3", "Px3", "p2"):
+    # one spelling per family: ASCII digits, no leading zero
+    for fam in zoo.FAMILIES:
+        for n in range(top_degree(fam) + 1):
+            assert str(zoo.FamilySpec.parse(f"{fam}{n}")) == f"{fam}{n}"
+    for bad in ("Q3", "P", "3", "Px3", "p2", "P02", "P\u0662", "D001", "RR04"):
         with pytest.raises(ValidationError):
             zoo.FamilySpec.parse(bad)
+    for fam, n in (("XYZ", 2), ("P", -1), ("P", True), ("P", 2.0)):
+        with pytest.raises(ValidationError):
+            zoo.FamilySpec(fam, n)
     with pytest.raises(ResourceCapError):
         zoo.build("P5")
     # the budget walks the degrees up from 0 and stops at P5, so a huge
@@ -136,6 +146,45 @@ def test_family_spec_parsing():
     with pytest.raises(ResourceCapError):
         zoo.FamilySpec.parse("P" + "9" * 4000)
     assert time.perf_counter() - start < 0.05
+
+
+# the kinds ``semilattice_for`` accepts for each family at degrees 0, 1, ...
+# up to its top degree; the kinds a family has depend on its degree
+ACCEPTED_KINDS = {
+    "P": "EFG EFG EFG EFG EFG",
+    "B": "EFG FG - - -",
+    "PB": "EFG EFG E E E",
+    "RP": "EFG EFG EFG EFG",
+    "I": "EFG EFG E E E",
+    "J": "EFG FG FG FG FG",
+    "T": "EFG FG - - -",
+    "PT": "E E E E E",
+    "Pfd": "EFG FG FG FG FG",
+    "Pfcd": "EFG FG FG FG FG",
+    "Pfk": "EFG EFG - - -",
+    "RR": "EFG EFG FG FG FG",
+    "LL": "EFG EFG FG FG FG",
+    "RJ": "EFG FG FG FG",
+    "BX": "E E E E",
+    "D0": "EFG - - - -",
+    "D1": "EFG FG - - -",
+}
+
+
+def test_accepted_semilattice_kinds_are_pinned():
+    assert list(ACCEPTED_KINDS) == list(zoo.FAMILIES)
+    for fam, want in ACCEPTED_KINDS.items():
+        got = []
+        for n in range(top_degree(fam) + 1):
+            kinds = ""
+            for kind in zoo.SEMILATTICE_KINDS:
+                try:
+                    zoo.semilattice_for(kind, f"{fam}{n}")
+                except ValidationError:
+                    continue
+                kinds += kind
+            got.append(kinds or "-")
+        assert " ".join(got) == want, fam
 
 
 def test_semilattice_sizes():
