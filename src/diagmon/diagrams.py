@@ -86,9 +86,7 @@ class Partition:
         return tuple(tuple(sorted(bl, key=key)) for bl in out)
 
     def to_json(self):
-        key = lambda x: (x < 0, abs(x))
-        blocks = sorted((list(b) for b in self.blocks()), key=lambda b: key(b[0]))
-        return {"n": self.n, "blocks": blocks}
+        return {"n": self.n, "blocks": [list(b) for b in self.blocks()]}
 
     @classmethod
     def from_json(cls, data):

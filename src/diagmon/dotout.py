@@ -1,17 +1,19 @@
-"""Egg-box diagrams as Graphviz DOT.
+"""Egg-box diagrams as Graphviz DOT, drawn straight from ``monoid.green``.
 
-One cluster per D-class, ordered top-down by the J-order, each holding an
-HTML-like table whose rows are R-classes and columns are L-classes.  Group
-H-classes (those containing an idempotent) get a grey background; an
+One cluster per D-class, ordered top-down by the J-order (the size of its
+below-set, ties by class id), each holding an HTML-like table whose rows
+are R-classes and columns are L-classes, both in order of minimal element.
+Group H-classes (those containing an idempotent) get a grey background; an
 optional shading set marks cells in orange (dark orange when the cell is
-also a group).  Node names and cell contents are derived from canonical
+also a group).  Edges follow the covers of the J-order, read off the
+below-sets.  Node names and cell contents are derived from canonical
 element encodings so output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 from .diagrams import Partition
-from .monoid import FiniteMonoid, eggbox, green
+from .monoid import FiniteMonoid, green, idempotents
 
 GROUP_COLOR = "#d3d3d3"
 SHADE_COLOR = "#ffa500"
@@ -51,29 +53,37 @@ def emit_eggbox(m: FiniteMonoid, shade=None, title="eggbox") -> str:
     shade is an optional set of element indices to highlight.
     """
     gs = green(m)
-    boxes = eggbox(m)
+    ids = idempotents(m)
     shade = frozenset(shade or ())
     lines = [
         f'digraph "{title}" {{',
         "  rankdir=TB;",
         '  node [shape=plaintext, fontname="monospace"];',
     ]
+    by_d = {}
+    for x in range(m.size):
+        by_d.setdefault(gs.d_class[x], []).append(x)
+    order = sorted(by_d, key=lambda d: (-len(gs.below[d]), d))
     node_of = {}
-    for box in boxes:
-        members = sorted(i for c in box.cells.values() for i in c)
-        node = "D_" + element_slug(m.decode(members[0]))
-        node_of[box.d_id] = node
+    for d in order:
+        members = by_d[d]
+        node = node_of[d] = "D_" + element_slug(m.decode(members[0]))
         lines.append(f'  subgraph "cluster_{node}" {{')
         lines.append(f'    label="{len(members)} elements";')
+        cells = {}
+        for x in members:
+            cells.setdefault((gs.r_class[x], gs.l_class[x]), []).append(x)
+        rows = dict.fromkeys(r for r, _ in cells)
+        cols = dict.fromkeys(l for _, l in cells)
         rows_html = []
-        for r in box.rows:
+        for r in rows:
             cells_html = []
-            for l in box.cols:
-                cell = box.cells.get((r, l))
+            for l in cols:
+                cell = cells.get((r, l))
                 if cell is None:
                     cells_html.append("<TD></TD>")
                     continue
-                is_group = (r, l) in box.group_cells
+                is_group = any(i in ids for i in cell)
                 is_shaded = any(i in shade for i in cell)
                 if is_group and is_shaded:
                     attr = f' BGCOLOR="{SHADE_GROUP_COLOR}"'
@@ -95,16 +105,12 @@ def emit_eggbox(m: FiniteMonoid, shade=None, title="eggbox") -> str:
         )
         lines.append(f'    "{node}" [label={table}];')
         lines.append("  }")
-    # edges along covers of the J-order, drawn downward
-    d_ids = [b.d_id for b in boxes]
-    strictly_below = {
-        b: {a for a in d_ids if a != b and (a, b) in gs.d_order} for b in d_ids
-    }
-    for b in d_ids:
-        for a in strictly_below[b]:
-            if not any(
-                a in strictly_below[c] for c in strictly_below[b] if c != a
-            ):
+    # edges along covers of the J-order, drawn downward: a is covered by b
+    # when it lies strictly below b and strictly below no class that does
+    strictly = [bs - {b} for b, bs in enumerate(gs.below)]
+    for b in order:
+        for a in sorted(strictly[b]):
+            if not any(a in strictly[c] for c in strictly[b]):
                 lines.append(f'  "{node_of[b]}" -> "{node_of[a]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

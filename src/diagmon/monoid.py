@@ -40,13 +40,16 @@ Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
 the J-order is reachability between D-classes, as in East, Egri-Nagy,
 Mitchell & Péresse, "Computing finite semigroups" (J. Symb. Comp. 2019).
+``green`` keeps the whole structure in one ``GreenStructure``.  It holds
+the J-order as each D-class's below-set, the D-classes at or below it.
+The size of a below-set is the class's height: heights order the closure
+walk and the egg-box, and the minimal ideal is the one class of height 1.
 Regularity, inverseness and right zeros are read off this structure.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import StateError, ValidationError
 
@@ -171,8 +174,7 @@ class FiniteMonoid:
         ``right[x][j]`` = x*g_j and the tree, in local numbers."""
         local = dict(zip(indices, range(len(indices))))
         gs = green(self)
-        height = gs.heights()
-        rank = [height[gs.d_class[p]] for p in indices]
+        rank = [len(gs.below[gs.d_class[p]]) for p in indices]
         gens, picked, right = [], [], [[] for _ in indices]
         members = list(members)
         tree = [(x, None, None) for x in members]  # how each x is reached
@@ -314,18 +316,17 @@ def _check_indices(m, indices):
 
 @dataclass
 class GreenStructure:
+    """Green's structure of a monoid: for each element the id of its R-, L-,
+    H- and D-class, each numbered in order of minimal element, and for each
+    D-class id d the frozenset ``below[d]`` of the D-class ids at or below
+    it in the J-order, so that ``len(below[d])`` is its height."""
+
     r_class: list
     l_class: list
     h_class: list
     d_class: list
-    j_class: list
-    d_order: set = field(default_factory=set)  # pairs (a, b): D_a <= D_b
+    below: list
     d_equals_j: bool = True
-
-    def heights(self):
-        """The number of D-classes at or below each D-class, which orders
-        D-classes top-down in the J-order."""
-        return Counter(b for _, b in self.d_order)
 
 
 def _classes_by_key(keys):
@@ -422,7 +423,8 @@ def _scc(adj):
 def green(m: FiniteMonoid) -> GreenStructure:
     """Green's relations from the strongly connected components of the
     right and left generator graphs, with D = R v L and the J-order as
-    reachability between D-classes.  Computed once per monoid."""
+    reachability between D-classes, kept as each class's below-set.
+    Computed once per monoid."""
     if m._green is not None:
         return m._green
     rng = range(m.size)
@@ -434,80 +436,32 @@ def green(m: FiniteMonoid) -> GreenStructure:
     d_class = _classes_by_key(map(find, rng))
 
     # J-order: D-classes reachable along right and left generator edges
-    succ = {d: set() for d in d_class}
+    succ = [set() for _ in range(len(set(d_class)))]
     for adj in (m.right, m.left):
         for x in rng:
             succ[d_class[x]].update(map(d_class.__getitem__, adj[x]))
-    d_order = set()
-    for b in succ:
-        below, stack = {b}, [b]
+    below = []
+    for b in range(len(succ)):
+        reached, stack = {b}, [b]
         while stack:
             for a in succ[stack.pop()]:
-                if a not in below:
-                    below.add(a)
+                if a not in reached:
+                    reached.add(a)
                     stack.append(a)
-        d_order.update((a, b) for a in below)
-    # J-equivalence on D-class ids; D = J iff it is the identity
-    j_rep = {
-        a: min(b for b in succ if (a, b) in d_order and (b, a) in d_order)
-        for a in succ
-    }
-    d_equals_j = all(j_rep[a] == a for a in succ)
-    j_class = _classes_by_key(j_rep[d_class[x]] for x in rng)
+        below.append(frozenset(reached))
+    # D = J iff no two distinct D-classes lie below each other
+    d_equals_j = all(
+        a == b or b not in below[a] for b, bs in enumerate(below) for a in bs
+    )
     m._green = GreenStructure(
         r_class=r_class,
         l_class=l_class,
         h_class=h_class,
         d_class=d_class,
-        j_class=j_class,
-        d_order=d_order,
+        below=below,
         d_equals_j=d_equals_j,
     )
     return m._green
-
-
-@dataclass
-class EggboxDClass:
-    d_id: int
-    rows: list  # R-class ids, in order of minimal element
-    cols: list  # L-class ids
-    cells: dict  # (r_id, l_id) -> tuple of element indices
-    group_cells: set  # cells containing an idempotent
-
-
-def eggbox(m: FiniteMonoid):
-    """Per-D-class grids of H-classes, ordered top-down by the J-order."""
-    gs = green(m)
-    ids = idempotents(m)
-    by_d = {}
-    for x in range(m.size):
-        by_d.setdefault(gs.d_class[x], []).append(x)
-    boxes = []
-    for d, members in by_d.items():
-        rows, cols, cells = [], [], {}
-        for x in members:
-            r, l = gs.r_class[x], gs.l_class[x]
-            if r not in rows:
-                rows.append(r)
-            if l not in cols:
-                cols.append(l)
-            cells.setdefault((r, l), []).append(x)
-        group_cells = {
-            cell for cell, xs in cells.items() if any(x in ids for x in xs)
-        }
-        boxes.append(
-            EggboxDClass(
-                d_id=d,
-                rows=rows,
-                cols=cols,
-                cells={k: tuple(v) for k, v in cells.items()},
-                group_cells=group_cells,
-            )
-        )
-    # higher J-classes first; ties broken by minimal element for determinism
-    height = gs.heights()
-    boxes.sort(key=lambda b: (-height[b.d_id], b.d_id))
-    return boxes
 
 
 def idempotents(m: FiniteMonoid):
@@ -542,7 +496,7 @@ def right_zeros(m: FiniteMonoid):
 def minimal_ideal(m: FiniteMonoid):
     """Elements of the minimal J-class (which is the minimal ideal)."""
     gs = green(m)
-    bottoms = [d for d, height in gs.heights().items() if height == 1]
+    bottoms = [d for d, ds in enumerate(gs.below) if len(ds) == 1]
     if len(bottoms) != 1:
         raise StateError("no unique minimal J-class")
     return frozenset(x for x in range(m.size) if gs.d_class[x] == bottoms[0])

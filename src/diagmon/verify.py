@@ -332,11 +332,10 @@ def _rank_chain(fam, n):
         and gs.d_equals_j
     )
     # D-classes form a chain, i.e. the order is total
-    d_ids = set(gs.d_class)
     ok = ok and all(
-        (a, b) in gs.d_order or (b, a) in gs.d_order
-        for a in d_ids
-        for b in d_ids
+        a in bs or b in gs.below[a]
+        for b, bs in enumerate(gs.below)
+        for a in range(len(gs.below))
     )
     # group cells in the rank-mu class have size mu!
     h_size = Counter(gs.h_class)

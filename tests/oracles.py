@@ -566,8 +566,9 @@ def green_principal_ideals(m):
     """Green's relations from principal ideals (xS^1, S^1x, S^1xS^1).
 
     Returns a dict with the fields of ``monoid.GreenStructure``: class ids
-    in order of minimal member, D as the join of R and L, and the J-order
-    from two-sided ideals of D-class representatives.
+    in order of minimal member, D as the join of R and L, and the J-order,
+    as each D-class's below-set, from two-sided ideals of D-class
+    representatives.
     """
     size = m.size
     rng = range(size)
@@ -611,18 +612,15 @@ def green_principal_ideals(m):
         for b in reps:
             if xa in two_sided[b]:
                 d_order.add((a, b))
-    j_rep = {
-        a: min(b for b in reps if (a, b) in d_order and (b, a) in d_order)
-        for a in reps
-    }
     return {
         "r_class": r_class,
         "l_class": l_class,
         "h_class": h_class,
         "d_class": d_class,
-        "j_class": _first_occurrence_ids(j_rep[d_class[x]] for x in rng),
-        "d_order": d_order,
-        "d_equals_j": all(j_rep[a] == a for a in reps),
+        "below": [
+            frozenset(a for a in reps if (a, b) in d_order) for b in reps
+        ],
+        "d_equals_j": all(a == b or (b, a) not in d_order for a, b in d_order),
     }
 
 
@@ -804,7 +802,7 @@ def generates(m, generators):
 
 
 def green_class_count(gs, rel):
-    """The number of classes of Green's relation 'r', 'l', 'h', 'd' or 'j'."""
+    """The number of classes of Green's relation 'r', 'l', 'h' or 'd'."""
     return len(set(getattr(gs, rel + "_class")))
 
 

@@ -1,9 +1,11 @@
 """DOT emitter: determinism, structure, shading."""
 
+import hashlib
+
 from diagmon import dotout, relations as rel, zoo
 from diagmon.diagrams import from_blocks
 
-from oracles import empty_rel
+from oracles import empty_rel, top_degree
 
 GOLDEN_B2 = """digraph "B2" {
   rankdir=TB;
@@ -23,6 +25,24 @@ GOLDEN_B2 = """digraph "B2" {
 
 def test_golden_brauer_degree_2():
     assert dotout.emit_eggbox(zoo.build("B2"), title="B2") == GOLDEN_B2
+
+
+# sha256 of the egg-boxes of every admitted name of degree at most 4, in
+# zoo.FAMILIES order and then by degree, each titled by its name
+EVERY_EGGBOX_SHA256 = (
+    "8ad50624c7775b8565ca16cee36bf6be4204a7fcdb4b1f9a09879e386817eb44"
+)
+
+
+def test_every_eggbox_up_to_degree_4_is_pinned():
+    names = [
+        f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 4) + 1)
+    ]
+    assert len(names) == 82
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(dotout.emit_eggbox(zoo.build(name), title=name).encode())
+    assert digest.hexdigest() == EVERY_EGGBOX_SHA256
 
 
 def test_emission_is_deterministic():
