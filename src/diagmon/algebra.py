@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import eq
 
-from .ehresmann import Semilattice, check_axioms, natural_order, reg_e
-from .errors import StateError, ValidationError
+from .ehresmann import (
+    Semilattice, _check_side, check_axioms, natural_order, reg_e
+)
+from .errors import StateError
 from .monoid import FiniteMonoid
 
 # Caps no sweep.  Its only reader is the ``verify_stein`` hook of the
@@ -140,9 +142,7 @@ def _transform_order(s, e, side):
     exist: the axioms hold and the zeta matrix of the order is
     unitriangular under ``topological_order``, read off the below-sets."""
     report = check_axioms(s, e)
-    needed = {"left": "L3", "right": "R3"}.get(side)
-    if needed is None:
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    needed = ("L3", "R3")[_check_side(side)]
     if not report.is_ehresmann() or not report.axioms[needed]:
         raise StateError(
             f"the transform needs the Ehresmann axioms and {needed}"

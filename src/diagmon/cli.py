@@ -338,7 +338,7 @@ def make_parser():
     p = sub.add_parser("stein", help="transform and Mobius matrices")
     p.add_argument("family")
     p.add_argument("semilattice", choices=zoo.SEMILATTICE_KINDS)
-    p.add_argument("--side", choices=("left", "right"), required=True)
+    p.add_argument("--side", choices=eh.SIDES, required=True)
     common(p)
     p.set_defaults(func=cmd_stein)
 

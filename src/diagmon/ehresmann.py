@@ -1,20 +1,22 @@
 """Ehresmann analysis of a finite monoid relative to a chosen semilattice.
 
 Given a monoid S and a semilattice E inside it, this module computes the
-left/right identity sets E_L(x), E_R(x), the induced tilde-equivalences,
-the one-sided congruence axioms with reproducible failure witnesses, the
-+/* representative maps, the natural partial orders x <= y iff x in Ey
-(resp. yE), the largest restriction subsemigroups, the E-regular inverse
-subsemigroup, and the monoid classes of idempotents under the tilde-H
-relation.
+identity sets E_L(x), E_R(x), the tilde-equivalences R~ and L~, the axioms
+L1-R3 with reproducible failure witnesses, the +/* representative maps, the
+natural partial orders, the largest restriction subsemigroups, the E-regular
+inverse subsemigroup and the tilde-H classes of the members of E.
 
-All of these are read off the products f*x and x*f for f in E, which come
-as whole rows and columns of S (``FiniteMonoid.row`` and ``column``), one
-per member of E.  L2 and R2 are swept over the certified generators, whose
-products are the generator graphs, and on a tabled monoid a failed sweep
-is rerun over every theta, one whole row or column each, for the minimal
-witness.  E, which knows its parent S, is the one record of the pair: it
-keeps both sides' products, the tilde labellings and the axiom report once
+Each left-hand notion is coded once and its dual is the same code on the
+other side.  Every function that takes a side names it 'left' or 'right'
+(``SIDES``): 'left' gives E_L(x), R~, L3 (xE in Ex) and the order x in Ey,
+'right' gives E_R(x), L~, R3 (Ex in xE) and x in yE.  R~ and L~ are named
+only in the report's ``r_tilde`` and ``l_tilde``.
+
+All of these are read off the products f*x and x*f for f in E, whole rows
+and columns of S, one per member of E.  L2 and R2 are swept over the
+certified generators, and on a tabled monoid a failed sweep is rerun over
+every theta for the minimal witness.  E, which knows its parent S, keeps
+both sides' products, the tilde labellings and the axiom report once
 computed, and every function here reads them from it.
 """
 
@@ -30,9 +32,9 @@ from .monoid import FiniteMonoid, _check_indices, _classes_by_key, green
 class Semilattice:
     """A validated commuting-idempotent subset of a parent monoid.
 
-    ``_memo`` keeps the products of each side ('left', 'right'), the tilde
-    labellings ('r', 'l') and the axiom report ('report') once computed, as
-    ``FiniteMonoid`` keeps its Green structure."""
+    ``_memo`` keeps each side's products ('products', side) and tilde
+    labelling ('tilde', side) and the axiom report ('report') once
+    computed, as ``FiniteMonoid`` keeps its Green structure."""
 
     parent: FiniteMonoid
     members: tuple
@@ -63,40 +65,44 @@ def _check_parent(s: FiniteMonoid, e: Semilattice):
         raise ValidationError("the semilattice lies in another monoid")
 
 
+SIDES = ("left", "right")
+
+
+def _check_side(side):
+    """The position of ``side`` in ``SIDES``, the one check of a side."""
+    if side not in SIDES:
+        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    return SIDES.index(side)
+
+
 def _products(s: FiniteMonoid, e: Semilattice, side: str):
     """For every x, the tuple of f*x ('left') or x*f ('right') over the
     members f of E, read off their whole rows or columns once per E."""
     _check_parent(s, e)
-    line = {"left": s.row, "right": s.column}.get(side)
-    if line is None:
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    if side not in e._memo:
-        e._memo[side] = tuple(zip(*map(line, e.members))) or ((),) * s.size
-    return e._memo[side]
-
-
-def _identity_sets(products, e: Semilattice):
-    return [
-        frozenset(f for f, p in zip(e.members, ps) if p == x)
-        for x, ps in enumerate(products)
-    ]
+    line = (s.row, s.column)[_check_side(side)]
+    if ("products", side) not in e._memo:
+        products = tuple(zip(*map(line, e.members))) or ((),) * s.size
+        e._memo["products", side] = products
+    return e._memo["products", side]
 
 
 def identity_sets(s: FiniteMonoid, e: Semilattice, side: str):
     """E_L(x), the members f of E with f*x = x ('left'), or E_R(x), those
     with x*f = x ('right'), for every x."""
-    return _identity_sets(_products(s, e, side), e)
+    return [
+        frozenset(f for f, p in zip(e.members, ps) if p == x)
+        for x, ps in enumerate(_products(s, e, side))
+    ]
 
 
 def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
-    """Class ids of the tilde-R ('left' identity sets) or tilde-L relation,
-    computed once per E."""
-    if side not in ("r", "l"):
-        raise ValidationError(f"side must be 'r' or 'l', got {side!r}")
-    products = _products(s, e, "left" if side == "r" else "right")
-    if side not in e._memo:
-        e._memo[side] = _classes_by_key(_identity_sets(products, e))
-    return e._memo[side]
+    """Class ids of R~ ('left': equal E_L(x)) or L~ ('right': equal
+    E_R(x)), computed once per E."""
+    _check_parent(s, e)
+    _check_side(side)
+    if ("tilde", side) not in e._memo:
+        e._memo["tilde", side] = _classes_by_key(identity_sets(s, e, side))
+    return e._memo["tilde", side]
 
 
 @dataclass(frozen=True)
@@ -176,16 +182,16 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
     left, right = _products(s, e, "left"), _products(s, e, "right")
     if "report" in e._memo:
         return e._memo["report"]
-    r_tilde, l_tilde = tilde_classes(s, e, "r"), tilde_classes(s, e, "l")
+    r_tilde, l_tilde = (tilde_classes(s, e, side) for side in SIDES)
     actions = s._actions()
     checks = {
         "L1": _unique_member_check(r_tilde, e.members),
         "R1": _unique_member_check(l_tilde, e.members),
         "L2": _sweep(s, r_tilde, actions[0], s.row),
         "R2": _sweep(s, l_tilde, actions[1], s.column),
-        # restriction containments (checked definitionally, witnesses minimal)
-        "L3": _containment_check(right, left, e),
-        "R3": _containment_check(left, right, e),
+        # restriction containments, tested up to the first x that fails
+        "L3": _first_outside(_outside(right, left, e)),
+        "R3": _first_outside(_outside(left, right, e)),
     }
     axioms = {a: ok for a, (ok, _) in checks.items()}
     e._memo["report"] = EhresmannReport(
@@ -201,39 +207,41 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
 
 
 def _representatives(classes, e: Semilattice):
-    rep = {}
-    for x in e.members:
-        rep[classes[x]] = x
+    rep = {classes[x]: x for x in e.members}
     return [rep[c] for c in classes]
 
 
-def _containment_check(inner, outer, e):
-    """Whether each inner[x] lies in outer[x], as sets of products: L3
-    (xE in Ex) or R3 (Ex in xE).  The witness (x, f) is the first x and
-    member f whose product with x lies outside."""
-    for x, (ins, outs) in enumerate(zip(inner, outer)):
+def _outside(inner, outer, e: Semilattice):
+    """For each x in turn, lazily, the first member f of E whose product
+    with x in ``inner[x]`` lies outside ``outer[x]``, x's products on the
+    other side, or None: the test of L3 (xE in Ex) at x with inner the
+    right products, and of R3 (Ex in xE) with inner the left."""
+    for ins, outs in zip(inner, outer):
         outs = set(outs)
-        if not outs.issuperset(ins):
-            f = next(f for f, p in zip(e.members, ins) if p not in outs)
+        yield None if outs.issuperset(ins) else next(
+            f for f, p in zip(e.members, ins) if p not in outs
+        )
+
+
+def _first_outside(found):
+    """L3 or R3 from ``_outside``: the witness (x, f) is the first x that
+    fails, with its member f."""
+    for x, f in enumerate(found):
+        if f is not None:
             return False, (x, f)
     return True, None
 
 
 def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
-    """Largest left-, right- and two-sided restriction subsemigroups.
+    """Largest left-, right- and two-sided restriction subsemigroups: the
+    x that pass the test of L3, of R3, and of both.
 
     Each returned index set is verified closed under the product and to
     contain the semilattice.
     """
-    rest_l, rest_r = [], []
-    for x, (ex, xe) in enumerate(
-        zip(_products(s, e, "left"), _products(s, e, "right"))
-    ):
-        ex, xe = set(ex), set(xe)
-        if xe <= ex:
-            rest_l.append(x)
-        if ex <= xe:
-            rest_r.append(x)
+    left, right = _products(s, e, "left"), _products(s, e, "right")
+    rest_l = [x for x, f in enumerate(_outside(right, left, e)) if f is None]
+    rest_r = [x for x, f in enumerate(_outside(left, right, e)) if f is None]
     rest = sorted(set(rest_l) & set(rest_r))
     for name, sub in (("left", rest_l), ("right", rest_r), ("two-sided", rest)):
         if not set(e.members) <= set(sub):
@@ -262,14 +270,12 @@ def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice):
     Returns (members, closed, witness) where witness is a product pair
     escaping the class when it is not closed.
     """
+    _check_parent(s, e)
+    _check_indices(s, [idem])
     if idem not in e.members:
         raise ValidationError(f"element {idem} is not in the semilattice")
-    r_tilde, l_tilde = tilde_classes(s, e, "r"), tilde_classes(s, e, "l")
-    cls = tuple(
-        x
-        for x in range(s.size)
-        if r_tilde[x] == r_tilde[idem] and l_tilde[x] == l_tilde[idem]
-    )
+    key = list(zip(*(tilde_classes(s, e, side) for side in SIDES)))
+    cls = tuple(x for x, k in enumerate(key) if k == key[idem])
     witness = s.escape(cls)
     return cls, witness is None, witness
 

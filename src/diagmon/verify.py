@@ -191,27 +191,21 @@ def check_identity_set_formulas(n):
     e = zoo.semilattice_for("E", f"P{n}")
     f = zoo.semilattice_for("F", f"P{n}")
     par = [dg.params(a) for a in s.elements]
-    closed_forms = (
-        (e, "left", lambda p, q: p.dom >= q.supp),
-        (e, "right", lambda p, q: p.dom >= q.cosupp),
-        (f, "left", lambda p, q: dg.refines(p.ker, q.ker)),
-        (f, "right", lambda p, q: dg.refines(p.ker, q.coker)),
-    )
-    ok = all(
-        got == {i for i in sl.members if holds(par[i], q)}
-        for sl, side, holds in closed_forms
-        for got, q in zip(eh.identity_sets(s, sl, side), par)
-    )
-    # the induced equivalences then only depend on supp/cosupp/ker/coker
-    ok = ok and all(
-        same_classes(eh.tilde_classes(s, sl, side), [key(q) for q in par])
-        for sl, side, key in (
-            (e, "r", lambda q: q.supp),
-            (e, "l", lambda q: q.cosupp),
-            (f, "r", lambda q: q.ker),
-            (f, "l", lambda q: q.coker),
+    # f is in E_L(x) or E_R(x) by a closed form in f's params p and x's key
+    # k, and the induced equivalence is then x and y having equal keys
+    in_e, in_f = (lambda p, k: p.dom >= k), (lambda p, k: dg.refines(p.ker, k))
+    ok = True
+    for sl, side, holds, key in (
+        (e, "left", in_e, lambda q: q.supp),
+        (e, "right", in_e, lambda q: q.cosupp),
+        (f, "left", in_f, lambda q: q.ker),
+        (f, "right", in_f, lambda q: q.coker),
+    ):
+        keys = [key(q) for q in par]
+        ok = ok and same_classes(eh.tilde_classes(s, sl, side), keys) and all(
+            got == {i for i in sl.members if holds(par[i], k)}
+            for got, k in zip(eh.identity_sets(s, sl, side), keys)
         )
-    )
     yield CheckResult(
         f"identity sets and induced equivalences in P_{n} match their "
         "closed forms",
@@ -629,6 +623,6 @@ def run_suite(section, nmax=None):
         sections = (section,)
     else:
         raise ValidationError(f"unknown suite {section!r}")
-    if nmax is not None and nmax < 0:
-        raise ValidationError(f"degree cap must be non-negative, got {nmax}")
+    if nmax is not None and (type(nmax) is not int or nmax < 0):
+        raise ValidationError(f"degree cap {nmax!r} is not an integer >= 0")
     return [r for sec in sections for check in SUITES[sec] for r in check(nmax)]

@@ -35,7 +35,7 @@ from . import diagrams as dg
 from . import relations as rel
 from .diagrams import Partition, SetPartition, _canonical
 from .errors import ResourceCapError, ValidationError
-from .ehresmann import Semilattice
+from .ehresmann import Semilattice, _check_side
 from .monoid import FiniteMonoid, froidure_pin
 
 
@@ -436,7 +436,7 @@ def block_identity_below(a: Partition, side: str):
     other blocks are merged by each restricted growth string over them."""
     n = a.n
     upper, lower = set(a.code[:n]), set(a.code[n:])
-    frozen = lower - upper if side == "left" else upper - lower
+    frozen = (lower - upper, upper - lower)[_check_side(side)]
     free = [b for b in range(len(upper | lower)) if b not in frozen]
     out = []
     for merge in equivalences(len(free)):

@@ -1,8 +1,9 @@
-"""DOT emitter: determinism, structure, shading."""
+"""DOT emitter: determinism, structure, shading; the egg-box and analyze
+outputs of every admitted name up to degree 4, pinned."""
 
 import hashlib
 
-from diagmon import dotout, relations as rel, zoo
+from diagmon import cli, dotout, relations as rel, zoo
 from diagmon.diagrams import from_blocks
 
 from oracles import empty_rel, top_degree
@@ -34,15 +35,41 @@ EVERY_EGGBOX_SHA256 = (
 )
 
 
+NAMES_UP_TO_4 = [
+    f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 4) + 1)
+]
+
+
 def test_every_eggbox_up_to_degree_4_is_pinned():
-    names = [
-        f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 4) + 1)
-    ]
-    assert len(names) == 82
+    assert len(NAMES_UP_TO_4) == 82
     digest = hashlib.sha256()
-    for name in names:
+    for name in NAMES_UP_TO_4:
         digest.update(dotout.emit_eggbox(zoo.build(name), title=name).encode())
     assert digest.hexdigest() == EVERY_EGGBOX_SHA256
+
+
+# sha256 of the ``analyze`` outputs of the same names, each with every
+# semilattice kind it accepts in zoo.SEMILATTICE_KINDS order: the witnesses,
+# tilde counts, rest_sizes, plus and star, P4's generator sweep among them.
+# Recorded before L3, R3 and the restriction parts shared one containment
+# test and the tilde labellings took the side names 'left' and 'right'.
+EVERY_ANALYZE_SHA256 = (
+    "93ef1c9561197326d054cd9f79f7830549e98c50e512bd40a431b6c320332227"
+)
+
+
+def test_every_analysis_up_to_degree_4_is_pinned(capsys):
+    digest, outputs = hashlib.sha256(), 0
+    for name in NAMES_UP_TO_4:
+        for kind in zoo.SEMILATTICE_KINDS:
+            code = cli.main(["analyze", name, kind])
+            out = capsys.readouterr().out
+            assert code in (cli.EXIT_OK, cli.EXIT_USAGE), (name, kind)
+            if code == cli.EXIT_OK:
+                outputs += 1
+                digest.update(out.encode())
+    assert outputs == 144
+    assert digest.hexdigest() == EVERY_ANALYZE_SHA256
 
 
 def test_emission_is_deterministic():

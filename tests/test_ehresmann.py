@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diagmon import algebra
 from diagmon import diagrams as dg
 from diagmon import ehresmann as eh
 from diagmon import monoid as mon
@@ -45,7 +46,7 @@ def test_semilattice_of_another_monoid_is_rejected(monoid, semilattice):
     calls = (
         lambda: eh.check_axioms(s, e),
         lambda: eh.identity_sets(s, e, "left"),
-        lambda: eh.tilde_classes(s, e, "l"),
+        lambda: eh.tilde_classes(s, e, "right"),
         lambda: eh.natural_order(s, e, "right"),
         lambda: eh.rest_subsemigroups(s, e),
         lambda: eh.reg_e(s, e),
@@ -252,6 +253,45 @@ def test_tilde_h_class_closure_flag():
         eh.tilde_h_class(swap, s, f)
 
 
+@pytest.mark.parametrize("idem", [True, 1.0, -1])
+def test_tilde_h_class_refuses_an_index_that_is_not_an_element(idem):
+    # True and 1.0 equal the member 1 of E, so only the index check
+    # refuses them
+    s = zoo.build("I2")
+    e = zoo.semilattice_for("E", "I2")
+    assert 1 in e.members
+    with pytest.raises(ValidationError):
+        eh.tilde_h_class(idem, s, e)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, e, side: eh.identity_sets(s, e, side),
+        lambda s, e, side: eh.tilde_classes(s, e, side),
+        lambda s, e, side: eh.natural_order(s, e, side),
+        lambda s, e, side: algebra.stein_transform(s, e, side),
+        lambda s, e, side: algebra.verify_stein(s, e, side),
+        lambda s, e, side: zoo.block_identity_below(dg.identity(2), side),
+    ],
+    ids=[
+        "identity_sets", "tilde_classes", "natural_order", "stein_transform",
+        "verify_stein", "block_identity_below",
+    ],
+)
+def test_every_side_argument_is_left_or_right(call):
+    # I2 with E satisfies L3 and R3, so both transforms exist
+    s = zoo.build("I2")
+    e = zoo.semilattice_for("E", "I2")
+    for side in ("r", "l", "sideways", None):
+        with pytest.raises(
+            ValidationError, match="^side must be 'left' or 'right', got "
+        ):
+            call(s, e, side)
+    for side in eh.SIDES:
+        call(s, e, side)
+
+
 def test_below_sets_are_partial_orders():
     s = zoo.build("P2")
     f = zoo.semilattice_for("F", "P2")
@@ -269,7 +309,7 @@ def test_below_sets_are_partial_orders():
 def test_escape_matches_pairwise_on_tilde_h_classes(name, kind):
     s = zoo.build(name)
     e = zoo.semilattice_for(kind, name)
-    tilde = eh.tilde_classes(s, e, "r"), eh.tilde_classes(s, e, "l")
+    tilde = eh.tilde_classes(s, e, "left"), eh.tilde_classes(s, e, "right")
     classes = {}
     for x in range(s.size):
         classes.setdefault((tilde[0][x], tilde[1][x]), []).append(x)
@@ -299,9 +339,9 @@ def _matches_the_pairwise_oracles(s, e):
     assert eh.identity_sets(s, e, "left") == [e_left(x, e) for x in rng]
     assert eh.identity_sets(s, e, "right") == [e_right(x, e) for x in rng]
     checks, r_tilde, l_tilde = axioms_pairwise(s, e)
-    assert (eh.tilde_classes(s, e, "r"), eh.tilde_classes(s, e, "l")) == (
+    assert [eh.tilde_classes(s, e, side) for side in eh.SIDES] == [
         r_tilde, l_tilde
-    )
+    ]
     report = eh.check_axioms(s, e)
     assert (report.r_tilde, report.l_tilde) == (r_tilde, l_tilde)
     assert report.axioms == {a: ok for a, (ok, _) in checks.items()}
@@ -354,11 +394,11 @@ def test_kept_tilde_labellings_match_fresh_ones(name):
             e = zoo.semilattice_for(kind, name)
         except ValidationError:
             continue
-        kept = {side: eh.tilde_classes(s, e, side) for side in "rl"}
+        kept = {side: eh.tilde_classes(s, e, side) for side in eh.SIDES}
         report = eh.check_axioms(s, e)
-        assert (report.r_tilde, report.l_tilde) == (kept["r"], kept["l"])
+        assert [report.r_tilde, report.l_tilde] == list(kept.values())
         fresh = eh.Semilattice(s, e.members)
-        for side in "rl":
+        for side in eh.SIDES:
             assert eh.tilde_classes(s, e, side) is kept[side]
             assert eh.tilde_classes(s, fresh, side) == kept[side]
         for idem in e.members:

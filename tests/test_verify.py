@@ -12,6 +12,13 @@ def test_unknown_suite_rejected():
         verify.run_suite("7")
 
 
+@pytest.mark.parametrize("nmax", [-1, True, 2.5, "2"])
+def test_degree_cap_must_be_an_integer_at_least_0(nmax):
+    # argparse makes --nmax an int, but a library caller may pass anything
+    with pytest.raises(ValidationError, match="degree cap"):
+        verify.run_suite("4", nmax)
+
+
 def test_degree_cap_produces_vacuous_pass():
     results = verify.run_suite("all", nmax=0)
     assert results and all(r.passed for r in results)
