@@ -216,7 +216,8 @@ class RationalAlgebra:
 
     @classmethod
     def of_monoid(cls, s: FiniteMonoid):
-        return cls(s.size, s.mul, s.row)
+        """Rows from one whole table: ``_gram`` reads each row twice."""
+        return cls(s.size, s.mul, s._build_table().__getitem__)
 
     def trace_left(self, k):
         """Trace of left multiplication by basis element k: the number of

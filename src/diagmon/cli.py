@@ -147,7 +147,7 @@ def _rows_chunks(obj, nl):
 
 def cmd_build(args):
     m = zoo.build(args.family)
-    if m.table is None:
+    if m.size > TABLE_CAP:
         raise ResourceCapError(
             f"{args.family} has {m.size} elements, above the Cayley-table "
             f"cap {TABLE_CAP}; no dump emitted",

@@ -14,10 +14,11 @@ only in the report's ``r_tilde`` and ``l_tilde``.
 
 All of these are read off the products f*x and x*f for f in E, whole rows
 and columns of S, one per member of E.  L2 and R2 are swept over the
-certified generators, and on a tabled monoid a failed sweep is rerun over
-every theta for the minimal witness.  E, which knows its parent S, keeps
-both sides' products, the tilde labellings and the axiom report once
-computed, and every function here reads them from it.
+certified generators, and on a monoid of at most ``TABLE_CAP`` elements a
+failed sweep is rerun over every theta for the minimal witness.  E, which
+knows its parent S, keeps both sides' products, the tilde labellings and
+the axiom report once computed, and every function here reads them from
+it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import StateError, ValidationError
-from .monoid import FiniteMonoid, _check_indices, _classes_by_key, green
+from .monoid import (
+    TABLE_CAP, FiniteMonoid, _check_indices, _classes_by_key, green
+)
 
 
 @dataclass(frozen=True)
@@ -162,10 +165,11 @@ def _congruence_check(classes, thetas, image):
 def _sweep(s: FiniteMonoid, classes, actions, line):
     """L2 or R2 over the generators, theta = g_k acting as ``actions[k]``
     (theta*x is ``s.left[x][k]``, x*theta ``s.right[x][k]``), and on a
-    tabled monoid, when that fails, over every theta's ``line``."""
+    monoid of at most ``TABLE_CAP`` elements, when that fails, over every
+    theta's ``line``."""
     images = dict(zip(s.generators, actions))
     found = _congruence_check(classes, sorted(images), images.__getitem__)
-    if found[0] or s.table is None:
+    if found[0] or s.size > TABLE_CAP:
         return found
     return _congruence_check(classes, range(s.size), line)
 
@@ -174,9 +178,10 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
     """Check L1, L2, R1, R2 and the restriction containments L3, R3.
 
     L2 and R2 are swept over the certified generators (``_sweep``),
-    which suffice for one-sided congruences.  On a tabled monoid
-    ``theta_sweep`` reads 'full': a failed generator sweep is rerun over
-    every theta, so the witness is the minimal one over all elements.
+    which suffice for one-sided congruences.  On a monoid of at most
+    ``TABLE_CAP`` elements ``theta_sweep`` reads 'full': a failed generator
+    sweep is rerun over every theta, so the witness is the minimal one over
+    all elements.
     The report is computed once per E and shared by every later call.
     """
     left, right = _products(s, e, "left"), _products(s, e, "right")
@@ -190,8 +195,8 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
         "L2": _sweep(s, r_tilde, actions[0], s.row),
         "R2": _sweep(s, l_tilde, actions[1], s.column),
         # restriction containments, tested up to the first x that fails
-        "L3": _first_outside(_outside(right, left, e)),
-        "R3": _first_outside(_outside(left, right, e)),
+        "L3": _containment(right, left, e),
+        "R3": _containment(left, right, e),
     }
     axioms = {a: ok for a, (ok, _) in checks.items()}
     e._memo["report"] = EhresmannReport(
@@ -201,7 +206,7 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
         l_tilde=l_tilde,
         plus=_representatives(r_tilde, e) if axioms["L1"] else None,
         star=_representatives(l_tilde, e) if axioms["R1"] else None,
-        theta_sweep="generators" if s.table is None else "full",
+        theta_sweep="generators" if s.size > TABLE_CAP else "full",
     )
     return e._memo["report"]
 
@@ -211,23 +216,21 @@ def _representatives(classes, e: Semilattice):
     return [rep[c] for c in classes]
 
 
-def _outside(inner, outer, e: Semilattice):
-    """For each x in turn, lazily, the first member f of E whose product
-    with x in ``inner[x]`` lies outside ``outer[x]``, x's products on the
-    other side, or None: the test of L3 (xE in Ex) at x with inner the
-    right products, and of R3 (Ex in xE) with inner the left."""
-    for ins, outs in zip(inner, outer):
-        outs = set(outs)
-        yield None if outs.issuperset(ins) else next(
-            f for f, p in zip(e.members, ins) if p not in outs
-        )
+def _contained(inner, outer):
+    """For each x in turn, lazily, whether x's products in ``inner[x]`` all
+    lie in ``outer[x]``, its products on the other side: the test of L3
+    (xE in Ex) at x with inner the right products, and of R3 (Ex in xE)
+    with inner the left."""
+    return (set(outs).issuperset(ins) for ins, outs in zip(inner, outer))
 
 
-def _first_outside(found):
-    """L3 or R3 from ``_outside``: the witness (x, f) is the first x that
-    fails, with its member f."""
-    for x, f in enumerate(found):
-        if f is not None:
+def _containment(inner, outer, e: Semilattice):
+    """L3 or R3 from ``_contained``: the witness (x, f) is the first x that
+    fails, with the first member f whose product lies outside."""
+    for x, ok in enumerate(_contained(inner, outer)):
+        if not ok:
+            outs = set(outer[x])
+            f = next(f for f, p in zip(e.members, inner[x]) if p not in outs)
             return False, (x, f)
     return True, None
 
@@ -240,8 +243,8 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
     contain the semilattice.
     """
     left, right = _products(s, e, "left"), _products(s, e, "right")
-    rest_l = [x for x, f in enumerate(_outside(right, left, e)) if f is None]
-    rest_r = [x for x, f in enumerate(_outside(left, right, e)) if f is None]
+    rest_l = [x for x, ok in enumerate(_contained(right, left)) if ok]
+    rest_r = [x for x, ok in enumerate(_contained(left, right)) if ok]
     rest = sorted(set(rest_l) & set(rest_r))
     for name, sub in (("left", rest_l), ("right", rest_r), ("two-sided", rest)):
         if not set(e.members) <= set(sub):

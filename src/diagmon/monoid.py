@@ -17,17 +17,15 @@ A ``FiniteMonoid`` is that record: its elements indexed 0..m-1, a
 certified generating set, the right graph and the tree, from which it
 derives the left graph.  ``froidure_pin`` returns one, and so does
 ``submonoid`` for a closed index subset, such as a diagram family's
-positions in P_n.  No Cayley table is filled up front.  Up to
-``TABLE_CAP`` elements ``row(a)``, the list a*S, is kept once read: a
-missing row is filled from its tree parent's, as for a = a'*g the row of a
-is row a' read through the column of products g*y, and each missing
-ancestor row is filled on the way.  Above the cap ``row(a)`` composes the
-generators' left actions along the word of a, one map per letter, and
-keeps nothing.  On every monoid ``column(a)``, the list S*a, composes the
-right actions along the word of a, and x*y is read off row x when it is
-kept and is otherwise traced along the word of y through the right graph
-from x.  The structural algorithms read the generator graphs, so most
-rows of most monoids are never filled.
+positions in P_n.  No Cayley table is kept: ``row(a)``, the list a*S,
+composes the generators' left actions along the word of a, one map per
+letter, ``column(a)``, the list S*a, composes the right actions, and x*y
+is traced from x through the right graph along the word of y.  The
+structural algorithms read the generator graphs, so most rows are never
+made, and only the ``build`` dump and the semigroup algebra's Gram matrix
+read a whole table, made by ``_build_table``.  Work of m^2 products, the
+dump and the sweep of L2 and R2 over every theta, is done only up to
+``TABLE_CAP`` elements.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
 run the same walk inside the subset greedily: generators are picked from
@@ -121,11 +119,12 @@ class FiniteMonoid:
     ``identity`` is an index, or None for a semigroup.  The left graph,
     ``left[x][k]`` = g_k*x, follows along the tree: the identity's row is
     the generators, g_j*g_k is ``right[g_j][k]``, and g_j*x is
-    (g_j*x')*g_k for x = x'*g_k.  Up to ``TABLE_CAP`` elements ``table``
-    is the memo of the Cayley table's rows, each None until ``row`` or
-    ``_build_table`` fills it from the tree; above the cap ``table`` is
-    None and products are traced along the words the tree spells.
+    (g_j*x')*g_k for x = x'*g_k.  Every product follows the tree's words.
     """
+
+    # Keeps no table.  Its only reader is the ``mul`` counter of the
+    # benchmark tracer (perfbench/tracer.py); the two are deleted together.
+    table = None
 
     def __init__(self, index, identity, generators, right, tree):
         self.index, self.elements = index, list(index)
@@ -136,11 +135,9 @@ class FiniteMonoid:
         for x, pre, k in tree:
             base = generators if pre is None else left[pre]
             left[x] = list(base) if k is None else [right[y][k] for y in base]
-        self.table = [None] * self.size if self.size <= TABLE_CAP else None
         self._green = None  # memo of green(self)
         self._generator_actions = None  # memo of _actions()
         self._word_list = None  # memo of _words()
-        self._steps = None  # memo of x -> (x', k) for x = x'*g_k, by _fill
 
     # -- construction -----------------------------------------------------
 
@@ -194,33 +191,16 @@ class FiniteMonoid:
         return gens, right, tree
 
     def _build_table(self):
-        """Every row of the table, each missing one filled in tree order;
-        the ``build`` dump reads the whole table through here."""
-        table = self.table
-        for x, _, _ in self.tree:
-            if table[x] is None:
-                self._fill(x)
-        return table
-
-    def _fill(self, a):
-        """Fill row a of the table, and every missing row on its tree path
-        before it: as x*y = x'*(g_k*y) for x = x'*g_k, row x is row x' read
-        through g_k's left action.  Returns row a."""
-        table, steps = self.table, self._steps
-        if steps is None:
-            steps = self._steps = {x: (pre, k) for x, pre, k in self.tree}
-        path = []
-        while a is not None and table[a] is None:
-            path.append(a)
-            a = steps[a][0]
-        actions = self._actions()[0]
-        for x in reversed(path):
-            pre, k = steps[x]
+        """The whole Cayley table, each row made in tree order from its
+        parent's: as x*y = x'*(g_k*y) for x = x'*g_k, row x is row x' read
+        through g_k's left action."""
+        actions, table = self._actions()[0], [None] * self.size
+        for x, pre, k in self.tree:
             base = range(self.size) if pre is None else table[pre]
             table[x] = list(
                 base if k is None else map(base.__getitem__, actions[k])
             )
-        return table[path[0]]
+        return table
 
     def escape(self, indices):
         """The first pair (x, y) of the sequence ``indices``, row by row in
@@ -244,12 +224,7 @@ class FiniteMonoid:
     # -- products ----------------------------------------------------------
 
     def row(self, a):
-        """The products a*y for every y, as a list indexed by y (on a
-        tabled monoid the memo's own row, not to be modified)."""
-        table = self.table
-        if table is not None:
-            row = table[a]
-            return self._fill(a) if row is None else row
+        """The products a*y for every y, composed along the word of a."""
         actions = self._actions()[0]
         row = range(self.size)
         for k in reversed(self._words()[a]):
@@ -266,8 +241,8 @@ class FiniteMonoid:
 
     def _actions(self):
         """The generators' left and right actions, g_k*y and y*g_k for
-        every y under index k, computed once: rows are filled or composed
-        from the left ones and columns composed from the right ones."""
+        every y under index k, computed once: rows are composed from the
+        left ones and columns from the right ones."""
         if self._generator_actions is None:
             self._generator_actions = (
                 list(zip(*self.left)), list(zip(*self.right))
@@ -276,7 +251,7 @@ class FiniteMonoid:
 
     def _words(self):
         """Each element's word over the generators, spelt by the tree and
-        computed once: products not read off a kept row follow them."""
+        computed once: every product follows them."""
         if self._word_list is None:
             words = self._word_list = [()] * self.size
             for x, pre, k in self.tree:
@@ -285,13 +260,8 @@ class FiniteMonoid:
         return self._word_list
 
     def mul(self, i, j):
-        """The index of x_i*x_j: an entry of row i when it is kept, or else
-        the word of x_j traced through the right graph from x_i."""
-        table = self.table
-        if table is not None:
-            row = table[i]
-            if row is not None:
-                return row[j]
+        """The index of x_i*x_j: the word of x_j traced through the right
+        graph from x_i."""
         right = self.right
         for k in self._words()[j]:
             i = right[i][k]

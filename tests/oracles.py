@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 from diagmon import algebra
 from diagmon import diagrams as dg
+from diagmon import ehresmann as eh
 from diagmon import relations as rel
 from diagmon import zoo
 from diagmon.errors import ResourceCapError, ValidationError
@@ -684,7 +685,8 @@ def axioms_pairwise(s, e):
     with the tilde classes they are read from."""
     r_tilde = _first_occurrence_ids([e_left(x, e) for x in range(s.size)])
     l_tilde = _first_occurrence_ids([e_right(x, e) for x in range(s.size)])
-    thetas = range(s.size) if s.table is not None else sorted(set(s.generators))
+    full = s.size <= eh.TABLE_CAP
+    thetas = range(s.size) if full else sorted(set(s.generators))
     checks = {
         "L1": unique_member_pairwise(r_tilde, e.members),
         "R1": unique_member_pairwise(l_tilde, e.members),

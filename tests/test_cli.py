@@ -107,7 +107,7 @@ def test_untabled_p4_output_is_pinned(capsys, argv, digest):
     "argv, digest",
     [
         (
-            # failure witnesses on a tabled monoid
+            # failure witnesses of the full sweep, under the table cap
             ["analyze", "P3", "E"],
             "b512497b7bd5ab198609ada357bef8ee1c1b573aa0008bf0fcb8e55144322279",
         ),

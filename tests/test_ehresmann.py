@@ -80,12 +80,13 @@ def test_second_calls_on_one_semilattice_read_no_rows(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("name", ["P3", "RR3"])
+@pytest.mark.parametrize("name", ["P3", "RR3", "RR4"])
 def test_generator_sweep_settles_l2_and_r2_without_theta_rows(
     monkeypatch, name
 ):
-    # L2 and R2 hold, so the sweep over the generators settles them on the
-    # tabled monoid: the only rows and columns read are E's product lines
+    # L2 and R2 hold, so the sweep over the generators settles them on a
+    # monoid under the cap: the only rows and columns read are E's product
+    # lines
     s = zoo.build(name)
     e = zoo.semilattice_for("F", name)
     calls = {"row": [], "column": []}
@@ -96,7 +97,7 @@ def test_generator_sweep_settles_l2_and_r2_without_theta_rows(
             return original(m, a)
         monkeypatch.setattr(mon.FiniteMonoid, method, counted)
     report = eh.check_axioms(s, e)
-    assert s.table is not None and report.theta_sweep == "full"
+    assert report.theta_sweep == "full"
     assert report.axioms["L2"] and report.axioms["R2"]
     assert calls == {"row": list(e.members), "column": list(e.members)}
 
@@ -105,10 +106,11 @@ def test_generator_sweep_settles_l2_and_r2_without_theta_rows(
     "name, kind", [("RR4", "F"), ("LL4", "F"), ("I4", "E"), ("PT4", "E")]
 )
 def test_generator_sweep_matches_the_full_sweep_at_degree_4(name, kind):
-    # the tabled degree-4 pairs the CLI and the exact-algebra calls use
+    # the degree-4 pairs, under the cap, that the CLI and the exact-algebra
+    # calls use
     s = zoo.build(name)
     report = eh.check_axioms(s, zoo.semilattice_for(kind, name))
-    assert s.table is not None and report.theta_sweep == "full"
+    assert report.theta_sweep == "full"
     for axiom, classes, line in (
         ("L2", report.r_tilde, s.row), ("R2", report.l_tilde, s.column)
     ):
@@ -163,19 +165,15 @@ def test_green_relations_refine_tilde_relations():
 
 
 def test_generator_sweep_agrees_with_full_sweep(monkeypatch):
-    # an untabled copy of a tabled monoid sweeps its generators only
+    # with the cap below its size a monoid sweeps its generators only
     for name in ("P2", "P3"):
         s = zoo.build(name)
-        with monkeypatch.context() as patch:
-            patch.setattr(mon, "TABLE_CAP", 0)
-            untabled = zoo.build.__wrapped__(name)
-        assert untabled.table is None
         for kind in ("E", "F"):
             e = zoo.semilattice_for(kind, name)
             full = eh.check_axioms(s, e)
-            swept = eh.check_axioms(
-                untabled, eh.Semilattice.create(untabled, e.members)
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(eh, "TABLE_CAP", 0)
+                swept = eh.check_axioms(s, eh.Semilattice(s, e.members))
             assert (full.theta_sweep, swept.theta_sweep) == ("full", "generators")
             for key in ("axioms", "r_tilde", "l_tilde", "plus", "star"):
                 assert getattr(swept, key) == getattr(full, key), (name, kind, key)
@@ -184,7 +182,7 @@ def test_generator_sweep_agrees_with_full_sweep(monkeypatch):
 def test_large_monoid_sweeps_its_own_generators():
     s = zoo.build("P4")
     f = zoo.semilattice_for("F", "P4")
-    assert s.table is None
+    assert s.size > mon.TABLE_CAP
     assert eh.check_axioms(s, f).theta_sweep == "generators"
 
 
@@ -410,16 +408,15 @@ def test_kept_tilde_labellings_match_fresh_ones(name):
 @pytest.mark.parametrize("kind", ["E", "F"])
 def test_untabled_p4_matches_the_pairwise_oracles(kind):
     s = zoo.build("P4")
-    assert s.table is None
+    assert s.size > mon.TABLE_CAP
     _matches_the_pairwise_oracles(s, zoo.semilattice_for(kind, "P4"))
 
 
 @pytest.mark.parametrize("name", ["P4", "RR4", "D03"])
 def test_rows_and_columns_match_mul(name):
-    # P4 composes generator actions along words; RR4 and the semigroup D03
-    # read their tables
+    # generator actions composed along words, on a monoid above the cap,
+    # one under it and the semigroup D03
     s = zoo.build(name)
-    assert (s.table is None) == (name == "P4")
     picks = set(random.Random(3).sample(range(s.size), min(s.size, 40)))
     picks.update(s.generators)
     rng = range(s.size)

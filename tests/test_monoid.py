@@ -41,7 +41,7 @@ def test_from_elements_builds_identity_and_table():
     assert m.size == 15
     assert m.identity is not None
     assert m.decode(m.identity) == dg.identity(2)
-    assert m.table is not None
+    assert m._build_table() == definitional_table("P2")
     assert monoid_associative(m)
 
 
@@ -331,15 +331,6 @@ def definitional_table(name):
     return op_table(elements, rel.compose if relations else dg.multiply)
 
 
-def fresh(m):
-    """A copy of m with no row of its table filled, sharing its graphs."""
-    return mon.FiniteMonoid(m.index, m.identity, m.generators, m.right, m.tree)
-
-
-def filled(m):
-    return sum(row is not None for row in m.table)
-
-
 @pytest.mark.parametrize(
     "family",
     [f for f, x in zoo.FAMILIES.items() if x.universe in ("P", "rook")],
@@ -392,7 +383,7 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
 
 @pytest.mark.parametrize("name", ["P3", "PT4", "BX3", "P0"])
 def test_from_graph_table_matches_traced_rows(name):
-    # the table filled from the tree against products traced along words
+    # the table made from the tree against products traced along words
     m = zoo.build(name)
     assert m._build_table() == graph_rows(m)
     mon.green(m)
@@ -400,47 +391,40 @@ def test_from_graph_table_matches_traced_rows(name):
 
 @pytest.mark.parametrize("name", SMALL + ["RR4", "LL4", "Pfd4", "PT4"])
 def test_rows_filled_on_demand_match_the_whole_table(name):
-    # rows read in a seeded random order, each with products read before
-    # and after it is filled, and the columns (every one at degree <= 3, a
-    # seeded sample of 96 at degree 4, where reading all of them costs
-    # 0.3-0.6 s a monoid), against the table of a fresh copy filled whole
-    # in tree order
+    # rows composed along words, read in a seeded random order with a
+    # sample of traced products each, and the columns (every one at degree
+    # <= 3, a seeded sample of 96 at degree 4, where reading all of them
+    # costs 0.3-0.6 s a monoid), against the table made whole in tree order
     m = zoo.build(name)
-    want = fresh(m)._build_table()
+    want = m._build_table()
     small = zoo.FamilySpec.parse(name).n <= 3
     if small:
         assert want == definitional_table(name)
-    lazy = fresh(m)
-    assert filled(lazy) == 0
     rng = random.Random(f"rows {name}")
     order = list(range(m.size))
     rng.shuffle(order)
     for i in order:
         js = rng.sample(range(m.size), min(m.size, 12))
-        before = [lazy.mul(i, j) for j in js]
-        assert lazy.row(i) == want[i] and lazy.table[i] is lazy.row(i)
-        assert before == [lazy.mul(i, j) for j in js] == [want[i][j] for j in js]
-    assert filled(lazy) == m.size
+        assert m.row(i) == want[i], i
+        assert [m.mul(i, j) for j in js] == [want[i][j] for j in js], i
     columns = range(m.size) if small else rng.sample(range(m.size), 96)
     for a in columns:
-        assert lazy.column(a) == [row[a] for row in want], a
-    # a table partly filled on demand, then filled whole for the dump
-    part = fresh(m)
-    for i in order[: m.size // 3]:
-        part.row(i)
-    assert part._build_table() == want
+        assert m.column(a) == [row[a] for row in want], a
 
 
-def test_structural_reads_fill_few_rows():
-    # the egg-box reads only the generator graphs, and the Ehresmann report
-    # only the rows of the semilattice's members and of their tree ancestors
-    ll4 = fresh(zoo.build("LL4"))
+def test_structural_reads_fill_few_rows(monkeypatch):
+    # the egg-box reads only the generator graphs; the Ehresmann report's
+    # one row and one column per member of E are counted in test_ehresmann
+    ll4 = zoo.build("LL4")
+    calls = {"row": [], "column": [], "_build_table": []}
+    for method, seen in calls.items():
+        def counted(m, *args, original=getattr(mon.FiniteMonoid, method),
+                    seen=seen):
+            seen.append(args)
+            return original(m, *args)
+        monkeypatch.setattr(mon.FiniteMonoid, method, counted)
     dotout.emit_eggbox(ll4)
-    assert filled(ll4) == 0
-    rr4 = fresh(zoo.build("RR4"))
-    f = eh.Semilattice.create(rr4, zoo.semilattice_for("F", "RR4").members)
-    eh.check_axioms(rr4, f)
-    assert 0 < filled(rr4) < rr4.size / 10
+    assert calls == {"row": [], "column": [], "_build_table": []}
 
 
 def test_bx3_needs_its_extra_generator():
@@ -458,7 +442,7 @@ def test_submonoid_above_the_table_cap_is_untabled():
     # and the tree, with products traced along the tree's words
     p4 = zoo.build("P4")
     sub = p4.submonoid(range(p4.size))
-    assert sub.table is None and sub.elements == p4.elements
+    assert sub.size > mon.TABLE_CAP and sub.elements == p4.elements
     assert sub.identity == p4.identity
     rng = random.Random(23)
     for _ in range(2000):
@@ -481,7 +465,7 @@ def test_untabled_semigroup_derives_its_left_graph_from_the_tree():
     p4 = zoo.build("P4")
     ideal = [i for i, a in enumerate(p4.elements) if dg.params(a).rank <= 1]
     s = p4.submonoid(ideal)
-    assert (s.size, s.identity, s.table) == (1594, None, None)
+    assert (s.size, s.identity) == (1594, None)
     assert len(s.generators) == 73
     for x, row in enumerate(s.left):
         assert [ideal[gx] for gx in row] == [
@@ -491,7 +475,7 @@ def test_untabled_semigroup_derives_its_left_graph_from_the_tree():
 
 def test_traced_p4_products_match_multiply():
     m = zoo.build("P4")
-    assert m.table is None
+    assert m.size > mon.TABLE_CAP
     rng = random.Random(5)
     for _ in range(5000):
         i, j = rng.randrange(m.size), rng.randrange(m.size)
