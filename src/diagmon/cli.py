@@ -9,8 +9,9 @@ rename).  The JSON text is byte-identical to
 a stream of chunks of bounded size (``_json_stream``), every flat table
 one row at a time (``_Rows``), and written in blocks of about 64 KiB as
 it is made (``_write``): no string of the whole output exists.  On
-2 vCPUs ``build RR4`` peaks at 28 MB and ``stein Pfd4 F --side right``
-at 33 MB, where ``json.dumps`` took 92 MB and 527 MB.  The format of the
+2 vCPUs ``build RR4`` peaks at 22 MB, its table read from typed rows and
+its elements made one by one, and ``stein Pfd4 F --side right`` at
+33 MB, where ``json.dumps`` took 92 MB and 527 MB.  The format of the
 ``build`` dump is set here alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from typing import Callable, NamedTuple
 
 from . import algebra, ehresmann as eh, dotout, verify, zoo
@@ -102,9 +104,11 @@ def _json_stream(obj):
 
 def _json_chunks(obj, nl):
     """The JSON text of ``obj`` whose lines start with ``nl``, a newline and
-    the current indent.  Dicts with string keys and lists are written
-    here; every leaf, empty container, tuple and dict with other keys by
-    ``json.dumps``, re-indented, as JSON text holds no raw newline."""
+    the current indent.  Dicts with string keys, lists and iterators, an
+    iterator as the list of its items, each made only when it is written,
+    are written here; every leaf, empty container, tuple and dict with
+    other keys by ``json.dumps``, re-indented, as JSON text holds no raw
+    newline."""
     inner = nl + "  "
     sep = "," + inner
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
@@ -115,16 +119,30 @@ def _json_chunks(obj, nl):
         yield nl + "}"
     elif type(obj) is list and obj and set(map(type, obj)) == {int}:
         yield from _rows_chunks(_Rows([obj]), nl)
-    elif type(obj) is list and obj:
-        yield "["
-        for i, value in enumerate(obj):
-            yield sep if i else inner
+    elif type(obj) is list and obj or isinstance(obj, Iterator):
+        lead = "[" + inner
+        for value in obj:
+            yield lead
             yield from _json_chunks(value, inner)
-        yield nl + "]"
+            lead = sep
+        yield nl + "]" if lead is sep else "[]"
     elif type(obj) is _Rows:
         yield from _rows_chunks(obj, nl)
     else:
         yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+
+
+class _Texts(dict):
+    """The text of each entry, at the indent ``inner``, made when first
+    asked for and kept."""
+
+    def __init__(self, text, inner):
+        super().__init__()
+        self.text, self.inner = text, inner
+
+    def __missing__(self, v):
+        t = self[v] = self.text(v).replace("\n", self.inner)
+        return t
 
 
 def _rows_chunks(obj, nl):
@@ -132,11 +150,9 @@ def _rows_chunks(obj, nl):
     text of each distinct entry made once."""
     inner = nl + "  "
     sep = "," + inner
-    texts = {}
+    texts = _Texts(obj.text, inner)
     lead = "[" + inner
     for row in filter(None, obj.rows):
-        for v in set(row).difference(texts):
-            texts[v] = obj.text(v).replace("\n", inner)
         # the lead goes out apart: a copy of each row joined to it would
         # fragment the heap, by 4 MB on build RR4
         yield lead
@@ -154,7 +170,7 @@ def cmd_build(args):
             TABLE_CAP,
         )
     data = {
-        "elements": [x.to_json() for x in m.elements],
+        "elements": (x.to_json() for x in m.elements),
         "identity": m.identity,
         "mul": _Rows(m._build_table()),
         "size": m.size,

@@ -23,9 +23,11 @@ letter, ``column(a)``, the list S*a, composes the right actions, and x*y
 is traced from x through the right graph along the word of y.  The
 structural algorithms read the generator graphs, so most rows are never
 made, and only the ``build`` dump and the semigroup algebra's Gram matrix
-read a whole table, made by ``_build_table``.  Work of m^2 products, the
-dump and the sweep of L2 and R2 over every theta, is done only up to
-``TABLE_CAP`` elements.
+read a whole table, made by ``_build_table`` depth first along the tree
+and kept as typed rows of 2 bytes an entry.  The generator graphs are
+frozen as tuples once the walk that makes them ends.  Work of m^2
+products, the dump and the sweep of L2 and R2 over every theta, is done
+only up to ``TABLE_CAP`` elements.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
 run the same walk inside the subset greedily: generators are picked from
@@ -47,7 +49,9 @@ Regularity, inverseness and right zeros are read off this structure.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import StateError, ValidationError
 
@@ -131,10 +135,14 @@ class FiniteMonoid:
         self.size = len(self.elements)
         self.identity = identity
         self.generators, self.right, self.tree = generators, right, tree
+        for x, images in enumerate(right):  # the walk is over: freeze them
+            right[x] = tuple(images)
         left = self.left = [None] * self.size
         for x, pre, k in tree:
             base = generators if pre is None else left[pre]
-            left[x] = list(base) if k is None else [right[y][k] for y in base]
+            left[x] = tuple(
+                base if k is None else [right[y][k] for y in base]
+            )
         self._green = None  # memo of green(self)
         self._generator_actions = None  # memo of _actions()
         self._word_list = None  # memo of _words()
@@ -191,15 +199,32 @@ class FiniteMonoid:
         return gens, right, tree
 
     def _build_table(self):
-        """The whole Cayley table, each row made in tree order from its
-        parent's: as x*y = x'*(g_k*y) for x = x'*g_k, row x is row x' read
-        through g_k's left action."""
-        actions, table = self._actions()[0], [None] * self.size
+        """The whole Cayley table, one ``array('H')`` row per element, 2
+        bytes an entry, or ``array('I')`` rows above 65,536 elements.
+
+        Each row is made from its parent's: as x*y = x'*(g_k*y) for
+        x = x'*g_k, row x is row x' read through g_k's left action, all of
+        it in one ``itemgetter`` call.  The tree is walked depth first
+        with an explicit stack, so that besides the typed rows only those
+        on the current path are held, as tuples, which are quick to read
+        through; a tree as deep as m, a cyclic monoid's, needs no
+        recursion."""
+        size = self.size
+        code = "H" if size <= 1 << 16 else "I"
+        if size == 1:  # an itemgetter of one index gives no tuple
+            return [array(code, [0])]
+        gather = [itemgetter(*action) for action in self._actions()[0]]
+        table, children, stack = [None] * size, [[] for _ in range(size)], []
         for x, pre, k in self.tree:
-            base = range(self.size) if pre is None else table[pre]
-            table[x] = list(
-                base if k is None else map(base.__getitem__, actions[k])
-            )
+            if pre is None:
+                stack.append((x, k, range(size)))
+            else:
+                children[pre].append((x, k))
+        while stack:
+            x, k, base = stack.pop()
+            row = base if k is None else gather[k](base)
+            table[x] = array(code, row)
+            stack.extend((y, j, row) for y, j in children[x])
         return table
 
     def escape(self, indices):

@@ -6,6 +6,7 @@ counting) so agreement is a genuine two-sided check.
 """
 
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -427,16 +428,37 @@ def op_table(elements, op):
     return [[index[op(x, y)] for y in elements] for x in elements]
 
 
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def cayley_table(m):
+    """The rows of ``m._build_table()``, made once per monoid for every
+    oracle here that reads x*y on every pair.
+
+    The table is checked against ``dg.multiply`` and ``rel.compose`` on
+    every pair up to degree 3, and on PT4, by
+    test_traced_tables_match_multiply and test_relation_tables_match_compose,
+    and against rows, columns and ``mul`` on RR4, LL4 and Pfd4 by
+    test_rows_filled_on_demand_match_the_whole_table.
+    """
+    table = _TABLES.get(m)
+    if table is None:
+        table = _TABLES[m] = m._build_table()
+    return table
+
+
 def restricted_submonoid(parent, indices, height):
     """``FiniteMonoid.submonoid`` before generator actions: the parent's
-    products restricted to the subset, one ``parent.mul`` per pair, the
+    products restricted to the subset, read from ``cayley_table`` pair by
+    pair, the
     identity read off that table, and generators grown greedily on it, the
     candidates taken top-down by ``height`` (the parent's J-height of each
     parent element) with ties broken by index.  Returns the table,
     identity, generators and right and left generator graphs."""
     indices = sorted(indices)
     local = {p: i for i, p in enumerate(indices)}
-    table = [[local[parent.mul(x, y)] for y in indices] for x in indices]
+    product = cayley_table(parent)
+    table = [[local[product[x][y]] for y in indices] for x in indices]
     rng = range(len(indices))
     identity = next((
         i for i in rng
@@ -489,11 +511,11 @@ def embedding_pairwise(f, s, t):
 
 
 def escape_pairwise(s, indices):
-    """``FiniteMonoid.escape`` by one ``s.mul`` per pair, row by row."""
-    inside = set(indices)
+    """``FiniteMonoid.escape`` by one product per pair, row by row."""
+    inside, product = set(indices), cayley_table(s)
     for x in indices:
         for y in indices:
-            if s.mul(x, y) not in inside:
+            if product[x][y] not in inside:
                 return x, y
     return None
 
@@ -540,22 +562,23 @@ def algebra_associative(a, cap=100):
 
 def regular_pairwise(m):
     """Every x has some a with x a x = x, searched over all a."""
-    rng = range(m.size)
-    return all(any(m.mul(m.mul(x, a), x) == x for a in rng) for x in rng)
+    rng, t = range(m.size), cayley_table(m)
+    return all(any(t[t[x][a]][x] == x for a in rng) for x in rng)
 
 
 def inverse_pairwise(m):
     """Regular with commuting idempotents (equivalently unique inverses)."""
     if not regular_pairwise(m):
         return False
-    ids = [x for x in range(m.size) if m.mul(x, x) == x]
-    return all(m.mul(e, f) == m.mul(f, e) for e in ids for f in ids if e < f)
+    t = cayley_table(m)
+    ids = [x for x in range(m.size) if t[x][x] == x]
+    return all(t[e][f] == t[f][e] for e in ids for f in ids if e < f)
 
 
 def right_zeros_pairwise(m):
     """Elements z with a z = z for every element a."""
-    rng = range(m.size)
-    return frozenset(z for z in rng if all(m.mul(a, z) == z for a in rng))
+    rng, t = range(m.size), cayley_table(m)
+    return frozenset(z for z in rng if all(t[a][z] == z for a in rng))
 
 
 def _first_occurrence_ids(keys):
@@ -571,10 +594,10 @@ def green_principal_ideals(m):
     as each D-class's below-set, from two-sided ideals of D-class
     representatives.
     """
-    size = m.size
+    size, t = m.size, cayley_table(m)
     rng = range(size)
-    right = [frozenset({x} | {m.mul(x, j) for j in rng}) for x in rng]
-    left = [frozenset({x} | {m.mul(i, x) for i in rng}) for x in rng]
+    right = [frozenset({x} | {t[x][j] for j in rng}) for x in rng]
+    left = [frozenset({x} | {t[i][x] for i in rng}) for x in rng]
     r_class = _first_occurrence_ids(right)
     l_class = _first_occurrence_ids(left)
     h_class = _first_occurrence_ids(zip(r_class, l_class))
@@ -606,7 +629,7 @@ def green_principal_ideals(m):
     for d, x in reps.items():
         ideal = set(right[x])
         for i in rng:
-            ideal.update(m.mul(i, k) for k in right[x])
+            ideal.update(t[i][k] for k in right[x])
         two_sided[d] = ideal
     d_order = set()
     for a, xa in reps.items():
@@ -924,14 +947,21 @@ def stein_pairwise(cat, phi):
 # -- reference radical dimension ------------------------------------------------
 
 
+def table_algebra(s):
+    """The semigroup algebra of the monoid s for the Gram oracle: its
+    basis product read pair by pair from ``cayley_table(s)``."""
+    t = cayley_table(s)
+    return algebra.RationalAlgebra(s.size, lambda i, j: t[i][j])
+
+
 def gram_fractions(a):
     """The trace-form Gram matrix from definitional traces: the trace of
     left multiplication by k counts the j with k*j = j."""
     d, mul = a.dimension, a.basis_mul
-    trace = {None: 0}
+    trace = {None: Fraction(0)}
     for k in range(d):
-        trace[k] = sum(1 for j in range(d) if mul(k, j) == j)
-    return [[Fraction(trace[mul(i, j)]) for j in range(d)] for i in range(d)]
+        trace[k] = Fraction(sum(1 for j in range(d) if mul(k, j) == j))
+    return [[trace[mul(i, j)] for j in range(d)] for i in range(d)]
 
 
 def rational_rank(rows):

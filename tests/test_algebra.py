@@ -23,6 +23,7 @@ from oracles import (
     rref_mod_lists,
     stein_generator_pairs,
     stein_pairwise,
+    table_algebra,
     top_degree,
 )
 
@@ -347,8 +348,8 @@ def test_radical_dim_matches_the_rational_oracle_on_monoid_algebras():
         s = zoo.build(name)
         if s.size > 64:
             continue
-        a = algebra.RationalAlgebra.of_monoid(s)
-        assert algebra.radical_dim(a) == radical_nullity(a), name
+        got = algebra.radical_dim(algebra.RationalAlgebra.of_monoid(s))
+        assert got == radical_nullity(table_algebra(s)), name
         checked += 1
     assert checked == 66
 
@@ -360,25 +361,28 @@ def test_radical_dim_matches_the_rational_oracle_on_category_algebras():
 
 
 def _gram_algebras():
-    """The monoid algebras up to degree 3 and the category algebras."""
-    algebras = [
-        algebra.RationalAlgebra.of_monoid(zoo.build(name))
-        for name in _families(3)
+    """The monoid algebras up to degree 3 and the category algebras, each
+    with the algebra the Gram oracle reads: a monoid's products come from
+    its table, ``table_algebra``, and a category algebra is its own."""
+    monoids = [
+        (algebra.RationalAlgebra.of_monoid(s), table_algebra(s))
+        for s in map(zoo.build, _families(3))
     ]
-    return algebras + [
+    categories = [
         _category_algebra(name, kind) for name, kind in CATEGORY_PAIRS
     ]
+    return monoids + [(a, a) for a in categories]
 
 
 def test_gram_matrix_matches_the_definitional_traces():
     null = algebra.RationalAlgebra(3, lambda i, j: None)
-    for a in _gram_algebras() + [null]:
-        assert algebra._gram(a) == gram_fractions(a)
+    for a, oracle in _gram_algebras() + [(null, null)]:
+        assert algebra._gram(a) == gram_fractions(oracle)
 
 
 def test_gram_matrix_is_symmetric():
     # t(ij) = tr(L_i L_j) = tr(L_j L_i) = t(ji)
-    for a in _gram_algebras():
+    for a, _ in _gram_algebras():
         g = algebra._gram(a)
         assert all(
             g[i][j] == g[j][i] for i in range(len(g)) for j in range(i)

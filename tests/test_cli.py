@@ -4,6 +4,8 @@ import contextlib
 import functools
 import hashlib
 import json
+from array import array
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -408,10 +410,37 @@ def json_text(obj):
     return "".join(cli._json_stream(obj))
 
 
+class Kept:
+    """An iterator that keeps the items it yields, so that what was
+    streamed from it can be compared with ``json.dumps`` afterwards."""
+
+    def __init__(self, items):
+        self.items, self._rest = [], iter(items)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._rest)
+        self.items.append(item)
+        return item
+
+
+def keep(obj):
+    """The dict ``obj`` with each iterator among its values replaced by a
+    ``Kept`` of it."""
+    return {
+        k: Kept(v) if isinstance(v, Iterator) else v for k, v in obj.items()
+    }
+
+
 def plain(obj):
     """``obj`` with each ``cli._Rows`` of pairs replaced by the flat pair
-    list that ``json.dumps`` writes as the stein output, and each other
-    ``cli._Rows`` by the flat list of its entries."""
+    list that ``json.dumps`` writes as the stein output, each other
+    ``cli._Rows`` by the flat list of its entries and each ``Kept`` by the
+    list of the items it yielded."""
+    if type(obj) is Kept:
+        return [plain(v) for v in obj.items]
     if type(obj) is cli._Rows and obj.text is cli._pair:
         return matrix_to_json(obj.rows)
     if type(obj) is cli._Rows:
@@ -489,6 +518,8 @@ def test_rows_match_the_flat_list(kind, data, depth):
         # empty rows between rows whose values repeat, and values first
         # met in the last row
         cli._Rows([[7, -1], [], [-1, 7, 7], [], [10**20] * 3]),
+        # typed rows, as FiniteMonoid._build_table makes them
+        cli._Rows([array("H", [3, 1, 3]), array("H"), array("I", [1])]),
         [v % 7 - 3 for v in range(100)] + [-10**20, 4, 10**20],
     ],
     # a table is named by its entries' text: integers or pairs
@@ -501,6 +532,19 @@ def test_json_writer_edge_cases(obj):
     assert json_text(obj) == dumps(plain(obj))
 
 
+@pytest.mark.parametrize(
+    "items",
+    [[], [7], [{}], [[]], [{"n": 2, "blocks": [[1, -1], [2, -2]]}, None, "x"],
+     [[1, 2], cli._Rows([[3, 4]]), {"a": [5]}]],
+)
+def test_iterators_are_written_as_lists(items):
+    # each item is made only when it is written, in a list of its own or
+    # as a dict value beside other keys
+    obj = {"b": (item for item in items), "a": 1, "c": [2]}
+    assert json_text(obj) == dumps(plain({**obj, "b": items}))
+    assert json_text(iter(items)) == dumps(plain(items))
+
+
 def _json_outputs(monkeypatch, argv):
     """The object a command hands to ``cli._json_stream``, the length of
     the longest chunk of that stream and the blocks written, or None when
@@ -509,6 +553,7 @@ def _json_outputs(monkeypatch, argv):
     original = cli._json_stream
 
     def stream(obj):
+        obj = keep(obj)  # an iterator is spent once it is written
         seen.append(obj)
         for chunk in original(obj):
             longest[0] = max(longest[0], len(chunk))

@@ -4,6 +4,8 @@ import functools
 import html
 import random
 import re
+import sys
+from array import array
 
 import pytest
 
@@ -36,12 +38,18 @@ from oracles import (
 )
 
 
+def as_lists(rows):
+    """Typed rows, or tuples, as lists, so that ``==`` with a list of lists
+    compares every entry: ``array('H', [0]) == [0]`` is False."""
+    return list(map(list, rows))
+
+
 def test_from_elements_builds_identity_and_table():
     m = zoo.build("P2")
     assert m.size == 15
     assert m.identity is not None
     assert m.decode(m.identity) == dg.identity(2)
-    assert m._build_table() == definitional_table("P2")
+    assert as_lists(m._build_table()) == definitional_table("P2")
     assert monoid_associative(m)
 
 
@@ -295,8 +303,8 @@ def test_enumeration_matches_the_product_driven_oracle(n):
     for x, pre, _ in g.tree:
         prefix[x] = pre
     got = {
-        "right": g.right, "left": g.left, "words": g._words(),
-        "prefix": prefix, "generators": g.generators,
+        "right": as_lists(g.right), "left": as_lists(g.left),
+        "words": g._words(), "prefix": prefix, "generators": g.generators,
     }
     for field, value in got.items():
         assert value == want[field], field
@@ -342,7 +350,35 @@ def test_traced_tables_match_multiply(family):
     for n in range(min(top_degree(family), 3) + 1):
         name = f"{family}{n}"
         m = zoo.build(name)
-        assert m._build_table() == definitional_table(name), name
+        assert as_lists(m._build_table()) == definitional_table(name), name
+
+
+def test_table_rows_are_two_byte_arrays():
+    # every family at degree <= 3: one typed row per element, 2 bytes an
+    # entry, equal to the definitional table entry by entry
+    for name in SMALL:
+        m = zoo.build(name)
+        table = m._build_table()
+        assert len(table) == m.size, name
+        assert all(
+            type(row) is array and row.itemsize == 2 for row in table
+        ), name
+        assert as_lists(table) == definitional_table(name), name
+
+
+def test_table_of_a_deep_tree_is_built_without_recursion():
+    # the cyclic group of order 1500 from the generator 1: its tree is a
+    # path of depth 1499, deeper than the default recursion limit
+    order = 1500
+    m = mon.froidure_pin(
+        [1], lambda a, b: (a + b) % order, 0, list(range(order))
+    )
+    depth = max(map(len, m._words()))
+    assert depth == order - 1 > sys.getrecursionlimit()
+    table = m._build_table()
+    assert len(table) == order
+    for i, row in enumerate(table):
+        assert list(row) == [(i + j) % order for j in range(order)], i
 
 
 @pytest.mark.parametrize(
@@ -357,7 +393,7 @@ def test_relation_tables_match_compose(name):
     assert m.decode(m.identity) == rel.identity_rel(spec.n)
     gens = zoo.relation_generators(spec.family, spec.n)
     assert [m.elements[i] for i in m.generators] == gens
-    assert m._build_table() == definitional_table(name)
+    assert as_lists(m._build_table()) == definitional_table(name)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +413,8 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
     )
     for key, value in want.items():
         got = m._build_table() if key == "table" else getattr(m, key)
+        if key in ("table", "right", "left"):
+            got = as_lists(got)
         assert got == value, key
     mon.green(m)
 
@@ -385,7 +423,7 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
 def test_from_graph_table_matches_traced_rows(name):
     # the table made from the tree against products traced along words
     m = zoo.build(name)
-    assert m._build_table() == graph_rows(m)
+    assert as_lists(m._build_table()) == graph_rows(m)
     mon.green(m)
 
 
@@ -396,7 +434,7 @@ def test_rows_filled_on_demand_match_the_whole_table(name):
     # <= 3, a seeded sample of 96 at degree 4, where reading all of them
     # costs 0.3-0.6 s a monoid), against the table made whole in tree order
     m = zoo.build(name)
-    want = m._build_table()
+    want = as_lists(m._build_table())
     small = zoo.FamilySpec.parse(name).n <= 3
     if small:
         assert want == definitional_table(name)
