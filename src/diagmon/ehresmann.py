@@ -164,7 +164,7 @@ def _congruence_check(classes, thetas, image):
 
 def _sweep(s: FiniteMonoid, classes, actions, line):
     """L2 or R2 over the generators, theta = g_k acting as ``actions[k]``
-    (theta*x is ``s.left[x][k]``, x*theta ``s.right[x][k]``), and on a
+    (theta*x is ``s.left[k][x]``, x*theta ``s.right[k][x]``), and on a
     monoid of at most ``TABLE_CAP`` elements, when that fails, over every
     theta's ``line``."""
     images = dict(zip(s.generators, actions))
@@ -188,12 +188,11 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
     if "report" in e._memo:
         return e._memo["report"]
     r_tilde, l_tilde = (tilde_classes(s, e, side) for side in SIDES)
-    actions = s._actions()
     checks = {
         "L1": _unique_member_check(r_tilde, e.members),
         "R1": _unique_member_check(l_tilde, e.members),
-        "L2": _sweep(s, r_tilde, actions[0], s.row),
-        "R2": _sweep(s, l_tilde, actions[1], s.column),
+        "L2": _sweep(s, r_tilde, s.left, s.row),
+        "R2": _sweep(s, l_tilde, s.right, s.column),
         # restriction containments, tested up to the first x that fails
         "L3": _containment(right, left, e),
         "R3": _containment(left, right, e),

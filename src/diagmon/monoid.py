@@ -7,7 +7,7 @@ the universe; a product outside the universe stops it, so closure is
 exact.  ``froidure_pin`` walks breadth first from the identity, as in
 Froidure & Pin (1997), "Algorithms for computing finite semigroups", and
 its universe, which the generators must reach whole, certifies both the
-generating set and closure.  The right graph records x*g for every
+generating set and closure.  The walk's rows record x*g for every
 element x and generator g, and a tree records how each element is
 reached, x = x'*g with x' found first, so that it spells each element's
 short-lex least word.  Only x*g calls the concrete operation: g*x follows
@@ -15,7 +15,10 @@ from the tree, and so does every later product.
 
 A ``FiniteMonoid`` is that record: its elements indexed 0..m-1, a
 certified generating set, the right graph and the tree, from which it
-derives the left graph.  ``froidure_pin`` returns one, and so does
+derives the left graph.  Each graph is kept once, as one action per
+generator: ``right[k]`` lists x*g_k and ``left[k]`` g_k*x for every x, a
+tuple of m indices made when the walk ends, by transposing its rows once
+and by following the tree.  ``froidure_pin`` returns one, and so does
 ``submonoid`` for a closed index subset, such as a diagram family's
 positions in P_n.  No Cayley table is kept: ``row(a)``, the list a*S,
 composes the generators' left actions along the word of a, one map per
@@ -24,10 +27,9 @@ is traced from x through the right graph along the word of y.  The
 structural algorithms read the generator graphs, so most rows are never
 made, and only the ``build`` dump and the semigroup algebra's Gram matrix
 read a whole table, made by ``_build_table`` depth first along the tree
-and kept as typed rows of 2 bytes an entry.  The generator graphs are
-frozen as tuples once the walk that makes them ends.  Work of m^2
-products, the dump and the sweep of L2 and R2 over every theta, is done
-only up to ``TABLE_CAP`` elements.
+and kept as typed rows of 2 bytes an entry.  Work of m^2 products, the
+dump and the sweep of L2 and R2 over every theta, is done only up to
+``TABLE_CAP`` elements.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
 run the same walk inside the subset greedily: generators are picked from
@@ -76,28 +78,28 @@ def froidure_pin(generators, op, identity, universe):
     start = place.get(identity)
     if start is None:
         raise ValidationError("the identity is not in the given universe")
-    members, right = [start], [[] for _ in universe]
+    members, rows = [start], [[] for _ in universe]
     tree = [(start, None, None)]
-    _walk(op, universe, place, generators, members, {start}, right, tree)
+    _walk(op, universe, place, generators, members, {start}, rows, tree)
     if len(members) != len(universe):
         raise ValidationError(
             f"the generators give {len(members)} of the {len(universe)} "
             f"elements"
         )
-    return FiniteMonoid(place, start, right[start], right, tree)
+    return FiniteMonoid(place, start, rows[start], rows, tree)
 
 
-def _walk(op, elements, place, generators, members, reached, right, tree):
+def _walk(op, elements, place, generators, members, reached, rows, tree):
     """Close ``members`` under right multiplication by the generators.
 
     Each member x, ``members`` growing while it is walked, gains in
-    ``right[x]`` the products x*g_j it lacks, numbered by ``place``, from
+    ``rows[x]`` the products x*g_j it lacks, numbered by ``place``, from
     ``op(elements[x], generators[j])``; a product not yet ``reached`` joins
     ``members`` and the ``tree`` as (p, x, j).  Raises ValidationError at
     the first product ``place`` does not number.
     """
     for x in members:
-        row, a = right[x], elements[x]
+        row, a = rows[x], elements[x]
         for j in range(len(row), len(generators)):
             p = place.get(op(a, generators[j]))
             if p is None:
@@ -117,34 +119,35 @@ class FiniteMonoid:
 
     ``index`` numbers the elements 0..m-1 in key order, the order of
     ``elements``.  ``generators`` lists the element index of each generator
-    g_k, ``right[x][k]`` the index of x*g_k, and ``tree`` how each element
-    is reached: (x, x', k) for x = x'*g_k with x' listed before x, or (x,
-    None, k) for x = g_k itself, and (x, None, None) for the identity.
-    ``identity`` is an index, or None for a semigroup.  The left graph,
-    ``left[x][k]`` = g_k*x, follows along the tree: the identity's row is
-    the generators, g_j*g_k is ``right[g_j][k]``, and g_j*x is
-    (g_j*x')*g_k for x = x'*g_k.  Every product follows the tree's words.
+    g_k, and ``tree`` how each element is reached: (x, x', j) for
+    x = x'*g_j with x' listed before x, or (x, None, j) for x = g_j itself,
+    and (x, None, None) for the identity.  ``identity`` is an index, or
+    None for a semigroup.  Each generator's two actions are kept, one tuple
+    of m indices each: ``right[k][x]`` = x*g_k, the walk's ``rows[x][k]``
+    transposed, and ``left[k][x]`` = g_k*x, which follows along the tree:
+    g_k*1 is g_k, g_k*g_j is ``right[j][g_k]``, and g_k*x is (g_k*x')*g_j
+    for x = x'*g_j.  Every product follows the tree's words.
     """
 
     # Keeps no table.  Its only reader is the ``mul`` counter of the
     # benchmark tracer (perfbench/tracer.py); the two are deleted together.
     table = None
 
-    def __init__(self, index, identity, generators, right, tree):
+    def __init__(self, index, identity, generators, rows, tree):
         self.index, self.elements = index, list(index)
         self.size = len(self.elements)
         self.identity = identity
-        self.generators, self.right, self.tree = generators, right, tree
-        for x, images in enumerate(right):  # the walk is over: freeze them
-            right[x] = tuple(images)
-        left = self.left = [None] * self.size
-        for x, pre, k in tree:
-            base = generators if pre is None else left[pre]
-            left[x] = tuple(
-                base if k is None else [right[y][k] for y in base]
-            )
+        self.generators, self.tree = generators, tree
+        # the walk is over: its rows x*g_k, transposed once
+        right = self.right = list(zip(*rows))
+        left = self.left = []
+        for g in generators:
+            act = [g] * self.size
+            for x, pre, k in tree:
+                if k is not None:
+                    act[x] = right[k][g if pre is None else act[pre]]
+            left.append(tuple(act))
         self._green = None  # memo of green(self)
-        self._generator_actions = None  # memo of _actions()
         self._word_list = None  # memo of _words()
 
     # -- construction -----------------------------------------------------
@@ -163,11 +166,11 @@ class FiniteMonoid:
             i for i, e in enumerate(indices)
             if all(mul(e, x) == x == mul(x, e) for x in indices)
         ), None)
-        gens, right, tree = self._closure_walk(
+        gens, rows, tree = self._closure_walk(
             indices, [] if identity is None else [identity]
         )
         index = {self.elements[i]: k for k, i in enumerate(indices)}
-        return FiniteMonoid(index, identity, gens, right, tree)
+        return FiniteMonoid(index, identity, gens, rows, tree)
 
     def _closure_walk(self, indices, members):
         """The greedy closure walk over the sorted index subset ``indices``,
@@ -175,12 +178,12 @@ class FiniteMonoid:
         identity, or nothing): candidates top-down in the J-order, ties
         broken by index, each one not yet reached added as a generator and
         the walk continued with it.  Raises ValidationError on a product
-        outside the subset.  Returns the generators, the right graph
-        ``right[x][j]`` = x*g_j and the tree, in local numbers."""
+        outside the subset.  Returns the generators, the walk's rows,
+        ``rows[x][j]`` = x*g_j, and the tree, in local numbers."""
         local = dict(zip(indices, range(len(indices))))
         gs = green(self)
         rank = [len(gs.below[gs.d_class[p]]) for p in indices]
-        gens, picked, right = [], [], [[] for _ in indices]
+        gens, picked, rows = [], [], [[] for _ in indices]
         members = list(members)
         tree = [(x, None, None) for x in members]  # how each x is reached
         reached = set(members)
@@ -194,9 +197,9 @@ class FiniteMonoid:
             members.append(c)
             # earlier members gain the column x*c, and c and the elements
             # reached from here on get every column
-            _walk(self.mul, indices, local, picked, members, reached, right,
+            _walk(self.mul, indices, local, picked, members, reached, rows,
                   tree)
-        return gens, right, tree
+        return gens, rows, tree
 
     def _build_table(self):
         """The whole Cayley table, one ``array('H')`` row per element, 2
@@ -213,7 +216,7 @@ class FiniteMonoid:
         code = "H" if size <= 1 << 16 else "I"
         if size == 1:  # an itemgetter of one index gives no tuple
             return [array(code, [0])]
-        gather = [itemgetter(*action) for action in self._actions()[0]]
+        gather = [itemgetter(*action) for action in self.left]
         table, children, stack = [None] * size, [[] for _ in range(size)], []
         for x, pre, k in self.tree:
             if pre is None:
@@ -250,29 +253,19 @@ class FiniteMonoid:
 
     def row(self, a):
         """The products a*y for every y, composed along the word of a."""
-        actions = self._actions()[0]
+        left = self.left
         row = range(self.size)
         for k in reversed(self._words()[a]):
-            row = map(actions[k].__getitem__, row)
+            row = map(left[k].__getitem__, row)
         return list(row)
 
     def column(self, a):
         """The products y*a for every y, as a list indexed by y."""
-        actions = self._actions()[1]
+        right = self.right
         col = range(self.size)
         for k in self._words()[a]:
-            col = map(actions[k].__getitem__, col)
+            col = map(right[k].__getitem__, col)
         return list(col)
-
-    def _actions(self):
-        """The generators' left and right actions, g_k*y and y*g_k for
-        every y under index k, computed once: rows are composed from the
-        left ones and columns from the right ones."""
-        if self._generator_actions is None:
-            self._generator_actions = (
-                list(zip(*self.left)), list(zip(*self.right))
-            )
-        return self._generator_actions
 
     def _words(self):
         """Each element's word over the generators, spelt by the tree and
@@ -289,7 +282,7 @@ class FiniteMonoid:
         graph from x_i."""
         right = self.right
         for k in self._words()[j]:
-            i = right[i][k]
+            i = right[k][i]
         return i
 
     def decode(self, i):
@@ -372,10 +365,11 @@ def _join_labellings(size, labellings):
     return find
 
 
-def _scc(adj):
-    """Strongly connected components of a graph given by successor lists,
-    as one component id per vertex (iterative Tarjan)."""
-    size = len(adj)
+def _scc(size, actions):
+    """Strongly connected components of the graph on 0..size-1 with an
+    edge x -> a[x] for each action a, as one component id per vertex
+    (iterative Tarjan).  A vertex's successors are read off the actions
+    when it is reached, so no successor list is made for the whole graph."""
     order = [-1] * size  # discovery number
     low = [0] * size
     comp = [-1] * size
@@ -387,7 +381,7 @@ def _scc(adj):
         order[root] = low[root] = count
         count += 1
         stack.append(root)
-        work = [(root, iter(adj[root]))]
+        work = [(root, map(itemgetter(root), actions))]
         while work:
             v, succ = work[-1]
             for w in succ:
@@ -395,7 +389,7 @@ def _scc(adj):
                     order[w] = low[w] = count
                     count += 1
                     stack.append(w)
-                    work.append((w, iter(adj[w])))
+                    work.append((w, map(itemgetter(w), actions)))
                     break
                 if comp[w] < 0 and order[w] < low[v]:  # w is on the stack
                     low[v] = order[w]
@@ -422,19 +416,19 @@ def green(m: FiniteMonoid) -> GreenStructure:
     Computed once per monoid."""
     if m._green is not None:
         return m._green
-    rng = range(m.size)
-    r_class = _classes_by_key(_scc(m.right))
-    l_class = _classes_by_key(_scc(m.left))
+    r_class = _classes_by_key(_scc(m.size, m.right))
+    l_class = _classes_by_key(_scc(m.size, m.left))
     h_class = _classes_by_key(zip(r_class, l_class))
 
     find = _join_labellings(m.size, ((0, r_class), (0, l_class)))
-    d_class = _classes_by_key(map(find, rng))
+    d_class = _classes_by_key(map(find, range(m.size)))
 
-    # J-order: D-classes reachable along right and left generator edges
+    # J-order: D-classes reachable along right and left generator edges,
+    # one edge per distinct pair of classes an action joins
     succ = [set() for _ in range(len(set(d_class)))]
-    for adj in (m.right, m.left):
-        for x in rng:
-            succ[d_class[x]].update(map(d_class.__getitem__, adj[x]))
+    for action in (*m.right, *m.left):
+        for a, b in set(zip(d_class, map(d_class.__getitem__, action))):
+            succ[a].add(b)
     below = []
     for b in range(len(succ)):
         reached, stack = {b}, [b]
@@ -484,7 +478,7 @@ def right_zeros(m: FiniteMonoid):
     """Elements z with g*z = z for every generator g, hence a*z = z for
     every element a."""
     return frozenset(
-        z for z, row in enumerate(m.left) if all(p == z for p in row)
+        z for z in range(m.size) if all(a[z] == z for a in m.left)
     )
 
 
@@ -511,7 +505,7 @@ def check_embedding(f, s: FiniteMonoid, t: FiniteMonoid) -> bool:
         return False
     images = [f[g] for g in s.generators]
     return all(
-        f[xg] == t.mul(f[x], fg)
-        for x, row in enumerate(s.right)
-        for xg, fg in zip(row, images)
+        f[a[x]] == t.mul(f[x], fg)
+        for x in range(s.size)
+        for a, fg in zip(s.right, images)
     )

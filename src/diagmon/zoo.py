@@ -12,11 +12,10 @@ into the order of ``partition_universe(n)``, and BX_n and PT_n from
 generators into the order of their relation universes.  Every other
 diagram family is an index subset of one P_n, which
 ``FiniteMonoid.submonoid`` turns into a monoid of the same kind: greedy
-generators, right and left graphs, and under the table cap the table rows
-kept as they are read.  One pass per degree (``family_cuts``) reads each
-diagram's code, not its parameters: every membership test is a fact about
-the sets of upper and lower block labels, the block sizes or the absorbing
-block.
+generators, each one's right and left action, and no table.  One pass
+per degree (``family_cuts``) reads each diagram's code, not its
+parameters: every membership test is a fact about the sets of upper and
+lower block labels, the block sizes or the absorbing block.
 Rook diagrams of degree n are represented by their image in the
 degree-(n+1) partition monoid, with the extra point playing the role of
 the absorbing vertex, so rook and partition diagrams share one product.

@@ -493,7 +493,7 @@ def graph_rows(m):
 
     def trace(x, y):
         for k in words[y]:
-            x = m.right[x][k]
+            x = m.right[k][x]
         return x
 
     rng = range(m.size)

@@ -44,6 +44,14 @@ def as_lists(rows):
     return list(map(list, rows))
 
 
+def per_element(m, actions):
+    """A generator graph, kept as one action per generator, read back in
+    the oracles' per-element form: the images of x under every action, for
+    each element x.  Indexes every action at every x, so a short action
+    raises rather than being cut."""
+    return [[a[x] for a in actions] for x in range(m.size)]
+
+
 def test_from_elements_builds_identity_and_table():
     m = zoo.build("P2")
     assert m.size == 15
@@ -278,8 +286,8 @@ def test_enumeration_reaches_every_partition(n):
             a = dg.multiply(a, gens[k])
         assert a == g.elements[x]
         for k, gen in enumerate(gens):
-            assert g.elements[g.right[x][k]] == dg.multiply(g.elements[x], gen)
-            assert g.elements[g.left[x][k]] == dg.multiply(gen, g.elements[x])
+            assert g.elements[g.right[k][x]] == dg.multiply(g.elements[x], gen)
+            assert g.elements[g.left[k][x]] == dg.multiply(gen, g.elements[x])
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -303,7 +311,7 @@ def test_enumeration_matches_the_product_driven_oracle(n):
     for x, pre, _ in g.tree:
         prefix[x] = pre
     got = {
-        "right": as_lists(g.right), "left": as_lists(g.left),
+        "right": per_element(g, g.right), "left": per_element(g, g.left),
         "words": g._words(), "prefix": prefix, "generators": g.generators,
     }
     for field, value in got.items():
@@ -412,9 +420,12 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
         parent, zoo.family_cut(spec), [len(gs.below[d]) for d in gs.d_class]
     )
     for key, value in want.items():
-        got = m._build_table() if key == "table" else getattr(m, key)
-        if key in ("table", "right", "left"):
-            got = as_lists(got)
+        if key == "table":
+            got = as_lists(m._build_table())
+        elif key in ("right", "left"):
+            got = per_element(m, getattr(m, key))
+        else:
+            got = getattr(m, key)
         assert got == value, key
     mon.green(m)
 
@@ -505,8 +516,8 @@ def test_untabled_semigroup_derives_its_left_graph_from_the_tree():
     s = p4.submonoid(ideal)
     assert (s.size, s.identity) == (1594, None)
     assert len(s.generators) == 73
-    for x, row in enumerate(s.left):
-        assert [ideal[gx] for gx in row] == [
+    for x in range(s.size):
+        assert [ideal[a[x]] for a in s.left] == [
             p4.mul(ideal[g], ideal[x]) for g in s.generators
         ], x
 
@@ -518,6 +529,13 @@ def test_traced_p4_products_match_multiply():
     for _ in range(5000):
         i, j = rng.randrange(m.size), rng.randrange(m.size)
         assert m.mul(i, j) == m.index[dg.multiply(m.elements[i], m.elements[j])]
+    # each action against the diagram product by its generator
+    for _ in range(500):
+        x = rng.randrange(m.size)
+        for right, left, g in zip(m.right, m.left, m.generators):
+            a, b = m.elements[x], m.elements[g]
+            assert right[x] == m.index[dg.multiply(a, b)]
+            assert left[x] == m.index[dg.multiply(b, a)]
 
 
 @pytest.mark.parametrize("name", SMALL + ["LL4", "RR4"])
@@ -525,8 +543,8 @@ def test_green_matches_principal_ideal_oracle(name):
     m = zoo.build(name)
     for k, g in enumerate(m.generators):
         for x in range(m.size):
-            assert m.right[x][k] == m.mul(x, g)
-            assert m.left[x][k] == m.mul(g, x)
+            assert m.right[k][x] == m.mul(x, g)
+            assert m.left[k][x] == m.mul(g, x)
     gs = mon.green(m)
     want = green_principal_ideals(m)
     for key, value in want.items():
@@ -573,7 +591,10 @@ def test_structural_predicates_match_pairwise_oracles(name):
 def test_every_built_monoid_carries_certified_generators(family):
     for n in range(top_degree(family) + 1):
         m = zoo.build(f"{family}{n}")
-        assert len(m.right) == len(m.left) == m.size, f"{family}{n}"
+        assert len(m.right) == len(m.left) == len(m.generators), f"{family}{n}"
+        for action in (*m.right, *m.left):
+            assert type(action) is tuple, f"{family}{n}"
+            assert len(action) == m.size, f"{family}{n}"
         assert generates(m, m.generators), f"{family}{n}"
 
 
