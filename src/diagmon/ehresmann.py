@@ -12,18 +12,21 @@ other side.  Every function that takes a side names it 'left' or 'right'
 'right' gives E_R(x), L~, R3 (Ex in xE) and x in yE.  R~ and L~ are named
 only in the report's ``r_tilde`` and ``l_tilde``.
 
-All of these are read off the products f*x and x*f for f in E, whole rows
-and columns of S, one per member of E.  L2 and R2 are swept over the
-certified generators, and on a monoid of at most ``TABLE_CAP`` elements a
-failed sweep is rerun over every theta for the minimal witness.  E, which
-knows its parent S, keeps both sides' products, the tilde labellings and
-the axiom report once computed, and every function here reads them from
-it.
+All of these are read off the products f*x and x*f for f in E: one row
+and one column of S per member, composed over the prefix tree of the
+members' words and kept as typed rows, 2 bytes an entry; the identity sets
+are bitmasks over the members.  L2 and R2 are swept over the certified
+generators, and on a monoid of at most ``TABLE_CAP`` elements a failed
+sweep is rerun over every theta for the minimal witness.  E, which knows
+its parent S, keeps both sides' member rows, the tilde labellings and the
+axiom report once computed, and every function here reads them from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import eq
 
 from .errors import StateError, ValidationError
 from .monoid import (
@@ -35,7 +38,7 @@ from .monoid import (
 class Semilattice:
     """A validated commuting-idempotent subset of a parent monoid.
 
-    ``_memo`` keeps each side's products ('products', side) and tilde
+    ``_memo`` keeps each side's member rows ('products', side) and tilde
     labelling ('tilde', side) and the axiom report ('report') once
     computed, as ``FiniteMonoid`` keeps its Green structure."""
 
@@ -79,23 +82,42 @@ def _check_side(side):
 
 
 def _products(s: FiniteMonoid, e: Semilattice, side: str):
-    """For every x, the tuple of f*x ('left') or x*f ('right') over the
-    members f of E, read off their whole rows or columns once per E."""
+    """The member rows of a side, once per E: for each member f in turn,
+    f*y ('left') or y*f ('right') for every y, from ``_typed_rows``."""
     _check_parent(s, e)
-    line = (s.row, s.column)[_check_side(side)]
+    column = _check_side(side) == 1
     if ("products", side) not in e._memo:
-        products = tuple(zip(*map(line, e.members))) or ((),) * s.size
-        e._memo["products", side] = products
+        e._memo["products", side] = s._typed_rows(e.members, column)
     return e._memo["products", side]
+
+
+def _by_element(s: FiniteMonoid, e: Semilattice, side: str):
+    """For each x in turn, lazily, the tuple of f*x ('left') or x*f
+    ('right') over the members f, read across the member rows."""
+    rows = _products(s, e, side)
+    return zip(*rows) if rows else repeat((), s.size)
+
+
+def _identity_keys(s: FiniteMonoid, e: Semilattice, side: str):
+    """E_L(x) ('left') or E_R(x) ('right') of every x as a bitmask, bit i
+    set when the i-th member fixes x, in one pass over each member row."""
+    keys, points = [0] * s.size, range(s.size)
+    for i, row in enumerate(_products(s, e, side)):
+        bit = 1 << i
+        for x in compress(points, map(eq, row, points)):
+            keys[x] |= bit
+    return keys
 
 
 def identity_sets(s: FiniteMonoid, e: Semilattice, side: str):
     """E_L(x), the members f of E with f*x = x ('left'), or E_R(x), those
     with x*f = x ('right'), for every x."""
-    return [
-        frozenset(f for f, p in zip(e.members, ps) if p == x)
-        for x, ps in enumerate(_products(s, e, side))
-    ]
+    keys = _identity_keys(s, e, side)
+    sets = {
+        key: frozenset(f for i, f in enumerate(e.members) if key >> i & 1)
+        for key in set(keys)
+    }
+    return list(map(sets.__getitem__, keys))
 
 
 def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
@@ -104,7 +126,7 @@ def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
     _check_parent(s, e)
     _check_side(side)
     if ("tilde", side) not in e._memo:
-        e._memo["tilde", side] = _classes_by_key(identity_sets(s, e, side))
+        e._memo["tilde", side] = _classes_by_key(_identity_keys(s, e, side))
     return e._memo["tilde", side]
 
 
@@ -184,7 +206,7 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
     all elements.
     The report is computed once per E and shared by every later call.
     """
-    left, right = _products(s, e, "left"), _products(s, e, "right")
+    _check_parent(s, e)
     if "report" in e._memo:
         return e._memo["report"]
     r_tilde, l_tilde = (tilde_classes(s, e, side) for side in SIDES)
@@ -194,8 +216,8 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
         "L2": _sweep(s, r_tilde, s.left, s.row),
         "R2": _sweep(s, l_tilde, s.right, s.column),
         # restriction containments, tested up to the first x that fails
-        "L3": _containment(right, left, e),
-        "R3": _containment(left, right, e),
+        "L3": _containment(s, e, "right", "left"),
+        "R3": _containment(s, e, "left", "right"),
     }
     axioms = {a: ok for a, (ok, _) in checks.items()}
     e._memo["report"] = EhresmannReport(
@@ -215,22 +237,22 @@ def _representatives(classes, e: Semilattice):
     return [rep[c] for c in classes]
 
 
-def _contained(inner, outer):
-    """For each x in turn, lazily, whether x's products in ``inner[x]`` all
-    lie in ``outer[x]``, its products on the other side: the test of L3
-    (xE in Ex) at x with inner the right products, and of R3 (Ex in xE)
-    with inner the left."""
-    return (set(outs).issuperset(ins) for ins, outs in zip(inner, outer))
+def _contained(s: FiniteMonoid, e: Semilattice, inner: str, outer: str):
+    """For each x in turn, lazily, whether x's products on side ``inner``
+    all lie among those on side ``outer``: the test of L3 (xE in Ex) at x
+    with inner 'right', and of R3 (Ex in xE) with inner 'left'."""
+    pairs = zip(_by_element(s, e, inner), _by_element(s, e, outer))
+    return (set(outs).issuperset(ins) for ins, outs in pairs)
 
 
-def _containment(inner, outer, e: Semilattice):
+def _containment(s: FiniteMonoid, e: Semilattice, inner: str, outer: str):
     """L3 or R3 from ``_contained``: the witness (x, f) is the first x that
     fails, with the first member f whose product lies outside."""
-    for x, ok in enumerate(_contained(inner, outer)):
+    for x, ok in enumerate(_contained(s, e, inner, outer)):
         if not ok:
-            outs = set(outer[x])
-            f = next(f for f, p in zip(e.members, inner[x]) if p not in outs)
-            return False, (x, f)
+            outs = {row[x] for row in _products(s, e, outer)}
+            rows = zip(e.members, _products(s, e, inner))
+            return False, (x, next(f for f, row in rows if row[x] not in outs))
     return True, None
 
 
@@ -241,9 +263,8 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
     Each returned index set is verified closed under the product and to
     contain the semilattice.
     """
-    left, right = _products(s, e, "left"), _products(s, e, "right")
-    rest_l = [x for x, ok in enumerate(_contained(right, left)) if ok]
-    rest_r = [x for x, ok in enumerate(_contained(left, right)) if ok]
+    rest_l = list(compress(range(s.size), _contained(s, e, "right", "left")))
+    rest_r = list(compress(range(s.size), _contained(s, e, "left", "right")))
     rest = sorted(set(rest_l) & set(rest_r))
     for name, sub in (("left", rest_l), ("right", rest_r), ("two-sided", rest)):
         if not set(e.members) <= set(sub):
@@ -285,4 +306,4 @@ def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice):
 def natural_order(s: FiniteMonoid, e: Semilattice, side: str):
     """below[y] = {x : x <= y} for the natural order of a restriction side:
     x <= y iff x in Ey ('left') or x in yE ('right')."""
-    return list(map(frozenset, _products(s, e, side)))
+    return list(map(frozenset, _by_element(s, e, side)))

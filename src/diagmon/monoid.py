@@ -18,18 +18,18 @@ certified generating set, the right graph and the tree, from which it
 derives the left graph.  Each graph is kept once, as one action per
 generator: ``right[k]`` lists x*g_k and ``left[k]`` g_k*x for every x, a
 tuple of m indices made when the walk ends, by transposing its rows once
-and by following the tree.  ``froidure_pin`` returns one, and so does
-``submonoid`` for a closed index subset, such as a diagram family's
-positions in P_n.  No Cayley table is kept: ``row(a)``, the list a*S,
-composes the generators' left actions along the word of a, one map per
-letter, ``column(a)``, the list S*a, composes the right actions, and x*y
-is traced from x through the right graph along the word of y.  The
-structural algorithms read the generator graphs, so most rows are never
-made, and only the ``build`` dump and the semigroup algebra's Gram matrix
-read a whole table, made by ``_build_table`` depth first along the tree
-and kept as typed rows of 2 bytes an entry.  Work of m^2 products, the
-dump and the sweep of L2 and R2 over every theta, is done only up to
-``TABLE_CAP`` elements.
+and by following the tree.  The tree is kept as each element's parent and
+last letter, so words are read up it and none is stored.  ``froidure_pin``
+returns one, and so does ``submonoid`` for a closed index subset, such as
+a diagram family's positions in P_n.  No Cayley table is kept: x*y
+carries y up the tree from x through the left actions, and rows a*S and
+columns S*a are composed depth first over the prefix tree of the words
+asked for, one gather per node.  The structural algorithms read the
+generator graphs, so most rows are never made; the ``build`` dump and the
+semigroup algebra's Gram matrix read a whole table, ``_build_table``, and
+the Ehresmann layer a row a side per semilattice member, both kept as
+typed rows of 2 bytes an entry.  Work of m^2 products, the dump and the
+sweep of L2 and R2 over every theta, is done only up to ``TABLE_CAP``.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
 run the same walk inside the subset greedily: generators are picked from
@@ -119,14 +119,17 @@ class FiniteMonoid:
 
     ``index`` numbers the elements 0..m-1 in key order, the order of
     ``elements``.  ``generators`` lists the element index of each generator
-    g_k, and ``tree`` how each element is reached: (x, x', j) for
-    x = x'*g_j with x' listed before x, or (x, None, j) for x = g_j itself,
-    and (x, None, None) for the identity.  ``identity`` is an index, or
-    None for a semigroup.  Each generator's two actions are kept, one tuple
-    of m indices each: ``right[k][x]`` = x*g_k, the walk's ``rows[x][k]``
-    transposed, and ``left[k][x]`` = g_k*x, which follows along the tree:
-    g_k*1 is g_k, g_k*g_j is ``right[j][g_k]``, and g_k*x is (g_k*x')*g_j
-    for x = x'*g_j.  Every product follows the tree's words.
+    g_k.  The walk's ``tree`` says how each element is reached: (x, x', j)
+    for x = x'*g_j with x' listed before x, or (x, None, j) for x = g_j
+    itself, and (x, None, None) for the identity.  It is kept as two lists,
+    x = ``parent[x]``*g_``letter[x]``, with ``parent`` -1 at a generator
+    root and both -1 at the identity, so that x's word is read up the tree,
+    last letter first.  ``identity`` is an index, or None for a semigroup.
+    Each generator's two actions are kept, one tuple of m indices each:
+    ``right[k][x]`` = x*g_k, the walk's ``rows[x][k]`` transposed, and
+    ``left[k][x]`` = g_k*x, which follows along the tree: g_k*1 is g_k,
+    g_k*g_j is ``right[j][g_k]``, and g_k*x is (g_k*x')*g_j for x = x'*g_j.
+    Every product follows the tree's words.
     """
 
     # Keeps no table.  Its only reader is the ``mul`` counter of the
@@ -137,7 +140,9 @@ class FiniteMonoid:
         self.index, self.elements = index, list(index)
         self.size = len(self.elements)
         self.identity = identity
-        self.generators, self.tree = generators, tree
+        self.generators = generators
+        parent = self.parent = [-1] * self.size
+        letter = self.letter = [-1] * self.size
         # the walk is over: its rows x*g_k, transposed once
         right = self.right = list(zip(*rows))
         left = self.left = []
@@ -147,8 +152,10 @@ class FiniteMonoid:
                 if k is not None:
                     act[x] = right[k][g if pre is None else act[pre]]
             left.append(tuple(act))
+        for x, pre, k in tree:
+            parent[x] = -1 if pre is None else pre
+            letter[x] = -1 if k is None else k
         self._green = None  # memo of green(self)
-        self._word_list = None  # memo of _words()
 
     # -- construction -----------------------------------------------------
 
@@ -202,33 +209,42 @@ class FiniteMonoid:
         return gens, rows, tree
 
     def _build_table(self):
-        """The whole Cayley table, one ``array('H')`` row per element, 2
-        bytes an entry, or ``array('I')`` rows above 65,536 elements.
+        """The whole Cayley table, as ``_typed_rows``."""
+        return self._typed_rows(range(self.size))
 
-        Each row is made from its parent's: as x*y = x'*(g_k*y) for
-        x = x'*g_k, row x is row x' read through g_k's left action, all of
-        it in one ``itemgetter`` call.  The tree is walked depth first
-        with an explicit stack, so that besides the typed rows only those
-        on the current path are held, as tuples, which are quick to read
-        through; a tree as deep as m, a cyclic monoid's, needs no
-        recursion."""
-        size = self.size
-        code = "H" if size <= 1 << 16 else "I"
-        if size == 1:  # an itemgetter of one index gives no tuple
-            return [array(code, [0])]
-        gather = [itemgetter(*action) for action in self.left]
-        table, children, stack = [None] * size, [[] for _ in range(size)], []
-        for x, pre, k in self.tree:
-            if pre is None:
-                stack.append((x, k, range(size)))
-            else:
-                children[pre].append((x, k))
+    def _typed_rows(self, xs, column=False):
+        """The row x*S, or with ``column`` the column S*x, of each of the
+        indices ``xs`` in order, as one ``array('H')``, 2 bytes an entry,
+        or ``array('I')`` above 65,536 elements."""
+        code = "H" if self.size <= 1 << 16 else "I"
+        rows = {x: array(code, line) for x, line in self._lines(xs, column)}
+        return [rows[x] for x in xs]
+
+    def _lines(self, xs, column=False):
+        """(x, line) for each x of the indices ``xs``: its row x*S, or with
+        ``column`` its column S*x, as a tuple, composed depth first over the
+        prefix tree of the words of xs.  For x = x'*g_k a line is gathered
+        from its parent's and g_k's action in one ``itemgetter`` call:
+        x*y = x'*(g_k*y) and y*x = (y*x')*g_k.  Only the lines on the
+        current path are held, and with an explicit stack a tree as deep as
+        m, a cyclic monoid's, needs no recursion."""
+        parent, letter, wanted = self.parent, self.letter, set(xs)
+        children, seen = {}, set()  # the roots are the children of -1
+        for x in wanted:
+            while x >= 0 and x not in seen:
+                seen.add(x)
+                children.setdefault(parent[x], []).append(x)
+                x = parent[x]
+        stack = [(x, range(self.size)) for x in children.get(-1, ())]
         while stack:
-            x, k, base = stack.pop()
-            row = base if k is None else gather[k](base)
-            table[x] = array(code, row)
-            stack.extend((y, j, row) for y, j in children[x])
-        return table
+            x, line = stack.pop()
+            k = letter[x]
+            if k >= 0:
+                line = (_gather(self.right[k], line) if column
+                        else _gather(line, self.left[k]))
+            if x in wanted:
+                yield x, line
+            stack.extend((y, line) for y in children.get(x, ()))
 
     def escape(self, indices):
         """The first pair (x, y) of the sequence ``indices``, row by row in
@@ -253,40 +269,32 @@ class FiniteMonoid:
 
     def row(self, a):
         """The products a*y for every y, composed along the word of a."""
-        left = self.left
-        row = range(self.size)
-        for k in reversed(self._words()[a]):
-            row = map(left[k].__getitem__, row)
-        return list(row)
+        ((_, line),) = self._lines({a})
+        return list(line)
 
     def column(self, a):
         """The products y*a for every y, as a list indexed by y."""
-        right = self.right
-        col = range(self.size)
-        for k in self._words()[a]:
-            col = map(right[k].__getitem__, col)
-        return list(col)
-
-    def _words(self):
-        """Each element's word over the generators, spelt by the tree and
-        computed once: every product follows them."""
-        if self._word_list is None:
-            words = self._word_list = [()] * self.size
-            for x, pre, k in self.tree:
-                if k is not None:
-                    words[x] = (() if pre is None else words[pre]) + (k,)
-        return self._word_list
+        ((_, line),) = self._lines({a}, column=True)
+        return list(line)
 
     def mul(self, i, j):
-        """The index of x_i*x_j: the word of x_j traced through the right
-        graph from x_i."""
-        right = self.right
-        for k in self._words()[j]:
-            i = right[k][i]
-        return i
+        """The index of x_i*x_j: x_j carried up the tree from x_i through
+        the left graph, as x'*g_k*y = x'*(g_k*y)."""
+        parent, letter, left = self.parent, self.letter, self.left
+        while i >= 0 and (k := letter[i]) >= 0:  # up to a root
+            j = left[k][j]
+            i = parent[i]
+        return j
 
     def decode(self, i):
         return self.elements[i]
+
+
+def _gather(seq, indices):
+    """The tuple of seq[i] for each i of ``indices``, in one C-level call."""
+    if len(indices) > 1:  # itemgetter of one index returns the bare item
+        return itemgetter(*indices)(seq)
+    return tuple(seq[i] for i in indices)
 
 
 def _check_indices(m, indices):

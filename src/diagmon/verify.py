@@ -317,12 +317,16 @@ def check_restriction_subsemigroups(n):
 def _rank_chain(fam, n):
     s = zoo.build(f"{fam}{n}")
     gs = green(s)
-    par = [dg.params(a) for a in s.elements]
+    # only the five parameters read here are kept, not a DiagramParams each
+    dom, ker, codom, coker, rank = zip(*(
+        (q.dom, q.ker, q.codom, q.coker, q.rank)
+        for q in map(dg.params, s.elements)
+    ))
     ok = (
         is_regular(s)
-        and same_classes(gs.r_class, [(q.dom, q.ker) for q in par])
-        and same_classes(gs.l_class, [(q.codom, q.coker) for q in par])
-        and same_classes(gs.d_class, [q.rank for q in par])
+        and same_classes(gs.r_class, zip(dom, ker))
+        and same_classes(gs.l_class, zip(codom, coker))
+        and same_classes(gs.d_class, rank)
         and gs.d_equals_j
     )
     # D-classes form a chain, i.e. the order is total
@@ -334,7 +338,7 @@ def _rank_chain(fam, n):
     # group cells in the rank-mu class have size mu!
     h_size = Counter(gs.h_class)
     ok = ok and all(
-        h_size[gs.h_class[x]] == factorial(par[x].rank)
+        h_size[gs.h_class[x]] == factorial(rank[x])
         for x in idempotents(s)
     )
     # right zeros and the minimal ideal
@@ -344,7 +348,7 @@ def _rank_chain(fam, n):
     bottom = frozenset(
         x
         for x in range(s.size)
-        if par[x].rank == low and par[x].ker == nabla
+        if rank[x] == low and ker[x] == nabla
     )
     ok = ok and zeros == bottom and minimal_ideal(s) == bottom
     yield CheckResult(

@@ -486,10 +486,20 @@ def restricted_submonoid(parent, indices, height):
     }
 
 
+def word(m, x):
+    """The word of element x over m's generators, spelt by reading its
+    tree up from x, ``parent`` and ``letter``, to a root."""
+    letters = []
+    while x >= 0 and m.letter[x] >= 0:
+        letters.append(m.letter[x])
+        x = m.parent[x]
+    return tuple(reversed(letters))
+
+
 def graph_rows(m):
     """The Cayley table of a monoid without its generators' left actions:
     x*y traced from x through the right graph along the word of y."""
-    words = m._words()
+    words = [word(m, y) for y in range(m.size)]
 
     def trace(x, y):
         for k in words[y]:

@@ -1,6 +1,7 @@
 """Axiom checks, tilde classes, orders and substructures."""
 
 import random
+from array import array
 
 import pytest
 
@@ -15,6 +16,7 @@ from diagmon.monoid import green, same_classes
 
 from oracles import (
     axioms_pairwise,
+    cayley_table,
     e_left,
     e_right,
     escape_pairwise,
@@ -58,26 +60,39 @@ def test_semilattice_of_another_monoid_is_rejected(monoid, semilattice):
     assert eh.check_axioms(e.parent, e).axioms["L1"]
 
 
+def count_fills(monkeypatch):
+    """Record each fill of a semilattice's ('products', side) memo, as the
+    side it fills, and each ``row`` or ``column`` read, as (name, index)."""
+    fills, reads = [], []
+
+    def typed_rows(m, xs, column=False, original=mon.FiniteMonoid._typed_rows):
+        fills.append((eh.SIDES[column], list(xs)))
+        return original(m, xs, column)
+    monkeypatch.setattr(mon.FiniteMonoid, "_typed_rows", typed_rows)
+    for name in ("row", "column"):
+        def counted(m, a, original=getattr(mon.FiniteMonoid, name),
+                    name=name):
+            reads.append((name, a))
+            return original(m, a)
+        monkeypatch.setattr(mon.FiniteMonoid, name, counted)
+    return fills, reads
+
+
 def test_second_calls_on_one_semilattice_read_no_rows(monkeypatch):
     s = zoo.build("P3")
     e = zoo.semilattice_for("F", "P3")
     report = eh.check_axioms(s, e)
     orders = {side: eh.natural_order(s, e, side) for side in ("left", "right")}
-    calls = []
-    for name in ("row", "column"):
-        def counted(m, a, original=getattr(mon.FiniteMonoid, name)):
-            calls.append(a)
-            return original(m, a)
-        monkeypatch.setattr(mon.FiniteMonoid, name, counted)
+    fills, reads = count_fills(monkeypatch)
     assert eh.check_axioms(s, e) is report
     for side, below in orders.items():
         assert eh.natural_order(s, e, side) == below
-    assert calls == []
+    assert fills == [] and reads == []
     # the memo is no part of the value: an equal semilattice starts empty
     fresh = eh.Semilattice(s, e.members)
     assert fresh == e and repr(fresh) == repr(e)
     assert eh.check_axioms(s, fresh).axioms == report.axioms
-    assert calls
+    assert fills == [(side, list(e.members)) for side in eh.SIDES]
 
 
 @pytest.mark.parametrize("name", ["P3", "RR3", "RR4"])
@@ -85,21 +100,16 @@ def test_generator_sweep_settles_l2_and_r2_without_theta_rows(
     monkeypatch, name
 ):
     # L2 and R2 hold, so the sweep over the generators settles them on a
-    # monoid under the cap: the only rows and columns read are E's product
-    # lines
+    # monoid under the cap: the only rows and columns composed are E's
+    # member rows, one fill a side, and no theta's row or column is read
     s = zoo.build(name)
     e = zoo.semilattice_for("F", name)
-    calls = {"row": [], "column": []}
-    for method, seen in calls.items():
-        def counted(m, a, original=getattr(mon.FiniteMonoid, method),
-                    seen=seen):
-            seen.append(a)
-            return original(m, a)
-        monkeypatch.setattr(mon.FiniteMonoid, method, counted)
+    fills, reads = count_fills(monkeypatch)
     report = eh.check_axioms(s, e)
     assert report.theta_sweep == "full"
     assert report.axioms["L2"] and report.axioms["R2"]
-    assert calls == {"row": list(e.members), "column": list(e.members)}
+    assert fills == [(side, list(e.members)) for side in eh.SIDES]
+    assert reads == []
 
 
 @pytest.mark.parametrize(
@@ -379,6 +389,35 @@ def test_rows_match_the_pairwise_oracles(name):
         except ValidationError:
             continue
         _matches_the_pairwise_oracles(s, e)
+
+
+@pytest.mark.parametrize("name", _names(3) + ["P4"])
+def test_member_rows_and_identity_sets_match_the_table(name):
+    # each side's member rows, composed over the prefix tree of E's words,
+    # against the rows and columns composed one word at a time and against
+    # the whole table; the identity sets, kept as bitmasks, against their
+    # definition read off the table
+    s = zoo.build(name)
+    table = cayley_table(s)
+    rng = range(s.size)
+    for kind in zoo.SEMILATTICE_KINDS:
+        try:
+            e = zoo.semilattice_for(kind, name)
+        except ValidationError:
+            continue
+        rows, cols = (eh._products(s, e, side) for side in eh.SIDES)
+        assert len(rows) == len(cols) == len(e.members)
+        for f, row, col in zip(e.members, rows, cols):
+            assert type(row) is type(col) is array
+            assert row.itemsize == col.itemsize == 2
+            assert list(row) == s.row(f) == list(table[f])
+            assert list(col) == s.column(f) == [table[y][f] for y in rng]
+        assert eh.identity_sets(s, e, "left") == [
+            frozenset(f for f in e.members if table[f][x] == x) for x in rng
+        ]
+        assert eh.identity_sets(s, e, "right") == [
+            frozenset(f for f in e.members if table[x][f] == x) for x in rng
+        ]
 
 
 @pytest.mark.parametrize("name", _names(3))

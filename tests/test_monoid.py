@@ -5,6 +5,7 @@ import html
 import random
 import re
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -20,6 +21,7 @@ from diagmon.errors import ValidationError
 from oracles import (
     bell_numbers,
     cayley_graph_by_products,
+    cayley_table,
     closure,
     embedding_pairwise,
     escape_pairwise,
@@ -35,6 +37,7 @@ from oracles import (
     restricted_submonoid,
     right_zeros_pairwise,
     top_degree,
+    word,
 )
 
 
@@ -282,7 +285,7 @@ def test_enumeration_reaches_every_partition(n):
         return  # the word and edge checks below would cost 40k products
     for x in range(len(g.elements)):
         a = dg.identity(n)
-        for k in g._words()[x]:
+        for k in word(g, x):
             a = dg.multiply(a, gens[k])
         assert a == g.elements[x]
         for k, gen in enumerate(gens):
@@ -307,12 +310,11 @@ def test_enumeration_matches_the_product_driven_oracle(n):
         partition_generators(n), dg.multiply, dg.identity(n),
         zoo.partition_universe(n),
     )
-    prefix = [None] * g.size
-    for x, pre, _ in g.tree:
-        prefix[x] = pre
     got = {
         "right": per_element(g, g.right), "left": per_element(g, g.left),
-        "words": g._words(), "prefix": prefix, "generators": g.generators,
+        "words": [word(g, x) for x in range(g.size)],
+        "prefix": [None if p < 0 else p for p in g.parent],
+        "generators": g.generators,
     }
     for field, value in got.items():
         assert value == want[field], field
@@ -332,12 +334,12 @@ def definitional_table(name):
     ``rel.compose`` call per product, made once for the tests here.
 
     RP3's 877**2 products are instead P4's products on RP3's cut, which
-    skips 877**2 ``dg.multiply`` calls and is as exact: P4's right graph
-    is x*g by ``dg.multiply`` for every diagram x and generator g
-    (test_generator_actions_match_multiply[4] and
+    skips 877**2 ``dg.multiply`` calls and is as exact: P4's right and
+    left graphs are x*g and g*x by ``dg.multiply`` for every diagram x and
+    generator g (test_generator_actions_match_multiply[4] and
     test_enumeration_matches_the_product_driven_oracle[4]), so by
-    associativity ``P4.mul``, which traces the word of y through that graph
-    from x, is the diagram product x*y on every pair."""
+    associativity ``P4.mul``, which carries y up the tree from x through
+    the left graph, is the diagram product x*y on every pair."""
     if name == "RP3":
         p4, cut = zoo.build("P4"), zoo.family_cut(zoo.FamilySpec("RP", 3))
         local = {p: k for k, p in enumerate(cut)}
@@ -378,11 +380,21 @@ def test_table_of_a_deep_tree_is_built_without_recursion():
     # the cyclic group of order 1500 from the generator 1: its tree is a
     # path of depth 1499, deeper than the default recursion limit
     order = 1500
-    m = mon.froidure_pin(
-        [1], lambda a, b: (a + b) % order, 0, list(range(order))
-    )
-    depth = max(map(len, m._words()))
-    assert depth == order - 1 > sys.getrecursionlimit()
+    tracemalloc.start()
+    try:
+        m = mon.froidure_pin(
+            [1], lambda a, b: (a + b) % order, 0, list(range(order))
+        )
+        last = order - 1
+        assert m.mul(last, last) == order - 2
+        assert m.row(last)[1] == m.column(last)[1] == 0
+        # no per-element word is held: the words' slots alone would take
+        # 8.6 MB, the sum of 1,124,250 word lengths
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
+    assert len(word(m, last)) == order - 1 > sys.getrecursionlimit()
     table = m._build_table()
     assert len(table) == order
     for i, row in enumerate(table):
@@ -428,6 +440,33 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
             got = getattr(m, key)
         assert got == value, key
     mon.green(m)
+
+
+@pytest.mark.parametrize("name", ["P3", "RR3", "B0"])
+def test_mul_matches_the_table(name):
+    # mul carries y up the tree from x, on every pair; B0 has one element
+    # and no generators
+    m = zoo.build(name)
+    table = cayley_table(m)
+    rng = range(m.size)
+    assert [[m.mul(x, y) for y in rng] for x in rng] == as_lists(table)
+
+
+def test_mul_in_a_semigroup_matches_the_parent_table():
+    # the rank <= 1 ideal of P4 has no identity, so its generators are
+    # roots of its tree: mul against P4's table on a seeded sample of rows
+    # and on the generators' rows, every column each
+    p4 = zoo.build("P4")
+    ideal = [x for x in range(p4.size) if dg.params(p4.decode(x)).rank <= 1]
+    m = p4.submonoid(ideal)
+    assert m.identity is None and m.size == len(ideal)
+    assert all(m.parent[g] == -1 for g in m.generators)
+    table = cayley_table(p4)
+    rows = set(random.Random(7).sample(range(m.size), 120))
+    rows.update(m.generators)
+    for x in sorted(rows):
+        want = [table[ideal[x]][p] for p in ideal]
+        assert [ideal[m.mul(x, y)] for y in range(m.size)] == want, x
 
 
 @pytest.mark.parametrize("name", ["P3", "PT4", "BX3", "P0"])
