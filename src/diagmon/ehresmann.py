@@ -25,7 +25,7 @@ axiom report once computed, and every function here reads them from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import eq
 
 from .errors import StateError, ValidationError
@@ -54,10 +54,9 @@ class Semilattice:
         for e in members:
             if parent.mul(e, e) != e:
                 raise ValidationError(f"element {e} is not idempotent")
-        for e in members:
-            for f in members:
-                if parent.mul(e, f) != parent.mul(f, e):
-                    raise ValidationError(f"elements {e},{f} do not commute")
+        for e, f in combinations(members, 2):
+            if parent.mul(e, f) != parent.mul(f, e):
+                raise ValidationError(f"elements {e},{f} do not commute")
         pair = parent.escape(members)
         if pair is not None:
             raise ValidationError(

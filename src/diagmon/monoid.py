@@ -8,8 +8,8 @@ exact.  ``froidure_pin`` walks breadth first from the identity, as in
 Froidure & Pin (1997), "Algorithms for computing finite semigroups", and
 its universe, which the generators must reach whole, certifies both the
 generating set and closure.  The walk's rows record x*g for every
-element x and generator g, and a tree records how each element is
-reached, x = x'*g with x' found first, so that it spells each element's
+element x and generator g, and its tree how each element is first
+reached, x = x'*g with x' found earlier, so that it spells each element's
 short-lex least word.  Only x*g calls the concrete operation: g*x follows
 from the tree, and so does every later product.
 
@@ -18,25 +18,26 @@ certified generating set, the right graph and the tree, from which it
 derives the left graph.  Each graph is kept once, as one action per
 generator: ``right[k]`` lists x*g_k and ``left[k]`` g_k*x for every x, a
 tuple of m indices made when the walk ends, by transposing its rows once
-and by following the tree.  The tree is kept as each element's parent and
-last letter, so words are read up it and none is stored.  ``froidure_pin``
-returns one, and so does ``submonoid`` for a closed index subset, such as
-a diagram family's positions in P_n.  No Cayley table is kept: x*y
-carries y up the tree from x through the left actions, and rows a*S and
-columns S*a are composed depth first over the prefix tree of the words
-asked for, one gather per node.  The structural algorithms read the
-generator graphs, so most rows are never made; the ``build`` dump and the
-semigroup algebra's Gram matrix read a whole table, ``_build_table``, and
-the Ehresmann layer a row a side per semilattice member, both kept as
-typed rows of 2 bytes an entry.  Work of m^2 products, the dump and the
-sweep of L2 and R2 over every theta, is done only up to ``TABLE_CAP``.
+and by following the tree.  The tree is kept as the walk left it: the
+discovery order and each element's parent and last letter, so words are
+read up it and none is stored.  ``froidure_pin`` returns one, and so does
+``submonoid`` for a closed index subset, such as a diagram family's
+positions in P_n.  No Cayley table is kept: x*y carries y up the tree
+from x through the left actions, and rows a*S and columns S*a are
+composed depth first over the prefix tree of the words asked for, one
+gather per node.  The structural algorithms read the generator graphs,
+so most rows are never made; the ``build`` dump and the semigroup
+algebra's Gram matrix read a whole table, ``_build_table``, and the
+Ehresmann layer a row a side per semilattice member, both kept as typed
+rows of 2 bytes an entry.  Work of m^2 products, the dump and the sweep
+of L2 and R2 over every theta, is done only up to ``TABLE_CAP``.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
-run the same walk inside the subset greedily: generators are picked from
-the parent's products, top-down in the parent's J-order, adding an
-element only when the closure grown so far has not reached it, and the
-walk goes on from each pick.  ``escape`` then names the first escaping
-pair row by row.
+run the same walk inside the subset greedily: generators are picked in
+the parent's discovery order, adding an element only when the closure
+grown so far has not reached it, and the walk goes on from each pick.
+``escape`` then names the first escaping pair row by row.  Neither reads
+Green's structure, so building a monoid never computes it.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
@@ -44,9 +45,9 @@ the J-order is reachability between D-classes, as in East, Egri-Nagy,
 Mitchell & Péresse, "Computing finite semigroups" (J. Symb. Comp. 2019).
 ``green`` keeps the whole structure in one ``GreenStructure``.  It holds
 the J-order as each D-class's below-set, the D-classes at or below it.
-The size of a below-set is the class's height: heights order the closure
-walk and the egg-box, and the minimal ideal is the one class of height 1.
-Regularity, inverseness and right zeros are read off this structure.
+The size of a below-set is the class's height: heights order the egg-box,
+and the minimal ideal is the one class of height 1.  Regularity,
+inverseness and right zeros are read off this structure.
 """
 
 from __future__ import annotations
@@ -65,12 +66,12 @@ def froidure_pin(generators, op, identity, universe):
     their positions in ``universe``, a sequence of every element it should
     have.
 
-    Elements are found breadth first from the identity, so the first word
-    reaching an element is its short-lex least word, and the tree lists
-    each element x = x'*g_k as (x, x', k) in that order.  A product outside
-    the universe raises ValidationError as soon as it is found, and so does
-    a closure smaller than the universe: reaching every element certifies
-    both the generating set and closure.
+    Elements are found breadth first from the identity, so the walk's
+    discovery order is the short-lex order of the elements' least words,
+    and each element x = x'*g_k is reached first from such an x'.  A
+    product outside the universe raises ValidationError as soon as it is
+    found, and so does a closure smaller than the universe: reaching every
+    element certifies both the generating set and closure.
     """
     place = {x: i for i, x in enumerate(universe)}
     if len(place) != len(universe):
@@ -79,24 +80,27 @@ def froidure_pin(generators, op, identity, universe):
     if start is None:
         raise ValidationError("the identity is not in the given universe")
     members, rows = [start], [[] for _ in universe]
-    tree = [(start, None, None)]
-    _walk(op, universe, place, generators, members, {start}, rows, tree)
+    parent, letter = [-1] * len(universe), [-2] * len(universe)
+    letter[start] = -1
+    _walk(op, universe, place, generators, members, rows, parent, letter)
     if len(members) != len(universe):
         raise ValidationError(
             f"the generators give {len(members)} of the {len(universe)} "
             f"elements"
         )
-    return FiniteMonoid(place, start, rows[start], rows, tree)
+    return FiniteMonoid(place, start, rows[start], rows, members, parent,
+                        letter)
 
 
-def _walk(op, elements, place, generators, members, reached, rows, tree):
+def _walk(op, elements, place, generators, members, rows, parent, letter):
     """Close ``members`` under right multiplication by the generators.
 
     Each member x, ``members`` growing while it is walked, gains in
     ``rows[x]`` the products x*g_j it lacks, numbered by ``place``, from
-    ``op(elements[x], generators[j])``; a product not yet ``reached`` joins
-    ``members`` and the ``tree`` as (p, x, j).  Raises ValidationError at
-    the first product ``place`` does not number.
+    ``op(elements[x], generators[j])``.  A product p not reached yet,
+    ``letter[p] == -2``, joins ``members`` with ``parent[p]`` = x and
+    ``letter[p]`` = j.  Raises ValidationError at the first product
+    ``place`` does not number.
     """
     for x in members:
         row, a = rows[x], elements[x]
@@ -108,10 +112,9 @@ def _walk(op, elements, place, generators, members, reached, rows, tree):
                     f"escapes the set"
                 )
             row.append(p)
-            if p not in reached:
-                reached.add(p)
+            if letter[p] == -2:
+                parent[p], letter[p] = x, j
                 members.append(p)
-                tree.append((p, x, j))
 
 
 class FiniteMonoid:
@@ -119,42 +122,39 @@ class FiniteMonoid:
 
     ``index`` numbers the elements 0..m-1 in key order, the order of
     ``elements``.  ``generators`` lists the element index of each generator
-    g_k.  The walk's ``tree`` says how each element is reached: (x, x', j)
-    for x = x'*g_j with x' listed before x, or (x, None, j) for x = g_j
-    itself, and (x, None, None) for the identity.  It is kept as two lists,
-    x = ``parent[x]``*g_``letter[x]``, with ``parent`` -1 at a generator
-    root and both -1 at the identity, so that x's word is read up the tree,
-    last letter first.  ``identity`` is an index, or None for a semigroup.
-    Each generator's two actions are kept, one tuple of m indices each:
-    ``right[k][x]`` = x*g_k, the walk's ``rows[x][k]`` transposed, and
-    ``left[k][x]`` = g_k*x, which follows along the tree: g_k*1 is g_k,
-    g_k*g_j is ``right[j][g_k]``, and g_k*x is (g_k*x')*g_j for x = x'*g_j.
-    Every product follows the tree's words.
+    g_k.  The walk's tree says how each element is reached: x =
+    ``parent[x]``*g_``letter[x]`` with the parent found first, ``parent``
+    -1 at a generator root and both -1 at the identity, so that x's word is
+    read up the tree, last letter first.  ``order`` lists the elements in
+    the walk's discovery order, each after its parent.  ``identity`` is an
+    index, or None for a semigroup.  Each generator's two actions are kept,
+    one tuple of m indices each: ``right[k][x]`` = x*g_k, the walk's
+    ``rows[x][k]`` transposed, and ``left[k][x]`` = g_k*x, which follows
+    along ``order``: g_k*1 is g_k, g_k*g_j is ``right[j][g_k]``, and g_k*x
+    is (g_k*x')*g_j for x = x'*g_j.  Every product follows the tree's words.
     """
 
     # Keeps no table.  Its only reader is the ``mul`` counter of the
     # benchmark tracer (perfbench/tracer.py); the two are deleted together.
     table = None
 
-    def __init__(self, index, identity, generators, rows, tree):
+    def __init__(self, index, identity, generators, rows, order, parent,
+                 letter):
         self.index, self.elements = index, list(index)
         self.size = len(self.elements)
         self.identity = identity
         self.generators = generators
-        parent = self.parent = [-1] * self.size
-        letter = self.letter = [-1] * self.size
+        self.order, self.parent, self.letter = order, parent, letter
         # the walk is over: its rows x*g_k, transposed once
         right = self.right = list(zip(*rows))
         left = self.left = []
         for g in generators:
             act = [g] * self.size
-            for x, pre, k in tree:
-                if k is not None:
-                    act[x] = right[k][g if pre is None else act[pre]]
+            for x in order:
+                if (k := letter[x]) >= 0:
+                    pre = parent[x]
+                    act[x] = right[k][g if pre < 0 else act[pre]]
             left.append(tuple(act))
-        for x, pre, k in tree:
-            parent[x] = -1 if pre is None else pre
-            letter[x] = -1 if k is None else k
         self._green = None  # memo of green(self)
 
     # -- construction -----------------------------------------------------
@@ -173,40 +173,39 @@ class FiniteMonoid:
             i for i, e in enumerate(indices)
             if all(mul(e, x) == x == mul(x, e) for x in indices)
         ), None)
-        gens, rows, tree = self._closure_walk(
+        walk = self._closure_walk(
             indices, [] if identity is None else [identity]
         )
         index = {self.elements[i]: k for k, i in enumerate(indices)}
-        return FiniteMonoid(index, identity, gens, rows, tree)
+        return FiniteMonoid(index, identity, *walk)
 
     def _closure_walk(self, indices, members):
         """The greedy closure walk over the sorted index subset ``indices``,
         numbered locally by position and seeded with ``members`` (the
-        identity, or nothing): candidates top-down in the J-order, ties
-        broken by index, each one not yet reached added as a generator and
-        the walk continued with it.  Raises ValidationError on a product
-        outside the subset.  Returns the generators, the walk's rows,
-        ``rows[x][j]`` = x*g_j, and the tree, in local numbers."""
+        identity, or nothing): candidates in this monoid's ``order``, each
+        one not yet reached added as a generator and the walk continued
+        with it.  Raises ValidationError on a product outside the subset.
+        Returns the generators, the walk's rows, ``rows[x][j]`` = x*g_j,
+        its discovery order and its tree as ``parent`` and ``letter``, in
+        local numbers."""
         local = dict(zip(indices, range(len(indices))))
-        gs = green(self)
-        rank = [len(gs.below[gs.d_class[p]]) for p in indices]
         gens, picked, rows = [], [], [[] for _ in indices]
+        parent, letter = [-1] * len(indices), [-2] * len(indices)
         members = list(members)
-        tree = [(x, None, None) for x in members]  # how each x is reached
-        reached = set(members)
-        for c in sorted(range(len(indices)), key=lambda x: (-rank[x], x)):
-            if c in reached:
+        for x in members:
+            letter[x] = -1
+        for c in map(local.get, self.order):
+            if c is None or letter[c] != -2:
                 continue
-            tree.append((c, None, len(gens)))
+            letter[c] = len(gens)
             gens.append(c)
             picked.append(indices[c])
-            reached.add(c)
             members.append(c)
             # earlier members gain the column x*c, and c and the elements
             # reached from here on get every column
-            _walk(self.mul, indices, local, picked, members, reached, rows,
-                  tree)
-        return gens, rows, tree
+            _walk(self.mul, indices, local, picked, members, rows, parent,
+                  letter)
+        return gens, rows, members, parent, letter
 
     def _build_table(self):
         """The whole Cayley table, as ``_typed_rows``."""

@@ -447,13 +447,12 @@ def cayley_table(m):
     return table
 
 
-def restricted_submonoid(parent, indices, height):
+def restricted_submonoid(parent, indices, order):
     """``FiniteMonoid.submonoid`` before generator actions: the parent's
     products restricted to the subset, read from ``cayley_table`` pair by
-    pair, the
-    identity read off that table, and generators grown greedily on it, the
-    candidates taken top-down by ``height`` (the parent's J-height of each
-    parent element) with ties broken by index.  Returns the table,
+    pair, the identity read off that table, and generators grown greedily
+    on it, the candidates taken in ``order`` (a sequence of every parent
+    element, such as the parent's discovery order).  Returns the table,
     identity, generators and right and left generator graphs."""
     indices = sorted(indices)
     local = {p: i for i, p in enumerate(indices)}
@@ -467,7 +466,7 @@ def restricted_submonoid(parent, indices, height):
     gens = []
     members = [] if identity is None else [identity]
     reached = set(members)
-    for c in sorted(rng, key=lambda x: (-height[indices[x]], x)):
+    for c in (local[p] for p in order if p in local):
         if c in reached:
             continue
         gens.append(c)

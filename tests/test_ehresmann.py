@@ -36,7 +36,34 @@ def test_semilattice_validation():
     zeta = p2.index[dg.zeta(2)]
     e1 = p2.index[dg.id_subset(2, [1])]
     with pytest.raises(ValidationError):
-        eh.Semilattice.create(p2, [zeta, e1])  # product escapes the set
+        eh.Semilattice.create(p2, [zeta, e1])  # the two do not commute
+
+
+def test_semilattice_refusals_name_the_element_or_pair():
+    # each refusal with its message; a pair is named in row order over the
+    # sorted members, so the first failing pair (e, f) has e < f
+    p2 = zoo.build("P2")
+    index = lambda blocks: p2.index[dg.from_blocks(blocks, 2)]
+    swap = index([[1, -2], [2, -1]])
+    with pytest.raises(ValidationError) as err:
+        eh.Semilattice.create(p2, [p2.identity, swap])
+    assert str(err.value) == f"element {swap} is not idempotent"
+    one, split = index([[1, 2, -1, -2]]), index([[1, 2], [-1, -2]])
+    corner = index([[1, -1, -2], [2]])
+    assert one < split < corner
+    assert p2.mul(one, split) == p2.mul(split, one)
+    assert p2.mul(split, corner) != p2.mul(corner, split)
+    assert p2.mul(one, corner) != p2.mul(corner, one)
+    with pytest.raises(ValidationError) as err:
+        eh.Semilattice.create(p2, [corner, p2.identity, split, one])
+    assert str(err.value) == f"elements {one},{corner} do not commute"
+    # two partial identities commute, and their product, the empty one,
+    # is outside the set: the pair named is (e, f), e < f
+    e, f = sorted(p2.index[dg.id_subset(2, [i])] for i in (1, 2))
+    assert p2.mul(e, f) == p2.mul(f, e) not in (e, f)
+    with pytest.raises(ValidationError) as err:
+        eh.Semilattice.create(p2, [f, e])
+    assert str(err.value) == f"not closed: product of {e},{f} escapes the set"
 
 
 @pytest.mark.parametrize("monoid, semilattice", [("P2", "P3"), ("P3", "P2")])
