@@ -106,7 +106,7 @@ def mobius_inverse(below):
     order = topological_order(below)
     m = [[0] * d for _ in range(d)]
     for y in order:
-        strictly = sorted(below[y] - {y}, key=lambda x: len(below[x]))
+        strictly = below[y] - {y}
         for x in below[y]:
             if x == y:
                 m[x][y] = 1

@@ -2,8 +2,9 @@
 
 Each check recomputes a structural fact from first principles (definitional
 sweeps on one side, closed-form or combinatorial descriptions on the other)
-and reports a named result.  The counting formulas here are independent of
-the enumeration pipeline, so size agreement is a two-sided check.
+and reports a named result.  The counting formulas are the closed forms on
+the ``zoo.FAMILIES`` records (``Family.size``), which never call the
+enumeration pipeline, so size agreement is a two-sided check.
 
 A check is declared once, with ``claim``: a generator of the lines it prints
 at one degree n, the degrees it runs at, and any further parts with their
@@ -19,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 from . import algebra, diagrams as dg, dotout, ehresmann as eh, zoo
 from .errors import StateError, ValidationError
@@ -89,45 +90,17 @@ def claim(degrees, *more, how="each", skipped=""):
     return declare
 
 
-# -- counting oracles (combinatorial formulas, not the diagram pipeline) -----
-
-
-def double_factorial_odd(n):
-    """(2n - 1)!! with the empty-product convention at n = 0."""
-    out = 1
-    for k in range(3, 2 * n, 2):
-        out *= k
-    return out
-
-
-def expected_size(family, n):
-    if family == "P":
-        return zoo.bell(2 * n)
-    if family == "I":
-        return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
-    if family == "J":
-        return sum(
-            zoo.stirling2(n, k) ** 2 * factorial(k) for k in range(n + 1)
-        )
-    if family == "B":
-        return double_factorial_odd(n)
-    if family == "T":
-        return n**n
-    if family == "PT":
-        return (n + 1) ** n
-    if family == "BX":
-        return 2 ** (n * n)
-    if family == "D0":
-        return zoo.bell(n)
-    raise ValidationError(f"no counting formula for family {family}")
+# -- size lines (closed forms on the zoo records, not the diagram pipeline) --
 
 
 def _sizes(fam, degrees, name=None):
-    """One line: the built sizes of a family against ``expected_size``."""
+    """One line: the built sizes of a family against its record's
+    closed form, ``zoo.FAMILIES[fam].size``."""
+    size = zoo.FAMILIES[fam].size
     sizes = [(n, zoo.build(f"{fam}{n}").size) for n in degrees]
     yield CheckResult(
         name or f"{fam} family sizes match the counting formula",
-        all(got == expected_size(fam, n) for n, got in sizes),
+        all(got == size(n) for n, got in sizes),
         " ".join(f"{fam}_{n}={got}" for n, got in sizes),
     )
 
@@ -270,10 +243,11 @@ def check_regular_subsemigroups(n):
         and is_inverse(s.submonoid(regular_e))
     )
     # each monoid class of a block identity is a partial-bijection monoid
+    i_size = zoo.FAMILIES["I"].size
     for eps in zoo.equivalences(n):
         idx = s.index[dg.id_equiv(eps)]
         members, closed, _ = eh.tilde_h_class(idx, s, f)
-        if not closed or len(members) != expected_size("I", eps.num_classes()):
+        if not closed or len(members) != i_size(eps.num_classes()):
             ok = False
     yield CheckResult(
         f"regular parts of P_{n} are the expected inverse submonoids "
@@ -289,12 +263,15 @@ def check_restriction_subsemigroups(n):
     rest_l, rest_r, rest = eh.rest_subsemigroups(s, f)
     nabla = dg.SetPartition.universal(n)
     full = frozenset(range(1, n + 1))
-    par = [dg.params(a) for a in s.elements]
+    # only the four parameters read here are kept, not a DiagramParams each
+    dom, ker, codom, coker = zip(*(
+        (q.dom, q.ker, q.codom, q.coker) for q in map(dg.params, s.elements)
+    ))
     by_shape_r = frozenset(
-        x for x, q in enumerate(par) if q.dom == full or q.ker == nabla
+        x for x in range(s.size) if dom[x] == full or ker[x] == nabla
     )
     by_shape_l = frozenset(
-        x for x, q in enumerate(par) if q.codom == full or q.coker == nabla
+        x for x in range(s.size) if codom[x] == full or coker[x] == nabla
     )
     rr_set = frozenset(zoo.build(f"RR{n}").elements)
     j_set = frozenset(zoo.build(f"J{n}").elements)
@@ -304,7 +281,7 @@ def check_restriction_subsemigroups(n):
         and frozenset(rest_l) == by_shape_l
         and frozenset(s.decode(x) for x in rest_r) == rr_set
         and frozenset(s.decode(x) for x in rest) == j_set | {dg.zeta(n)}
-        and len(rest) == expected_size("J", n) + 1  # |J_n u {zeta}|
+        and len(rest) == zoo.FAMILIES["J"].size(n) + 1  # |J_n u {zeta}|
         and all(s.mul(x, z) == z and s.mul(z, x) == z for x in rest)
     )
     yield CheckResult(
@@ -379,7 +356,7 @@ def _rank_split(degrees):
         rr = len(zoo.build(f"RR{n}").elements)
         pfd = len(zoo.build(f"Pfd{n}").elements)
         d0 = len(zoo.build(f"D0{n}").elements)
-        ok = ok and rr == pfd + d0 and d0 == expected_size("D0", n)
+        ok = ok and rr == pfd + d0 and d0 == zoo.FAMILIES["D0"].size(n)
     yield CheckResult(
         "right-restriction monoid splits as full-domain part plus the "
         "rank-0 floor",
@@ -528,7 +505,7 @@ def check_brauer_regular_part(n):
         for c in combinations(range(1, n + 1), k):
             idx = s.index[dg.id_subset(n, c)]
             members, _, _ = eh.tilde_h_class(idx, s, e)
-            if len(members) != double_factorial_odd(k):
+            if len(members) != zoo.FAMILIES["B"].size(k):
                 ok = False
     yield CheckResult(
         f"partial Brauer monoid at degree {n}: regular part is the "

@@ -3,13 +3,14 @@
 Each family is declared once, by its ``Family`` record in ``FAMILIES``:
 its universe, 'P' (cut from P_n), 'rook' (cut from P_(n+1)), 'BX' (all
 relations on n points) or 'PT' (the partial functions); its membership
-test on the ``_Facts`` of a diagram, None for a whole universe; and
-whether ``analyze`` may name a regular part after it, the first ``named``
-family in table order winning.  Closure under the product is a checked
-fact.  ``froidure_pin`` enumerates P_n from its standard
-generators, each of which acts on a diagram by relabelling its lower row,
-into the order of ``partition_universe(n)``, and BX_n and PT_n from
-generators into the order of their relation universes.  Every other
+test on the ``_Facts`` of a diagram, None for a whole universe; whether
+``analyze`` may name a regular part after it, the first ``named`` family
+in table order winning; and the closed form of |X_n| where one is known,
+read by the element budget and by ``verify``'s size lines.  Closure under
+the product is a checked fact.  ``froidure_pin`` enumerates P_n from its
+standard generators, each of which acts on a diagram by relabelling its
+lower row, into the order of ``partition_universe(n)``, and BX_n and PT_n
+from generators into the order of their relation universes.  Every other
 diagram family is an index subset of one P_n, which
 ``FiniteMonoid.submonoid`` turns into a monoid of the same kind: greedy
 generators, each one's right and left action, and no table.  One pass
@@ -28,6 +29,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb, factorial, prod
 from typing import Callable
 
 from . import diagrams as dg
@@ -36,40 +38,6 @@ from .diagrams import Partition, SetPartition, _canonical
 from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice, _check_side
 from .monoid import FiniteMonoid, froidure_pin
-
-
-# not a NamedTuple: perfbench's tracer makes module dicts' tuples plain tuples
-@dataclass(frozen=True)
-class Family:
-    """A family's universe, membership test and nameability."""
-
-    universe: str
-    member: Callable[["_Facts"], bool] | None = None
-    named: bool = False
-
-
-FAMILIES = {
-    "P": Family("P"),
-    "B": Family("P", lambda f: f.brauer),
-    "PB": Family("P", lambda f: f.partial),
-    "RP": Family("rook", lambda f: f.rook),
-    "I": Family("P", lambda f: f.discrete and f.codiscrete, named=True),
-    "J": Family("P", lambda f: f.dom and f.codom, named=True),
-    "T": Family("P", lambda f: f.dom and f.codiscrete, named=True),
-    "PT": Family("PT", named=True),
-    "Pfd": Family("P", lambda f: f.dom, named=True),
-    "Pfcd": Family("P", lambda f: f.codom),
-    "Pfk": Family("P", lambda f: f.universal),
-    "RR": Family("P", lambda f: f.dom or f.universal, named=True),
-    "LL": Family("P", lambda f: f.codom or f.couniversal, named=True),
-    "RJ": Family("rook", lambda f: f.rook and f.dom and f.codom, named=True),
-    "BX": Family("BX"),
-    "D0": Family("P", lambda f: f.none and f.universal),
-    "D1": Family("P", lambda f: f.dom and f.universal),
-}
-
-# the most elements a family's universe may have: Bell(8) = |P_4|
-UNIVERSE_BUDGET = 4140
 
 
 @lru_cache(maxsize=None)
@@ -85,13 +53,45 @@ def bell(n):
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
-# the size of each universe at degree n, without enumerating it
-_UNIVERSE_SIZES = {
-    "P": lambda n: bell(2 * n),
-    "rook": lambda n: bell(2 * n + 2),
-    "BX": lambda n: 2 ** (n * n),
-    "PT": lambda n: (n + 1) ** n,
+# not a NamedTuple: perfbench's tracer makes module dicts' tuples plain tuples
+@dataclass(frozen=True)
+class Family:
+    """A family's universe, membership test, nameability and size."""
+
+    universe: str
+    member: Callable[["_Facts"], bool] | None = None
+    named: bool = False
+    size: Callable[[int], int] | None = None
+
+
+FAMILIES = {
+    "P": Family("P", size=lambda n: bell(2 * n)),
+    "B": Family("P", lambda f: f.brauer,
+                size=lambda n: prod(range(1, 2 * n, 2))),  # (2n - 1)!!
+    "PB": Family("P", lambda f: f.partial),
+    "RP": Family("rook", lambda f: f.rook),
+    "I": Family("P", lambda f: f.discrete and f.codiscrete, named=True,
+                size=lambda n: sum(comb(n, k) ** 2 * factorial(k)
+                                   for k in range(n + 1))),
+    "J": Family("P", lambda f: f.dom and f.codom, named=True,
+                size=lambda n: sum(stirling2(n, k) ** 2 * factorial(k)
+                                   for k in range(n + 1))),
+    "T": Family("P", lambda f: f.dom and f.codiscrete, named=True,
+                size=lambda n: n**n),
+    "PT": Family("PT", named=True, size=lambda n: (n + 1) ** n),
+    "Pfd": Family("P", lambda f: f.dom, named=True),
+    "Pfcd": Family("P", lambda f: f.codom),
+    "Pfk": Family("P", lambda f: f.universal),
+    "RR": Family("P", lambda f: f.dom or f.universal, named=True),
+    "LL": Family("P", lambda f: f.codom or f.couniversal, named=True),
+    "RJ": Family("rook", lambda f: f.rook and f.dom and f.codom, named=True),
+    "BX": Family("BX", size=lambda n: 2 ** (n * n)),
+    "D0": Family("P", lambda f: f.none and f.universal, size=bell),
+    "D1": Family("P", lambda f: f.dom and f.universal),
 }
+
+# the most elements a family's universe may have: Bell(8) = |P_4|
+UNIVERSE_BUDGET = 4140
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,13 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES or type(self.n) is not int or self.n < 0:
             raise ValidationError(f"no family {self.family}_{self.n}")
-        size = _UNIVERSE_SIZES[FAMILIES[self.family].universe]
+        # the universe's own record sizes it: P_(k+1) for a rook family
+        universe = FAMILIES[self.family].universe
+        rook = universe == "rook"
+        size = FAMILIES["P" if rook else universe].size
         # universes grow with n, so walking up never sizes a huge n itself
         for k in range(self.n + 1):
-            if size(k) > UNIVERSE_BUDGET:
+            if size(k + rook) > UNIVERSE_BUDGET:
                 raise ResourceCapError(
                     f"{self.family}_n from degree {k} exceeds the element "
                     f"budget", UNIVERSE_BUDGET,

@@ -36,15 +36,6 @@ def test_result_lines_name_status_first():
     assert verify.CheckResult("bad", False).line() == "[FAIL] bad"
 
 
-def test_counting_helpers():
-    assert [zoo.bell(n) for n in range(6)] == [1, 1, 2, 5, 15, 52]
-    assert zoo.stirling2(4, 2) == 7
-    assert verify.double_factorial_odd(3) == 15
-    assert verify.expected_size("P", 3) == 203
-    with pytest.raises(ValidationError):
-        verify.expected_size("RP", 2)
-
-
 def _every_coarsening(a, side):
     """``zoo.block_identity_below`` with no non-transversal frozen."""
     blocks = a.blocks()

@@ -58,6 +58,30 @@ def test_frozen_family_sizes(family):
         zoo.build(f"{family}{len(FROZEN_SIZES[family])}")
 
 
+def test_counting_helpers():
+    assert [zoo.bell(n) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+    assert zoo.stirling2(4, 2) == 7
+    assert zoo.FAMILIES["B"].size(3) == 15
+    assert zoo.FAMILIES["P"].size(3) == 203
+    assert zoo.FAMILIES["RP"].size is None
+
+
+def test_families_with_a_closed_form_size():
+    # a new formula is a deliberate edit of this set
+    have = {fam for fam, x in zoo.FAMILIES.items() if x.size}
+    assert have == {"B", "BX", "D0", "I", "J", "P", "PT", "T"}
+
+
+@pytest.mark.parametrize(
+    "family", sorted(f for f, x in zoo.FAMILIES.items() if x.size)
+)
+def test_closed_form_sizes_match_frozen_sizes(family):
+    size = zoo.FAMILIES[family].size
+    assert [size(n) for n in range(len(FROZEN_SIZES[family]))] == (
+        FROZEN_SIZES[family]
+    )
+
+
 def test_sizes_match_formulas():
     for n in range(0, 5):
         assert len(zoo.build(f"P{n}").elements) == BELL[2 * n]
