@@ -56,7 +56,10 @@ def _write(chunks, out):
         _write_blocks(chunks, sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with os.fdopen(fd, "w") as fh:
             _write_blocks(chunks, fh)

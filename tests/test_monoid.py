@@ -376,6 +376,19 @@ def test_table_rows_are_two_byte_arrays():
         assert as_lists(table) == definitional_table(name), name
 
 
+def test_rows_are_four_byte_arrays_above_65536_elements():
+    # Z_65537 under addition: one element past what 2 bytes can index
+    order = 65537
+    m = mon.froidure_pin(
+        [1, 256, 65536], lambda a, b: (a + b) % order, 0, range(order)
+    )
+    xs = [0, 1, 256, 65536, 257]
+    for column in (False, True):
+        for x, line in zip(xs, m._typed_rows(xs, column)):
+            assert line.typecode == "I", (x, column)
+            assert line == array("I", ((x + y) % order for y in range(order)))
+
+
 def test_table_of_a_deep_tree_is_built_without_recursion():
     # the cyclic group of order 1500 from the generator 1: its tree is a
     # path of depth 1499, deeper than the default recursion limit

@@ -24,6 +24,18 @@ def test_degree_cap_produces_vacuous_pass():
     assert results and all(r.passed for r in results)
 
 
+@pytest.mark.parametrize("nmax", range(5))
+def test_every_check_prints_a_line_under_any_cap(nmax):
+    # a check with no degree under the cap prints its skip line, and a
+    # size line always names the sizes it compared
+    for checks in verify.SUITES.values():
+        for check in checks:
+            results = check(nmax)
+            assert results, check.__name__
+            for r in results:
+                assert "family sizes" not in r.name or r.detail, r.name
+
+
 def test_capped_suite_skips_larger_degrees():
     results = verify.run_suite("3", nmax=2)
     names = " ".join(r.name for r in results)

@@ -89,8 +89,7 @@ def test_sizes_match_formulas():
         assert len(zoo.build(f"J{n}").elements) == block_bijection_count(n)
         assert len(zoo.build(f"Pfd{n}").elements) == full_domain_count(n)
         assert len(zoo.build(f"D0{n}").elements) == BELL[n]
-        if n <= 4:
-            assert len(zoo.build(f"B{n}").elements) == odd_double_factorial(n)
+        assert len(zoo.build(f"B{n}").elements) == odd_double_factorial(n)
     for n in range(1, 4):
         assert len(zoo.build(f"BX{n}").elements) == 2 ** (n * n)
         assert len(zoo.build(f"PT{n}").elements) == (n + 1) ** n
