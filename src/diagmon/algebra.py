@@ -8,7 +8,8 @@ it in the natural partial order is an algebra isomorphism from the
 semigroup algebra onto the category algebra (Stein, "Algebras of Ehresmann
 semigroups and categories"), here certified on (element, generator) pairs.
 Its matrix is the zeta matrix of the order and its inverse the Mobius
-matrix.  The certificate reads one column of products per basis element
+matrix, both held by their non-zero entries, each dense row made when it
+is read.  The certificate reads one column of products per basis element
 below each generator, grouped by source object, so it forms only defined
 compositions.  All linear algebra is exact.  Radical dimensions come from
 the trace-form criterion, read off the rows of basis products: the rank of
@@ -90,39 +91,62 @@ def topological_order(below):
     return sorted(range(len(below)), key=lambda y: (len(below[y]), y))
 
 
+class _SparseRows:
+    """The d dense rows of an integer matrix held by its non-zero entries,
+    ``rows[x]`` = {y: entry}; each row is a new list, made when read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, x):
+        row = [0] * len(self.rows)
+        for y, v in self.rows[x].items():
+            row[y] = v
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
+
+
 def zeta_matrix(below):
     """Z[x][y] = 1 iff x <= y; columns are the transformed basis vectors."""
-    d = len(below)
-    z = [[0] * d for _ in range(d)]
+    rows = [{} for _ in below]
     for y, b in enumerate(below):
         for x in b:
-            z[x][y] = 1
-    return z
+            rows[x][y] = 1
+    return _SparseRows(rows)
 
 
 def mobius_inverse(below):
-    """The Mobius matrix of the order; integer, with zeta * mobius = 1."""
-    d = len(below)
-    order = topological_order(below)
-    m = [[0] * d for _ in range(d)]
-    for y in order:
-        strictly = below[y] - {y}
+    """The Mobius matrix of the order; integer, with zeta * mobius = 1.
+
+    Made column by column in ``topological_order``: column y holds the
+    non-zero m[x][y] = -(sum of m[x][b] over b strictly below y), and each
+    entry is kept in its row too; the check reads the columns."""
+    cols, rows = [{} for _ in below], [{} for _ in below]
+    for y in topological_order(below):
+        acc = {}  # x -> the sum of m[x][b] over b strictly below y
+        for b in below[y] - {y}:
+            for x, v in cols[b].items():
+                acc[x] = acc.get(x, 0) + v
         for x in below[y]:
-            if x == y:
-                m[x][y] = 1
-            else:
-                m[x][y] = -sum(m[x][b] for b in strictly if x in below[b])
+            v = 1 if x == y else -acc.get(x, 0)
+            if v:
+                cols[y][x] = rows[x][y] = v
     # (Z M)[i][j] sums m[k][j] over k in below[j] with i in below[k]
-    for j in range(d):
-        col = {j: -1}
-        for k in below[j]:
-            mk = m[k][j]
-            if mk:
-                for i in below[k]:
-                    col[i] = col.get(i, 0) + mk
-        if any(col.values()):
+    for j, col in enumerate(cols):
+        zm = {j: -1}
+        for k, mk in col.items():
+            for i in below[k]:
+                zm[i] = zm.get(i, 0) + mk
+        if any(zm.values()):
             raise StateError("Mobius matrix failed the inversion check")
-    return m
+    return _SparseRows(rows)
 
 
 # -- the transform onto the category algebra ---------------------------------

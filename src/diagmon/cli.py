@@ -11,8 +11,8 @@ one row at a time (``_Rows``), and written in blocks of about 64 KiB as
 it is made (``_write``): no string of the whole output exists.  On
 2 vCPUs ``build RR4`` peaks at 22 MB, its table read from typed rows and
 its elements made one by one, and ``stein Pfd4 F --side right`` at
-33 MB, where ``json.dumps`` took 92 MB and 527 MB.  The format of the
-``build`` dump is set here alone.
+20 MB, each matrix row made as it is written, where ``json.dumps`` took
+92 MB and 527 MB.  The format of the ``build`` dump is set here alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.
@@ -313,10 +313,9 @@ def cmd_stein(args):
 def cmd_verify(args):
     results = verify.run_suite(args.section, args.nmax)
     lines = [r.line() for r in results]
-    failed = sum(1 for r in results if not r.passed)
-    lines.append(
-        f"{len(results) - failed}/{len(results)} checks passed"
-    )
+    checked = [r for r in results if not r.skipped]
+    failed = sum(1 for r in checked if not r.passed)
+    lines.append(f"{len(checked) - failed}/{len(checked)} checks passed")
     _write(("\n".join(lines) + "\n",), args.out)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 

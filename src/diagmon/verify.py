@@ -9,9 +9,10 @@ enumeration pipeline, so size agreement is a two-sided check.
 A check is declared once, with ``claim``: a generator of the lines it prints
 at one degree n, the degrees it runs at, and any further parts with their
 own degrees.  ``claim`` is the one place that caps the degrees at ``nmax``,
-calls no part with no degree under the cap, prints "<name> (skipped)" for
-a check that printed nothing, and turns a ``StateError`` into one failed
-line for the (part, degree) that raised it, keeping every line before it.
+calls no part with no degree under the cap, prints "[SKIP] <name>", a
+line no summary counts, for a check that printed nothing, and turns a
+``StateError`` into one failed line for the (part, degree) that raised
+it, keeping every line before it.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    skipped: bool = False  # no degree under the cap; counted neither way
 
     def line(self):
-        status = "PASS" if self.passed else "FAIL"
+        status = "SKIP" if self.skipped else "PASS" if self.passed else "FAIL"
         tail = f"  ({self.detail})" if self.detail else ""
         return f"[{status}] {self.name}{tail}"
 
@@ -81,7 +83,7 @@ def claim(degrees, *more, how="each"):
                     except StateError as exc:
                         out.append(CheckResult(lines.__name__, False, str(exc)))
             if not out:
-                out.append(CheckResult(f"{lines.__name__} (skipped)", True))
+                out.append(CheckResult(lines.__name__, True, skipped=True))
             return out
 
         del check.__wrapped__  # its signature is (nmax=None), not the part's

@@ -17,7 +17,7 @@ from diagmon import diagrams as dg
 from diagmon import ehresmann as eh
 from diagmon import relations as rel
 from diagmon import zoo
-from diagmon.errors import ResourceCapError, ValidationError
+from diagmon.errors import ResourceCapError, StateError, ValidationError
 
 
 def bell_numbers(count):
@@ -397,6 +397,43 @@ def leq_r_prime_structural(a, b):
 
 
 # -- reference transform matrices ----------------------------------------------
+
+
+def zeta_dense(below):
+    """Z[x][y] = 1 iff x <= y, as d dense rows filled entry by entry."""
+    d = len(below)
+    z = [[0] * d for _ in range(d)]
+    for y, b in enumerate(below):
+        for x in b:
+            z[x][y] = 1
+    return z
+
+
+def mobius_dense(below):
+    """The Mobius matrix by its definition, m[x][y] = -sum of m[x][b] over
+    x <= b < y, filled entry by entry into d dense rows; a StateError
+    unless zeta * mobius = 1."""
+    d = len(below)
+    order = algebra.topological_order(below)
+    m = [[0] * d for _ in range(d)]
+    for y in order:
+        strictly = below[y] - {y}
+        for x in below[y]:
+            if x == y:
+                m[x][y] = 1
+            else:
+                m[x][y] = -sum(m[x][b] for b in strictly if x in below[b])
+    # (Z M)[i][j] sums m[k][j] over k in below[j] with i in below[k]
+    for j in range(d):
+        col = {j: -1}
+        for k in below[j]:
+            mk = m[k][j]
+            if mk:
+                for i in below[k]:
+                    col[i] = col.get(i, 0) + mk
+        if any(col.values()):
+            raise StateError("Mobius matrix failed the inversion check")
+    return m
 
 
 def is_unitriangular(matrix, order):

@@ -1,6 +1,7 @@
 """Categories, the basis transform, Mobius inversion, and radicals."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, isqrt
@@ -19,12 +20,14 @@ from oracles import (
     gram_fractions,
     is_unitriangular,
     matrix_to_json,
+    mobius_dense,
     radical_nullity,
     rref_mod_lists,
     stein_generator_pairs,
     stein_pairwise,
     table_algebra,
     top_degree,
+    zeta_dense,
 )
 
 # the Ehresmann pairs whose category algebras the verify suites use
@@ -115,17 +118,21 @@ def test_mobius_of_chain_and_antichain():
     # chain 0 < 1 < 2
     chain = [frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})]
     m = algebra.mobius_inverse(chain)
-    assert m == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+    assert list(m) == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
     antichain = [frozenset({i}) for i in range(4)]
-    assert algebra.mobius_inverse(antichain) == [
+    assert list(algebra.mobius_inverse(antichain)) == [
         [1 if i == j else 0 for j in range(4)] for i in range(4)
     ]
+    # each read makes a new row
+    m[0][1] = 7
+    assert len(m) == 3 and m[0] == [1, -1, 0] and m[-1] == [0, 0, 1]
 
 
 def test_mobius_rejects_a_non_transitive_order():
     # 0 <= 1 and 1 <= 2 but not 0 <= 2
-    with pytest.raises(StateError):
-        algebra.mobius_inverse([{0}, {0, 1}, {1, 2}])
+    for mobius in (algebra.mobius_inverse, mobius_dense):
+        with pytest.raises(StateError):
+            mobius([{0}, {0, 1}, {1, 2}])
 
 
 def test_transform_shapes_and_triangularity():
@@ -138,7 +145,7 @@ def test_transform_shapes_and_triangularity():
     # trivial monoid
     t = zoo.build("P0")
     f = zoo.semilattice_for("F", "P0")
-    assert algebra.stein_transform(t, f, "left") == [[1]]
+    assert list(algebra.stein_transform(t, f, "left")) == [[1]]
 
 
 def test_transform_requires_the_right_containment():
@@ -193,6 +200,45 @@ def _stein_cases(max_degree):
                 except StateError:
                     continue
                 yield name, kind, side
+
+
+# the degree-4 transforms the CLI writes and the benchmark hashes
+DEGREE4_STEIN = (("PT4", "E", "left"), ("Pfd4", "F", "right"),
+                 ("RR4", "F", "right"))
+
+
+def test_sparse_matrices_match_the_dense_oracles():
+    cases = [*_stein_cases(3), *DEGREE4_STEIN]
+    for name, kind, side in cases:
+        s = zoo.build(name)
+        e = zoo.semilattice_for(kind, name)
+        below = algebra.natural_order(s, e, side)
+        m = algebra.mobius_inverse(below)
+        assert list(map(list, m)) == mobius_dense(below), (name, kind, side)
+        z = algebra.stein_transform(s, e, side)
+        assert list(map(list, z)) == zeta_dense(below), (name, kind, side)
+        assert len(z) == len(m) == s.size
+    assert len(cases) == 201
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, kind, side", DEGREE4_STEIN[1:])
+def test_transform_matrices_are_held_sparse(name, kind, side):
+    # a dense d x d list of ints takes 5.9-6.8 MB traced at d = 855 or 870
+    s = zoo.build(name)
+    e = zoo.semilattice_for(kind, name)
+    below = algebra.natural_order(s, e, side)
+    algebra.stein_transform(s, e, side)  # the report, built and cached
+    assert _traced_peak(algebra.mobius_inverse, below) < 1.5e6
+    assert _traced_peak(algebra.stein_transform, s, e, side) < 1.5e6
 
 
 def _category_and_phi(name, kind, side):

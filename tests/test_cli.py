@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagmon import algebra, cli, zoo
+from diagmon import algebra, cli, verify, zoo
 from diagmon import ehresmann as eh
 from diagmon import relations as rel
 from diagmon.diagrams import Partition
@@ -132,6 +132,21 @@ def test_verify_command(tmp_path):
     assert code == 0
     assert "FAIL" not in text
     assert text.strip().endswith("checks passed")
+
+
+@pytest.mark.parametrize("nmax", range(5))
+def test_skipped_checks_are_not_counted(capsys, nmax):
+    # a check with no degree under the cap prints "[SKIP] <name>", not a
+    # pass, and the summary counts only the lines that checked something
+    assert cli.main(["verify", "all", "--nmax", str(nmax)]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    skipped = {x[7:] for x in lines if x.startswith("[SKIP] ")}
+    checked = [x for x in lines if not x.startswith("[SKIP] ")]
+    assert all(x.startswith("[PASS] ") for x in checked)
+    assert not any("skipped" in x for x in checked)
+    assert skipped <= {c.__name__ for cs in verify.SUITES.values() for c in cs}
+    assert summary == f"{len(checked)}/{len(checked)} checks passed"
+    assert len(checked) == (4, 16, 39, 54, 58)[nmax]
 
 
 def test_broken_precondition_in_verify_is_a_failed_check(monkeypatch, capsys):
