@@ -6,23 +6,29 @@ signed integer: +i for upper, -i for lower.  Internally vertices are
 0-based: i-1 for upper i, n+i-1 for lower i'.  Every diagram is stored in
 canonical form: ``code[v]`` is the block id of vertex v, with ids assigned
 in first-occurrence order scanning 1..n then 1'..n'.  Two equal set
-partitions therefore have identical encodings, so hashing and equality
-are O(n).
+partitions therefore have identical encodings, and a diagram is the named
+tuple ``(n, code)``: its equality and hash are the tuple's, so a diagram
+equals the plain tuple ``(n, code)``, and the empty diagram of degree 0
+equals the empty relation.  No module-level dict may hold a diagram:
+perfbench's tracer rebuilds each tuple value of such a dict as a plain
+tuple.
 
 Multiplication stacks two diagrams, identifies the lower row of the first
 with the upper row of the second, and reads off connected components on
 the outer rows (a union-find over 3n nodes).
 
 ``params`` reads a diagram's domain, codomain, support and cosupport as
-frozensets of points of {1..n}, and its kernel and cokernel as set
-partitions.  ``id_subset(n, points)`` and ``id_equiv`` build the partial
-and block identities back from such values.
+frozensets of points of {1..n}, and its kernel and cokernel as canonical
+codes: a set partition of {1..n} is its code, ``code[i]`` the block id of
+point i+1 in first-occurrence order.  ``id_subset(n, points)`` and
+``id_equiv(code)`` build the partial and block identities back from such
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DegreeMismatchError, ValidationError
 from .monoid import _classes_by_key, _join_labellings
@@ -33,43 +39,11 @@ def _canonical(labels):
     return tuple(_classes_by_key(labels))
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A set partition of {1..n}, canonically labelled.
-
-    ``code[i]`` is the block id of point i+1, in first-occurrence order.
-    """
+class Partition(NamedTuple):
+    """A partition diagram in canonical form."""
 
     n: int
     code: tuple
-
-    @classmethod
-    def universal(cls, n):
-        return cls(n, (0,) * n)
-
-    def num_classes(self):
-        return len(set(self.code))
-
-
-class Partition:
-    """A partition diagram in canonical form.  Immutable."""
-
-    __slots__ = ("n", "code", "_hash")
-
-    def __init__(self, n, code):
-        self.n = n
-        self.code = code
-        self._hash = hash((n, code))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Partition)
-            and self.n == other.n
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Partition({self.n}, blocks={list(map(sorted, self.blocks()))})"
@@ -140,9 +114,10 @@ def id_subset(n: int, points) -> Partition:
     return from_blocks(blocks, n)
 
 
-def id_equiv(e: SetPartition) -> Partition:
-    """The block-identity diagram: A together with A' for each class A."""
-    return Partition(e.n, e.code + e.code)
+def id_equiv(code: tuple) -> Partition:
+    """The block-identity diagram of a canonical code: A together with A'
+    for each class A."""
+    return Partition(len(code), code + code)
 
 
 def multiply(a: Partition, b: Partition) -> Partition:
@@ -160,8 +135,8 @@ def multiply(a: Partition, b: Partition) -> Partition:
 class DiagramParams:
     dom: frozenset  # points of {1..n}
     codom: frozenset
-    ker: SetPartition
-    coker: SetPartition
+    ker: tuple  # canonical code of the upper row
+    coker: tuple
     rank: int
     supp: frozenset
     cosupp: frozenset
@@ -179,8 +154,8 @@ def params(a: Partition) -> DiagramParams:
     return DiagramParams(
         dom=frozenset(i + 1 for i in range(n) if upper[i] in transversal),
         codom=frozenset(i + 1 for i in range(n) if lower[i] in transversal),
-        ker=SetPartition(n, _canonical(upper)),
-        coker=SetPartition(n, _canonical(lower)),
+        ker=_canonical(upper),
+        coker=_canonical(lower),
         rank=len(transversal),
         supp=frozenset(i + 1 for i in range(n) if counts[upper[i]] > 1),
         cosupp=frozenset(i + 1 for i in range(n) if counts[lower[i]] > 1),
@@ -188,12 +163,12 @@ def params(a: Partition) -> DiagramParams:
 
 
 def refines(a, b) -> bool:
-    """True iff every block of a is contained in a block of b (two diagrams,
-    or two set partitions, of the same degree)."""
-    if a.n != b.n:
-        raise DegreeMismatchError(f"degree {a.n} != {b.n}")
+    """True iff every block of a is contained in a block of b, for two
+    block-label sequences of one length (two codes, not two diagrams)."""
+    if len(a) != len(b):
+        raise DegreeMismatchError(f"degree {len(a)} != {len(b)}")
     image = {}
-    for x, y in zip(a.code, b.code):
+    for x, y in zip(a, b):
         if image.setdefault(x, y) != y:
             return False
     return True

@@ -5,34 +5,27 @@ bitwise OR over the rows picked out by the left factor.  This keeps
 exhaustive sweeps over all 2^(n*n) relations fast for n <= 3.  As for a
 diagram, the domain and codomain (``rel_params``) are frozensets of
 points, and ``partial_identity(n, points)`` is the identity on such a set.
+
+A relation is the named tuple ``(n, rows)``: its equality and hash are the
+tuple's, so a relation equals the plain tuple ``(n, rows)``, and the empty
+relation of degree 0 equals the empty diagram.  No module-level dict may
+hold a relation: perfbench's tracer rebuilds each tuple value of such a
+dict as a plain tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeMismatchError, ValidationError
 
 
-class BinaryRelation:
-    """An n x n boolean incidence structure.  Immutable."""
+class BinaryRelation(NamedTuple):
+    """An n x n boolean incidence structure, one bitmask row per point."""
 
-    __slots__ = ("n", "rows", "_hash")
-
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = rows
-        self._hash = hash((n, rows))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryRelation)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return self._hash
+    n: int
+    rows: tuple
 
     def __repr__(self):
         return f"BinaryRelation({self.n}, pairs={sorted(self.pairs())})"
@@ -111,8 +104,6 @@ def converse(a: BinaryRelation) -> BinaryRelation:
 class RelationParams:
     dom: frozenset  # points of {1..n}
     codom: frozenset
-    ker: frozenset  # pairs over dom; reflexive and symmetric, maybe not transitive
-    coker: frozenset  # pairs over codom
 
 
 def rel_params(a: BinaryRelation) -> RelationParams:
@@ -122,20 +113,7 @@ def rel_params(a: BinaryRelation) -> RelationParams:
     for row in a.rows:
         codom_mask |= row
     codom = frozenset(y + 1 for y in range(n) if codom_mask >> y & 1)
-    ker = frozenset(
-        (x + 1, y + 1)
-        for x in range(n)
-        for y in range(n)
-        if a.rows[x] & a.rows[y]
-    )
-    conv = converse(a)
-    coker = frozenset(
-        (x + 1, y + 1)
-        for x in range(n)
-        for y in range(n)
-        if conv.rows[x] & conv.rows[y]
-    )
-    return RelationParams(dom, codom, ker, coker)
+    return RelationParams(dom, codom)
 
 
 def is_partial_function(a: BinaryRelation) -> bool:

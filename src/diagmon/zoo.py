@@ -34,7 +34,7 @@ from typing import Callable
 
 from . import diagrams as dg
 from . import relations as rel
-from .diagrams import Partition, SetPartition, _canonical
+from .diagrams import Partition, _canonical
 from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice, _check_side
 from .monoid import FiniteMonoid, froidure_pin
@@ -162,8 +162,9 @@ def relation_universe(n):
 
 @lru_cache(maxsize=None)
 def equivalences(n):
-    """All set partitions of {1..n}, i.e. all equivalences."""
-    return tuple(SetPartition(n, code) for code in set_partition_codes(n))
+    """All set partitions of {1..n}, i.e. all equivalences, as canonical
+    codes."""
+    return tuple(set_partition_codes(n))
 
 
 # -- family cuts --------------------------------------------------------------
@@ -442,7 +443,7 @@ def block_identity_below(a: Partition, side: str):
     free = [b for b in range(len(upper | lower)) if b not in frozen]
     out = []
     for merge in equivalences(len(free)):
-        label = dict(zip(free, merge.code))
+        label = dict(zip(free, merge))
         label.update((b, -1 - b) for b in frozen)
         out.append(Partition(n, _canonical(label[b] for b in a.code)))
     return out

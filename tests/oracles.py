@@ -877,16 +877,17 @@ def green_class_count(gs, rel):
     return len(set(getattr(gs, rel + "_class")))
 
 
-def set_partition_classes(p):
-    """The blocks of a set partition as frozensets, ordered by block id."""
+def set_partition_classes(code):
+    """The blocks of a set partition's canonical code as frozensets,
+    ordered by block id."""
     return tuple(
-        frozenset(x + 1 for x, b in enumerate(p.code) if b == c)
-        for c in range(len(set(p.code)))
+        frozenset(x + 1 for x, b in enumerate(code) if b == c)
+        for c in range(len(set(code)))
     )
 
 
 def set_partition_join(p, q):
-    """The least common coarsening of two set partitions of one degree:
+    """The least common coarsening of two canonical codes of one length:
     their blocks, merged while any two overlap."""
     merged = []
     for block in set_partition_classes(p) + set_partition_classes(q):
@@ -895,12 +896,12 @@ def set_partition_join(p, q):
             merged.remove(other)
             block |= other
         merged.append(block)
-    return set_partition_from_blocks(p.n, merged)
+    return set_partition_from_blocks(len(p), merged)
 
 
 def set_partition_from_blocks(n, blocks):
-    """The set partition of {1..n} with the given blocks, canonically
-    labelled; raises ValidationError unless the blocks partition 1..n."""
+    """The canonical code of the set partition of {1..n} with the given
+    blocks; raises ValidationError unless the blocks partition 1..n."""
     assign = {}
     for block in blocks:
         bid = len(assign)
@@ -913,8 +914,7 @@ def set_partition_from_blocks(n, blocks):
     missing = [x for x in range(1, n + 1) if x not in assign]
     if missing:
         raise ValidationError(f"point {missing[0]} not covered")
-    code = dg._canonical(assign[x] for x in range(1, n + 1))
-    return dg.SetPartition(n, code)
+    return dg._canonical(assign[x] for x in range(1, n + 1))
 
 
 def partition_generators(n):
@@ -937,14 +937,26 @@ def partition_generators(n):
     return gens
 
 
+def relation_kernel(a):
+    """The pairs (x, y) of points of a relation's domain that share an
+    image point: reflexive and symmetric on the domain, maybe not
+    transitive.  The cokernel is the kernel of the converse."""
+    return frozenset(
+        (x + 1, y + 1)
+        for x in range(a.n)
+        for y in range(a.n)
+        if a.rows[x] & a.rows[y]
+    )
+
+
 def relation_predicates(a):
     """Injectivity and surjectivity of a relation and of its converse,
     from its domain, codomain, kernel and cokernel."""
     p = rel.rel_params(a)
     trivial_on = lambda pairs, s: pairs == frozenset((x, x) for x in s)
     return SimpleNamespace(
-        injective=trivial_on(p.ker, p.dom),
-        coinjective=trivial_on(p.coker, p.codom),
+        injective=trivial_on(relation_kernel(a), p.dom),
+        coinjective=trivial_on(relation_kernel(rel.converse(a)), p.codom),
         surjective=len(p.codom) == a.n,
         cosurjective=len(p.dom) == a.n,
     )

@@ -663,3 +663,14 @@ def test_state_error_is_contained_per_check_and_degree(
     changed = [x for x, y in zip(lines[:-1], clean[:-1]) if x != y]
     assert changed and all(x.startswith("[FAIL] check_") for x in changed)
     assert lines[-1] == f"{58 - len(changed)}/58 checks passed"
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, None])
+def test_passed_results_are_the_summary_count(capsys, nmax):
+    # a reader that sums ``passed`` gets the N of "N/M checks passed":
+    # a skipped result is not a pass
+    argv = ["verify", "all"] + ([] if nmax is None else ["--nmax", str(nmax)])
+    assert cli.main(argv) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    passed = sum(r.passed for r in verify.run_suite("all", nmax))
+    assert summary.startswith(f"{passed}/")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from diagmon import diagrams as dg
 from diagmon import relations as rel
 from diagmon.errors import DegreeMismatchError, ValidationError
-from diagmon.zoo import partition_universe
+from diagmon.zoo import partition_universe, relation_universe
 
 from oracles import (
     involute,
@@ -199,9 +199,9 @@ def test_points_must_be_exactly_int(build):
 def test_refinement_properties():
     u = partition_universe(2)
     for a in u:
-        assert dg.refines(a, a)
+        assert dg.refines(a.code, a.code)
         for b in u:
-            if dg.refines(a, b) and dg.refines(b, a):
+            if dg.refines(a.code, b.code) and dg.refines(b.code, a.code):
                 assert a == b
 
 
@@ -220,6 +220,22 @@ def test_validation_errors():
         dg.from_blocks([[1, 2, -1]], 2)  # -2 uncovered
     with pytest.raises(DegreeMismatchError):
         dg.multiply(dg.identity(2), dg.identity(3))
+
+
+def test_refines_rejects_codes_of_different_lengths():
+    with pytest.raises(DegreeMismatchError):
+        dg.refines((0, 0), (0, 0, 0))
+
+
+def test_hashes_are_those_of_the_plain_tuples():
+    # a diagram or a relation hashes as the tuple of its fields, as it did
+    # when it cached hash((n, code)): every dict and set keeps its order
+    for n in range(4):
+        for a in partition_universe(n):
+            assert hash(a) == hash((a.n, a.code))
+    for n in range(3):
+        for a in relation_universe(n):
+            assert hash(a) == hash((a.n, a.rows))
 
 
 def test_set_partition_join_and_refines():

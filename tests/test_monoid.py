@@ -224,7 +224,7 @@ def test_right_zeros_and_minimal_ideal():
     d1 = frozenset(
         i for i, a in enumerate(pfd.elements)
         if dg.params(a).rank == 1
-        and dg.params(a).ker == dg.SetPartition.universal(2)
+        and dg.params(a).ker == (0, 0)
     )
     assert mon.right_zeros(pfd) == d1
     assert mon.minimal_ideal(pfd) == d1

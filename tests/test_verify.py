@@ -1,5 +1,7 @@
 """Suite driver behavior: section selection, degree capping, formatting."""
 
+import dataclasses
+
 import pytest
 
 from diagmon import diagrams as dg
@@ -21,7 +23,8 @@ def test_degree_cap_must_be_an_integer_at_least_0(nmax):
 
 def test_degree_cap_produces_vacuous_pass():
     results = verify.run_suite("all", nmax=0)
-    assert results and all(r.passed for r in results)
+    # every line is a pass or a skip, and a skip is not a pass
+    assert results and all(r.passed != r.skipped for r in results)
 
 
 @pytest.mark.parametrize("nmax", range(5))
@@ -54,8 +57,8 @@ def _every_coarsening(a, side):
     return [
         dg.from_blocks(
             [
-                [x for i, bl in enumerate(blocks) if m.code[i] == c for x in bl]
-                for c in set(m.code)
+                [x for i, bl in enumerate(blocks) if m[i] == c for x in bl]
+                for c in set(m)
             ],
             a.n,
         )
@@ -78,3 +81,25 @@ def test_order_characterizations_fail_on_broken_generators(monkeypatch):
     )
     [result] = verify.check_order_characterizations()
     assert not result.passed
+
+
+def test_rr4_eggbox_line_checks_the_chain(monkeypatch):
+    # two of RR4's D-classes made incomparable: the egg-box still draws
+    # five clusters, but they no longer form a chain
+    name = "degree-4 right-restriction egg-box has 5 chained clusters"
+    rr4, original = zoo.build("RR4"), verify.green
+
+    def green(s):
+        gs = original(s)
+        if s is not rr4:
+            return gs
+        height = {len(b): d for d, b in enumerate(gs.below)}
+        below = list(gs.below)
+        below[height[3]] = below[height[3]] - {height[2]}
+        return dataclasses.replace(gs, below=below)
+
+    [line] = [r for r in verify.check_rank_chain_structure() if r.name == name]
+    assert line.passed
+    monkeypatch.setattr(verify, "green", green)
+    [line] = [r for r in verify.check_rank_chain_structure() if r.name == name]
+    assert not line.passed
