@@ -6,13 +6,13 @@ matrices, and run the verification suites.  Outputs are deterministic:
 JSON keys are sorted and files are written atomically (temp file plus
 rename).  The JSON text is byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, but made as
-a stream of chunks of bounded size (``_json_stream``), every flat table
-one row at a time (``_Rows``), and written in blocks of about 64 KiB as
-it is made (``_write``): no string of the whole output exists.  On
-2 vCPUs ``build RR4`` peaks at 22 MB, its table read from typed rows and
-its elements made one by one, and ``stein Pfd4 F --side right`` at
-20 MB, each matrix row made as it is written, where ``json.dumps`` took
-92 MB and 527 MB.  The format of the ``build`` dump is set here alone.
+a stream of chunks (``_json_stream``), a table one row at a time
+(``_Rows``), each chunk written as it is made (``_write``): no string of
+the whole output exists.  On 2 vCPUs ``build RR4`` peaks at 20 MB, its
+table read from typed rows and its elements made one by one, and
+``stein Pfd4 F --side right`` at 20 MB, each matrix row made as it is
+written, where ``json.dumps`` took 92 MB and 527 MB.  The format of the
+``build`` dump is set here alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.
@@ -39,21 +39,19 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-BLOCK = 1 << 16  # a block is written once it holds this many characters
-
-
 def _write_out(text, fh):
-    """Write one block of the output; every output byte goes through here."""
+    """Write one chunk of the output; every output byte goes through here."""
     fh.write(text)
 
 
 def _write(chunks, out):
     """Write an output's chunks to ``out``, or to stdout when it is None,
-    in blocks of about ``BLOCK`` characters, so no string of the whole
-    output is made.  A file is written to a temp file beside it, renamed
-    over ``out`` once complete and removed on any failure."""
+    each as it is made, so no string of the whole output is made.  A file
+    is written to a temp file beside it, renamed over ``out`` once
+    complete and removed on any failure."""
     if out is None:
-        _write_blocks(chunks, sys.stdout)
+        for chunk in chunks:
+            _write_out(chunk, sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(out))
     try:
@@ -62,7 +60,8 @@ def _write(chunks, out):
         raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with os.fdopen(fd, "w") as fh:
-            _write_blocks(chunks, fh)
+            for chunk in chunks:
+                _write_out(chunk, fh)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,98 +69,73 @@ def _write(chunks, out):
         raise
 
 
-def _write_blocks(chunks, fh):
-    """Join the chunks into blocks of at most ``BLOCK`` characters plus one
-    chunk and write each one."""
-    block, size = [], 0
-    for chunk in chunks:
-        block.append(chunk)
-        size += len(chunk)
-        if size >= BLOCK:
-            _write_out("".join(block), fh)
-            block, size = [], 0
-    if block:
-        _write_out("".join(block), fh)
-
-
 class _Rows(NamedTuple):
     """A table given as its rows, written as the flat row-major list of
-    its entries; ``text`` gives an entry's JSON text at indent 0."""
+    its entries; ``text`` gives an entry's JSON text as a list item."""
 
     rows: list
     text: Callable = str
 
 
+# the newline and indent that start each line of a value of a command's
+# dict, and of an item of a list that is such a value
+_VALUE, _ITEM = "\n  ", "\n    "
+
+
+def _dumps(obj, nl):
+    """``json.dumps`` of ``obj``, its lines started by ``nl``."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+
+
 def _pair(v):
-    """The [numerator, denominator] text of a rational; v gives [v, 1]."""
-    return json.dumps([v.numerator, v.denominator], indent=2)
+    """The [numerator, denominator] text of a rational as a list item; v
+    gives [v, 1]."""
+    return _dumps([v.numerator, v.denominator], _ITEM)
 
 
-def _json_stream(obj):
-    """The chunks of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``,
-    each of bounded size: a ``_Rows`` or a flat integer list goes row by
-    row, so no list of every leaf is held."""
-    yield from _json_chunks(obj, "\n")
-    yield "\n"
+def _json_stream(data):
+    """The chunks of ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``
+    for a command's dict ``data``, non-empty with string keys.  Each value
+    is one ``json.dumps``, but with an indent ``json`` keeps a list of
+    every leaf, so the large ones stream: a ``_Rows`` row by row and an
+    iterator as the list of its items, each made only when it is written."""
+    lead = "{"
+    for key, value in sorted(data.items()):
+        yield lead + _VALUE + json.dumps(key) + ": "
+        lead = ","
+        if type(value) is _Rows:
+            texts = _Texts(value.text)
+            yield from _list_chunks(
+                ("," + _ITEM).join(map(texts.__getitem__, row))
+                for row in value.rows
+            )
+        elif isinstance(value, Iterator):
+            yield from _list_chunks(_dumps(item, _ITEM) for item in value)
+        else:
+            yield _dumps(value, _VALUE)
+    yield "\n}\n"
 
 
-def _json_chunks(obj, nl):
-    """The JSON text of ``obj`` whose lines start with ``nl``, a newline and
-    the current indent.  Dicts with string keys, lists and iterators, an
-    iterator as the list of its items, each made only when it is written,
-    are written here; every leaf, empty container, tuple and dict with
-    other keys by ``json.dumps``, re-indented, as JSON text holds no raw
-    newline."""
-    inner = nl + "  "
-    sep = "," + inner
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        yield "{"
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            yield (sep if i else inner) + json.dumps(key) + ": "
-            yield from _json_chunks(value, inner)
-        yield nl + "}"
-    elif type(obj) is list and obj and set(map(type, obj)) == {int}:
-        yield from _rows_chunks(_Rows([obj]), nl)
-    elif type(obj) is list and obj or isinstance(obj, Iterator):
-        lead = "[" + inner
-        for value in obj:
-            yield lead
-            yield from _json_chunks(value, inner)
-            lead = sep
-        yield nl + "]" if lead is sep else "[]"
-    elif type(obj) is _Rows:
-        yield from _rows_chunks(obj, nl)
-    else:
-        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+def _list_chunks(texts):
+    """A list value from the texts of its items at ``_ITEM``, each text
+    one item or more: one chunk per non-empty text."""
+    lead = "[" + _ITEM
+    for text in filter(None, texts):
+        yield lead + text
+        lead = "," + _ITEM
+    yield _VALUE + "]" if lead[0] == "," else "[]"
 
 
 class _Texts(dict):
-    """The text of each entry, at the indent ``inner``, made when first
-    asked for and kept."""
+    """The text of each entry, made when first asked for and kept."""
 
-    def __init__(self, text, inner):
+    def __init__(self, text):
         super().__init__()
-        self.text, self.inner = text, inner
+        self.text = text
 
     def __missing__(self, v):
-        t = self[v] = self.text(v).replace("\n", self.inner)
+        t = self[v] = self.text(v)
         return t
-
-
-def _rows_chunks(obj, nl):
-    """The flat list of a ``_Rows``, one chunk per non-empty row, with the
-    text of each distinct entry made once."""
-    inner = nl + "  "
-    sep = "," + inner
-    texts = _Texts(obj.text, inner)
-    lead = "[" + inner
-    for row in filter(None, obj.rows):
-        # the lead goes out apart: a copy of each row joined to it would
-        # fragment the heap, by 4 MB on build RR4
-        yield lead
-        yield sep.join(map(texts.__getitem__, row))
-        lead = sep
-    yield nl + "]" if lead is sep else "[]"
 
 
 def cmd_build(args):

@@ -378,22 +378,23 @@ def keep(obj):
     }
 
 
-def plain(obj):
-    """``obj`` with each ``cli._Rows`` of pairs replaced by the flat pair
-    list that ``json.dumps`` writes as the stein output, each other
-    ``cli._Rows`` by the flat list of its entries and each ``Kept`` by the
-    list of the items it yielded."""
-    if type(obj) is Kept:
-        return [plain(v) for v in obj.items]
-    if type(obj) is cli._Rows and obj.text is cli._pair:
-        return matrix_to_json(obj.rows)
-    if type(obj) is cli._Rows:
-        return [v for row in obj.rows for v in row]
-    if isinstance(obj, dict):
-        return {k: plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
-    return obj
+def plain(data):
+    """The dict ``data`` with each value that the writer streams replaced
+    by what ``json.dumps`` must write for it: a ``cli._Rows`` of pairs by
+    the flat pair list of the stein output, each other ``cli._Rows`` by the
+    flat list of its entries and each ``Kept`` by the list of the items it
+    yielded."""
+
+    def value(v):
+        if type(v) is Kept:
+            return v.items
+        if type(v) is cli._Rows and v.text is cli._pair:
+            return matrix_to_json(v.rows)
+        if type(v) is cli._Rows:
+            return [x for row in v.rows for x in row]
+        return v
+
+    return {k: value(v) for k, v in data.items()}
 
 
 # quotes, backslashes, control characters and non-ASCII text, beside the
@@ -421,21 +422,20 @@ ENTRIES = {
 
 
 @settings(max_examples=200, deadline=None)
-@given(JSON_VALUES)
+@given(st.dictionaries(TEXT, JSON_VALUES, min_size=1, max_size=6))
 def test_json_writer_matches_json_dumps(obj):
+    # a command's dict: every value is written by json.dumps
     assert json_text(obj) == dumps(obj)
 
 
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), depth=st.integers(0, 3))
-def test_rows_match_the_flat_list(kind, data, depth):
+@given(data=st.data())
+def test_rows_match_the_flat_list(kind, data):
     text, entries = ENTRIES[kind]
     # rows of up to 5 entries, empty ones among them
     rows = data.draw(st.lists(st.lists(entries, max_size=5), max_size=5))
-    obj = cli._Rows(rows, text)
-    for _ in range(depth):
-        obj = {"m": obj, "k": [obj]}
+    obj = {"k": [1, {"a": None}], "m": cli._Rows(rows, text), "z": "x"}
     assert json_text(obj) == dumps(plain(obj))
 
 
@@ -473,43 +473,44 @@ def test_rows_match_the_flat_list(kind, data, depth):
     ),
 )
 def test_json_writer_edge_cases(obj):
-    assert json_text(obj) == dumps(plain(obj))
+    # each case as a value beside other keys, and a dict with string keys
+    # as a command's dict too
+    data = {"a": [], "v": obj, "z": {"b": 2}}
+    assert json_text(data) == dumps(plain(data))
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        assert json_text(obj) == dumps(obj)
 
 
 @pytest.mark.parametrize(
     "items",
     [[], [7], [{}], [[]], [{"n": 2, "blocks": [[1, -1], [2, -2]]}, None, "x"],
-     [[1, 2], cli._Rows([[3, 4]]), {"a": [5]}]],
+     [[1, 2], (3, 4), {"a": [5]}]],
 )
 def test_iterators_are_written_as_lists(items):
-    # each item is made only when it is written, in a list of its own or
-    # as a dict value beside other keys
+    # each item is made only when it is written, as a dict value beside
+    # other keys
     obj = {"b": (item for item in items), "a": 1, "c": [2]}
-    assert json_text(obj) == dumps(plain({**obj, "b": items}))
-    assert json_text(iter(items)) == dumps(plain(items))
+    assert json_text(obj) == dumps({**obj, "b": items})
 
 
 def _json_outputs(monkeypatch, argv):
-    """The object a command hands to ``cli._json_stream``, the length of
-    the longest chunk of that stream and the blocks written, or None when
-    the command writes no JSON."""
-    seen, longest, blocks = [], [0], []
+    """The dict a command hands to ``cli._json_stream`` and the texts
+    written, one per write, or None when the command writes no JSON."""
+    seen, writes = [], []
     original = cli._json_stream
 
     def stream(obj):
         obj = keep(obj)  # an iterator is spent once it is written
         seen.append(obj)
-        for chunk in original(obj):
-            longest[0] = max(longest[0], len(chunk))
-            yield chunk
+        return original(obj)
 
     monkeypatch.setattr(cli, "_json_stream", stream)
-    monkeypatch.setattr(cli, "_write_out", lambda text, fh: blocks.append(text))
+    monkeypatch.setattr(cli, "_write_out", lambda text, fh: writes.append(text))
     cli.main(argv)
     if not seen:
         return None
     [obj] = seen
-    return obj, longest[0], blocks
+    return obj, writes
 
 
 def _json_commands(name):
@@ -531,18 +532,20 @@ def test_every_json_output_matches_json_dumps(monkeypatch, capsys, name):
     for argv in _json_commands(name):
         got = _json_outputs(monkeypatch, argv)
         if got is not None:
-            obj, _, blocks = got
-            assert "".join(blocks) == dumps(plain(obj)), argv
+            obj, writes = got
+            assert "".join(writes) == dumps(plain(obj)), argv
             written += 1
     capsys.readouterr()
     assert written  # at least the build dump
 
 
 def test_build_writes_bounded_blocks(monkeypatch):
-    # the 6.5 MB dump goes out while it is made, never as one string
-    _, longest, blocks = _json_outputs(monkeypatch, ["build", "RR4"])
-    assert len(blocks) > 1
-    assert max(map(len, blocks)) <= 64 * 1024 + longest
+    # the 6.5 MB dump goes out while it is made, a table row or an element
+    # at a time, never as one string or in joined blocks
+    _, writes = _json_outputs(monkeypatch, ["build", "RR4"])
+    assert len(writes) > 1000
+    assert max(map(len, writes)) <= 16 * 1024
+    assert sum(map(len, writes)) == 6_465_452
 
 
 @pytest.mark.parametrize("name", ["RR4", "LL4"])
