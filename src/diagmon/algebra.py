@@ -11,11 +11,12 @@ Its matrix is the zeta matrix of the order and its inverse the Mobius
 matrix, both held by their non-zero entries, each dense row made when it
 is read.  The certificate reads one column of products per basis element
 below each generator, grouped by source object, so it forms only defined
-compositions.  All linear algebra is exact.  Radical dimensions come from
-the trace-form criterion, read off the rows of basis products: the rank of
-the integer Gram matrix is bounded below by elimination mod a prime below
-2**26, on rows packed 32 residues to a Python int, and above by integer
-kernel vectors checked exactly, so no rational elimination runs.
+compositions.  All linear algebra is exact.  Radical dimensions of the
+semigroup algebra come from the trace-form criterion, read off the rows of
+its Cayley table: the rank of the integer Gram matrix is bounded below by
+elimination mod a prime below 2**26, found by trial division, on rows
+packed 32 residues to a Python int, and above by integer kernel vectors
+checked exactly, so no rational elimination runs.
 """
 
 from __future__ import annotations
@@ -226,27 +227,22 @@ def is_multiplicative(cat: EhresmannCategory, phi) -> bool:
 
 
 class RationalAlgebra:
-    """An algebra whose basis products are single basis elements or zero.
+    """The semigroup algebra Q[S], held by the rows of its Cayley table:
+    ``rows[i][j]`` is the basis element ij."""
 
-    Covers both the semigroup algebra (product always defined) and the
-    category algebra (undefined compositions are zero).
-    """
-
-    def __init__(self, dimension, basis_mul, row=None):
-        self.dimension = d = dimension
-        self.basis_mul = basis_mul  # (i, j) -> index or None
-        # row(i) lists basis_mul(i, j) for every j
-        self.row = row or (lambda i: [basis_mul(i, j) for j in range(d)])
+    def __init__(self, rows):
+        self.rows = rows
+        self.dimension = len(rows)
 
     @classmethod
     def of_monoid(cls, s: FiniteMonoid):
         """Rows from one whole table: ``_gram`` reads each row twice."""
-        return cls(s.size, s.mul, s._build_table().__getitem__)
+        return cls(s._build_table())
 
     def trace_left(self, k):
         """Trace of left multiplication by basis element k: the number of
         fixed points of its row."""
-        return sum(map(eq, self.row(k), range(self.dimension)))
+        return sum(map(eq, self.rows[k], range(self.dimension)))
 
 
 def radical_dim(a: RationalAlgebra) -> int:
@@ -264,32 +260,12 @@ def radical_dim(a: RationalAlgebra) -> int:
 
 
 def _gram(a: RationalAlgebra):
-    """The integer trace-form matrix; 0 where a basis product is undefined."""
-    d = a.dimension
-    traces = {k: a.trace_left(k) for k in range(d)}
-    traces[None] = 0
-    return [list(map(traces.__getitem__, a.row(i))) for i in range(d)]
+    """The integer trace-form matrix, G[i][j] = t(ij)."""
+    traces = [a.trace_left(k) for k in range(a.dimension)]
+    return [list(map(traces.__getitem__, row)) for row in a.rows]
 
 
 # -- exact integer rank: a mod-p lower bound and a kernel certificate ---------
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin for odd n > 37 below 3.3 * 10**24."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(q, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _primes():
@@ -298,11 +274,9 @@ def _primes():
     Below 2**26 a product of two residues is below 2**52, so the lazy slot
     arithmetic of ``_rref_mod`` stays within 64 bits for 4,096 updates.
     """
-    n = 2**26 - 1
-    while True:
-        if _is_prime(n):
+    for n in range(2**26 - 1, 2, -2):
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
             yield n
-        n -= 2
 
 
 # A row of ``_rref_mod`` is a list of ints, each packing _SLOTS 64-bit slots,

@@ -335,7 +335,7 @@ def make_parser():
     p.set_defaults(func=cmd_stein)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("section", choices=("2", "3", "4", "5", "all"))
+    p.add_argument("section", choices=(*verify.SUITES, "all"))
     p.add_argument("--nmax", type=int, default=None, help="degree cap")
     common(p)
     p.set_defaults(func=cmd_verify)

@@ -589,11 +589,12 @@ def monoid_associative(m, exhaustive_cap=250, samples=2000):
 
 
 def algebra_associative(a, cap=100):
-    """Associativity of a basis product that may be undefined (None)."""
-    if a.dimension > cap:
+    """Associativity of an algebra given as a (dimension, product) pair,
+    whose basis product may be undefined (None)."""
+    d, mul = a
+    if d > cap:
         raise ValueError(f"associativity sweep capped at dimension {cap}")
-    rng = range(a.dimension)
-    mul = a.basis_mul
+    rng = range(d)
     for i in rng:
         for j in rng:
             ij = mul(i, j)
@@ -830,19 +831,19 @@ def compose(cat, x, y):
 
 
 def category_algebra(cat):
-    """The category algebra: undefined compositions are zero."""
-    return algebra.RationalAlgebra(
-        cat.monoid.size, lambda x, y: compose(cat, x, y)
-    )
+    """The category algebra as a (dimension, product) pair: an undefined
+    composition is None, a zero product."""
+    return cat.monoid.size, lambda x, y: compose(cat, x, y)
 
 
 def algebra_multiply(a, u, v):
-    """The product of two vectors of a ``RationalAlgebra``, each a dict
-    index -> Fraction with no zero entries."""
+    """The product of two vectors of the (dimension, product) pair a, each
+    a dict index -> Fraction with no zero entries."""
+    _, mul = a
     out = {}
     for i, x in u.items():
         for j, y in v.items():
-            k = a.basis_mul(i, j)
+            k = mul(i, j)
             if k is not None:
                 out[k] = out.get(k, 0) + x * y
     return {k: c for k, c in out.items() if c}
@@ -1006,16 +1007,17 @@ def stein_pairwise(cat, phi):
 
 
 def table_algebra(s):
-    """The semigroup algebra of the monoid s for the Gram oracle: its
-    basis product read pair by pair from ``cayley_table(s)``."""
+    """The semigroup algebra of the monoid s as a (dimension, product)
+    pair, its basis product read pair by pair from ``cayley_table(s)``."""
     t = cayley_table(s)
-    return algebra.RationalAlgebra(s.size, lambda i, j: t[i][j])
+    return s.size, lambda i, j: t[i][j]
 
 
 def gram_fractions(a):
-    """The trace-form Gram matrix from definitional traces: the trace of
-    left multiplication by k counts the j with k*j = j."""
-    d, mul = a.dimension, a.basis_mul
+    """The trace-form Gram matrix of the (dimension, product) pair a from
+    definitional traces: the trace of left multiplication by k counts the
+    j with k*j = j, and an undefined product has trace 0."""
+    d, mul = a
     trace = {None: Fraction(0)}
     for k in range(d):
         trace[k] = Fraction(sum(1 for j in range(d) if mul(k, j) == j))
@@ -1049,7 +1051,8 @@ def rational_rank(rows):
 
 def radical_nullity(a):
     """dim rad A as the nullity of the rational trace form."""
-    return a.dimension - rational_rank(gram_fractions(a))
+    g = gram_fractions(a)
+    return len(g) - rational_rank(g)
 
 
 def rref_mod_lists(rows, ncols, p):

@@ -15,6 +15,7 @@ from diagmon.monoid import froidure_pin
 from oracles import (
     algebra_associative,
     algebra_multiply,
+    cayley_table,
     category_algebra,
     compose,
     gram_fractions,
@@ -349,7 +350,9 @@ def test_sweep_needs_the_identity_pairs():
 
 def test_rational_algebra_associativity_and_products():
     s = zoo.build("PT2")
-    a = algebra.RationalAlgebra.of_monoid(s)
+    rows = algebra.RationalAlgebra.of_monoid(s).rows
+    assert rows == cayley_table(s)
+    a = (len(rows), lambda i, j: rows[i][j])
     assert algebra_associative(a)
     cat = algebra.build_category(s, zoo.semilattice_for("E", "PT2"))
     c = category_algebra(cat)
@@ -400,36 +403,47 @@ def test_radical_dim_matches_the_rational_oracle_on_monoid_algebras():
     assert checked == 66
 
 
+def _integer_gram(a):
+    """The trace-form matrix of the oracle's (dimension, product) pair a,
+    in integers."""
+    return [list(map(int, row)) for row in gram_fractions(a)]
+
+
 def test_radical_dim_matches_the_rational_oracle_on_category_algebras():
+    # Stein: Q[S] is isomorphic to the category algebra of C(S, E), so
+    # both radicals have one dimension; the exact rank of the category
+    # algebra's Gram matrix finds it too
     for name, kind in CATEGORY_PAIRS:
         a = _category_algebra(name, kind)
-        assert algebra.radical_dim(a) == radical_nullity(a), name
+        g = _integer_gram(a)
+        assert len(g) - algebra._integer_rank(g) == radical_nullity(a), name
+        s = zoo.build(name)
+        got = algebra.radical_dim(algebra.RationalAlgebra.of_monoid(s))
+        assert got == radical_nullity(a), name
 
 
-def _gram_algebras():
-    """The monoid algebras up to degree 3 and the category algebras, each
-    with the algebra the Gram oracle reads: a monoid's products come from
-    its table, ``table_algebra``, and a category algebra is its own."""
+def _gram_matrices():
+    """The integer Gram matrices of the monoid algebras up to degree 3, by
+    ``_gram``, and of the category algebras, by the oracle."""
     monoids = [
-        (algebra.RationalAlgebra.of_monoid(s), table_algebra(s))
+        algebra._gram(algebra.RationalAlgebra.of_monoid(s))
         for s in map(zoo.build, _families(3))
     ]
     categories = [
-        _category_algebra(name, kind) for name, kind in CATEGORY_PAIRS
+        _integer_gram(_category_algebra(*pair)) for pair in CATEGORY_PAIRS
     ]
-    return monoids + [(a, a) for a in categories]
+    return monoids + categories
 
 
 def test_gram_matrix_matches_the_definitional_traces():
-    null = algebra.RationalAlgebra(3, lambda i, j: None)
-    for a, oracle in _gram_algebras() + [(null, null)]:
-        assert algebra._gram(a) == gram_fractions(oracle)
+    for s in map(zoo.build, _families(3)):
+        a = algebra.RationalAlgebra.of_monoid(s)
+        assert algebra._gram(a) == gram_fractions(table_algebra(s))
 
 
 def test_gram_matrix_is_symmetric():
     # t(ij) = tr(L_i L_j) = tr(L_j L_i) = t(ji)
-    for a, _ in _gram_algebras():
-        g = algebra._gram(a)
+    for g in _gram_matrices():
         assert all(
             g[i][j] == g[j][i] for i in range(len(g)) for j in range(i)
         )
@@ -464,9 +478,7 @@ def test_integer_rank_retries_past_unlucky_primes(monkeypatch):
 def test_integer_rank_of_empty_and_zero_matrices():
     assert algebra._integer_rank([]) == 0
     assert algebra._integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
-    assert algebra.radical_dim(algebra.RationalAlgebra(0, None)) == 0
-    null = algebra.RationalAlgebra(3, lambda i, j: None)
-    assert algebra.radical_dim(null) == 3
+    assert algebra.radical_dim(algebra.RationalAlgebra([])) == 0
 
 
 def test_primes_are_descending_26_bit_primes():
@@ -484,17 +496,16 @@ def test_primes_are_descending_26_bit_primes():
 
 def test_rref_mod_matches_the_list_oracle_on_gram_matrices():
     p = next(algebra._primes())
-    algebras = [
-        algebra.RationalAlgebra.of_monoid(s)
+    grams = [
+        algebra._gram(algebra.RationalAlgebra.of_monoid(s))
         for s in map(zoo.build, _families(4))
         if s.size <= 300
     ]
-    algebras += [_category_algebra(name, kind) for name, kind in CATEGORY_PAIRS]
-    for a in algebras:
-        g = algebra._gram(a)
-        assert algebra._rref_mod(g, a.dimension, p) == rref_mod_lists(
-            g, a.dimension, p
-        )
+    grams += [
+        _integer_gram(_category_algebra(*pair)) for pair in CATEGORY_PAIRS
+    ]
+    for g in grams:
+        assert algebra._rref_mod(g, len(g), p) == rref_mod_lists(g, len(g), p)
 
 
 def _test_matrices(rng):
