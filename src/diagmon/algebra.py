@@ -475,10 +475,10 @@ def _in_kernel(rows, v):
     return not any(sum(row[c] * x for c, x in support) for row in rows)
 
 
-def check_semisimple_quotient(s: FiniteMonoid, e: Semilattice) -> bool:
-    """Dimension check: dim K[S] - dim rad K[S] equals the count of
-    E-regular elements.  Requires every endomorphism monoid of C(S, E)
-    to be a group; otherwise raises a state error naming that hypothesis."""
+def ei_radical_dim(s: FiniteMonoid, e: Semilattice) -> int:
+    """dim rad K[S], once every endomorphism monoid of C(S, E) is checked
+    to be a group; otherwise raises a state error naming that
+    hypothesis."""
     cat = build_category(s, e)
     flag, witness = is_ei(cat)
     if not flag:
@@ -486,5 +486,10 @@ def check_semisimple_quotient(s: FiniteMonoid, e: Semilattice) -> bool:
             "semisimple-quotient check needs every endomorphism to be "
             f"invertible; element {witness} is a non-invertible endomorphism"
         )
-    rad = radical_dim(RationalAlgebra.of_monoid(s))
-    return s.size - rad == len(reg_e(s, e))
+    return radical_dim(RationalAlgebra.of_monoid(s))
+
+
+def check_semisimple_quotient(s: FiniteMonoid, e: Semilattice) -> bool:
+    """Dimension check: dim K[S] - dim rad K[S] equals the count of
+    E-regular elements, with the radical from ``ei_radical_dim``."""
+    return s.size - ei_radical_dim(s, e) == len(reg_e(s, e))

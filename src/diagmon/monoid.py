@@ -1,24 +1,24 @@
 """Finite monoids: Froidure–Pin enumeration, Cayley graphs, Green's relations.
 
-Every monoid here lives in a known universe of elements and is found by
-one closure walk, ``_walk``, which multiplies each element reached by
-each generator on the right and numbers every product by its position in
-the universe; a product outside the universe stops it, so closure is
-exact.  ``froidure_pin`` walks breadth first from the identity, as in
-Froidure & Pin (1997), "Algorithms for computing finite semigroups", and
-its universe, which the generators must reach whole, certifies both the
-generating set and closure.  The walk's rows record x*g for every
-element x and generator g, and its tree how each element is first
+Every monoid here lives in a known universe of elements, numbered by
+position.  ``froidure_pin`` walks breadth first from the identity over the
+right actions of the generators, each given whole as one tuple of
+positions, as in Froidure & Pin (1997), "Algorithms for computing finite
+semigroups".  P_n's actions come from zoo's position tables;
+``right_actions`` makes any others with one product per element and
+generator, and a product outside the universe stops it, so closure is
+exact.  The universe, which the generators must reach whole, certifies the
+generating set.  The walk's tree records how each element is first
 reached, x = x'*g with x' found earlier, so that it spells each element's
-short-lex least word.  Only x*g calls the concrete operation: g*x follows
-from the tree, and so does every later product.
+short-lex least word.  Only x*g is given: g*x follows from the tree, and
+so does every later product.
 
 A ``FiniteMonoid`` is that record: its elements indexed 0..m-1, a
 certified generating set, the right graph and the tree, from which it
 derives the left graph.  Each graph is kept once, as one action per
 generator: ``right[k]`` lists x*g_k and ``left[k]`` g_k*x for every x, a
-tuple of m indices made when the walk ends, by transposing its rows once
-and by following the tree.  The tree is kept as the walk left it: the
+tuple of m indices; the left one is made when the walk ends, by following
+the tree.  The tree is kept as the walk left it: the
 discovery order and each element's parent and last letter, so words are
 read up it and none is stored.  ``froidure_pin`` returns one, and so does
 ``submonoid`` for a closed index subset, such as a diagram family's
@@ -33,10 +33,13 @@ rows of 2 bytes an entry.  Work of m^2 products, the dump and the sweep
 of L2 and R2 over every theta, is done only up to ``TABLE_CAP``.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
-run the same walk inside the subset greedily: generators are picked in
-the parent's discovery order, adding an element only when the closure
-grown so far has not reached it, and the walk goes on from each pick.
-``escape`` then names the first escaping pair row by row.  Neither reads
+run a closure walk, ``_walk``, inside the subset greedily: generators are
+picked in the parent's discovery order, adding an element only when the
+closure grown so far has not reached it, and the walk goes on from each
+pick, multiplying each element reached by each generator so far.  A
+submonoid's rows x*g are transposed into actions once; one that holds the
+parent's identity takes it as its own.  ``escape`` then names the first
+escaping pair row by row.  Neither reads
 Green's structure, so building a monoid never computes it.
 
 Green's R- and L-classes are the strongly connected components of the right
@@ -61,17 +64,17 @@ from .errors import StateError, ValidationError
 TABLE_CAP = 1000
 
 
-def froidure_pin(generators, op, identity, universe):
-    """The monoid generated under op by the given elements, numbered by
-    their positions in ``universe``, a sequence of every element it should
-    have.
+def froidure_pin(actions, identity, universe):
+    """The monoid of the generators whose right actions on ``universe``, a
+    sequence of every element it should have, are ``actions``:
+    ``actions[k][x]`` is the position of universe[x]*g_k.  Its elements are
+    numbered by their positions.
 
     Elements are found breadth first from the identity, so the walk's
     discovery order is the short-lex order of the elements' least words,
     and each element x = x'*g_k is reached first from such an x'.  A
-    product outside the universe raises ValidationError as soon as it is
-    found, and so does a closure smaller than the universe: reaching every
-    element certifies both the generating set and closure.
+    closure smaller than the universe raises ValidationError: reaching
+    every element certifies the generating set.
     """
     place = {x: i for i, x in enumerate(universe)}
     if len(place) != len(universe):
@@ -79,17 +82,47 @@ def froidure_pin(generators, op, identity, universe):
     start = place.get(identity)
     if start is None:
         raise ValidationError("the identity is not in the given universe")
-    members, rows = [start], [[] for _ in universe]
-    parent, letter = [-1] * len(universe), [-2] * len(universe)
+    order, parent, letter = [start], [-1] * len(universe), [-2] * len(universe)
     letter[start] = -1
-    _walk(op, universe, place, generators, members, rows, parent, letter)
-    if len(members) != len(universe):
+    for x in order:
+        for k, act in enumerate(actions):
+            p = act[x]
+            if letter[p] == -2:
+                parent[p], letter[p] = x, k
+                order.append(p)
+    if len(order) != len(universe):
         raise ValidationError(
-            f"the generators give {len(members)} of the {len(universe)} "
+            f"the generators give {len(order)} of the {len(universe)} "
             f"elements"
         )
-    return FiniteMonoid(place, start, rows[start], rows, members, parent,
-                        letter)
+    for x in order:  # one int object per position, the actions' own
+        place[universe[x]] = x
+    return FiniteMonoid(place, start, [act[start] for act in actions],
+                        actions, order, parent, letter)
+
+
+def right_actions(generators, op, universe):
+    """The right action of each generator on ``universe`` under op, for
+    ``froidure_pin``: one tuple of positions in ``universe``, one
+    ``op(x, g)`` call per element x.  Raises ValidationError at the first
+    product outside the universe, so closure is exact."""
+    place = {x: i for i, x in enumerate(universe)}
+    actions = []
+    for j, g in enumerate(generators):
+        act = []
+        for a in universe:
+            p = place.get(op(a, g))
+            if p is None:
+                raise _escape_error(a, j)
+            act.append(p)
+        actions.append(tuple(act))
+    return actions
+
+
+def _escape_error(a, j):
+    return ValidationError(
+        f"not closed: the product of {a!r} and generator {j} escapes the set"
+    )
 
 
 def _walk(op, elements, place, generators, members, rows, parent, letter):
@@ -107,10 +140,7 @@ def _walk(op, elements, place, generators, members, rows, parent, letter):
         for j in range(len(row), len(generators)):
             p = place.get(op(a, generators[j]))
             if p is None:
-                raise ValidationError(
-                    f"not closed: the product of {a!r} and generator {j} "
-                    f"escapes the set"
-                )
+                raise _escape_error(a, j)
             row.append(p)
             if letter[p] == -2:
                 parent[p], letter[p] = x, j
@@ -128,8 +158,8 @@ class FiniteMonoid:
     read up the tree, last letter first.  ``order`` lists the elements in
     the walk's discovery order, each after its parent.  ``identity`` is an
     index, or None for a semigroup.  Each generator's two actions are kept,
-    one tuple of m indices each: ``right[k][x]`` = x*g_k, the walk's
-    ``rows[x][k]`` transposed, and ``left[k][x]`` = g_k*x, which follows
+    one tuple of m indices each: ``right[k][x]`` = x*g_k, as the walk was
+    given it, and ``left[k][x]`` = g_k*x, which follows
     along ``order``: g_k*1 is g_k, g_k*g_j is ``right[j][g_k]``, and g_k*x
     is (g_k*x')*g_j for x = x'*g_j.  Every product follows the tree's words.
     """
@@ -138,15 +168,14 @@ class FiniteMonoid:
     # benchmark tracer (perfbench/tracer.py); the two are deleted together.
     table = None
 
-    def __init__(self, index, identity, generators, rows, order, parent,
+    def __init__(self, index, identity, generators, right, order, parent,
                  letter):
         self.index, self.elements = index, list(index)
         self.size = len(self.elements)
         self.identity = identity
         self.generators = generators
         self.order, self.parent, self.letter = order, parent, letter
-        # the walk is over: its rows x*g_k, transposed once
-        right = self.right = list(zip(*rows))
+        self.right = right = list(right)
         left = self.left = []
         for g in generators:
             act = [g] * self.size
@@ -162,22 +191,28 @@ class FiniteMonoid:
     def submonoid(self, indices):
         """The sub-(semi)group on a closed index subset, reindexed.
 
-        Its identity comes from this monoid's products, its generators,
-        right graph and tree from ``_closure_walk``.  Raises
+        Its identity is this monoid's when the subset holds it, since an
+        identity is unique, and is otherwise searched for among this
+        monoid's products; its generators, right graph and tree come from
+        ``_closure_walk``.  Raises
         ValidationError when an index is not an element's or the subset is
         not closed.
         """
         indices = sorted(set(_check_indices(self, indices)))
-        mul = self.mul
-        identity = next((
-            i for i, e in enumerate(indices)
-            if all(mul(e, x) == x == mul(x, e) for x in indices)
-        ), None)
-        walk = self._closure_walk(
+        if self.identity in indices:  # an identity is unique
+            identity = indices.index(self.identity)
+        else:
+            mul = self.mul
+            identity = next((
+                i for i, e in enumerate(indices)
+                if all(mul(e, x) == x == mul(x, e) for x in indices)
+            ), None)
+        gens, rows, order, parent, letter = self._closure_walk(
             indices, [] if identity is None else [identity]
         )
         index = {self.elements[i]: k for k, i in enumerate(indices)}
-        return FiniteMonoid(index, identity, *walk)
+        return FiniteMonoid(index, identity, gens, zip(*rows), order, parent,
+                            letter)
 
     def _closure_walk(self, indices, members):
         """The greedy closure walk over the sorted index subset ``indices``,

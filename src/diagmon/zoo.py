@@ -7,10 +7,13 @@ test on the ``_Facts`` of a diagram, None for a whole universe; whether
 ``analyze`` may name a regular part after it, the first ``named`` family
 in table order winning; and the closed form of |X_n| where one is known,
 read by the element budget and by ``verify``'s size lines.  Closure under
-the product is a checked fact.  ``froidure_pin`` enumerates P_n from its
-standard generators, each of which acts on a diagram by relabelling its
-lower row, into the order of ``partition_universe(n)``, and BX_n and PT_n
-from generators into the order of their relation universes.  Every other
+the product is a checked fact.  ``froidure_pin`` walks P_n over position
+tables: each standard generator relabels a diagram's lower row, which on
+the diagrams whose upper row has k labels is one table over the ranks of
+their lower rows, so its right action on ``partition_universe(n)`` is read
+off integers, with no product made.  BX_n and PT_n are walked over
+actions made by ``rel.compose`` in the order of their relation universes.
+Every other
 diagram family is an index subset of one P_n, which
 ``FiniteMonoid.submonoid`` turns into a monoid of the same kind: greedy
 generators, each one's right and left action, and no table.  One pass
@@ -37,7 +40,7 @@ from . import relations as rel
 from .diagrams import Partition, _canonical
 from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice, _check_side
-from .monoid import FiniteMonoid, froidure_pin
+from .monoid import FiniteMonoid, _gather, froidure_pin, right_actions
 
 
 @lru_cache(maxsize=None)
@@ -138,10 +141,11 @@ class FamilySpec:
 # -- element universes -------------------------------------------------------
 
 
-def set_partition_codes(size):
-    """All canonical block-id sequences (restricted growth strings), in
-    lexicographic order."""
-    codes = [()]
+def set_partition_codes(size, start=()):
+    """All canonical block-id sequences (restricted growth strings) that
+    extend the code ``start`` by ``size`` entries, in lexicographic
+    order."""
+    codes = [start]
     for _ in range(size):
         codes = [c + (b,) for c in codes for b in range(max(c, default=-1) + 2)]
     return codes
@@ -228,47 +232,128 @@ def partial_functions(n):
 # -- builders ----------------------------------------------------------------
 
 
-def partition_actions(n):
-    """x -> x*g for each g of the standard generating set of P_n, as
-    relabellings of x's lower row: a transposition s_i swaps lower points
-    i and i+1, the partial identity on {1..n-1} gives lower point n a fresh
-    label, and the block identity of {n-1, n} merges the blocks of lower
-    points n-1 and n.  The tests certify each action against the product
-    with its generator, from the oracle generating set in tests/oracles.py."""
+# A code of P_n is u + l: its upper row u, a restricted growth string with k
+# labels, and its lower row l, one of the completions of any upper row of k
+# labels.  So ``partition_universe(n)`` lists the diagrams upper row by upper
+# row, each with the completions in lexicographic order, and the position of
+# u + l is the offset of u plus the rank of l among the completions.
+
+
+def _relabellings(n):
+    """x -> x*g for each standard generator g of P_n, as a relabelling of a
+    code whose last n entries are its lower row: a transposition s_i swaps
+    lower points i and i+1, the partial identity on {1..n-1} gives lower
+    point n a fresh label, and the block identity of {n-1, n} merges the
+    blocks of lower points n-1 and n.  Each returns a tuple, which may need
+    canonicalising."""
 
     def swap(i):
-        u, v = n + i - 1, n + i
-
-        def act(x):
-            code = list(x.code)
-            code[u], code[v] = code[v], code[u]
-            return Partition(n, _canonical(code))
+        def act(code):
+            code = list(code)
+            code[i - n - 1], code[i - n] = code[i - n], code[i - n - 1]
+            return tuple(code)
 
         return act
 
-    def isolate(x):
-        return Partition(n, _canonical(x.code[:-1] + (2 * n,)))
+    def isolate(code):
+        return code[:-1] + (max(code[:-1], default=-1) + 1,)
 
-    def merge(x):
-        old, new = x.code[-1], x.code[-2]
-        return Partition(n, _canonical(new if b == old else b for b in x.code))
+    def merge(code):
+        old, new = code[-1], code[-2]
+        return tuple([new if b == old else b for b in code])
 
-    actions = [swap(i) for i in range(1, n)]
+    acts = [swap(i) for i in range(1, n)]
     if n >= 1:
-        actions.append(isolate)
+        acts.append(isolate)
     if n >= 2:
-        actions.append(merge)
+        acts.append(merge)
+    return acts
+
+
+def _ranking(n):
+    """The upper rows of P_n's codes, in lexicographic order; for each k,
+    the lower rows that complete an upper row of k labels, in
+    lexicographic order, and their ranks; and each upper row's offset, the
+    position of its first diagram in ``partition_universe(n)``."""
+    uppers = equivalences(n)
+    lowers = [[c[k:] for c in set_partition_codes(n, tuple(range(k)))]
+              for k in range(n + 1)]
+    rank = [dict(zip(rows, range(len(rows)))) for rows in lowers]
+    offset, size = {}, 0
+    for u in uppers:
+        offset[u] = size
+        size += len(lowers[len(set(u))])
+    return uppers, lowers, rank, offset
+
+
+def _position(ranking, code):
+    """The position of a canonical code in ``partition_universe(n)``, from
+    ``_ranking(n)``: its upper row's offset plus its lower row's rank."""
+    _, _, rank, offset = ranking
+    upper = code[:len(code) // 2]
+    return offset[upper] + rank[len(set(upper))][code[len(upper):]]
+
+
+def _partition_actions(n):
+    """Each standard generator's right action on P_n, as one tuple of
+    positions in ``partition_universe(n)``.
+
+    A relabelling moves only lower-row labels and renumbers those not on
+    the upper row in first-occurrence order from k, so on the diagrams
+    whose upper row u has k labels it is one table of ranks, made once from
+    the upper row 0..k-1: x*g = offset(u) + table[rank(l)].  The one
+    exception is the merge of lower points n-1 and n when they carry two
+    different upper labels, which joins two upper blocks: each such
+    product is relabelled on its own and located by ``_position``.  The
+    tests certify each action against the product with its generator."""
+    ranking = uppers, lowers, rank, offset = _ranking(n)
+    size = sum(len(lowers[len(set(u))]) for u in uppers)
+    positions = tuple(range(size))  # one int per position, for every action
+
+    actions = []
+    for act in _relabellings(n):
+        tables, joins = [], []  # per k: the ranks, and the exceptions' ranks
+        for k, rows in enumerate(lowers):
+            upper, ranks = tuple(range(k)), rank[k]
+            table, join = [], []
+            for r, low in enumerate(rows):
+                code = act(upper + low)
+                # looked up as it stands first: most products are canonical
+                t = ranks.get(code[k:]) if code[:k] == upper else None
+                if t is None:
+                    code = _canonical(code)
+                    t = ranks.get(code[k:]) if code[:k] == upper else None
+                if t is None:  # two upper blocks joined
+                    join.append(r)
+                table.append(r if t is None else t)
+            tables.append(table)
+            joins.append(join)
+        line = []
+        for u in uppers:
+            k, start = len(set(u)), offset[u]
+            line += _gather(positions[start:start + len(lowers[k])], tables[k])
+            for r in joins[k]:
+                code = _canonical(act(u + lowers[k][r]))
+                line[start + r] = positions[_position(ranking, code)]
+        actions.append(tuple(line))
     return actions
+
+
+def _partition_monoid(n):
+    """P_n, walked by ``froidure_pin`` over ``_partition_actions(n)``."""
+    return froidure_pin(
+        _partition_actions(n), dg.identity(n), partition_universe(n)
+    )
 
 
 @lru_cache(maxsize=None)
 def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
 
-    P_n is enumerated by ``froidure_pin`` from the actions of its standard
-    generators (``partition_actions``), into ``partition_universe(n)``
-    order; reaching all Bell(2n) diagrams
-    certifies the generating set and closure.  Every other diagram family
+    P_n is walked by ``froidure_pin`` over its standard generators' right
+    actions, read off position tables (``_partition_actions``), in
+    ``partition_universe(n)`` order; reaching all Bell(2n) diagrams
+    certifies the generating set.  Every other diagram family
     is an index subset of one P_n, cut by ``family_cut`` and made a monoid
     by ``FiniteMonoid.submonoid``.  Relation families are enumerated from
     ``relation_generators``; reaching all of BX_n's relations, or all of
@@ -280,14 +365,13 @@ def build(name) -> FiniteMonoid:
         rook = universe == "rook"
         return build(f"P{n + rook}").submonoid(family_cut(spec))
     if universe == "P":
-        return froidure_pin(
-            partition_actions(n), lambda x, act: act(x), dg.identity(n),
-            universe=partition_universe(n),
-        )
+        return _partition_monoid(n)
+    elements = (relation_universe(n) if universe == "BX"
+                else partial_functions(n))
     return froidure_pin(
-        relation_generators(universe, n), rel.compose, rel.identity_rel(n),
-        universe=relation_universe(n) if universe == "BX"
-        else partial_functions(n),
+        right_actions(relation_generators(universe, n), rel.compose,
+                      elements),
+        rel.identity_rel(n), elements,
     )
 
 

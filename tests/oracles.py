@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from diagmon import algebra
 from diagmon import diagrams as dg
 from diagmon import ehresmann as eh
+from diagmon import monoid as mon
 from diagmon import relations as rel
 from diagmon import zoo
 from diagmon.errors import ResourceCapError, StateError, ValidationError
@@ -921,7 +922,7 @@ def set_partition_from_blocks(n, blocks):
 def partition_generators(n):
     """A standard generating set of the degree-n partition monoid, as
     diagrams: adjacent transpositions, the partial identity on {1..n-1} and
-    the block identity of {n-1, n}.  ``zoo.partition_actions(n)`` is the
+    the block identity of {n-1, n}.  ``partition_actions(n)`` is the
     right action of each, in this order."""
     gens = []
     for i in range(1, n):
@@ -936,6 +937,57 @@ def partition_generators(n):
         )
         gens.append(dg.id_equiv(e))
     return gens
+
+
+def monoid_by_products(generators, op, identity, universe):
+    """``froidure_pin`` over the right actions of the generators under op,
+    one ``op`` call per element and generator."""
+    return mon.froidure_pin(
+        mon.right_actions(generators, op, universe), identity, universe
+    )
+
+
+def partition_actions(n):
+    """x -> x*g for each g of ``partition_generators(n)``, as per-diagram
+    relabellings of x's lower row: a transposition s_i swaps lower points i
+    and i+1, the partial identity on {1..n-1} gives lower point n a fresh
+    label, and the block identity of {n-1, n} merges the blocks of lower
+    points n-1 and n.  The definitional form of zoo's position tables."""
+
+    def swap(i):
+        u, v = n + i - 1, n + i
+
+        def act(x):
+            code = list(x.code)
+            code[u], code[v] = code[v], code[u]
+            return dg.Partition(n, dg._canonical(code))
+
+        return act
+
+    def isolate(x):
+        return dg.Partition(n, dg._canonical(x.code[:-1] + (2 * n,)))
+
+    def merge(x):
+        old, new = x.code[-1], x.code[-2]
+        return dg.Partition(
+            n, dg._canonical(new if b == old else b for b in x.code)
+        )
+
+    actions = [swap(i) for i in range(1, n)]
+    if n >= 1:
+        actions.append(isolate)
+    if n >= 2:
+        actions.append(merge)
+    return actions
+
+
+def joins_upper_blocks(a):
+    """True iff the block identity of {n-1, n} joins two upper blocks of a:
+    lower points n-1 and n lie in two different blocks, each with an upper
+    point."""
+    n, code = a.n, a.code
+    upper = set(code[:n])
+    return n >= 2 and code[-2] != code[-1] and {code[-2], code[-1]} <= upper
 
 
 def relation_kernel(a):

@@ -10,7 +10,6 @@ import pytest
 
 from diagmon import algebra, diagrams as dg, ehresmann as eh, zoo
 from diagmon.errors import StateError, ValidationError
-from diagmon.monoid import froidure_pin
 
 from oracles import (
     algebra_associative,
@@ -22,6 +21,7 @@ from oracles import (
     is_unitriangular,
     matrix_to_json,
     mobius_dense,
+    monoid_by_products,
     radical_nullity,
     rref_mod_lists,
     stein_generator_pairs,
@@ -339,7 +339,7 @@ def test_sweep_needs_the_identity_pairs():
     # a right-zero semigroup {a, b} with an identity adjoined, E = {1}: the
     # map sending 1 to a and fixing a, b passes every (x, generator) pair,
     # but phi(b) phi(1) = b a = a differs from phi(b) = b
-    s = froidure_pin(["a", "b"], lambda x, g: g, "1", ["1", "a", "b"])
+    s = monoid_by_products(["a", "b"], lambda x, g: g, "1", ["1", "a", "b"])
     cat = algebra.build_category(s, eh.Semilattice.create(s, [s.identity]))
     a, b = s.index["a"], s.index["b"]
     phi = [[a], [a], [b]]
@@ -367,7 +367,7 @@ def test_rational_algebra_associativity_and_products():
 def test_radical_dimensions():
     # the two-element group: semisimple over the rationals
     op = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    g = froidure_pin(["s"], lambda x, y: op[(x, y)], "e", ["e", "s"])
+    g = monoid_by_products(["s"], lambda x, y: op[(x, y)], "e", ["e", "s"])
     assert algebra.radical_dim(algebra.RationalAlgebra.of_monoid(g)) == 0
     assert (
         algebra.radical_dim(algebra.RationalAlgebra.of_monoid(zoo.build("PT2")))

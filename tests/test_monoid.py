@@ -30,8 +30,11 @@ from oracles import (
     green_class_count,
     green_principal_ideals,
     inverse_pairwise,
+    joins_upper_blocks,
     monoid_associative,
+    monoid_by_products,
     op_table,
+    partition_actions,
     partition_generators,
     regular_pairwise,
     restricted_submonoid,
@@ -69,7 +72,7 @@ def test_closure_from_generators_recovers_partition_monoids():
         gens = partition_generators(n)
         universe = closure(gens, dg.multiply, dg.identity(n))
         assert set(universe) == set(zoo.partition_universe(n))
-        m = mon.froidure_pin(gens, dg.multiply, dg.identity(n), universe)
+        m = monoid_by_products(gens, dg.multiply, dg.identity(n), universe)
         assert m.size == size
         assert m.elements == universe  # breadth first, in discovery order
 
@@ -87,7 +90,7 @@ def test_closure_stops_at_the_first_product_outside_the_universe():
         return products[-1]
 
     with pytest.raises(ValidationError):
-        mon.froidure_pin(gens, op, dg.identity(3), universe)
+        monoid_by_products(gens, op, dg.identity(3), universe)
     inside = set(universe)
     assert products[-1] == missing
     assert len(products) > len(gens)
@@ -97,7 +100,7 @@ def test_closure_stops_at_the_first_product_outside_the_universe():
 def test_duplicate_elements_rejected():
     e = dg.identity(2)
     with pytest.raises(ValidationError, match="duplicate"):
-        mon.froidure_pin([], dg.multiply, e, [e, e])
+        mon.froidure_pin([], e, [e, e])
 
 
 def brute_force_j_classes(m):
@@ -267,6 +270,55 @@ def test_submonoid_reindexes_closed_subsets():
     assert m.submonoid(idx + idx[::-1]).right == sub.right
 
 
+def identity_by_search(m, indices):
+    """The local index of the first element of the sorted ``indices`` that
+    is a two-sided identity on them, or None."""
+    return next((
+        k for k, e in enumerate(indices)
+        if all(m.mul(e, x) == x == m.mul(x, e) for x in indices)
+    ), None)
+
+
+def counted_submonoid(monkeypatch, m, indices):
+    """m.submonoid(indices) and the number of ``mul`` calls it made."""
+    calls = []
+    mul = mon.FiniteMonoid.mul
+    monkeypatch.setattr(
+        mon.FiniteMonoid, "mul", lambda s, i, j: calls.append(0) or mul(s, i, j)
+    )
+    sub = m.submonoid(indices)
+    monkeypatch.undo()
+    return sub, len(calls)
+
+
+@pytest.mark.parametrize("name", ["RR3", "I3", "Pfd3", "J3", "RP2", "P3"])
+def test_submonoid_holding_the_identity_reads_it(monkeypatch, name):
+    # the parent's identity is the submonoid's, so no candidate is tried:
+    # the closure walk's one product per element and generator is all
+    spec = zoo.FamilySpec.parse(name)
+    p = zoo.build(f"P{spec.n + (spec.family == 'RP')}")
+    cut = sorted(zoo.family_cut(spec)) if spec.family != "P" else range(p.size)
+    assert p.identity in cut
+    sub, calls = counted_submonoid(monkeypatch, p, cut)
+    assert sub.identity == list(cut).index(p.identity)
+    assert sub.identity == identity_by_search(p, list(cut))
+    assert calls == sub.size * len(sub.generators)
+
+
+def test_local_monoid_finds_its_own_identity(monkeypatch):
+    # e*S*e for an idempotent e other than 1 is a monoid with identity e,
+    # which does not hold the parent's identity: its identity is searched
+    p = zoo.build("P3")
+    e = p.index[dg.id_subset(3, {1, 2})]
+    assert p.mul(e, e) == e != p.identity
+    local = sorted({p.mul(p.mul(e, x), e) for x in range(p.size)})
+    assert p.identity not in local
+    sub, calls = counted_submonoid(monkeypatch, p, local)
+    assert sub.identity == local.index(e) == identity_by_search(p, local)
+    assert calls > sub.size * len(sub.generators)
+    assert sub.size == zoo.build("P2").size
+
+
 # -- the Froidure-Pin engine against the definitional code ----------------------
 
 SMALL = [
@@ -295,12 +347,40 @@ def test_enumeration_reaches_every_partition(n):
 
 @pytest.mark.parametrize("n", range(5))
 def test_generator_actions_match_multiply(n):
-    actions = zoo.partition_actions(n)
+    actions = partition_actions(n)
     gens = partition_generators(n)
     assert len(actions) == len(gens)
     for x in zoo.partition_universe(n):
         for act, g in zip(actions, gens):
             assert act(x) == dg.multiply(x, g)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_position_tables_match_the_relabelling_oracle(monkeypatch, n):
+    # the oracle walks the per-diagram relabellings, one product at a time;
+    # _partition_monoid is zoo.build's path, counted here without its cache
+    universe = zoo.partition_universe(n)
+    want = monoid_by_products(
+        partition_actions(n), lambda x, act: act(x), dg.identity(n), universe
+    )
+    built = zoo.build(f"P{n}")
+    joined = []
+    position = zoo._position
+    monkeypatch.setattr(
+        zoo, "_position", lambda *a: joined.append(a[1]) or position(*a)
+    )
+    got = zoo._partition_monoid(n)
+    assert got.elements == built.elements == want.elements == list(universe)
+    for field in ("right", "left", "order", "parent", "letter", "generators"):
+        assert getattr(got, field) == getattr(want, field), field
+        assert getattr(built, field) == getattr(want, field), field
+    # the merge's per-diagram branch: exactly the diagrams whose lower
+    # points n-1 and n lie in two different blocks with upper points
+    merged = partition_actions(n)[-1] if n >= 2 else None
+    assert joined == [
+        merged(a).code for a in universe if joins_upper_blocks(a)
+    ]
+    assert len(joined) == {0: 0, 1: 0, 2: 2, 3: 42, 4: 1064}[n]
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -322,9 +402,9 @@ def test_enumeration_matches_the_product_driven_oracle(n):
 
 def test_enumeration_rejects_a_non_generating_set():
     with pytest.raises(ValidationError):
-        mon.froidure_pin(
+        monoid_by_products(
             partition_generators(3)[:-1], dg.multiply, dg.identity(3),
-            universe=zoo.partition_universe(3),
+            zoo.partition_universe(3),
         )
 
 
@@ -379,7 +459,7 @@ def test_table_rows_are_two_byte_arrays():
 def test_rows_are_four_byte_arrays_above_65536_elements():
     # Z_65537 under addition: one element past what 2 bytes can index
     order = 65537
-    m = mon.froidure_pin(
+    m = monoid_by_products(
         [1, 256, 65536], lambda a, b: (a + b) % order, 0, range(order)
     )
     xs = [0, 1, 256, 65536, 257]
@@ -395,7 +475,7 @@ def test_table_of_a_deep_tree_is_built_without_recursion():
     order = 1500
     tracemalloc.start()
     try:
-        m = mon.froidure_pin(
+        m = monoid_by_products(
             [1], lambda a, b: (a + b) % order, 0, list(range(order))
         )
         last = order - 1
@@ -530,9 +610,7 @@ def test_bx3_needs_its_extra_generator():
     one = rel.identity_rel(3)
     assert len(closure(gens, rel.compose, one)) == 506
     with pytest.raises(ValidationError, match="506 of the 512"):
-        mon.froidure_pin(
-            gens, rel.compose, one, universe=zoo.relation_universe(3)
-        )
+        monoid_by_products(gens, rel.compose, one, zoo.relation_universe(3))
 
 
 def test_submonoid_above_the_table_cap_is_untabled():
@@ -611,9 +689,8 @@ def test_traced_closure_error():
 def test_relation_closure_error():
     r = rel.from_pairs(2, [(1, 2)])  # r*r is empty
     with pytest.raises(ValidationError):
-        mon.froidure_pin(
-            [r], rel.compose, rel.identity_rel(2),
-            universe=[rel.identity_rel(2), r],
+        monoid_by_products(
+            [r], rel.compose, rel.identity_rel(2), [rel.identity_rel(2), r],
         )
 
 
@@ -670,10 +747,7 @@ def test_construction_computes_no_green_structure():
     # a fresh P3, not zoo.build's cached one, on which other tests call
     # green: cutting a family, testing a subset for closure and validating
     # a semilattice each read no Green's structure
-    m = mon.froidure_pin(
-        zoo.partition_actions(3), lambda x, act: act(x), dg.identity(3),
-        zoo.partition_universe(3),
-    )
+    m = zoo._partition_monoid(3)
     sub = m.submonoid(zoo.family_cut(zoo.FamilySpec.parse("RR3")))
     assert sub.size == zoo.build("RR3").size
     assert m._green is None and sub._green is None
