@@ -33,14 +33,14 @@ rows of 2 bytes an entry.  Work of m^2 products, the dump and the sweep
 of L2 and R2 over every theta, is done only up to ``TABLE_CAP``.
 
 ``submonoid`` and ``escape``, which tests any index subset for closure,
-run a closure walk, ``_walk``, inside the subset greedily: generators are
-picked in the parent's discovery order, adding an element only when the
-closure grown so far has not reached it, and the walk goes on from each
-pick, multiplying each element reached by each generator so far.  A
-submonoid's rows x*g are transposed into actions once; one that holds the
-parent's identity takes it as its own.  ``escape`` then names the first
-escaping pair row by row.  Neither reads
-Green's structure, so building a monoid never computes it.
+run ``froidure_pin``'s walk, ``_walk``, inside the subset greedily:
+generators are picked in the parent's discovery order, adding an element
+only when the closure grown so far has not reached it, and the walk goes
+on from each pick over its action y*c on the subset, carried along c's
+word through the parent's right actions: no product is made one by one.
+A submonoid keeps these actions, and the parent's identity if it holds
+it.  ``escape`` then names the first escaping pair row by row.  Neither
+reads Green's structure, so building a monoid never computes it.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
@@ -84,12 +84,7 @@ def froidure_pin(actions, identity, universe):
         raise ValidationError("the identity is not in the given universe")
     order, parent, letter = [start], [-1] * len(universe), [-2] * len(universe)
     letter[start] = -1
-    for x in order:
-        for k, act in enumerate(actions):
-            p = act[x]
-            if letter[p] == -2:
-                parent[p], letter[p] = x, k
-                order.append(p)
+    _walk(actions, 0, order, 0, parent, letter, universe)
     if len(order) != len(universe):
         raise ValidationError(
             f"the generators give {len(order)} of the {len(universe)} "
@@ -125,26 +120,25 @@ def _escape_error(a, j):
     )
 
 
-def _walk(op, elements, place, generators, members, rows, parent, letter):
-    """Close ``members`` under right multiplication by the generators.
+def _walk(actions, new, order, walked, parent, letter, elements):
+    """Close ``order`` under the right ``actions``, ``actions[k][x]`` being
+    x*g_k, or None when it falls outside the set walked.
 
-    Each member x, ``members`` growing while it is walked, gains in
-    ``rows[x]`` the products x*g_j it lacks, numbered by ``place``, from
-    ``op(elements[x], generators[j])``.  A product p not reached yet,
-    ``letter[p] == -2``, joins ``members`` with ``parent[p]`` = x and
-    ``letter[p]`` = j.  Raises ValidationError at the first product
-    ``place`` does not number.
+    ``order`` grows while it is walked: its first ``walked`` elements,
+    walked before over ``actions[:new]``, gain the edges of
+    ``actions[new:]``, and every later element gains all of them.  A
+    product p not reached yet, ``letter[p] == -2``, joins ``order`` with
+    ``parent[p]`` = x and ``letter[p]`` = k.  Raises ValidationError at the
+    first product None, naming ``elements[x]`` and k.
     """
-    for x in members:
-        row, a = rows[x], elements[x]
-        for j in range(len(row), len(generators)):
-            p = place.get(op(a, generators[j]))
+    for i, x in enumerate(order):
+        for k in range(new if i < walked else 0, len(actions)):
+            p = actions[k][x]
             if p is None:
-                raise _escape_error(a, j)
-            row.append(p)
+                raise _escape_error(elements[x], k)
             if letter[p] == -2:
-                parent[p], letter[p] = x, j
-                members.append(p)
+                parent[p], letter[p] = x, k
+                order.append(p)
 
 
 class FiniteMonoid:
@@ -207,40 +201,41 @@ class FiniteMonoid:
                 i for i, e in enumerate(indices)
                 if all(mul(e, x) == x == mul(x, e) for x in indices)
             ), None)
-        gens, rows, order, parent, letter = self._closure_walk(
+        gens, right, order, parent, letter = self._closure_walk(
             indices, [] if identity is None else [identity]
         )
         index = {self.elements[i]: k for k, i in enumerate(indices)}
-        return FiniteMonoid(index, identity, gens, zip(*rows), order, parent,
+        return FiniteMonoid(index, identity, gens, right, order, parent,
                             letter)
 
-    def _closure_walk(self, indices, members):
+    def _closure_walk(self, indices, order):
         """The greedy closure walk over the sorted index subset ``indices``,
-        numbered locally by position and seeded with ``members`` (the
+        numbered locally by position and seeded with ``order`` (the
         identity, or nothing): candidates in this monoid's ``order``, each
-        one not yet reached added as a generator and the walk continued
-        with it.  Raises ValidationError on a product outside the subset.
-        Returns the generators, the walk's rows, ``rows[x][j]`` = x*g_j,
-        its discovery order and its tree as ``parent`` and ``letter``, in
-        local numbers."""
+        one not yet reached added as a generator, with its column y*c on
+        the subset in local numbers, None outside it, and the walk
+        continued.  Raises ValidationError on a product outside the subset.
+        Returns the generators, their actions, the discovery order and the
+        tree as ``parent`` and ``letter``, in local numbers."""
         local = dict(zip(indices, range(len(indices))))
-        gens, picked, rows = [], [], [[] for _ in indices]
+        gens, actions = [], []
         parent, letter = [-1] * len(indices), [-2] * len(indices)
-        members = list(members)
-        for x in members:
+        order = list(order)
+        for x in order:
             letter[x] = -1
         for c in map(local.get, self.order):
             if c is None or letter[c] != -2:
                 continue
             letter[c] = len(gens)
             gens.append(c)
-            picked.append(indices[c])
-            members.append(c)
-            # earlier members gain the column x*c, and c and the elements
-            # reached from here on get every column
-            _walk(self.mul, indices, local, picked, members, rows, parent,
-                  letter)
-        return gens, rows, members, parent, letter
+            ((_, column),) = self._lines({indices[c]}, True, indices)
+            actions.append(tuple(map(local.get, column)))
+            # earlier elements gain the edges by c, and c and the elements
+            # reached from here on get every edge
+            order.append(c)
+            _walk(actions, len(gens) - 1, order, len(order) - 1, parent,
+                  letter, indices)
+        return gens, actions, order, parent, letter
 
     def _build_table(self):
         """The whole Cayley table, as ``_typed_rows``."""
@@ -254,14 +249,16 @@ class FiniteMonoid:
         rows = {x: array(code, line) for x, line in self._lines(xs, column)}
         return [rows[x] for x in xs]
 
-    def _lines(self, xs, column=False):
+    def _lines(self, xs, column=False, among=None):
         """(x, line) for each x of the indices ``xs``: its row x*S, or with
         ``column`` its column S*x, as a tuple, composed depth first over the
         prefix tree of the words of xs.  For x = x'*g_k a line is gathered
         from its parent's and g_k's action in one ``itemgetter`` call:
         x*y = x'*(g_k*y) and y*x = (y*x')*g_k.  Only the lines on the
         current path are held, and with an explicit stack a tree as deep as
-        m, a cyclic monoid's, needs no recursion."""
+        m, a cyclic monoid's, needs no recursion.  Only a column can start
+        from a subset, ``among``: y*x for each y in it (a row's gathers read
+        the whole line)."""
         parent, letter, wanted = self.parent, self.letter, set(xs)
         children, seen = {}, set()  # the roots are the children of -1
         for x in wanted:
@@ -269,7 +266,8 @@ class FiniteMonoid:
                 seen.add(x)
                 children.setdefault(parent[x], []).append(x)
                 x = parent[x]
-        stack = [(x, range(self.size)) for x in children.get(-1, ())]
+        start = range(self.size) if among is None else among
+        stack = [(x, start) for x in children.get(-1, ())]
         while stack:
             x, line = stack.pop()
             k = letter[x]

@@ -360,13 +360,13 @@ def check_rank_chain_structure(n):
 
 
 def _rank_split(degrees):
-    """The right-restriction monoid is its full-domain part plus rank 0."""
+    """RR_n is the disjoint union of Pfd_n and the rank-0 floor D0_n."""
     ok = True
     for n in degrees:
-        rr = len(zoo.build(f"RR{n}").elements)
-        pfd = len(zoo.build(f"Pfd{n}").elements)
-        d0 = len(zoo.build(f"D0{n}").elements)
-        ok = ok and rr == pfd + d0 and d0 == zoo.FAMILIES["D0"].size(n)
+        rr, pfd, d0 = (set(zoo.build(f"{fam}{n}").elements)
+                       for fam in ("RR", "Pfd", "D0"))
+        ok = (ok and rr == pfd | d0 and pfd.isdisjoint(d0)
+              and len(d0) == zoo.FAMILIES["D0"].size(n))
     yield CheckResult(
         "right-restriction monoid splits as full-domain part plus the "
         "rank-0 floor",

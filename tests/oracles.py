@@ -947,6 +947,52 @@ def monoid_by_products(generators, op, identity, universe):
     )
 
 
+def submonoid_by_products(m, indices):
+    """``FiniteMonoid.submonoid`` with one ``m.mul`` call per product: the
+    identity is m's when the subset holds it and is otherwise searched
+    for, and generators are picked greedily in m's discovery order, the
+    walk going on from each pick by multiplying each element reached by
+    each generator so far.  The products are kept as per-element rows,
+    ``rows[x][j]`` = x*g_j in local numbers, and transposed into actions
+    once.  Raises the engine's ValidationError at the first product outside
+    the subset."""
+    indices = sorted(set(indices))
+    local = dict(zip(indices, range(len(indices))))
+    identity = local.get(m.identity)
+    if identity is None:
+        identity = next((
+            i for i, e in enumerate(indices)
+            if all(m.mul(e, x) == x == m.mul(x, e) for x in indices)
+        ), None)
+    gens, rows = [], [[] for _ in indices]
+    parent, letter = [-1] * len(indices), [-2] * len(indices)
+    members = [] if identity is None else [identity]
+    for x in members:
+        letter[x] = -1
+    for c in map(local.get, m.order):
+        if c is None or letter[c] != -2:
+            continue
+        letter[c] = len(gens)
+        gens.append(c)
+        members.append(c)
+        for x in members:  # grows while it is walked
+            row = rows[x]
+            for j in range(len(row), len(gens)):
+                p = local.get(m.mul(indices[x], indices[gens[j]]))
+                if p is None:
+                    raise ValidationError(
+                        f"not closed: the product of {indices[x]!r} and "
+                        f"generator {j} escapes the set"
+                    )
+                row.append(p)
+                if letter[p] == -2:
+                    parent[p], letter[p] = x, j
+                    members.append(p)
+    index = {m.elements[i]: k for k, i in enumerate(indices)}
+    return mon.FiniteMonoid(index, identity, gens, zip(*rows), members,
+                            parent, letter)
+
+
 def partition_actions(n):
     """x -> x*g for each g of ``partition_generators(n)``, as per-diagram
     relabellings of x's lower row: a transposition s_i swaps lower points i

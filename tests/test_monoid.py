@@ -39,6 +39,7 @@ from oracles import (
     regular_pairwise,
     restricted_submonoid,
     right_zeros_pairwise,
+    submonoid_by_products,
     top_degree,
     word,
 )
@@ -279,30 +280,30 @@ def identity_by_search(m, indices):
     ), None)
 
 
-def counted_submonoid(monkeypatch, m, indices):
-    """m.submonoid(indices) and the number of ``mul`` calls it made."""
+def counted_mul(monkeypatch, call, *args):
+    """call(*args) and the number of ``FiniteMonoid.mul`` calls it made."""
     calls = []
     mul = mon.FiniteMonoid.mul
     monkeypatch.setattr(
         mon.FiniteMonoid, "mul", lambda s, i, j: calls.append(0) or mul(s, i, j)
     )
-    sub = m.submonoid(indices)
+    result = call(*args)
     monkeypatch.undo()
-    return sub, len(calls)
+    return result, len(calls)
 
 
 @pytest.mark.parametrize("name", ["RR3", "I3", "Pfd3", "J3", "RP2", "P3"])
 def test_submonoid_holding_the_identity_reads_it(monkeypatch, name):
-    # the parent's identity is the submonoid's, so no candidate is tried:
-    # the closure walk's one product per element and generator is all
+    # the parent's identity is the submonoid's, so no candidate is tried,
+    # and the closure walk reads the parent's right actions, not ``mul``
     spec = zoo.FamilySpec.parse(name)
     p = zoo.build(f"P{spec.n + (spec.family == 'RP')}")
     cut = sorted(zoo.family_cut(spec)) if spec.family != "P" else range(p.size)
     assert p.identity in cut
-    sub, calls = counted_submonoid(monkeypatch, p, cut)
+    sub, calls = counted_mul(monkeypatch, p.submonoid, cut)
     assert sub.identity == list(cut).index(p.identity)
     assert sub.identity == identity_by_search(p, list(cut))
-    assert calls == sub.size * len(sub.generators)
+    assert calls == 0
 
 
 def test_local_monoid_finds_its_own_identity(monkeypatch):
@@ -313,9 +314,11 @@ def test_local_monoid_finds_its_own_identity(monkeypatch):
     assert p.mul(e, e) == e != p.identity
     local = sorted({p.mul(p.mul(e, x), e) for x in range(p.size)})
     assert p.identity not in local
-    sub, calls = counted_submonoid(monkeypatch, p, local)
-    assert sub.identity == local.index(e) == identity_by_search(p, local)
-    assert calls > sub.size * len(sub.generators)
+    sub, calls = counted_mul(monkeypatch, p.submonoid, local)
+    found, searched = counted_mul(monkeypatch, identity_by_search, p, local)
+    assert sub.identity == local.index(e) == found
+    # the identity search is the only caller of ``mul``
+    assert calls == searched >= 1
     assert sub.size == zoo.build("P2").size
 
 
@@ -530,6 +533,64 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
             got = getattr(m, key)
         assert got == value, key
     mon.green(m)
+
+
+WALKED = "generators right left order parent letter identity elements".split()
+
+
+def walked_or_error(call, *args):
+    """The fields of the monoid call(*args) returns, or the text of the
+    ValidationError it raises."""
+    try:
+        m = call(*args)
+    except ValidationError as error:
+        return str(error)
+    return {key: getattr(m, key) for key in WALKED}
+
+
+@pytest.mark.parametrize(
+    "n, family",
+    [(n, fam) for n in range(5)
+     for fam, family in sorted(zoo.FAMILIES.items()) if family.member],
+)
+def test_submonoid_matches_the_product_driven_walk(n, family):
+    # every family cut from P_n (a rook family's of degree n - 1): the
+    # walk over the parent's right actions against one ``mul`` per product
+    p, cut = zoo.build(f"P{n}"), zoo.family_cuts(n)[family]
+    want = walked_or_error(submonoid_by_products, p, cut)
+    assert type(want) is dict
+    assert walked_or_error(p.submonoid, cut) == want
+
+
+def test_submonoid_matches_the_product_driven_walk_off_the_identity():
+    # e*P3*e holds its own identity e, not P3's; the minimal ideal of P3,
+    # its Bell(3)**2 diagrams of rank 0, holds none
+    p = zoo.build("P3")
+    e = p.index[dg.id_subset(3, {1, 2})]
+    local = {p.mul(p.mul(e, x), e) for x in range(p.size)}
+    ideal = mon.minimal_ideal(p)
+    for subset in (local, ideal):
+        want = walked_or_error(submonoid_by_products, p, subset)
+        assert type(want) is dict and want["identity"] != p.identity
+        assert walked_or_error(p.submonoid, subset) == want
+    assert want["identity"] is None and len(ideal) == 25
+
+
+def test_submonoid_names_the_product_driven_walk_s_escape():
+    # subsets that are not closed raise the same ValidationError text as
+    # the walk that makes each product by ``mul``: the same element and
+    # generator
+    rng = random.Random(44)
+    p3 = zoo.build("P3")
+    subsets = [rng.sample(range(p3.size), rng.randint(2, 60))
+               for _ in range(60)]
+    for name in ("RR3", "J3", "Pfd3", "I3"):
+        cut = zoo.family_cut(zoo.FamilySpec.parse(name))
+        subsets += [cut[:-1], cut[1:], cut[: len(cut) // 2]]
+    for subset in subsets:
+        want = walked_or_error(submonoid_by_products, p3, subset)
+        assert type(want) is str and want.startswith("not closed: the ")
+        assert walked_or_error(p3.submonoid, subset) == want
 
 
 @pytest.mark.parametrize("name", ["P3", "RR3", "B0"])
