@@ -6,7 +6,8 @@ composition the product of S (defined only when the middle objects agree).
 The linear map sending a basis element x to the sum of all elements below
 it in the natural partial order is an algebra isomorphism from the
 semigroup algebra onto the category algebra (Stein, "Algebras of Ehresmann
-semigroups and categories"), here certified on (element, generator) pairs.
+semigroups and categories"), here certified by ``verify_stein``, which
+checks once that it exists and then sweeps (element, generator) pairs.
 Its matrix is the zeta matrix of the order and its inverse the Mobius
 matrix, both held by their non-zero entries, each dense row made when it
 is read.  The certificate reads one column of products per basis element
@@ -153,37 +154,13 @@ def mobius_inverse(below):
 # -- the transform onto the category algebra ---------------------------------
 
 
-def stein_transform(s: FiniteMonoid, e: Semilattice, side: str):
-    """Matrix of the basis map x -> sum of all elements below x.
-
-    Requires the Ehresmann axioms plus the restriction containment on the
-    requested side (L3 for 'left', R3 for 'right').
-    """
-    return zeta_matrix(_transform_order(s, e, side))
-
-
-def _transform_order(s, e, side):
-    """The ``natural_order`` of ``side`` once its transform is known to
-    exist: the axioms hold and the zeta matrix of the order is
-    unitriangular under ``topological_order``, read off the below-sets."""
-    report = check_axioms(s, e)
-    needed = ("L3", "R3")[_check_side(side)]
-    if not report.is_ehresmann() or not report.axioms[needed]:
-        raise StateError(
-            f"the transform needs the Ehresmann axioms and {needed}"
-        )
-    below = natural_order(s, e, side)
-    pos = {x: i for i, x in enumerate(topological_order(below))}
-    if not all(
-        y in b and all(pos[x] <= pos[y] for x in b) for y, b in enumerate(below)
-    ):
-        raise StateError("zeta matrix is not unitriangular under the order")
-    return below
-
-
 def verify_stein(s: FiniteMonoid, e: Semilattice, side: str) -> bool:
     """Multiplicativity of the transform into the category algebra, exactly.
 
+    The transform x -> sum of the elements below x in the ``natural_order``
+    of ``side`` exists when the Ehresmann axioms hold with L3 ('left') or
+    R3 ('right'), and its zeta matrix is unitriangular under
+    ``topological_order``, read off the below-sets; otherwise StateError.
     phi(x) phi(y), expanded with the category product (undefined compositions
     contribute zero), is compared with phi(xy) for every x and every y in
     ``s.generators`` and ``s.identity``.  That covers every pair: the
@@ -197,7 +174,18 @@ def verify_stein(s: FiniteMonoid, e: Semilattice, side: str) -> bool:
     are exactly the defined compositions.  Bijectivity holds structurally:
     the matrix is unitriangular.
     """
-    below = _transform_order(s, e, side)
+    report = check_axioms(s, e)
+    needed = ("L3", "R3")[_check_side(side)]
+    if not report.is_ehresmann() or not report.axioms[needed]:
+        raise StateError(
+            f"the transform needs the Ehresmann axioms and {needed}"
+        )
+    below = natural_order(s, e, side)
+    pos = {x: i for i, x in enumerate(topological_order(below))}
+    if not all(
+        y in b and all(pos[x] <= pos[y] for x in b) for y, b in enumerate(below)
+    ):
+        raise StateError("zeta matrix is not unitriangular under the order")
     cat = build_category(s, e)
     return is_multiplicative(cat, [sorted(b) for b in below])
 

@@ -270,15 +270,14 @@ def cmd_category(args):
 def cmd_stein(args):
     e = zoo.semilattice_for(args.semilattice, args.family)
     s = e.parent
-    z = algebra.stein_transform(s, e, args.side)
-    m = algebra.mobius_inverse(algebra.natural_order(s, e, args.side))
     ok = algebra.verify_stein(s, e, args.side)
+    below = algebra.natural_order(s, e, args.side)
     data = {
         "side": args.side,
         "dimension": s.size,
         "multiplicative": ok,
-        "zeta": _Rows(z, _pair),
-        "mobius": _Rows(m, _pair),
+        "zeta": _Rows(algebra.zeta_matrix(below), _pair),
+        "mobius": _Rows(algebra.mobius_inverse(below), _pair),
     }
     _write(_json_stream(data), args.out)
     return EXIT_OK if ok else EXIT_VERIFY

@@ -4,7 +4,8 @@ Given a monoid S and a semilattice E inside it, this module computes the
 identity sets E_L(x), E_R(x), the tilde-equivalences R~ and L~, the axioms
 L1-R3 with reproducible failure witnesses, the +/* representative maps, the
 natural partial orders, the largest restriction subsemigroups, the E-regular
-inverse subsemigroup and the tilde-H classes of the members of E.
+inverse subsemigroup and the tilde-H classes of the members of E, each
+with the engine's verdict on its closure, ``FiniteMonoid.closed``.
 
 Each left-hand notion is coded once and its dual is the same code on the
 other side.  Every function that takes a side names it 'left' or 'right'
@@ -57,11 +58,8 @@ class Semilattice:
         for e, f in combinations(members, 2):
             if parent.mul(e, f) != parent.mul(f, e):
                 raise ValidationError(f"elements {e},{f} do not commute")
-        pair = parent.escape(members)
-        if pair is not None:
-            raise ValidationError(
-                f"not closed: product of {pair[0]},{pair[1]} escapes the set"
-            )
+        if not parent.closed(members):
+            raise ValidationError("not closed: a product escapes the set")
         return cls(parent, members)
 
 
@@ -268,7 +266,7 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
     for name, sub in (("left", rest_l), ("right", rest_r), ("two-sided", rest)):
         if not set(e.members) <= set(sub):
             raise StateError(f"{name} restriction set does not contain E")
-        if s.escape(sub) is not None:
+        if not s.closed(sub):
             raise StateError(f"{name} restriction set not closed")
     return tuple(rest_l), tuple(rest_r), tuple(rest)
 
@@ -287,19 +285,15 @@ def reg_e(s: FiniteMonoid, e: Semilattice):
 
 
 def tilde_h_class(idem, s: FiniteMonoid, e: Semilattice):
-    """The tilde-H class of a semilattice member, with a closure flag.
-
-    Returns (members, closed, witness) where witness is a product pair
-    escaping the class when it is not closed.
-    """
+    """The tilde-H class of a semilattice member, as (members, closed):
+    its indices and whether they are closed under the product."""
     _check_parent(s, e)
     _check_indices(s, [idem])
     if idem not in e.members:
         raise ValidationError(f"element {idem} is not in the semilattice")
     key = list(zip(*(tilde_classes(s, e, side) for side in SIDES)))
     cls = tuple(x for x, k in enumerate(key) if k == key[idem])
-    witness = s.escape(cls)
-    return cls, witness is None, witness
+    return cls, s.closed(cls)
 
 
 def natural_order(s: FiniteMonoid, e: Semilattice, side: str):

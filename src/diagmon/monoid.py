@@ -32,15 +32,15 @@ Ehresmann layer a row a side per semilattice member, both kept as typed
 rows of 2 bytes an entry.  Work of m^2 products, the dump and the sweep
 of L2 and R2 over every theta, is done only up to ``TABLE_CAP``.
 
-``submonoid`` and ``escape``, which tests any index subset for closure,
+``submonoid`` and ``closed``, which tests any index subset for closure,
 run ``froidure_pin``'s walk, ``_walk``, inside the subset greedily:
 generators are picked in the parent's discovery order, adding an element
 only when the closure grown so far has not reached it, and the walk goes
 on from each pick over its action y*c on the subset, carried along c's
 word through the parent's right actions: no product is made one by one.
 A submonoid keeps these actions, and the parent's identity if it holds
-it.  ``escape`` then names the first escaping pair row by row.  Neither
-reads Green's structure, so building a monoid never computes it.
+it; ``closed`` keeps only the walk's verdict.  Neither reads Green's
+structure, so building a monoid never computes it.
 
 Green's R- and L-classes are the strongly connected components of the right
 and left generator graphs, for every monoid.  D is the join of R and L, and
@@ -278,24 +278,16 @@ class FiniteMonoid:
                 yield x, line
             stack.extend((y, line) for y in children.get(x, ()))
 
-    def escape(self, indices):
-        """The first pair (x, y) of the sequence ``indices``, row by row in
-        its order, whose product is not in it, or None when it is closed.
-
-        Closure is decided by ``_closure_walk``, after every index is
-        checked; only a subset that is not closed is scanned row by row.
-        """
-        indices = _check_indices(self, indices)
+    def closed(self, indices):
+        """True when the index subset ``indices`` is closed under the
+        product: ``_closure_walk`` reaches no product outside it.  Raises
+        ValidationError when an index is not an element's."""
+        indices = sorted(set(_check_indices(self, indices)))
         try:
-            self._closure_walk(sorted(set(indices)), ())
+            self._closure_walk(indices, ())
         except ValidationError:
-            inside = set(indices)
-            for x in indices:
-                row = self.row(x)
-                for y in indices:
-                    if row[y] not in inside:
-                        return x, y
-        return None
+            return False
+        return True
 
     # -- products ----------------------------------------------------------
 

@@ -216,7 +216,7 @@ def _identity_class_escape(_):
     """The class of the identity for the partial identities is not closed:
     the engine's verdict, and a fixed product that escapes it."""
     p3, e = zoo.build("P3"), zoo.semilattice_for("E", "P3")
-    _, closed, _ = eh.tilde_h_class(p3.identity, p3, e)
+    _, closed = eh.tilde_h_class(p3.identity, p3, e)
     w = zoo.witness_sets()["h_escape"]
     a, b = w["alpha"], w["beta"]
     pa, pb = dg.params(a), dg.params(b)
@@ -253,7 +253,7 @@ def check_regular_subsemigroups(n):
     i_size = zoo.FAMILIES["I"].size
     for eps in zoo.equivalences(n):
         idx = s.index[dg.id_equiv(eps)]
-        members, closed, _ = eh.tilde_h_class(idx, s, f)
+        members, closed = eh.tilde_h_class(idx, s, f)
         if not closed or len(members) != i_size(len(set(eps))):
             ok = False
     yield CheckResult(
@@ -512,7 +512,7 @@ def check_brauer_regular_part(n):
     for k in range(n + 1):
         for c in combinations(range(1, n + 1), k):
             idx = s.index[dg.id_subset(n, c)]
-            members, _, _ = eh.tilde_h_class(idx, s, e)
+            members, _ = eh.tilde_h_class(idx, s, e)
             if len(members) != zoo.FAMILIES["B"].size(k):
                 ok = False
     yield CheckResult(

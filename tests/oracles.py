@@ -558,7 +558,9 @@ def embedding_pairwise(f, s, t):
 
 
 def escape_pairwise(s, indices):
-    """``FiniteMonoid.escape`` by one product per pair, row by row."""
+    """The first pair (x, y) of the sequence ``indices``, row by row, whose
+    product is not in it, or None when it is closed (``FiniteMonoid.closed``
+    by one product per pair)."""
     inside, product = set(indices), cayley_table(s)
     for x in indices:
         for y in indices:

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import json
 from array import array
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -125,6 +126,60 @@ def test_stein_command(tmp_path):
     assert data["multiplicative"] is True
     assert len(data["zeta"]) == 25
     assert all(den == 1 for _, den in data["mobius"])
+
+
+NAMES_UP_TO_2 = [
+    f"{f}{n}" for f in zoo.FAMILIES for n in range(min(top_degree(f), 2) + 1)
+]
+
+
+def _stein_error(name, kind, side):
+    """The one error line ``stein`` must write, or None when the transform
+    exists: check_axioms reports L1, L2, R1 and R2, and L3 for 'left' or
+    R3 for 'right'."""
+    try:
+        e = zoo.semilattice_for(kind, name)
+    except ValidationError as err:
+        return f"error: {err}\n"
+    axioms = eh.check_axioms(e.parent, e).axioms
+    needed = ("L3", "R3")[eh.SIDES.index(side)]
+    if all(axioms[a] for a in ("L1", "L2", "R1", "R2", needed)):
+        return None
+    return f"error: the transform needs the Ehresmann axioms and {needed}\n"
+
+
+def test_stein_keeps_its_exit_code_contract_on_every_small_input(capsys):
+    # exit 0 with a multiplicative transform exactly when it exists, and
+    # otherwise exit 2 with one error line and nothing on stdout
+    runs = [(name, kind, side) for name in NAMES_UP_TO_2
+            for kind in zoo.SEMILATTICE_KINDS for side in eh.SIDES]
+    assert len(runs) == 306
+    for name, kind, side in runs:
+        code = cli.main(["stein", name, kind, "--side", side])
+        out, err = capsys.readouterr()
+        want = _stein_error(name, kind, side)
+        if want is None:
+            assert (code, err) == (0, ""), (name, kind, side)
+            assert json.loads(out)["multiplicative"] is True
+        else:
+            assert (code, out, err) == (2, "", want), (name, kind, side)
+
+
+def test_stein_checks_the_transform_once(monkeypatch, capsys):
+    # verify_stein checks the preconditions; zeta and Mobius matrices are
+    # both made from the one natural order the command reads after it
+    calls = Counter()
+    for fn in ("verify_stein", "natural_order"):
+        original = getattr(algebra, fn)
+
+        def counted(*args, fn=fn, original=original):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(algebra, fn, counted)
+    assert cli.main(["stein", "PT3", "E", "--side", "left"]) == 0
+    assert json.loads(capsys.readouterr().out)["multiplicative"] is True
+    assert calls == {"verify_stein": 1, "natural_order": 2}
 
 
 def test_verify_command(tmp_path):
@@ -617,12 +672,12 @@ def test_state_error_in_a_check_is_one_failed_line(
 ):
     # every subset of more than ``most`` elements reads as not closed, so
     # rest_subsemigroups raises StateError; the suite still prints and exits 1
-    original = FiniteMonoid.escape
+    original = FiniteMonoid.closed
 
-    def escape(m, indices):
-        return (0, 0) if len(set(indices)) > most else original(m, indices)
+    def closed(m, indices):
+        return len(set(indices)) <= most and original(m, indices)
 
-    monkeypatch.setattr(FiniteMonoid, "escape", escape)
+    monkeypatch.setattr(FiniteMonoid, "closed", closed)
     assert cli.main(["verify", section, "--nmax", "2"]) == 1
     out, err = capsys.readouterr()
     assert err == ""

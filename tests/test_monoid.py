@@ -813,7 +813,7 @@ def test_construction_computes_no_green_structure():
     assert sub.size == zoo.build("RR3").size
     assert m._green is None and sub._green is None
     subset = list(range(0, m.size, 9))
-    assert m.escape(subset) == escape_pairwise(m, subset) is not None
+    assert not m.closed(subset) and escape_pairwise(m, subset) is not None
     assert m._green is None
     f = eh.Semilattice.create(
         m, [m.index[dg.id_equiv(q)] for q in zoo.equivalences(3)]
@@ -826,11 +826,11 @@ def test_construction_computes_no_green_structure():
     "indices", [[15], [-1, 6], [True], [True, False], [1.0], ["0"], [None]]
 )
 def test_index_subsets_are_checked_before_any_product(indices):
-    # unchecked, [15] would raise IndexError, [-1, 6] a KeyError in escape,
+    # unchecked, [15] would raise IndexError, [-1, 6] a KeyError in closed,
     # and the bools would pass as the indices 1 and 0
     p2 = zoo.build("P2")
     calls = (
-        p2.submonoid, p2.escape,
+        p2.submonoid, p2.closed,
         lambda idx: eh.Semilattice.create(p2, idx),
     )
     for call in calls:
@@ -859,7 +859,7 @@ def test_escape_matches_pairwise_on_random_subsets(name):
             subset = rng.sample(range(s.size), rng.randint(1, 40))
         subset = list(subset)
         rng.shuffle(subset)
-        want = escape_pairwise(s, subset)
-        assert s.escape(subset) == want
-        closed += want is None
+        want = escape_pairwise(s, subset) is None
+        assert s.closed(subset) is want
+        closed += want
     assert 0 < closed < 200

@@ -4,7 +4,7 @@ Each row of ``MUTANTS`` names a fault, patched in with ``monkeypatch``, the
 exact FAIL lines it must cause, a line that fails more than once listed as
 often, and the exit code.  Every other line still
 prints, nothing goes to stderr, and the summary counts the failures.  Every
-line of ``verify 2`` must be one that some row fails.
+line of ``verify 2`` and ``verify 3`` must be one that some row fails.
 """
 
 import dataclasses
@@ -13,8 +13,10 @@ from collections import Counter
 
 import pytest
 
-from diagmon import algebra, cli, zoo
+from diagmon import algebra, cli, verify, zoo
+from diagmon import diagrams as dg
 from diagmon import ehresmann as eh
+from diagmon.errors import ValidationError
 from diagmon.monoid import FiniteMonoid
 
 
@@ -27,7 +29,7 @@ def drop_last_regular(monkeypatch):
 
 def every_set_closed(monkeypatch):
     # the engine's closure verdict, which the P3 escape line must read
-    monkeypatch.setattr(FiniteMonoid, "escape", lambda m, indices: None)
+    monkeypatch.setattr(FiniteMonoid, "closed", lambda m, indices: True)
 
 
 def radical_one_more(monkeypatch):
@@ -62,6 +64,18 @@ def p3_merge_misplaced(monkeypatch):
     monkeypatch.setattr(zoo, "_position", misplaced)
 
 
+def test_a_corrupted_p3_refuses_its_block_identities(monkeypatch):
+    # with one of P3's merge products misplaced, the closure walk finds a
+    # product of the block identities outside them, and no other verdict
+    # may overrule it
+    p3_merge_misplaced(monkeypatch)
+    p3 = zoo.build("P3")
+    members = [p3.index[dg.id_equiv(q)] for q in zoo.equivalences(3)]
+    assert not p3.closed(members)
+    with pytest.raises(ValidationError, match="^not closed"):
+        eh.Semilattice.create(p3, members)
+
+
 def p3_picked_action_moved(monkeypatch):
     # the first action of a generator picked in a subset of P3 with more
     # than one element, y*c for each y of the subset, has its first entry
@@ -94,6 +108,26 @@ def d0_mirrored(monkeypatch):
     monkeypatch.setitem(zoo.FAMILIES, "D0", dataclasses.replace(
         zoo.FAMILIES["D0"], member=lambda f: f.none and f.couniversal
     ))
+
+
+def constant_relation_domain(monkeypatch):
+    # every relation reports the same domain, so the domains no longer
+    # give the R~ classes of the binary relations
+    original = verify.rel_params
+    monkeypatch.setattr(verify, "rel_params", lambda a: dataclasses.replace(
+        original(a), dom=frozenset()
+    ))
+
+
+def top_size_one_more(monkeypatch):
+    # the T, PT and BX records each count one element too many at the top
+    # degree their size line checks
+    for fam, top in (("T", 4), ("PT", 4), ("BX", 3)):
+        size = zoo.FAMILIES[fam].size
+        monkeypatch.setitem(zoo.FAMILIES, fam, dataclasses.replace(
+            zoo.FAMILIES[fam],
+            size=lambda n, size=size, top=top: size(n) + (n == top),
+        ))
 
 
 def never_multiplicative(monkeypatch):
@@ -181,21 +215,21 @@ MUTANTS = {
     "p3-merge-entry-misplaced": (
         p3_merge_misplaced,
         [
-            "P_3 satisfies L1, L2, R1, R2 for the block identities  "
-            "(sweep=full)",
-            "both natural orders on P_3 match their block descriptions",
-            "check_restriction_subsemigroups  (left restriction set does "
-            "not contain E)",
+            # the walk finds a product of F's members outside F, so every
+            # check that reads P3's F fails as one line
+            *(f"{check}  (not closed: a product escapes the set)"
+              for check in ("check_transform_isomorphism",
+                            "check_block_identity_axioms",
+                            "check_identity_set_formulas",
+                            "check_order_characterizations",
+                            "check_regular_subsemigroups",
+                            "check_restriction_subsemigroups")),
             "tower embeddings at degree 3 are injective homomorphisms",
             # the P3 cuts read the misplaced entry in their actions
-            f"Pfd3, right order: {TRANSFORM}  (the transform needs the "
-            "Ehresmann axioms and R3)",
             "full-domain monoid at degree 3: regular, rank-chain classes, "
             "group cells of size rank!, bottom right zeros",
-            *(f"{check}  (not closed: the product of 16 and generator 2 "
-              "escapes the set)"
-              for check in ("check_regular_subsemigroups",
-                            "check_partition_sizes")),
+            "check_partition_sizes  (not closed: the product of 16 and "
+            "generator 2 escapes the set)",
             *["check_rook_suite  (not closed: the product of 16 and "
               "generator 1 escapes the set)"] * 4,
         ],
@@ -210,6 +244,20 @@ MUTANTS = {
         d0_mirrored,
         {"right-restriction monoid splits as full-domain part plus the "
          "rank-0 floor"},
+        1,
+    ),
+    "rel_params-constant-domain": (
+        constant_relation_domain,
+        {f"all binary relations on {n} points: Ehresmann for partial "
+         "identities, classes given by domain and codomain" for n in (1, 2, 3)},
+        1,
+    ),
+    "size-one-more-at-the-top": (
+        top_size_one_more,
+        {f"{fam} family sizes match the counting formula  ({sizes})"
+         for fam, sizes in (("T", "T_1=1 T_2=4 T_3=27 T_4=256"),
+                            ("PT", "PT_1=2 PT_2=9 PT_3=64 PT_4=625"),
+                            ("BX", "BX_1=2 BX_2=16 BX_3=512"))},
         1,
     ),
     "is_multiplicative-false": (
@@ -250,7 +298,8 @@ def test_mutant_fails_its_lines(monkeypatch, capsys, mutant):
     assert lines[-1] == f"{total - len(failures)}/{total} checks passed"
 
 
-def test_every_section_2_line_has_a_mutant(capsys):
+@pytest.mark.parametrize("section, count", [("2", 9), ("3", 12)])
+def test_every_line_has_a_mutant(capsys, section, count):
     # reads the declared FAIL lines, which test_mutant_fails_its_lines
     # checks, so no mutant runs here
     declared = {
@@ -258,9 +307,9 @@ def test_every_section_2_line_has_a_mutant(capsys):
         for _, failures, _ in MUTANTS.values()
         for line in failures
     }
-    assert cli.main(["verify", "2"]) == 0
+    assert cli.main(["verify", section]) == 0
     lines = capsys.readouterr().out.splitlines()[:-1]
-    assert len(lines) == 9
+    assert len(lines) == count
     for line in lines:
         assert line.startswith("[PASS] ")
         assert line[len("[PASS] "):].partition("  (")[0] in declared, line

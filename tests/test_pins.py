@@ -27,6 +27,10 @@ PINS = {
     "verify all": reference("verify all"),
     # the cap at the largest degree changes no byte
     "verify all --nmax 4": reference("verify all"),
+    "verify all --nmax 0": (
+        "a816e9aba31cf6d1a1c5588dbf6f507153ca0957448739624e1fd2883c95d2a2"),
+    "verify all --nmax 1": (
+        "7d51537019d0f4c25f82d2c7e297bf487dcb8854efa9b5025a1847d24c605575"),
     "verify all --nmax 2": (
         "6353bcc60d7b75725f4a0517a719141fe53b3ed7368f70c2c29d1d2b02989f9f"),
     "build RR4": reference("build RR4"),

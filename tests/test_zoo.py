@@ -227,7 +227,7 @@ def test_brauer_submonoid_closed():
     for a in b3.elements:
         assert is_brauer(a)
     p3 = zoo.build("P3")
-    assert p3.escape([p3.index[a] for a in b3.elements]) is None
+    assert p3.closed([p3.index[a] for a in b3.elements])
 
 
 def test_partial_function_diagrams_not_closed_in_partition_monoid():
