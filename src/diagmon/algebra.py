@@ -3,28 +3,29 @@
 Given (S, E) satisfying the Ehresmann axioms, the category C(S, E) has the
 members of E as objects and hom(e, f) = {x : x+ = e, x* = f}, with
 composition the product of S (defined only when the middle objects agree).
-The linear map sending a basis element x to the sum of all elements below
-it in the natural partial order is an algebra isomorphism from the
-semigroup algebra onto the category algebra (Stein, "Algebras of Ehresmann
-semigroups and categories"), here certified by ``verify_stein``, which
-checks once that it exists and then sweeps (element, generator) pairs.
-Its matrix is the zeta matrix of the order and its inverse the Mobius
-matrix, both held by their non-zero entries, each dense row made when it
-is read.  The certificate reads one column of products per basis element
-below each generator, grouped by source object, so it forms only defined
-compositions.  All linear algebra is exact.  Radical dimensions of the
-semigroup algebra come from the trace-form criterion, read off the rows of
-its Cayley table: the rank of the integer Gram matrix is bounded below by
-elimination mod a prime below 2**26, found by trial division, on rows
-packed 32 residues to a Python int, and above by integer kernel vectors
-checked exactly, so no rational elimination runs.
+The category is its hom-sets, kept on E next to the axiom report, and every
+function here takes the pair (S, E).  The linear map sending a basis
+element x to the sum of all elements below it in the natural partial order
+is an algebra isomorphism from the semigroup algebra onto the category
+algebra (Stein, "Algebras of Ehresmann semigroups and categories"), here
+certified by ``verify_stein``, which checks once that it exists and then
+sweeps (element, generator) pairs.  Its matrix is the zeta matrix of the
+order and its inverse the Mobius matrix, both held by their non-zero
+entries, each dense row made when it is read.  The certificate reads one
+column of products per basis element below each generator, grouped by
+source object, so it forms only defined compositions.  All linear algebra
+is exact.  Radical dimensions of the semigroup algebra come from the
+trace-form criterion, read off the rows of its Cayley table: the rank of
+the integer Gram matrix is bounded below by elimination mod a prime below
+2**26, found by trial division, on rows packed 32 residues to a Python int,
+and above by integer kernel vectors checked exactly, so no rational
+elimination runs.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import eq
 
@@ -39,48 +40,37 @@ from .monoid import FiniteMonoid
 BASIS_CAP = 250
 
 
-@dataclass
-class EhresmannCategory:
-    """The category C(S, E): objects E, morphisms the elements of S."""
-
-    monoid: FiniteMonoid
-    semilattice: Semilattice
-    plus: list  # x -> x+, the source object
-    star: list  # x -> x*, the target object
-    hom: dict  # (e, f) -> tuple of element indices
-
-    def objects(self):
-        return self.semilattice.members
-
-    def endomorphisms(self, e):
-        return self.hom.get((e, e), ())
-
-
-def build_category(s: FiniteMonoid, e: Semilattice) -> EhresmannCategory:
+def _plus_star(s: FiniteMonoid, e: Semilattice):
+    """x -> x+ and x -> x*, the source and target objects, read off the
+    axiom report once L1, L2, R1 and R2 hold; otherwise StateError."""
     report = check_axioms(s, e)
     if not report.is_ehresmann():
         failed = [a for a in ("L1", "L2", "R1", "R2") if not report.axioms[a]]
         raise StateError(f"category needs the Ehresmann axioms; {failed} fail")
-    plus, star = report.plus, report.star
-    hom = {}
-    for x in range(s.size):
-        hom.setdefault((plus[x], star[x]), []).append(x)
-    hom = {k: tuple(v) for k, v in hom.items()}
-    return EhresmannCategory(s, e, plus, star, hom)
+    return report.plus, report.star
 
 
-def is_ei(cat: EhresmannCategory):
+def build_category(s: FiniteMonoid, e: Semilattice) -> dict:
+    """The hom-sets of C(S, E), (x+, x*) -> tuple of the x, kept on E."""
+    plus, star = _plus_star(s, e)
+    if "hom" not in e._memo:
+        hom = {}
+        for x, key in enumerate(zip(plus, star)):
+            hom.setdefault(key, []).append(x)
+        e._memo["hom"] = {k: tuple(v) for k, v in hom.items()}
+    return e._memo["hom"]
+
+
+def is_ei(s: FiniteMonoid, e: Semilattice):
     """True iff every endomorphism monoid is a group.
 
     Returns (flag, witness); the witness is a non-invertible endomorphism.
     """
-    s = cat.monoid
-    for e in cat.objects():
-        endos = cat.endomorphisms(e)
+    hom = build_category(s, e)
+    for f in e.members:
+        endos = hom.get((f, f), ())
         for x in endos:
-            if not any(
-                s.mul(x, y) == e and s.mul(y, x) == e for y in endos
-            ):
+            if not any(s.mul(x, y) == f and s.mul(y, x) == f for y in endos):
                 return False, x
     return True, None
 
@@ -186,23 +176,21 @@ def verify_stein(s: FiniteMonoid, e: Semilattice, side: str) -> bool:
         y in b and all(pos[x] <= pos[y] for x in b) for y, b in enumerate(below)
     ):
         raise StateError("zeta matrix is not unitriangular under the order")
-    cat = build_category(s, e)
-    return is_multiplicative(cat, [sorted(b) for b in below])
+    return is_multiplicative(s, e, [sorted(b) for b in below])
 
 
-def is_multiplicative(cat: EhresmannCategory, phi) -> bool:
+def is_multiplicative(s: FiniteMonoid, e: Semilattice, phi) -> bool:
     """The sweep of ``verify_stein`` for any basis map: phi[x] lists the
     basis elements of the image of x."""
-    s = cat.monoid
+    plus, star = _plus_star(s, e)
     ys = list(s.generators)
     if s.identity is not None:
         ys.append(s.identity)
     targets = [sorted(p) for p in phi]
-    star = cat.star
     for y in ys:
         by_object = {}  # source object -> columns of the b in phi(y)
         for b in phi[y]:
-            by_object.setdefault(cat.plus[b], []).append(s.column(b))
+            by_object.setdefault(plus[b], []).append(s.column(b))
         for x, z in enumerate(s.column(y)):
             lhs = [c[a] for a in phi[x] for c in by_object.get(star[a], ())]
             lhs.sort()  # phi(x) phi(y) and phi(xy) as multisets
@@ -467,8 +455,7 @@ def ei_radical_dim(s: FiniteMonoid, e: Semilattice) -> int:
     """dim rad K[S], once every endomorphism monoid of C(S, E) is checked
     to be a group; otherwise raises a state error naming that
     hypothesis."""
-    cat = build_category(s, e)
-    flag, witness = is_ei(cat)
+    flag, witness = is_ei(s, e)
     if not flag:
         raise StateError(
             "semisimple-quotient check needs every endomorphism to be "

@@ -253,13 +253,11 @@ def _shade_indices(m, data, family):
 def cmd_category(args):
     e = zoo.semilattice_for(args.semilattice, args.family)
     s = e.parent
-    cat = algebra.build_category(s, e)
-    flag, witness = algebra.is_ei(cat)
+    hom = algebra.build_category(s, e)
+    flag, witness = algebra.is_ei(s, e)
     data = {
-        "objects": len(cat.objects()),
-        "hom_sizes": {
-            f"{a}->{b}": len(v) for (a, b), v in sorted(cat.hom.items())
-        },
+        "objects": len(e.members),
+        "hom_sizes": {f"{a}->{b}": len(v) for (a, b), v in sorted(hom.items())},
         "ei": flag,
         "ei_witness": witness,
     }

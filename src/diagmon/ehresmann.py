@@ -40,8 +40,9 @@ class Semilattice:
     """A validated commuting-idempotent subset of a parent monoid.
 
     ``_memo`` keeps each side's member rows ('products', side) and tilde
-    labelling ('tilde', side) and the axiom report ('report') once
-    computed, as ``FiniteMonoid`` keeps its Green structure."""
+    labelling ('tilde', side), the axiom report ('report') and the hom-sets
+    of C(S, E) ('hom') once computed, as ``FiniteMonoid`` keeps its Green
+    structure."""
 
     parent: FiniteMonoid
     members: tuple
@@ -257,18 +258,17 @@ def rest_subsemigroups(s: FiniteMonoid, e: Semilattice):
     """Largest left-, right- and two-sided restriction subsemigroups: the
     x that pass the test of L3, of R3, and of both.
 
-    Each returned index set is verified closed under the product and to
-    contain the semilattice.
+    The one-sided sets are verified closed under the product and to contain
+    the semilattice; so is their intersection, the two-sided set.
     """
     rest_l = list(compress(range(s.size), _contained(s, e, "right", "left")))
     rest_r = list(compress(range(s.size), _contained(s, e, "left", "right")))
-    rest = sorted(set(rest_l) & set(rest_r))
-    for name, sub in (("left", rest_l), ("right", rest_r), ("two-sided", rest)):
+    for name, sub in (("left", rest_l), ("right", rest_r)):
         if not set(e.members) <= set(sub):
             raise StateError(f"{name} restriction set does not contain E")
         if not s.closed(sub):
             raise StateError(f"{name} restriction set not closed")
-    return tuple(rest_l), tuple(rest_r), tuple(rest)
+    return tuple(rest_l), tuple(rest_r), tuple(sorted({*rest_l} & {*rest_r}))
 
 
 def reg_e(s: FiniteMonoid, e: Semilattice):

@@ -412,7 +412,10 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
         raise ValidationError(
             f"semilattice {kind} is not contained in the given monoid"
         ) from None
-    return Semilattice.create(parent, idx)
+    try:
+        return Semilattice.create(parent, idx)
+    except ValidationError as exc:
+        raise ValidationError(f"semilattice {kind} of {spec}: {exc}") from None
 
 
 def relation_generators(family, n):

@@ -825,18 +825,20 @@ def is_total_function(a):
     return all(row != 0 and row & (row - 1) == 0 for row in a.rows)
 
 
-def compose(cat, x, y):
-    """The composition of the category ``cat``, x then y: the product x*y,
-    defined iff the target object of x is the source object of y."""
-    if cat.star[x] != cat.plus[y]:
+def compose(s, e, x, y):
+    """The composition of the category C(S, E), x then y: the product x*y,
+    defined iff the target object x* of x is the source object y+ of y,
+    both read off the axiom report of (S, E)."""
+    report = eh.check_axioms(s, e)
+    if report.star[x] != report.plus[y]:
         return None
-    return cat.monoid.mul(x, y)
+    return s.mul(x, y)
 
 
-def category_algebra(cat):
-    """The category algebra as a (dimension, product) pair: an undefined
-    composition is None, a zero product."""
-    return cat.monoid.size, lambda x, y: compose(cat, x, y)
+def category_algebra(s, e):
+    """The category algebra of C(S, E) as a (dimension, product) pair: an
+    undefined composition is None, a zero product."""
+    return s.size, lambda x, y: compose(s, e, x, y)
 
 
 def algebra_multiply(a, u, v):
@@ -1066,36 +1068,34 @@ def relation_predicates(a):
 # -- reference transform check ------------------------------------------------
 
 
-def stein_generator_pairs(cat, phi):
+def stein_generator_pairs(s, e, phi):
     """The sweep of ``algebra.is_multiplicative`` on (element, generator)
     pairs, by definition: every composition of phi(x) phi(y) through
     ``compose``, undefined ones dropped, compared with
     phi(xy) as a multiset."""
-    s = cat.monoid
     ys = list(s.generators)
     if s.identity is not None:
         ys.append(s.identity)
     for x in range(s.size):
         for y in ys:
-            lhs = Counter(compose(cat, a, b) for a in phi[x] for b in phi[y])
+            lhs = Counter(compose(s, e, a, b) for a in phi[x] for b in phi[y])
             del lhs[None]  # undefined compositions contribute zero
             if lhs != Counter(phi[s.mul(x, y)]):
                 return False
     return True
 
 
-def stein_pairwise(cat, phi):
+def stein_pairwise(s, e, phi):
     """phi(x) phi(y) = phi(xy) on every pair (x, y), not only on the
     (element, generator) pairs of ``stein_generator_pairs``, counting
     compositions in a plain dict."""
-    s = cat.monoid
     rng = range(s.size)
     for x in rng:
         for y in rng:
             lhs = {}
             for a in phi[x]:
                 for b in phi[y]:
-                    c = compose(cat, a, b)
+                    c = compose(s, e, a, b)
                     if c is not None:
                         lhs[c] = lhs.get(c, 0) + 1
             if lhs != {c: 1 for c in phi[s.mul(x, y)]}:

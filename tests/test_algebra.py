@@ -44,44 +44,44 @@ def _families(max_degree):
 
 
 def _category_algebra(name, kind):
-    cat = algebra.build_category(zoo.build(name), zoo.semilattice_for(kind, name))
-    return category_algebra(cat)
+    return category_algebra(zoo.build(name), zoo.semilattice_for(kind, name))
 
 
 def test_hom_sets_partition_the_monoid():
     for name, kind in (("PT2", "E"), ("P2", "F"), ("I2", "E")):
-        s = zoo.build(name)
-        cat = algebra.build_category(s, zoo.semilattice_for(kind, name))
-        assert sum(len(v) for v in cat.hom.values()) == s.size
+        s, sl = zoo.build(name), zoo.semilattice_for(kind, name)
+        hom = algebra.build_category(s, sl)
+        report = eh.check_axioms(s, sl)
+        assert sum(len(v) for v in hom.values()) == s.size
         for x in range(s.size):
-            assert x in cat.hom[(cat.plus[x], cat.star[x])]
+            assert x in hom[(report.plus[x], report.star[x])]
         # composition lands in the right hom set
-        for (e, f), xs in cat.hom.items():
-            for (f2, g), ys in cat.hom.items():
+        for (e, f), xs in hom.items():
+            for (f2, g), ys in hom.items():
                 if f != f2:
                     continue
                 for x in xs:
                     for y in ys:
-                        assert compose(cat, x, y) in cat.hom[(e, g)]
+                        assert compose(s, sl, x, y) in hom[(e, g)]
 
 
 def test_objects_act_as_identities_on_their_hom_sets():
-    s = zoo.build("PT2")
-    cat = algebra.build_category(s, zoo.semilattice_for("E", "PT2"))
-    for e in cat.objects():
-        assert e in cat.endomorphisms(e)
-        for x in cat.endomorphisms(e):
+    s, sl = zoo.build("PT2"), zoo.semilattice_for("E", "PT2")
+    hom = algebra.build_category(s, sl)
+    for e in sl.members:
+        assert e in hom[(e, e)]
+        for x in hom[(e, e)]:
             assert s.mul(e, x) == x and s.mul(x, e) == x
 
 
 def test_block_category_hom_sizes_count_partial_bijections():
     s = zoo.build("P3")
     f = zoo.semilattice_for("F", "P3")
-    cat = algebra.build_category(s, f)
+    hom = algebra.build_category(s, f)
     classes_of = {
         i: len(set(dg.params(s.decode(i)).ker)) for i in f.members
     }
-    for (e, g), xs in cat.hom.items():
+    for (e, g), xs in hom.items():
         a, b = classes_of[e], classes_of[g]
         want = sum(
             comb(a, k) * comb(b, k) * factorial(k)
@@ -91,27 +91,25 @@ def test_block_category_hom_sizes_count_partial_bijections():
 
 
 def test_category_requires_the_axioms():
-    s = zoo.build("P2")
-    with pytest.raises(StateError):
-        algebra.build_category(s, zoo.semilattice_for("E", "P2"))
+    s, e = zoo.build("P2"), zoo.semilattice_for("E", "P2")
+    phi = [[x] for x in range(s.size)]
+    refused = "^category needs the Ehresmann axioms; \\['L2', 'R2'\\] fail$"
+    for call in (algebra.build_category, algebra.is_ei,
+                 lambda s, e: algebra.is_multiplicative(s, e, phi)):
+        with pytest.raises(StateError, match=refused):
+            call(s, e)
 
 
 def test_ei_examples():
     pfd2 = zoo.build("Pfd2")
-    flag, _ = algebra.is_ei(
-        algebra.build_category(pfd2, zoo.semilattice_for("F", "Pfd2"))
-    )
+    flag, _ = algebra.is_ei(pfd2, zoo.semilattice_for("F", "Pfd2"))
     assert flag
     rr2 = zoo.build("RR2")
-    flag, witness = algebra.is_ei(
-        algebra.build_category(rr2, zoo.semilattice_for("F", "RR2"))
-    )
+    flag, witness = algebra.is_ei(rr2, zoo.semilattice_for("F", "RR2"))
     assert not flag
     assert rr2.decode(witness) == dg.zeta(2)
     pt2 = zoo.build("PT2")
-    flag, _ = algebra.is_ei(
-        algebra.build_category(pt2, zoo.semilattice_for("E", "PT2"))
-    )
+    flag, _ = algebra.is_ei(pt2, zoo.semilattice_for("E", "PT2"))
     assert flag
 
 
@@ -243,22 +241,19 @@ def test_transform_matrices_are_held_sparse(name, kind, side):
     ) < 1.5e6
 
 
-def _category_and_phi(name, kind, side):
+def _pair_and_phi(name, kind, side):
     s = zoo.build(name)
     e = zoo.semilattice_for(kind, name)
-    phi = [sorted(b) for b in algebra.natural_order(s, e, side)]
-    return algebra.build_category(s, e), phi
+    return s, e, [sorted(b) for b in algebra.natural_order(s, e, side)]
 
 
 def test_verify_stein_matches_the_pairwise_oracle():
     cases = list(_stein_cases(3))
     for name, kind, side in cases:
-        s = zoo.build(name)
-        e = zoo.semilattice_for(kind, name)
-        cat, phi = _category_and_phi(name, kind, side)
-        assert algebra.verify_stein(s, e, side) == stein_pairwise(cat, phi)
-        assert algebra.is_multiplicative(cat, phi) == stein_generator_pairs(
-            cat, phi
+        s, e, phi = _pair_and_phi(name, kind, side)
+        assert algebra.verify_stein(s, e, side) == stein_pairwise(s, e, phi)
+        assert algebra.is_multiplicative(s, e, phi) == stein_generator_pairs(
+            s, e, phi
         ), (name, kind, side)
     assert len(cases) == 198
 
@@ -280,24 +275,24 @@ def _perturbations(phi):
     ("PT2", "E", "left"), ("I2", "E", "right"), ("RJ2", "G", "left"),
 ])
 def test_perturbed_transforms_fail_the_sweep_and_the_oracle(name, kind, side):
-    cat, phi = _category_and_phi(name, kind, side)
-    assert algebra.is_multiplicative(cat, phi) and stein_pairwise(cat, phi)
+    s, e, phi = _pair_and_phi(name, kind, side)
+    assert algebra.is_multiplicative(s, e, phi) and stein_pairwise(s, e, phi)
     for bad in _perturbations(phi):
-        assert not algebra.is_multiplicative(cat, bad)
-        assert not stein_pairwise(cat, bad)
+        assert not algebra.is_multiplicative(s, e, bad)
+        assert not stein_pairwise(s, e, bad)
 
 
 def test_sweep_matches_the_oracle_on_every_perturbation_up_to_degree_2():
     for case in _stein_cases(2):
-        cat, phi = _category_and_phi(*case)
+        s, e, phi = _pair_and_phi(*case)
         for bad in _perturbations(phi):
-            swept = algebra.is_multiplicative(cat, bad)
-            assert swept == stein_pairwise(cat, bad), case
-            assert swept == stein_generator_pairs(cat, bad), case
+            swept = algebra.is_multiplicative(s, e, bad)
+            assert swept == stein_pairwise(s, e, bad), case
+            assert swept == stein_generator_pairs(s, e, bad), case
 
 
 def test_sweep_compares_products_as_multisets():
-    cat, phi = _category_and_phi("PT2", "E", "left")
+    s, e, phi = _pair_and_phi("PT2", "E", "left")
     # unsorted images: the same map
     unsorted = [b[::-1] for b in phi]
     assert any(b != sorted(b) for b in unsorted)
@@ -307,9 +302,9 @@ def test_sweep_compares_products_as_multisets():
     # one image with a repeated entry
     repeated = phi[:3] + [phi[3] + phi[3][:1]] + phi[4:]
     for bad, want in ((unsorted, True), (doubled, False), (repeated, False)):
-        assert algebra.is_multiplicative(cat, bad) is want
-        assert stein_generator_pairs(cat, bad) is want
-        assert stein_pairwise(cat, bad) is want
+        assert algebra.is_multiplicative(s, e, bad) is want
+        assert stein_generator_pairs(s, e, bad) is want
+        assert stein_pairwise(s, e, bad) is want
 
 
 @pytest.mark.parametrize("name, kind, side", [
@@ -324,15 +319,14 @@ def test_sweep_on_untabled_copies_matches_the_oracle(
     with monkeypatch.context() as patch:
         patch.setattr(eh, "TABLE_CAP", 0)
         assert eh.check_axioms(s, e).theta_sweep == "generators"
-    cat = algebra.build_category(s, e)
     phi = [sorted(b) for b in algebra.natural_order(s, e, side)]
     assert algebra.verify_stein(s, e, side)
-    assert algebra.is_multiplicative(cat, phi)
-    assert stein_generator_pairs(cat, phi)
+    assert algebra.is_multiplicative(s, e, phi)
+    assert stein_generator_pairs(s, e, phi)
     # the perturbations that drop one entry of one image come first
     for bad in islice(_perturbations(phi), sum(map(len, phi))):
-        assert algebra.is_multiplicative(cat, bad) == stein_generator_pairs(
-            cat, bad
+        assert algebra.is_multiplicative(s, e, bad) == stein_generator_pairs(
+            s, e, bad
         )
 
 
@@ -341,12 +335,12 @@ def test_sweep_needs_the_identity_pairs():
     # map sending 1 to a and fixing a, b passes every (x, generator) pair,
     # but phi(b) phi(1) = b a = a differs from phi(b) = b
     s = monoid_by_products(["a", "b"], lambda x, g: g, "1", ["1", "a", "b"])
-    cat = algebra.build_category(s, eh.Semilattice.create(s, [s.identity]))
+    e = eh.Semilattice.create(s, [s.identity])
     a, b = s.index["a"], s.index["b"]
     phi = [[a], [a], [b]]
     assert s.identity == 0
-    assert not algebra.is_multiplicative(cat, phi)
-    assert not stein_pairwise(cat, phi)
+    assert not algebra.is_multiplicative(s, e, phi)
+    assert not stein_pairwise(s, e, phi)
 
 
 def test_rational_algebra_associativity_and_products():
@@ -355,8 +349,7 @@ def test_rational_algebra_associativity_and_products():
     assert rows == cayley_table(s)
     a = (len(rows), lambda i, j: rows[i][j])
     assert algebra_associative(a)
-    cat = algebra.build_category(s, zoo.semilattice_for("E", "PT2"))
-    c = category_algebra(cat)
+    c = category_algebra(s, zoo.semilattice_for("E", "PT2"))
     assert algebra_associative(c)
     # vector product with cancellation
     u = {0: Fraction(1, 2), 1: Fraction(-1, 2)}

@@ -182,6 +182,25 @@ def test_stein_checks_the_transform_once(monkeypatch, capsys):
     assert calls == {"verify_stein": 1, "natural_order": 2}
 
 
+def test_hom_sets_are_built_once_and_never_by_the_transform(
+    monkeypatch, capsys
+):
+    # the transform reads x+ and x* off the axiom report; the category
+    # command builds the hom-sets once, and every later call returns the
+    # dict kept on E
+    built = []
+    original = algebra.build_category
+    monkeypatch.setattr(
+        algebra, "build_category",
+        lambda s, e: built.append(original(s, e)) or built[-1],
+    )
+    assert cli.main(["stein", "PT3", "E", "--side", "left"]) == 0
+    assert built == []
+    assert cli.main(["category", "PT3", "E"]) == 0
+    capsys.readouterr()
+    assert built and all(hom is built[0] for hom in built)
+
+
 def test_verify_command(tmp_path):
     code, text = run(["verify", "2", "--nmax", "2"], tmp_path)
     assert code == 0
@@ -228,7 +247,7 @@ def test_broken_precondition_in_verify_is_a_failed_check(monkeypatch, capsys):
 
 
 def test_non_ei_category_in_verify_is_a_failed_check(monkeypatch, capsys):
-    monkeypatch.setattr(algebra, "is_ei", lambda cat: (False, 0))
+    monkeypatch.setattr(algebra, "is_ei", lambda s, e: (False, 0))
     assert cli.main(["verify", "2", "--nmax", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     failed = [x for x in lines if x.startswith("[FAIL]")]

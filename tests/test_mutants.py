@@ -4,7 +4,8 @@ Each row of ``MUTANTS`` names a fault, patched in with ``monkeypatch``, the
 exact FAIL lines it must cause, a line that fails more than once listed as
 often, and the exit code.  Every other line still
 prints, nothing goes to stderr, and the summary counts the failures.  Every
-line of ``verify 2`` and ``verify 3`` must be one that some row fails.
+line of ``verify 2``, ``verify 3`` and ``verify 5`` must be one that some
+row fails.
 """
 
 import dataclasses
@@ -131,11 +132,46 @@ def top_size_one_more(monkeypatch):
 
 
 def never_multiplicative(monkeypatch):
-    monkeypatch.setattr(algebra, "is_multiplicative", lambda cat, phi: False)
+    monkeypatch.setattr(algebra, "is_multiplicative", lambda s, e, phi: False)
 
 
 def never_ei(monkeypatch):
-    monkeypatch.setattr(algebra, "is_ei", lambda cat: (False, 0))
+    monkeypatch.setattr(algebra, "is_ei", lambda s, e: (False, 0))
+
+
+def embedding_never_holds(monkeypatch):
+    monkeypatch.setattr(verify, "check_embedding", lambda f, s, t: False)
+
+
+def brauer_size_one_more_at_3(monkeypatch):
+    size = zoo.FAMILIES["B"].size
+    monkeypatch.setitem(zoo.FAMILIES, "B", dataclasses.replace(
+        zoo.FAMILIES["B"], size=lambda n: size(n) + (n == 3)
+    ))
+
+
+def l2_always_holds(monkeypatch):
+    # the left congruence sweep passes whatever the classes
+    sweep = eh._sweep
+    monkeypatch.setattr(eh, "_sweep", lambda s, classes, actions, line: (
+        (True, None) if actions is s.left else sweep(s, classes, actions, line)
+    ))
+
+
+def first_two_tilde_classes_merged(monkeypatch):
+    # R~ and L~ put the first two classes of every labelling into one
+    classes = eh._classes_by_key
+    monkeypatch.setattr(eh, "_classes_by_key", lambda keys: [
+        max(c - 1, 0) for c in classes(keys)
+    ])
+
+
+def identity_sets_drop_first_member(monkeypatch):
+    # E_L(x) and E_R(x) leave out the member of E of least index
+    sets = eh.identity_sets
+    monkeypatch.setattr(eh, "identity_sets", lambda s, e, side: [
+        got - {e.members[0]} for got in sets(s, e, side)
+    ])
 
 
 RELATIONS = (
@@ -159,6 +195,15 @@ SEMISIMPLE = (
     "semigroup algebra modulo its radical has dimension {}, and the "
     "regular part's algebra is semisimple  ({})"
 )
+BINARY = (
+    "all binary relations on {} points: Ehresmann for partial identities, "
+    "classes given by domain and codomain"
+)
+NOT_EHRESMANN = "category needs the Ehresmann axioms; {} fail"
+ALL_FOUR, ONE_SIDED = "['L1', 'L2', 'R1', 'R2']", "['L1', 'R1']"
+# the (monoid, side) of each transform line
+TRANSFORMS = (("PT2", "left"), ("PT3", "left"), ("Pfd2", "right"),
+              ("Pfd3", "right"), ("I2", "left"), ("I2", "right"))
 NOT_EI = (
     "semisimple-quotient check needs every endomorphism to be invertible; "
     "element 0 is a non-invertible endomorphism"
@@ -216,10 +261,13 @@ MUTANTS = {
         p3_merge_misplaced,
         [
             # the walk finds a product of F's members outside F, so every
-            # check that reads P3's F fails as one line
-            *(f"{check}  (not closed: a product escapes the set)"
-              for check in ("check_transform_isomorphism",
-                            "check_block_identity_axioms",
+            # check that reads the F of P3, or of its cut Pfd3, fails as
+            # one line that names it
+            "check_transform_isomorphism  (semilattice F of Pfd3: not "
+            "closed: a product escapes the set)",
+            *(f"{check}  (semilattice F of P3: not closed: a product "
+              "escapes the set)"
+              for check in ("check_block_identity_axioms",
                             "check_identity_set_formulas",
                             "check_order_characterizations",
                             "check_regular_subsemigroups",
@@ -237,7 +285,8 @@ MUTANTS = {
     ),
     "p3-picked-action-entry-moved": (
         p3_picked_action_moved,
-        {"check_transform_isomorphism  (elements 0,10 do not commute)"},
+        {"check_transform_isomorphism  (semilattice F of Pfd3: elements 0,10 "
+         "do not commute)"},
         1,
     ),
     "d0-mirrored": (
@@ -248,8 +297,7 @@ MUTANTS = {
     ),
     "rel_params-constant-domain": (
         constant_relation_domain,
-        {f"all binary relations on {n} points: Ehresmann for partial "
-         "identities, classes given by domain and codomain" for n in (1, 2, 3)},
+        {BINARY.format(n) for n in (1, 2, 3)},
         1,
     ),
     "size-one-more-at-the-top": (
@@ -262,10 +310,70 @@ MUTANTS = {
     ),
     "is_multiplicative-false": (
         never_multiplicative,
-        {f"{name}, {side} order: {TRANSFORM}" for name, side in (
-            ("PT2", "left"), ("PT3", "left"), ("Pfd2", "right"),
-            ("Pfd3", "right"), ("I2", "left"), ("I2", "right"),
-        )},
+        {f"{name}, {side} order: {TRANSFORM}" for name, side in TRANSFORMS},
+        1,
+    ),
+    "check_embedding-false": (
+        embedding_never_holds,
+        {f"tower embeddings at degree {n} are injective homomorphisms"
+         for n in (1, 2, 3)},
+        1,
+    ),
+    "B-size-one-more-at-3": (
+        brauer_size_one_more_at_3,
+        {
+            # the identity class of the full partial identity at degree 3
+            f"partial Brauer monoid at degree 3: {BRAUER}",
+            "Brauer family sizes match the double factorials  "
+            "(B_1=1 B_2=3 B_3=15 B_4=105)",
+        },
+        1,
+    ),
+    "L2-always-holds": (
+        l2_always_holds,
+        {
+            "P_2 fails L2 and R2 for the partial identities, with the fixed "
+            "witness triple",
+            "partial Brauer monoid at degree 2 fails the left-congruence "
+            "axiom, with the same degree-2 witnesses inside it",
+        },
+        1,
+    ),
+    "tilde-classes-first-two-merged": (
+        first_two_tilde_classes_merged,
+        [
+            # a merged class holds two members of E, so L1 and R1 fail
+            *(f"{name}, {side} order: {TRANSFORM}  (the transform needs the "
+              f"Ehresmann axioms and {'L3' if side == 'left' else 'R3'})"
+              for name, side in TRANSFORMS),
+            *(f"{name}: {SEMISIMPLE.format(dim, NOT_EHRESMANN.format(fail))}"
+              for name, dim, fail in (("PT2", 7, ALL_FOUR),
+                                      ("PT3", 34, ALL_FOUR),
+                                      ("Pfd2", 3, ONE_SIDED))),
+            *(BINARY.format(n) for n in (1, 2, 3)),
+            *(f"check_relation_suite  ({NOT_EHRESMANN.format(fail)})"
+              for fail in (ONE_SIDED, ALL_FOUR, ALL_FOUR)),
+            *(f"P_{n} satisfies L1, L2, R1, R2 for the block identities  "
+              f"(sweep={sweep})"
+              for n, sweep in ((2, "full"), (3, "full"), (4, "generators"))),
+            "identity sets and induced equivalences in P_3 match their "
+            "closed forms",
+            *(f"regular parts of P_{n} {REGULAR}" for n in (2, 3)),
+            *(f"partial Brauer monoid at degree {n}: {BRAUER}"
+              for n in (1, 2, 3)),
+            *(f"rook monoid at degree {n} is Ehresmann for the enlarged "
+              "block identities" for n in (1, 2)),
+        ],
+        1,
+    ),
+    "identity_sets-drop-first-member": (
+        identity_sets_drop_first_member,
+        {
+            "identity sets and induced equivalences in P_3 match their "
+            "closed forms",
+            "lifted block identities fail left-congruence in the degree-2 "
+            "rook monoid (fixed witness triple)",
+        },
         1,
     ),
     "is_ei-false": (
@@ -298,7 +406,7 @@ def test_mutant_fails_its_lines(monkeypatch, capsys, mutant):
     assert lines[-1] == f"{total - len(failures)}/{total} checks passed"
 
 
-@pytest.mark.parametrize("section, count", [("2", 9), ("3", 12)])
+@pytest.mark.parametrize("section, count", [("2", 9), ("3", 12), ("5", 14)])
 def test_every_line_has_a_mutant(capsys, section, count):
     # reads the declared FAIL lines, which test_mutant_fails_its_lines
     # checks, so no mutant runs here
