@@ -27,7 +27,6 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DegreeMismatchError, ValidationError
@@ -131,8 +130,7 @@ def multiply(a: Partition, b: Partition) -> Partition:
     return Partition(n, _canonical(outer))
 
 
-@dataclass(frozen=True)
-class DiagramParams:
+class DiagramParams(NamedTuple):
     dom: frozenset  # points of {1..n}
     codom: frozenset
     ker: tuple  # canonical code of the upper row

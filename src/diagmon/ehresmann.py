@@ -18,16 +18,17 @@ and one column of S per member, composed over the prefix tree of the
 members' words and kept as typed rows, 2 bytes an entry; the identity sets
 are bitmasks over the members.  L2 and R2 are swept over the certified
 generators, and on a monoid of at most ``TABLE_CAP`` elements a failed
-sweep is rerun over every theta for the minimal witness.  E, which knows
-its parent S, keeps both sides' member rows, the tilde labellings and the
-axiom report once computed, and every function here reads them from it.
+sweep is rerun over every theta for the minimal witness.  E is the pair
+(S, members), and a memo outside that value keeps both sides' member rows,
+tilde labellings and axiom report, which every function here reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, compress, repeat
 from operator import eq
+from typing import NamedTuple
 
 from .errors import StateError, ValidationError
 from .monoid import (
@@ -35,20 +36,19 @@ from .monoid import (
 )
 
 
-@dataclass(frozen=True)
-class Semilattice:
+class Semilattice(namedtuple("Semilattice", "parent members")):
     """A validated commuting-idempotent subset of a parent monoid.
 
-    ``_memo`` keeps each side's member rows ('products', side) and tilde
-    labelling ('tilde', side), the axiom report ('report') and the hom-sets
-    of C(S, E) ('hom') once computed, as ``FiniteMonoid`` keeps its Green
-    structure."""
+    Equality, hash and repr read (parent, members) only.  ``_memo``, no
+    part of the value, keeps each side's member rows ('products', side)
+    and tilde labelling ('tilde', side), the axiom report ('report') and
+    the hom-sets of C(S, E) ('hom') once computed, as ``FiniteMonoid``
+    keeps its Green structure."""
 
-    parent: FiniteMonoid
-    members: tuple
-    _memo: dict = field(
-        init=False, default_factory=dict, compare=False, repr=False
-    )
+    def __new__(cls, parent: FiniteMonoid, members: tuple):
+        self = super().__new__(cls, parent, members)
+        self._memo = {}
+        return self
 
     @classmethod
     def create(cls, parent, members):
@@ -128,8 +128,7 @@ def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
     return e._memo["tilde", side]
 
 
-@dataclass(frozen=True)
-class EhresmannReport:
+class EhresmannReport(NamedTuple):
     axioms: dict  # name -> bool for L1, L2, R1, R2, L3, R3
     witnesses: dict  # name -> minimal witness tuple for each failed axiom
     r_tilde: list  # class id per element

@@ -56,8 +56,8 @@ inverseness and right zeros are read off this structure.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import StateError, ValidationError
 
@@ -334,8 +334,7 @@ def _check_indices(m, indices):
 # -- Green's relations ------------------------------------------------------
 
 
-@dataclass
-class GreenStructure:
+class GreenStructure(NamedTuple):
     """Green's structure of a monoid: for each element the id of its R-, L-,
     H- and D-class, each numbered in order of minimal element, and for each
     D-class id d the frozenset ``below[d]`` of the D-class ids at or below

@@ -15,7 +15,6 @@ dict as a plain tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegreeMismatchError, ValidationError
@@ -100,8 +99,7 @@ def converse(a: BinaryRelation) -> BinaryRelation:
     return BinaryRelation(a.n, tuple(out))
 
 
-@dataclass(frozen=True)
-class RelationParams:
+class RelationParams(NamedTuple):
     dom: frozenset  # points of {1..n}
     codom: frozenset
 

@@ -18,10 +18,10 @@ degree) that raised it, keeping every line before it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from . import algebra, diagrams as dg, dotout, ehresmann as eh, zoo
 from .errors import StateError, ValidationError
@@ -38,8 +38,7 @@ from .monoid import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -56,15 +55,17 @@ def bell(n):
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
-# not a NamedTuple: perfbench's tracer makes module dicts' tuples plain tuples
-@dataclass(frozen=True)
+# slots, not a tuple: perfbench's tracer makes module-dict tuples plain tuples
 class Family:
     """A family's universe, membership test, nameability and size."""
 
-    universe: str
-    member: Callable[["_Facts"], bool] | None = None
-    named: bool = False
-    size: Callable[[int], int] | None = None
+    __slots__ = ("universe", "member", "named", "size")
+
+    def __init__(self, universe: str,
+                 member: Callable[["_Facts"], bool] | None = None,
+                 named: bool = False, size: Callable[[int], int] | None = None):
+        self.universe, self.member = universe, member
+        self.named, self.size = named, size
 
 
 FAMILIES = {
@@ -97,10 +98,8 @@ FAMILIES = {
 UNIVERSE_BUDGET = 4140
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: int
+class FamilySpec(namedtuple("FamilySpec", "family n")):
+    __slots__ = ()
 
     @classmethod
     def parse(cls, name: str) -> "FamilySpec":
@@ -119,20 +118,21 @@ class FamilySpec:
                 f"budget", UNIVERSE_BUDGET,
             ) from None
 
-    def __post_init__(self):
-        if self.family not in FAMILIES or type(self.n) is not int or self.n < 0:
-            raise ValidationError(f"no family {self.family}_{self.n}")
+    def __new__(cls, family: str, n: int):
+        if family not in FAMILIES or type(n) is not int or n < 0:
+            raise ValidationError(f"no family {family}_{n}")
         # the universe's own record sizes it: P_(k+1) for a rook family
-        universe = FAMILIES[self.family].universe
+        universe = FAMILIES[family].universe
         rook = universe == "rook"
         size = FAMILIES["P" if rook else universe].size
         # universes grow with n, so walking up never sizes a huge n itself
-        for k in range(self.n + 1):
+        for k in range(n + 1):
             if size(k + rook) > UNIVERSE_BUDGET:
                 raise ResourceCapError(
-                    f"{self.family}_n from degree {k} exceeds the element "
+                    f"{family}_n from degree {k} exceeds the element "
                     f"budget", UNIVERSE_BUDGET,
                 )
+        return super().__new__(cls, family, n)
 
     def __str__(self):
         return f"{self.family}{self.n}"

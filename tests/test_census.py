@@ -5,9 +5,15 @@ method and class attribute (dunders aside, which Python reads itself) that
 no code in the package reads: a module-level name by name or as an
 attribute, a class member as an attribute.  Each unread name must be on
 ``ALLOWED`` with the reason it stays, and each allowed name must be unread.
+Each name a module imports must be read in that module, and importing the
+CLI must load neither ``dataclasses`` nor ``inspect``, whose import every
+command would pay in its fresh process.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "diagmon"
@@ -49,3 +55,42 @@ def test_every_name_in_src_has_a_reader_in_src():
             unread |= {q for q, n in _members(cls.body, f"{mod}.{cls.name}")
                        if n not in attrs and not n.startswith("__")}
     assert unread == set(ALLOWED)
+
+
+def test_every_import_in_src_is_read_in_its_module():
+    # an annotation is an expression of the tree, so a name read only there
+    # counts, and so does one inside a quoted annotation
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        quoted = [
+            ast.parse(c.value, mode="eval")
+            for n in ast.walk(tree)
+            for note in (getattr(n, "annotation", None),
+                         getattr(n, "returns", None)) if note is not None
+            for c in ast.walk(note)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)
+        ]
+        read = {n.id for t in (tree, *quoted) for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert imported <= read, (path.name, sorted(imported - read))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the modules that ``import diagmon.cli`` adds to a bare interpreter's
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = [
+        set(subprocess.run(
+            [sys.executable, "-c", f"import sys{more}; print(*sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split())
+        for more in ("", ", diagmon.cli")
+    ]
+    assert "diagmon.cli" in loaded[1] - loaded[0]
+    assert not {"dataclasses", "inspect"} & (loaded[1] - loaded[0])

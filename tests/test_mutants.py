@@ -4,17 +4,16 @@ Each row of ``MUTANTS`` names a fault, patched in with ``monkeypatch``, the
 exact FAIL lines it must cause, a line that fails more than once listed as
 often, and the exit code.  Every other line still
 prints, nothing goes to stderr, and the summary counts the failures.  Every
-line of ``verify 2``, ``verify 3`` and ``verify 5`` must be one that some
-row fails.
+line of ``verify 2``, ``3``, ``4`` and ``5`` must be one that some row
+fails.
 """
 
-import dataclasses
 import functools
 from collections import Counter
 
 import pytest
 
-from diagmon import algebra, cli, verify, zoo
+from diagmon import algebra, cli, dotout, verify, zoo
 from diagmon import diagrams as dg
 from diagmon import ehresmann as eh
 from diagmon.errors import ValidationError
@@ -99,6 +98,15 @@ def p3_picked_action_moved(monkeypatch):
     monkeypatch.setattr(FiniteMonoid, "_lines", moved_lines)
 
 
+def family_with(fam, **fields):
+    """A new ``zoo.Family`` record: that of ``fam`` with ``fields`` changed."""
+    record = zoo.FAMILIES[fam]
+    return zoo.Family(**{
+        **{name: getattr(record, name) for name in zoo.Family.__slots__},
+        **fields,
+    })
+
+
 def d0_mirrored(monkeypatch):
     # D0_n becomes its mirror, no transversal and a universal cokernel:
     # also Bell(n) diagrams, so RR_n keeps |Pfd_n| + |D0_n| elements but
@@ -106,8 +114,8 @@ def d0_mirrored(monkeypatch):
     for name in ("build", "family_cuts"):
         cached = getattr(zoo, name).__wrapped__
         monkeypatch.setattr(zoo, name, functools.lru_cache(maxsize=None)(cached))
-    monkeypatch.setitem(zoo.FAMILIES, "D0", dataclasses.replace(
-        zoo.FAMILIES["D0"], member=lambda f: f.none and f.couniversal
+    monkeypatch.setitem(zoo.FAMILIES, "D0", family_with(
+        "D0", member=lambda f: f.none and f.couniversal
     ))
 
 
@@ -115,8 +123,8 @@ def constant_relation_domain(monkeypatch):
     # every relation reports the same domain, so the domains no longer
     # give the R~ classes of the binary relations
     original = verify.rel_params
-    monkeypatch.setattr(verify, "rel_params", lambda a: dataclasses.replace(
-        original(a), dom=frozenset()
+    monkeypatch.setattr(verify, "rel_params", lambda a: original(a)._replace(
+        dom=frozenset()
     ))
 
 
@@ -125,9 +133,8 @@ def top_size_one_more(monkeypatch):
     # degree their size line checks
     for fam, top in (("T", 4), ("PT", 4), ("BX", 3)):
         size = zoo.FAMILIES[fam].size
-        monkeypatch.setitem(zoo.FAMILIES, fam, dataclasses.replace(
-            zoo.FAMILIES[fam],
-            size=lambda n, size=size, top=top: size(n) + (n == top),
+        monkeypatch.setitem(zoo.FAMILIES, fam, family_with(
+            fam, size=lambda n, size=size, top=top: size(n) + (n == top),
         ))
 
 
@@ -145,8 +152,8 @@ def embedding_never_holds(monkeypatch):
 
 def brauer_size_one_more_at_3(monkeypatch):
     size = zoo.FAMILIES["B"].size
-    monkeypatch.setitem(zoo.FAMILIES, "B", dataclasses.replace(
-        zoo.FAMILIES["B"], size=lambda n: size(n) + (n == 3)
+    monkeypatch.setitem(zoo.FAMILIES, "B", family_with(
+        "B", size=lambda n: size(n) + (n == 3)
     ))
 
 
@@ -172,6 +179,63 @@ def identity_sets_drop_first_member(monkeypatch):
     monkeypatch.setattr(eh, "identity_sets", lambda s, e, side: [
         got - {e.members[0]} for got in sets(s, e, side)
     ])
+
+
+def degree_6_product_is_its_first_factor(monkeypatch):
+    multiply = dg.multiply
+    monkeypatch.setattr(dg, "multiply", lambda a, b: (
+        a if a.n == 6 else multiply(a, b)
+    ))
+
+
+def below_set_drops_a_member(monkeypatch):
+    # the last below-set with more than one member loses its least other
+    # member; the transform reads the order through algebra's own name
+    order = eh.natural_order
+
+    def dropped(s, e, side):
+        below = order(s, e, side)
+        y = max(y for y, b in enumerate(below) if len(b) > 1)
+        below[y] = below[y] - {min(below[y] - {y})}
+        return below
+
+    monkeypatch.setattr(eh, "natural_order", dropped)
+    monkeypatch.setattr(algebra, "natural_order", dropped)
+
+
+def restriction_parts_drop_their_last(monkeypatch):
+    parts = eh.rest_subsemigroups
+    monkeypatch.setattr(eh, "rest_subsemigroups", lambda s, e: tuple(
+        part[:-1] for part in parts(s, e)
+    ))
+
+
+def right_zeros_drop_one(monkeypatch):
+    zeros = verify.right_zeros
+    monkeypatch.setattr(verify, "right_zeros", lambda m: frozenset(
+        sorted(zeros(m))[1:]
+    ))
+
+
+def eggbox_drops_its_first_cluster(monkeypatch):
+    emit = dotout.emit_eggbox
+
+    def dropped(m, shade=None, title="eggbox"):
+        lines = emit(m, shade, title).split("\n")
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("  subgraph"))
+        return "\n".join(lines[:start] + lines[lines.index("  }", start) + 1:])
+
+    monkeypatch.setattr(dotout, "emit_eggbox", dropped)
+
+
+def partition_sizes_one_more_at_3(monkeypatch):
+    # the P, I and J records each count one element too many at n = 3
+    for fam in ("P", "I", "J"):
+        size = zoo.FAMILIES[fam].size
+        monkeypatch.setitem(zoo.FAMILIES, fam, family_with(
+            fam, size=lambda n, size=size: size(n) + (n == 3)
+        ))
 
 
 RELATIONS = (
@@ -204,6 +268,13 @@ ALL_FOUR, ONE_SIDED = "['L1', 'L2', 'R1', 'R2']", "['L1', 'R1']"
 # the (monoid, side) of each transform line
 TRANSFORMS = (("PT2", "left"), ("PT3", "left"), ("Pfd2", "right"),
               ("Pfd3", "right"), ("I2", "left"), ("I2", "right"))
+RESTRICTION = (
+    "match their block descriptions, with the two-block diagram as zero"
+)
+RANK_CHAIN = (
+    "monoid at degree {}: regular, rank-chain classes, group cells of size "
+    "rank!, bottom right zeros"
+)
 NOT_EI = (
     "semisimple-quotient check needs every endomorphism to be invertible; "
     "element 0 is a non-invertible endomorphism"
@@ -376,6 +447,56 @@ MUTANTS = {
         },
         1,
     ),
+    "degree-6-product-is-its-first-factor": (
+        degree_6_product_is_its_first_factor,
+        {"degree-6 product and parameters of the fixed pair"},
+        1,
+    ),
+    "below-set-drops-a-member": (
+        below_set_drops_a_member,
+        {
+            "both natural orders on P_3 match their block descriptions",
+            *(f"{name}, {side} order: {TRANSFORM}" + (
+                "  (Mobius matrix failed the inversion check)"
+                if name in ("PT2", "Pfd3") else ""
+              ) for name, side in TRANSFORMS),
+        },
+        1,
+    ),
+    "restriction-parts-drop-their-last": (
+        restriction_parts_drop_their_last,
+        {
+            *(f"largest restriction subsemigroups of P_{n} {RESTRICTION}"
+              for n in (2, 3)),
+            *(f"degree-{n} {RELATIONS}" for n in (1, 2, 3)),
+        },
+        1,
+    ),
+    "right_zeros-drop-one": (
+        right_zeros_drop_one,
+        {f"{kind} {RANK_CHAIN.format(n)}"
+         for kind in ("full-domain", "right-restriction") for n in (2, 3, 4)},
+        1,
+    ),
+    "eggbox-drops-its-first-cluster": (
+        eggbox_drops_its_first_cluster,
+        {"degree-4 right-restriction egg-box has 5 chained clusters"},
+        1,
+    ),
+    "P-I-J-sizes-one-more-at-3": (
+        partition_sizes_one_more_at_3,
+        {
+            # the regular parts of P_3 read I's size, its restriction parts J's
+            f"regular parts of P_3 {REGULAR}",
+            f"largest restriction subsemigroups of P_3 {RESTRICTION}",
+            *(f"{fam} family sizes match the counting formula  ({sizes})"
+              for fam, sizes in (
+                  ("P", "P_0=1 P_1=2 P_2=15 P_3=203 P_4=4140"),
+                  ("I", "I_0=1 I_1=2 I_2=7 I_3=34 I_4=209"),
+                  ("J", "J_0=1 J_1=1 J_2=3 J_3=25 J_4=339"))),
+        },
+        1,
+    ),
     "is_ei-false": (
         never_ei,
         {
@@ -406,7 +527,9 @@ def test_mutant_fails_its_lines(monkeypatch, capsys, mutant):
     assert lines[-1] == f"{total - len(failures)}/{total} checks passed"
 
 
-@pytest.mark.parametrize("section, count", [("2", 9), ("3", 12), ("5", 14)])
+@pytest.mark.parametrize(
+    "section, count", [("2", 9), ("3", 12), ("4", 23), ("5", 14)]
+)
 def test_every_line_has_a_mutant(capsys, section, count):
     # reads the declared FAIL lines, which test_mutant_fails_its_lines
     # checks, so no mutant runs here

@@ -1,7 +1,5 @@
 """Suite driver behavior: section selection, degree capping, formatting."""
 
-import dataclasses
-
 import pytest
 
 from diagmon import diagrams as dg
@@ -96,7 +94,7 @@ def test_rr4_eggbox_line_checks_the_chain(monkeypatch):
         height = {len(b): d for d, b in enumerate(gs.below)}
         below = list(gs.below)
         below[height[3]] = below[height[3]] - {height[2]}
-        return dataclasses.replace(gs, below=below)
+        return gs._replace(below=below)
 
     [line] = [r for r in verify.check_rank_chain_structure() if r.name == name]
     assert line.passed

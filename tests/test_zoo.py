@@ -171,6 +171,12 @@ def test_family_spec_parsing():
     assert time.perf_counter() - start < 0.05
 
 
+def test_family_records_are_not_tuples():
+    # perfbench's tracer rebuilds each tuple value of a module-level dict
+    # as a plain tuple, FAMILIES included
+    assert not any(isinstance(f, tuple) for f in zoo.FAMILIES.values())
+
+
 # the kinds ``semilattice_for`` accepts for each family at degrees 0, 1, ...
 # up to its top degree; the kinds a family has depend on its degree
 ACCEPTED_KINDS = {
