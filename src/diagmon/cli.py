@@ -11,8 +11,7 @@ a stream of chunks (``_json_stream``), a table one row at a time
 the whole output exists.  On 2 vCPUs ``build RR4`` peaks at 20 MB, its
 table read from typed rows and its elements made one by one, and
 ``stein Pfd4 F --side right`` at 20 MB, each matrix row made as it is
-written, where ``json.dumps`` took 92 MB and 527 MB.  The format of the
-``build`` dump is set here alone.
+written.  The format of the ``build`` dump is set here alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.
@@ -25,8 +24,8 @@ import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from collections.abc import Iterator
-from typing import Callable, NamedTuple
 
 from . import algebra, ehresmann as eh, dotout, verify, zoo
 from .errors import ResourceCapError, StateError, ValidationError
@@ -69,12 +68,9 @@ def _write(chunks, out):
         raise
 
 
-class _Rows(NamedTuple):
-    """A table given as its rows, written as the flat row-major list of
-    its entries; ``text`` gives an entry's JSON text as a list item."""
-
-    rows: list
-    text: Callable = str
+_Rows = namedtuple("_Rows", "rows text", defaults=(str,))
+_Rows.__doc__ = """A table given as its rows, written as the flat row-major
+list of its entries; ``text`` gives an entry's JSON text as a list item."""
 
 
 # the newline and indent that start each line of a value of a command's

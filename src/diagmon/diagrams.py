@@ -27,7 +27,8 @@ values.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import DegreeMismatchError, ValidationError
 from .monoid import _classes_by_key, _join_labellings
@@ -38,11 +39,10 @@ def _canonical(labels):
     return tuple(_classes_by_key(labels))
 
 
-class Partition(NamedTuple):
+class Partition(namedtuple("Partition", "n code")):
     """A partition diagram in canonical form."""
 
-    n: int
-    code: tuple
+    __slots__ = ()
 
     def __repr__(self):
         return f"Partition({self.n}, blocks={list(map(sorted, self.blocks()))})"
@@ -130,14 +130,11 @@ def multiply(a: Partition, b: Partition) -> Partition:
     return Partition(n, _canonical(outer))
 
 
-class DiagramParams(NamedTuple):
-    dom: frozenset  # points of {1..n}
-    codom: frozenset
-    ker: tuple  # canonical code of the upper row
-    coker: tuple
-    rank: int
-    supp: frozenset
-    cosupp: frozenset
+# dom, codom, supp and cosupp are frozensets of points of {1..n}; ker and
+# coker the canonical codes of the upper and lower rows
+DiagramParams = namedtuple(
+    "DiagramParams", "dom codom ker coker rank supp cosupp"
+)
 
 
 def params(a: Partition) -> DiagramParams:

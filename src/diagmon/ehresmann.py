@@ -26,9 +26,9 @@ tilde labellings and axiom report, which every function here reads.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import combinations, compress, repeat
 from operator import eq
-from typing import NamedTuple
 
 from .errors import StateError, ValidationError
 from .monoid import (
@@ -40,15 +40,14 @@ class Semilattice(namedtuple("Semilattice", "parent members")):
     """A validated commuting-idempotent subset of a parent monoid.
 
     Equality, hash and repr read (parent, members) only.  ``_memo``, no
-    part of the value, keeps each side's member rows ('products', side)
-    and tilde labelling ('tilde', side), the axiom report ('report') and
-    the hom-sets of C(S, E) ('hom') once computed, as ``FiniteMonoid``
-    keeps its Green structure."""
+    part of the value and made on first read, keeps each side's member
+    rows ('products', side) and tilde labelling ('tilde', side), the axiom
+    report ('report') and the hom-sets of C(S, E) ('hom') once computed, as
+    ``FiniteMonoid`` keeps its Green structure."""
 
-    def __new__(cls, parent: FiniteMonoid, members: tuple):
-        self = super().__new__(cls, parent, members)
-        self._memo = {}
-        return self
+    @cached_property
+    def _memo(self):
+        return {}
 
     @classmethod
     def create(cls, parent, members):
@@ -128,14 +127,17 @@ def tilde_classes(s: FiniteMonoid, e: Semilattice, side: str):
     return e._memo["tilde", side]
 
 
-class EhresmannReport(NamedTuple):
-    axioms: dict  # name -> bool for L1, L2, R1, R2, L3, R3
-    witnesses: dict  # name -> minimal witness tuple for each failed axiom
-    r_tilde: list  # class id per element
-    l_tilde: list
-    plus: list | None = None  # x -> x+, present iff L1 holds
-    star: list | None = None  # x -> x*, present iff R1 holds
-    theta_sweep: str = "full"  # 'full' or 'generators'
+class EhresmannReport(namedtuple(
+    "EhresmannReport", "axioms witnesses r_tilde l_tilde plus star theta_sweep",
+    defaults=(None, None, "full"),
+)):
+    # axioms: name -> bool for L1, L2, R1, R2, L3, R3
+    # witnesses: name -> minimal witness tuple for each failed axiom
+    # r_tilde, l_tilde: class id per element
+    # plus: x -> x+, present iff L1 holds
+    # star: x -> x*, present iff R1 holds
+    # theta_sweep: 'full' or 'generators'
+    __slots__ = ()
 
     def is_ehresmann(self):
         return all(self.axioms[a] for a in ("L1", "L2", "R1", "R2"))

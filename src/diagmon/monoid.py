@@ -56,8 +56,8 @@ inverseness and right zeros are read off this structure.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import StateError, ValidationError
 
@@ -334,18 +334,14 @@ def _check_indices(m, indices):
 # -- Green's relations ------------------------------------------------------
 
 
-class GreenStructure(NamedTuple):
-    """Green's structure of a monoid: for each element the id of its R-, L-,
-    H- and D-class, each numbered in order of minimal element, and for each
-    D-class id d the frozenset ``below[d]`` of the D-class ids at or below
-    it in the J-order, so that ``len(below[d])`` is its height."""
-
-    r_class: list
-    l_class: list
-    h_class: list
-    d_class: list
-    below: list
-    d_equals_j: bool = True
+GreenStructure = namedtuple(
+    "GreenStructure", "r_class l_class h_class d_class below d_equals_j",
+    defaults=(True,),
+)
+GreenStructure.__doc__ = """Green's structure of a monoid: for each element
+the id of its R-, L-, H- and D-class, each numbered in order of minimal
+element, and for each D-class id d the frozenset ``below[d]`` of the D-class
+ids at or below it in the J-order, so that ``len(below[d])`` is its height."""
 
 
 def _classes_by_key(keys):

@@ -15,16 +15,15 @@ dict as a plain tuple.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DegreeMismatchError, ValidationError
 
 
-class BinaryRelation(NamedTuple):
+class BinaryRelation(namedtuple("BinaryRelation", "n rows")):
     """An n x n boolean incidence structure, one bitmask row per point."""
 
-    n: int
-    rows: tuple
+    __slots__ = ()
 
     def __repr__(self):
         return f"BinaryRelation({self.n}, pairs={sorted(self.pairs())})"
@@ -99,9 +98,8 @@ def converse(a: BinaryRelation) -> BinaryRelation:
     return BinaryRelation(a.n, tuple(out))
 
 
-class RelationParams(NamedTuple):
-    dom: frozenset  # points of {1..n}
-    codom: frozenset
+# frozensets of points of {1..n}
+RelationParams = namedtuple("RelationParams", "dom codom")
 
 
 def rel_params(a: BinaryRelation) -> RelationParams:

@@ -17,11 +17,10 @@ degree) that raised it, keeping every line before it.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import partial, wraps
 from itertools import combinations
 from math import factorial
-from typing import NamedTuple
 
 from . import algebra, diagrams as dg, dotout, ehresmann as eh, zoo
 from .errors import StateError, ValidationError
@@ -38,11 +37,10 @@ from .monoid import (
 )
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
-    skipped: bool = False  # no degree under the cap; counted neither way
+class CheckResult(namedtuple("CheckResult", "name passed detail skipped",
+                             defaults=("", False))):
+    # skipped: no degree under the cap; counted neither way
+    __slots__ = ()
 
     def line(self):
         status = "SKIP" if self.skipped else "PASS" if self.passed else "FAIL"

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
-from typing import Callable
 
 from . import diagrams as dg
 from . import relations as rel

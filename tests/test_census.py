@@ -6,8 +6,8 @@ no code in the package reads: a module-level name by name or as an
 attribute, a class member as an attribute.  Each unread name must be on
 ``ALLOWED`` with the reason it stays, and each allowed name must be unread.
 Each name a module imports must be read in that module, and importing the
-CLI must load neither ``dataclasses`` nor ``inspect``, whose import every
-command would pay in its fresh process.
+CLI must load none of ``dataclasses``, ``inspect`` and ``typing``, whose
+import every command would pay in its fresh process.
 """
 
 import ast
@@ -83,14 +83,17 @@ def test_every_import_in_src_is_read_in_its_module():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # the modules that ``import diagmon.cli`` adds to a bare interpreter's
+    # the modules that ``import diagmon.cli`` adds to a bare interpreter's;
+    # -S keeps out ``site``, which may load any of them itself (through a
+    # .pth file of an installed package, say) and so hide the CLI's import
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     loaded = [
         set(subprocess.run(
-            [sys.executable, "-c", f"import sys{more}; print(*sys.modules)"],
+            [sys.executable, "-S", "-c",
+             f"import sys{more}; print(*sys.modules)"],
             env=env, capture_output=True, text=True, check=True,
         ).stdout.split())
         for more in ("", ", diagmon.cli")
     ]
     assert "diagmon.cli" in loaded[1] - loaded[0]
-    assert not {"dataclasses", "inspect"} & (loaded[1] - loaded[0])
+    assert not {"dataclasses", "inspect", "typing"} & (loaded[1] - loaded[0])

@@ -125,6 +125,18 @@ def test_second_calls_on_one_semilattice_read_no_rows(monkeypatch):
     assert fresh._memo and same()
 
 
+@pytest.mark.parametrize("kind, name", [("F", "P2"), ("E", "P3")])
+def test_copies_of_a_semilattice_make_their_own_memo(kind, name):
+    # _replace and _make build through tuple.__new__, not the constructor
+    s = zoo.build(name)
+    e = zoo.semilattice_for(kind, name)
+    report = eh.check_axioms(s, e)
+    for copy in (e._replace(members=e.members),
+                 eh.Semilattice._make((s, e.members))):
+        assert (copy, hash(copy)) == (e, hash(e))
+        assert eh.check_axioms(s, copy) == report
+
+
 @pytest.mark.parametrize("name", ["P3", "RR3", "RR4"])
 def test_generator_sweep_settles_l2_and_r2_without_theta_rows(
     monkeypatch, name

@@ -150,6 +150,19 @@ def embedding_never_holds(monkeypatch):
     monkeypatch.setattr(verify, "check_embedding", lambda f, s, t: False)
 
 
+def tower_map_entries_swapped(monkeypatch):
+    # the first two entries of the map P_n -> RP_n trade places: still a
+    # bijection onto its image, but no longer a homomorphism
+    maps = zoo.tower_maps
+
+    def swapped(n):
+        first, second = maps(n)
+        first[0], first[1] = first[1], first[0]
+        return first, second
+
+    monkeypatch.setattr(zoo, "tower_maps", swapped)
+
+
 def brauer_size_one_more_at_3(monkeypatch):
     size = zoo.FAMILIES["B"].size
     monkeypatch.setitem(zoo.FAMILIES, "B", family_with(
@@ -386,6 +399,12 @@ MUTANTS = {
     ),
     "check_embedding-false": (
         embedding_never_holds,
+        {f"tower embeddings at degree {n} are injective homomorphisms"
+         for n in (1, 2, 3)},
+        1,
+    ),
+    "tower-map-entries-swapped": (
+        tower_map_entries_swapped,
         {f"tower embeddings at degree {n} are injective homomorphisms"
          for n in (1, 2, 3)},
         1,

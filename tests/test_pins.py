@@ -33,6 +33,8 @@ PINS = {
         "7d51537019d0f4c25f82d2c7e297bf487dcb8854efa9b5025a1847d24c605575"),
     "verify all --nmax 2": (
         "6353bcc60d7b75725f4a0517a719141fe53b3ed7368f70c2c29d1d2b02989f9f"),
+    "verify all --nmax 3": (
+        "a30b9716439b0474ea65ba4b3e09c90fa1854eea54f42240ff758e7c7b75e209"),
     "build RR4": reference("build RR4"),
     "analyze RR4 F": reference("analyze RR4 F"),
     "category PT4 E": reference("category PT4 E"),
