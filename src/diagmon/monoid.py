@@ -4,14 +4,13 @@ Every monoid here lives in a known universe of elements, numbered by
 position.  ``froidure_pin`` walks breadth first from the identity over the
 right actions of the generators, each given whole as one tuple of
 positions, as in Froidure & Pin (1997), "Algorithms for computing finite
-semigroups".  P_n's actions come from zoo's position tables;
-``right_actions`` makes any others with one product per element and
-generator, and a product outside the universe stops it, so closure is
-exact.  The universe, which the generators must reach whole, certifies the
-generating set.  The walk's tree records how each element is first
-reached, x = x'*g with x' found earlier, so that it spells each element's
-short-lex least word.  Only x*g is given: g*x follows from the tree, and
-so does every later product.
+semigroups"; zoo makes every family's, so no element product is made
+here.  A product outside the universe, given as None, stops the walk, so
+closure is exact, and the universe, which the generators must reach whole,
+certifies the generating set.  The walk's tree records how each element
+is first reached, x = x'*g with x' found earlier, so that it spells each
+element's short-lex least word.  Only x*g is given: g*x follows from the
+tree, and so does every later product.
 
 A ``FiniteMonoid`` is that record: its elements indexed 0..m-1, a
 certified generating set, the right graph and the tree, from which it
@@ -67,14 +66,14 @@ TABLE_CAP = 1000
 def froidure_pin(actions, identity, universe):
     """The monoid of the generators whose right actions on ``universe``, a
     sequence of every element it should have, are ``actions``:
-    ``actions[k][x]`` is the position of universe[x]*g_k.  Its elements are
-    numbered by their positions.
+    ``actions[k][x]`` is the position of universe[x]*g_k, or None outside
+    it.  Its elements are numbered by their positions.
 
     Elements are found breadth first from the identity, so the walk's
     discovery order is the short-lex order of the elements' least words,
     and each element x = x'*g_k is reached first from such an x'.  A
-    closure smaller than the universe raises ValidationError: reaching
-    every element certifies the generating set.
+    product None, or a closure smaller than the universe, raises
+    ValidationError: reaching every element certifies the generating set.
     """
     place = {x: i for i, x in enumerate(universe)}
     if len(place) != len(universe):
@@ -96,30 +95,6 @@ def froidure_pin(actions, identity, universe):
                         actions, order, parent, letter)
 
 
-def right_actions(generators, op, universe):
-    """The right action of each generator on ``universe`` under op, for
-    ``froidure_pin``: one tuple of positions in ``universe``, one
-    ``op(x, g)`` call per element x.  Raises ValidationError at the first
-    product outside the universe, so closure is exact."""
-    place = {x: i for i, x in enumerate(universe)}
-    actions = []
-    for j, g in enumerate(generators):
-        act = []
-        for a in universe:
-            p = place.get(op(a, g))
-            if p is None:
-                raise _escape_error(a, j)
-            act.append(p)
-        actions.append(tuple(act))
-    return actions
-
-
-def _escape_error(a, j):
-    return ValidationError(
-        f"not closed: the product of {a!r} and generator {j} escapes the set"
-    )
-
-
 def _walk(actions, new, order, walked, parent, letter, elements):
     """Close ``order`` under the right ``actions``, ``actions[k][x]`` being
     x*g_k, or None when it falls outside the set walked.
@@ -135,7 +110,9 @@ def _walk(actions, new, order, walked, parent, letter, elements):
         for k in range(new if i < walked else 0, len(actions)):
             p = actions[k][x]
             if p is None:
-                raise _escape_error(elements[x], k)
+                raise ValidationError(f"not closed: the product of "
+                                      f"{elements[x]!r} and generator {k} "
+                                      f"escapes the set")
             if letter[p] == -2:
                 parent[p], letter[p] = x, k
                 order.append(p)
@@ -349,12 +326,7 @@ def _classes_by_key(keys):
     order of minimal member index (also the canonical form of a diagram's
     block labels)."""
     ids = {}
-    out = []
-    for k in keys:
-        if k not in ids:
-            ids[k] = len(ids)
-        out.append(ids[k])
-    return out
+    return [ids.setdefault(k, len(ids)) for k in keys]
 
 
 def same_classes(xs, ys) -> bool:
@@ -469,14 +441,8 @@ def green(m: FiniteMonoid) -> GreenStructure:
     d_equals_j = all(
         a == b or b not in below[a] for b, bs in enumerate(below) for a in bs
     )
-    m._green = GreenStructure(
-        r_class=r_class,
-        l_class=l_class,
-        h_class=h_class,
-        d_class=d_class,
-        below=below,
-        d_equals_j=d_equals_j,
-    )
+    m._green = GreenStructure(r_class, l_class, h_class, d_class, below,
+                              d_equals_j)
     return m._green
 
 

@@ -7,19 +7,17 @@ test on the ``_Facts`` of a diagram, None for a whole universe; whether
 ``analyze`` may name a regular part after it, the first ``named`` family
 in table order winning; and the closed form of |X_n| where one is known,
 read by the element budget and by ``verify``'s size lines.  Closure under
-the product is a checked fact.  ``froidure_pin`` walks P_n over position
-tables: each standard generator relabels a diagram's lower row, which on
-the diagrams whose upper row has k labels is one table over the ranks of
-their lower rows, so its right action on ``partition_universe(n)`` is read
-off integers, with no product made.  BX_n and PT_n are walked over
-actions made by ``rel.compose`` in the order of their relation universes.
-Every other
-diagram family is an index subset of one P_n, which
-``FiniteMonoid.submonoid`` turns into a monoid of the same kind: greedy
-generators, each one's right and left action, and no table.  One pass
-per degree (``family_cuts``) reads each diagram's code, not its
-parameters: every membership test is a fact about the sets of upper and
-lower block labels, the block sizes or the absorbing block.
+the product is a checked fact.  Every action ``froidure_pin`` walks is
+made here, read off tables of integers: P_n's standard generators each
+relabel a diagram's lower row, one table over the ranks of the lower rows
+that complete k upper labels (``_partition_actions``), and a generator of
+BX_n or PT_n maps each row of a relation by one table over the row values
+(``_relation_actions``).  Every other diagram family is an index subset
+of one P_n, which ``FiniteMonoid.submonoid`` turns into a monoid of the
+same kind: greedy generators, each one's right and left action, and no
+table.  One pass per degree (``family_cuts``) reads each diagram's code,
+not its parameters: every membership test is a fact about the sets of
+upper and lower block labels, the block sizes or the absorbing block.
 Rook diagrams of degree n are represented by their image in the
 degree-(n+1) partition monoid, with the extra point playing the role of
 the absorbing vertex, so rook and partition diagrams share one product.
@@ -39,7 +37,7 @@ from . import relations as rel
 from .diagrams import Partition, _canonical
 from .errors import ResourceCapError, ValidationError
 from .ehresmann import Semilattice, _check_side
-from .monoid import FiniteMonoid, _gather, froidure_pin, right_actions
+from .monoid import FiniteMonoid, _gather, froidure_pin
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +132,10 @@ class FamilySpec(namedtuple("FamilySpec", "family n")):
                 )
         return super().__new__(cls, family, n)
 
+    @classmethod
+    def _make(cls, iterable):  # read by namedtuple's _replace
+        return cls(*iterable)
+
     def __str__(self):
         return f"{self.family}{self.n}"
 
@@ -157,11 +159,16 @@ def partition_universe(n):
     return tuple(Partition(n, code) for code in set_partition_codes(2 * n))
 
 
+def _row_values(family, n):
+    """The rows of BX_n's relations ('BX') or PT_n's partial functions
+    ('PT'), increasing: every bitmask, or 0 and the single bits."""
+    return range(1 << n) if family == "BX" else (0, *(2**j for j in range(n)))
+
+
 @lru_cache(maxsize=None)
 def relation_universe(n):
-    return tuple(
-        rel.BinaryRelation(n, r) for r in product(range(1 << n), repeat=n)
-    )
+    rows = _row_values("BX", n)
+    return tuple(rel.BinaryRelation(n, r) for r in product(rows, repeat=n))
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +232,7 @@ def partial_functions(n):
     """PT_n: the relations on n points in which each point has at most one
     image, listed directly in ``relation_universe(n)`` order (each row
     bitmask is 0 or one bit, taken in increasing order)."""
-    rows = (0,) + tuple(1 << j for j in range(n))
+    rows = _row_values("PT", n)
     return tuple(rel.BinaryRelation(n, r) for r in product(rows, repeat=n))
 
 
@@ -339,6 +346,31 @@ def _partition_actions(n):
     return actions
 
 
+def _relation_actions(generators, family, n):
+    """Each generator's right action on BX_n ('BX') or PT_n ('PT'), as one
+    tuple of positions in ``relation_universe(n)`` or
+    ``partial_functions(n)``, None where x*g falls outside.
+
+    A relation's position is its rows read as digits over the row values,
+    first row most significant.  Row i of x*g is the first row of
+    (r, ..., r)*g for x's row i = r, so one ``rel.compose`` per row value
+    makes g's table of digits, None off the row values, through which x*g
+    is read off x's digits.  At n = 0 no relation has a row: x*g is x."""
+    rows = _row_values(family, n)
+    digit = dict(zip(rows, range(len(rows))))
+    positions = tuple(range(len(rows) ** n))  # one int each, for every action
+    actions = []
+    for g in generators:
+        table = [digit.get(rel.compose(rel.BinaryRelation(n, (r,) * n),
+                                       g).rows[0]) for r in rows if n]
+        line = [0]
+        for _ in range(n):  # one more digit, least significant, each time
+            line = [None if p is None or t is None else p * len(rows) + t
+                    for p in line for t in table]
+        actions.append(tuple(p if p is None else positions[p] for p in line))
+    return actions
+
+
 def _partition_monoid(n):
     """P_n, walked by ``froidure_pin`` over ``_partition_actions(n)``."""
     return froidure_pin(
@@ -350,14 +382,12 @@ def _partition_monoid(n):
 def build(name) -> FiniteMonoid:
     """Build a named monoid, e.g. 'P3', 'RR4', 'BX2', 'RJ2'.
 
-    P_n is walked by ``froidure_pin`` over its standard generators' right
-    actions, read off position tables (``_partition_actions``), in
-    ``partition_universe(n)`` order; reaching all Bell(2n) diagrams
-    certifies the generating set.  Every other diagram family
-    is an index subset of one P_n, cut by ``family_cut`` and made a monoid
-    by ``FiniteMonoid.submonoid``.  Relation families are enumerated from
-    ``relation_generators``; reaching all of BX_n's relations, or all of
-    PT_n's partial functions, certifies the generators and closure.
+    P_n, BX_n and PT_n are walked by ``froidure_pin`` over their
+    generators' right actions on their universes (``_partition_actions``,
+    ``_relation_actions``); reaching the whole universe certifies the
+    generating set.  Every other diagram family is an index subset of one
+    P_n, cut by ``family_cut`` and made a monoid by
+    ``FiniteMonoid.submonoid``.
     """
     spec = FamilySpec.parse(str(name))
     n, universe = spec.n, FAMILIES[spec.family].universe
@@ -369,8 +399,7 @@ def build(name) -> FiniteMonoid:
     elements = (relation_universe(n) if universe == "BX"
                 else partial_functions(n))
     return froidure_pin(
-        right_actions(relation_generators(universe, n), rel.compose,
-                      elements),
+        _relation_actions(relation_generators(universe, n), universe, n),
         rel.identity_rel(n), elements,
     )
 
@@ -421,8 +450,10 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
 def relation_generators(family, n):
     """Generators of PT_n ('PT'): the adjacent transpositions, the partial
     identity on {1..n-1} and the map fixing 1..n-1 that sends n to n-1.
-    BX_n ('BX', n <= 3) adds 1 ∪ {(1,2)} and, at n = 3, one more relation,
-    without which the closure has 506 of the 512 relations."""
+    BX_n ('BX', n <= 4) adds 1 ∪ {(1,2)}; at n = 3 one more relation,
+    without which the closure has 506 of the 512 relations, and at n = 4
+    three more, given by their rows, without which it has 63,904 of the
+    65,536."""
     fixed = [(x, x) for x in range(1, n)]
     gens = []
     for i in range(1, n):
@@ -438,6 +469,9 @@ def relation_generators(family, n):
         gens.append(
             rel.from_pairs(3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)])
         )
+    if family == "BX" and n == 4:
+        gens += [rel.BinaryRelation(4, rows) for rows in
+                 ((3, 5, 9, 14), (3, 5, 10, 12), (1, 6, 10, 12))]
     return gens
 
 

@@ -943,11 +943,32 @@ def partition_generators(n):
     return gens
 
 
+def right_actions(generators, op, universe):
+    """The right action of each generator on ``universe`` under op, for
+    ``froidure_pin``: one tuple of positions in ``universe``, one
+    ``op(x, g)`` call per element x.  Raises ValidationError at the first
+    product outside the universe, so closure is exact."""
+    place = {x: i for i, x in enumerate(universe)}
+    actions = []
+    for j, g in enumerate(generators):
+        act = []
+        for a in universe:
+            p = place.get(op(a, g))
+            if p is None:
+                raise ValidationError(
+                    f"not closed: the product of {a!r} and generator {j} "
+                    f"escapes the set"
+                )
+            act.append(p)
+        actions.append(tuple(act))
+    return actions
+
+
 def monoid_by_products(generators, op, identity, universe):
     """``froidure_pin`` over the right actions of the generators under op,
     one ``op`` call per element and generator."""
     return mon.froidure_pin(
-        mon.right_actions(generators, op, universe), identity, universe
+        right_actions(generators, op, universe), identity, universe
     )
 
 

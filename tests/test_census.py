@@ -25,6 +25,7 @@ ALLOWED = {
     "monoid.FiniteMonoid.table": "read by the benchmark tracer (item 8)",
     "algebra.check_semisimple_quotient": "run by the benchmark (item 8)",
     "relations.converse": "for the duality claims of item 3",
+    "zoo.FamilySpec._make": "called by namedtuple's `_replace`",
 }
 
 

@@ -38,6 +38,7 @@ from oracles import (
     partition_generators,
     regular_pairwise,
     restricted_submonoid,
+    right_actions,
     right_zeros_pairwise,
     submonoid_by_products,
     top_degree,
@@ -509,7 +510,34 @@ def test_relation_tables_match_compose(name):
     assert m.decode(m.identity) == rel.identity_rel(spec.n)
     gens = zoo.relation_generators(spec.family, spec.n)
     assert [m.elements[i] for i in m.generators] == gens
+    assert m.right == right_actions(gens, rel.compose, m.elements)
     assert as_lists(m._build_table()) == definitional_table(name)
+
+
+@pytest.mark.parametrize("name, calls", [("PT4", 25), ("BX3", 48)])
+def test_relation_actions_compose_once_per_row_value(monkeypatch, name,
+                                                     calls):
+    # one product per generator and row value: 5 * 5 and 6 * 8
+    seen = []
+
+    def counted(a, b, original=rel.compose):
+        seen.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(rel, "compose", counted)
+    zoo.build.__wrapped__(name)
+    assert len(seen) == calls
+
+
+def test_relation_actions_stop_at_a_product_outside_the_set():
+    # 1 ∪ {(1,2)} is no partial function: the walk stops at the identity
+    g = zoo.relation_generators("BX", 3)[4]
+    assert not rel.is_partial_function(g)
+    actions = zoo._relation_actions([g], "PT", 3)
+    with pytest.raises(ValidationError,
+                       match="not closed: .* escapes the set"):
+        mon.froidure_pin(actions, rel.identity_rel(3),
+                         zoo.partial_functions(3))
 
 
 @pytest.mark.parametrize(

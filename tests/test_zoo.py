@@ -171,6 +171,16 @@ def test_family_spec_parsing():
     assert time.perf_counter() - start < 0.05
 
 
+def test_family_spec_copies_are_checked_as_new_ones():
+    # namedtuple's _make and _replace would build through tuple.__new__
+    assert zoo.FamilySpec("P", 2)._replace(n=3) == zoo.FamilySpec("P", 3)
+    assert type(zoo.FamilySpec._make(("B", 1))) is zoo.FamilySpec
+    with pytest.raises(ResourceCapError):
+        zoo.FamilySpec("P", 2)._replace(n=9)
+    with pytest.raises(ValidationError):
+        zoo.FamilySpec._make(("Q", -1))
+
+
 def test_family_records_are_not_tuples():
     # perfbench's tracer rebuilds each tuple value of a module-level dict
     # as a plain tuple, FAMILIES included
