@@ -188,10 +188,11 @@ def is_multiplicative(s: FiniteMonoid, e: Semilattice, phi) -> bool:
         ys.append(s.identity)
     targets = [sorted(p) for p in phi]
     for y in ys:
+        columns = dict(s._lines({y, *phi[y]}, column=True))
         by_object = {}  # source object -> columns of the b in phi(y)
         for b in phi[y]:
-            by_object.setdefault(plus[b], []).append(s.column(b))
-        for x, z in enumerate(s.column(y)):
+            by_object.setdefault(plus[b], []).append(columns[b])
+        for x, z in enumerate(columns[y]):
             lhs = [c[a] for a in phi[x] for c in by_object.get(star[a], ())]
             lhs.sort()  # phi(x) phi(y) and phi(xy) as multisets
             if lhs != targets[z]:

@@ -2,9 +2,10 @@
 
 Subcommands build named monoids, analyze their Ehresmann structure, emit
 egg-box DOT diagrams, dump the associated category, export the transform
-matrices, and run the verification suites.  Outputs are deterministic:
-JSON keys are sorted and files are written atomically (temp file plus
-rename).  The JSON text is byte-identical to
+matrices, and run the verification suites.  Every fact about a family is
+``zoo``'s: ``analyze`` names a regular part by ``zoo.identify``.  Outputs
+are deterministic: JSON keys are sorted and files are written atomically
+(temp file plus rename).  The JSON text is byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, but made as
 a stream of chunks (``_json_stream``), a table one row at a time
 (``_Rows``), each chunk written as it is made (``_write``): no string of
@@ -30,7 +31,6 @@ from collections.abc import Iterator
 from . import algebra, ehresmann as eh, dotout, verify, zoo
 from .errors import ResourceCapError, StateError, ValidationError
 from .monoid import TABLE_CAP
-from .relations import BinaryRelation
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -170,34 +170,9 @@ def cmd_analyze(args):
         data["rest_error"] = str(exc)
     reg = eh.reg_e(s, e)
     data["regular_count"] = len(reg)
-    data["regular_family"] = _identify(s, reg)
+    data["regular_family"] = zoo.identify(s, reg)
     _write(_json_stream(data), args.out)
     return EXIT_OK
-
-
-def _identify(s, indices):
-    """Name the first family of ``zoo.FAMILIES`` marked ``named`` whose
-    element set equals the given subset.  A set of diagrams of degree n is
-    compared with the cuts in ``zoo.family_cuts(n)`` (a rook family's of
-    degree n - 1), none of them built; a set of relations with each built
-    relation family of degree n, which is a whole universe."""
-    elements = {s.decode(i) for i in indices}
-    sample = s.decode(0)
-    n, relations = sample.n, isinstance(sample, BinaryRelation)
-    for fam, family in zoo.FAMILIES.items():
-        rook = family.universe == "rook"
-        if not family.named or n < rook or relations != (
-            family.universe in ("BX", "PT")
-        ):
-            continue
-        if family.member is None:
-            members = zoo.build(f"{fam}{n}").elements
-        else:
-            universe = zoo.partition_universe(n)
-            members = [universe[i] for i in zoo.family_cuts(n)[fam]]
-        if elements == set(members):
-            return f"{fam}{n - rook}"
-    return None
 
 
 def cmd_eggbox(args):

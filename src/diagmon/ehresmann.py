@@ -18,7 +18,8 @@ and one column of S per member, composed over the prefix tree of the
 members' words and kept as typed rows, 2 bytes an entry; the identity sets
 are bitmasks over the members.  L2 and R2 are swept over the certified
 generators, and on a monoid of at most ``TABLE_CAP`` elements a failed
-sweep is rerun over every theta for the minimal witness.  E is the pair
+sweep is rerun over every theta, each line of the side read in one pass,
+for the minimal witness.  E is the pair
 (S, members), and a memo outside that value keeps both sides' member rows,
 tilde labellings and axiom report, which every function here reads.
 """
@@ -183,16 +184,17 @@ def _congruence_check(classes, thetas, image):
     return True, None
 
 
-def _sweep(s: FiniteMonoid, classes, actions, line):
-    """L2 or R2 over the generators, theta = g_k acting as ``actions[k]``
-    (theta*x is ``s.left[k][x]``, x*theta ``s.right[k][x]``), and on a
-    monoid of at most ``TABLE_CAP`` elements, when that fails, over every
-    theta's ``line``."""
-    images = dict(zip(s.generators, actions))
+def _sweep(s: FiniteMonoid, classes, column):
+    """L2 (theta*x, the row of theta) or with ``column`` R2 (x*theta)
+    over the generators, theta = g_k acting as ``s.left[k]`` or
+    ``s.right[k]``, and on a monoid of at most ``TABLE_CAP`` elements,
+    when that fails, over every theta, its lines read in one pass."""
+    images = dict(zip(s.generators, s.right if column else s.left))
     found = _congruence_check(classes, sorted(images), images.__getitem__)
     if found[0] or s.size > TABLE_CAP:
         return found
-    return _congruence_check(classes, range(s.size), line)
+    lines = s._typed_rows(range(s.size), column)
+    return _congruence_check(classes, range(s.size), lines.__getitem__)
 
 
 def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
@@ -212,8 +214,8 @@ def check_axioms(s: FiniteMonoid, e: Semilattice) -> EhresmannReport:
     checks = {
         "L1": _unique_member_check(r_tilde, e.members),
         "R1": _unique_member_check(l_tilde, e.members),
-        "L2": _sweep(s, r_tilde, s.left, s.row),
-        "R2": _sweep(s, l_tilde, s.right, s.column),
+        "L2": _sweep(s, r_tilde, False),
+        "R2": _sweep(s, l_tilde, True),
         # restriction containments, tested up to the first x that fails
         "L3": _containment(s, e, "right", "left"),
         "R3": _containment(s, e, "left", "right"),

@@ -27,9 +27,9 @@ composed depth first over the prefix tree of the words asked for, one
 gather per node.  The structural algorithms read the generator graphs,
 so most rows are never made; the ``build`` dump and the semigroup
 algebra's Gram matrix read a whole table, ``_build_table``, and the
-Ehresmann layer a row a side per semilattice member, both kept as typed
-rows of 2 bytes an entry.  Work of m^2 products, the dump and the sweep
-of L2 and R2 over every theta, is done only up to ``TABLE_CAP``.
+Ehresmann layer a row a side per semilattice member and its full sweep
+every line of a side, all kept as typed rows of 2 bytes an entry.  Work
+of m^2 products, the dump and that sweep, is done only up to ``TABLE_CAP``.
 
 ``submonoid`` and ``closed``, which tests any index subset for closure,
 run ``froidure_pin``'s walk, ``_walk``, inside the subset greedily:
@@ -267,16 +267,6 @@ class FiniteMonoid:
         return True
 
     # -- products ----------------------------------------------------------
-
-    def row(self, a):
-        """The products a*y for every y, composed along the word of a."""
-        ((_, line),) = self._lines({a})
-        return list(line)
-
-    def column(self, a):
-        """The products y*a for every y, as a list indexed by y."""
-        ((_, line),) = self._lines({a}, column=True)
-        return list(line)
 
     def mul(self, i, j):
         """The index of x_i*x_j: x_j carried up the tree from x_i through

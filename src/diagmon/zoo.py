@@ -2,25 +2,27 @@
 
 Each family is declared once, by its ``Family`` record in ``FAMILIES``:
 its universe, 'P' (cut from P_n), 'rook' (cut from P_(n+1)), 'BX' (all
-relations on n points) or 'PT' (the partial functions); its membership
-test on the ``_Facts`` of a diagram, None for a whole universe; whether
-``analyze`` may name a regular part after it, the first ``named`` family
-in table order winning; and the closed form of |X_n| where one is known,
-read by the element budget and by ``verify``'s size lines.  Closure under
-the product is a checked fact.  Every action ``froidure_pin`` walks is
-made here, read off tables of integers: P_n's standard generators each
-relabel a diagram's lower row, one table over the ranks of the lower rows
-that complete k upper labels (``_partition_actions``), and a generator of
-BX_n or PT_n maps each row of a relation by one table over the row values
-(``_relation_actions``).  Every other diagram family is an index subset
-of one P_n, which ``FiniteMonoid.submonoid`` turns into a monoid of the
-same kind: greedy generators, each one's right and left action, and no
-table.  One pass per degree (``family_cuts``) reads each diagram's code,
-not its parameters: every membership test is a fact about the sets of
-upper and lower block labels, the block sizes or the absorbing block.
-Rook diagrams of degree n are represented by their image in the
-degree-(n+1) partition monoid, with the extra point playing the role of
-the absorbing vertex, so rook and partition diagrams share one product.
+relations on n points) or 'PT' (the partial functions), which ``home``
+alone reads, turning it into the whole universe and degree the family
+lives in; its membership test on the ``_Facts`` of a diagram, None for a
+whole universe; whether ``identify`` may name a regular part after it,
+the first ``named`` family in table order winning; and the closed form of
+|X_n| where one is known, read by the element budget and by ``verify``'s
+size lines.  Closure under the product is a checked fact.  Every action
+``froidure_pin`` walks is made here, read off tables of integers: P_n's
+standard generators each relabel a diagram's lower row, one table over
+the ranks of the lower rows that complete k upper labels
+(``_partition_actions``), and a generator of BX_n or PT_n maps each row
+of a relation by one table over the row values (``_relation_actions``).
+Every other diagram family is an index subset of one P_n, which
+``FiniteMonoid.submonoid`` turns into a monoid of the same kind: greedy
+generators, each one's right and left action, and no table.  One pass per
+degree (``family_cuts``) reads each diagram's code, not its parameters:
+every membership test is a fact about the sets of upper and lower block
+labels, the block sizes or the absorbing block.  Rook diagrams of degree
+n are represented by their image in the degree-(n+1) partition monoid,
+with the extra point playing the role of the absorbing vertex, so rook
+and partition diagrams share one product.
 """
 
 from __future__ import annotations
@@ -96,6 +98,15 @@ FAMILIES = {
 UNIVERSE_BUDGET = 4140
 
 
+def home(family, n):
+    """The whole universe a family of degree n is cut from or makes up, as
+    its ``FAMILIES`` key ('P', 'BX' or 'PT') and the degree of its
+    elements: a rook family's is P_(n+1).  The one reader of
+    ``Family.universe``."""
+    universe = FAMILIES[family].universe
+    return ("P", n + 1) if universe == "rook" else (universe, n)
+
+
 class FamilySpec(namedtuple("FamilySpec", "family n")):
     __slots__ = ()
 
@@ -119,13 +130,11 @@ class FamilySpec(namedtuple("FamilySpec", "family n")):
     def __new__(cls, family: str, n: int):
         if family not in FAMILIES or type(n) is not int or n < 0:
             raise ValidationError(f"no family {family}_{n}")
-        # the universe's own record sizes it: P_(k+1) for a rook family
-        universe = FAMILIES[family].universe
-        rook = universe == "rook"
-        size = FAMILIES["P" if rook else universe].size
-        # universes grow with n, so walking up never sizes a huge n itself
+        # the home universe's own record sizes it; universes grow with n,
+        # so walking up never sizes a huge n itself
         for k in range(n + 1):
-            if size(k + rook) > UNIVERSE_BUDGET:
+            universe, degree = home(family, k)
+            if FAMILIES[universe].size(degree) > UNIVERSE_BUDGET:
                 raise ResourceCapError(
                     f"{family}_n from degree {k} exceeds the element "
                     f"budget", UNIVERSE_BUDGET,
@@ -166,8 +175,11 @@ def _row_values(family, n):
 
 
 @lru_cache(maxsize=None)
-def relation_universe(n):
-    rows = _row_values("BX", n)
+def relation_universe(family, n):
+    """BX_n's relations ('BX') or PT_n's partial functions ('PT'), listed
+    by their rows read as digits over ``_row_values``, first row most
+    significant, so PT_n's keep their order among BX_n's."""
+    rows = _row_values(family, n)
     return tuple(rel.BinaryRelation(n, r) for r in product(rows, repeat=n))
 
 
@@ -220,20 +232,9 @@ def family_cuts(n):
 
 
 def family_cut(spec: FamilySpec):
-    """The positions of a diagram family in the universe it is cut from:
-    ``partition_universe(n)``, or ``partition_universe(n + 1)`` for a rook
-    family of degree n."""
-    rook = FAMILIES[spec.family].universe == "rook"
-    return family_cuts(spec.n + rook)[spec.family]
-
-
-@lru_cache(maxsize=None)
-def partial_functions(n):
-    """PT_n: the relations on n points in which each point has at most one
-    image, listed directly in ``relation_universe(n)`` order (each row
-    bitmask is 0 or one bit, taken in increasing order)."""
-    rows = _row_values("PT", n)
-    return tuple(rel.BinaryRelation(n, r) for r in product(rows, repeat=n))
+    """The positions of a diagram family in the universe it is cut from,
+    ``partition_universe`` of its ``home`` degree."""
+    return family_cuts(home(*spec)[1])[spec.family]
 
 
 # -- builders ----------------------------------------------------------------
@@ -348,8 +349,8 @@ def _partition_actions(n):
 
 def _relation_actions(generators, family, n):
     """Each generator's right action on BX_n ('BX') or PT_n ('PT'), as one
-    tuple of positions in ``relation_universe(n)`` or
-    ``partial_functions(n)``, None where x*g falls outside.
+    tuple of positions in ``relation_universe(family, n)``, None where x*g
+    falls outside.
 
     A relation's position is its rows read as digits over the row values,
     first row most significant.  Row i of x*g is the first row of
@@ -385,22 +386,19 @@ def build(name) -> FiniteMonoid:
     P_n, BX_n and PT_n are walked by ``froidure_pin`` over their
     generators' right actions on their universes (``_partition_actions``,
     ``_relation_actions``); reaching the whole universe certifies the
-    generating set.  Every other diagram family is an index subset of one
-    P_n, cut by ``family_cut`` and made a monoid by
+    generating set.  Every other diagram family is an index subset of the
+    P_m of its ``home``, cut by ``family_cut`` and made a monoid by
     ``FiniteMonoid.submonoid``.
     """
     spec = FamilySpec.parse(str(name))
-    n, universe = spec.n, FAMILIES[spec.family].universe
+    universe, n = home(*spec)
     if FAMILIES[spec.family].member:
-        rook = universe == "rook"
-        return build(f"P{n + rook}").submonoid(family_cut(spec))
+        return build(f"{universe}{n}").submonoid(family_cut(spec))
     if universe == "P":
         return _partition_monoid(n)
-    elements = (relation_universe(n) if universe == "BX"
-                else partial_functions(n))
     return froidure_pin(
         _relation_actions(relation_generators(universe, n), universe, n),
-        rel.identity_rel(n), elements,
+        rel.identity_rel(n), relation_universe(universe, n),
     )
 
 
@@ -414,14 +412,14 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
     monoid of degree n, E and F are taken at degree n and lifted.  A kind
     the family does not have is rejected before the family is built."""
     spec = FamilySpec.parse(str(name))  # over the budget: fails first
-    universe = FAMILIES[spec.family].universe
-    relations = universe in ("BX", "PT")
+    universe, degree = home(*spec)
+    relations = universe != "P"
     if kind not in SEMILATTICE_KINDS:
         raise ValidationError(f"unknown semilattice kind {kind!r}")
     if relations and kind != "E":
         raise ValidationError(f"semilattice {kind} undefined for relations")
     parent = build(str(spec))
-    n, rook = spec.n, universe == "rook"
+    n = degree if kind == "G" else spec.n  # the degree of the members made
     if kind == "E":
         ident = rel.partial_identity if relations else dg.id_subset
         members = [
@@ -430,10 +428,8 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
             for c in combinations(range(1, n + 1), k)
         ]
     else:
-        members = [
-            dg.id_equiv(e) for e in equivalences(n + (rook and kind == "G"))
-        ]
-    if rook and kind != "G":
+        members = [dg.id_equiv(e) for e in equivalences(n)]
+    if n != degree:
         members = [lift_to_rook(x) for x in members]
     try:
         idx = [parent.index[x] for x in members]
@@ -445,6 +441,30 @@ def semilattice_for(kind: str, name: str) -> Semilattice:
         return Semilattice.create(parent, idx)
     except ValidationError as exc:
         raise ValidationError(f"semilattice {kind} of {spec}: {exc}") from None
+
+
+def identify(s, indices):
+    """The name of the first family of ``FAMILIES`` marked ``named`` whose
+    elements are those of the index subset of s, or None.  Relations, told
+    apart first as the empty relation equals the empty diagram, are compared
+    with each relation family of their degree, a whole universe; diagrams of
+    degree m by their sorted positions in P_m, built already as every
+    diagram family is cut from it, with each cut of ``family_cuts(m)``."""
+    sample = s.decode(0)
+    m, relations = sample.n, isinstance(sample, rel.BinaryRelation)
+    if relations:
+        elements = set(map(s.decode, indices))
+    else:
+        index = build(f"P{m}").index
+        positions = tuple(sorted({index[s.decode(i)] for i in indices}))
+    for fam, family in FAMILIES.items():
+        universe, shift = home(fam, 0)  # degree n: members of n + shift
+        if not family.named or m < shift or relations == (universe == "P"):
+            continue
+        if (elements == build(f"{fam}{m}").index.keys() if relations
+                else positions == family_cuts(m)[fam]):
+            return f"{fam}{m - shift}"
+    return None
 
 
 def relation_generators(family, n):

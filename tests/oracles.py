@@ -533,6 +533,20 @@ def word(m, x):
     return tuple(reversed(letters))
 
 
+def row(m, a):
+    """The products a*y for every y, as a list indexed by y, composed by
+    ``m._lines`` along the word of a alone."""
+    ((_, line),) = m._lines({a})
+    return list(line)
+
+
+def column(m, a):
+    """The products y*a for every y, as a list indexed by y, composed by
+    ``m._lines`` along the word of a alone."""
+    ((_, line),) = m._lines({a}, column=True)
+    return list(line)
+
+
 def graph_rows(m):
     """The Cayley table of a monoid without its generators' left actions:
     x*y traced from x through the right graph along the word of y."""

@@ -7,7 +7,8 @@ attribute, a class member as an attribute.  Each unread name must be on
 ``ALLOWED`` with the reason it stays, and each allowed name must be unread.
 Each name a module imports must be read in that module, and importing the
 CLI must load none of ``dataclasses``, ``inspect`` and ``typing``, whose
-import every command would pay in its fresh process.
+import every command would pay in its fresh process.  A family's
+``universe`` field is read by ``zoo.home`` alone.
 """
 
 import ast
@@ -56,6 +57,27 @@ def test_every_name_in_src_has_a_reader_in_src():
             unread |= {q for q, n in _members(cls.body, f"{mod}.{cls.name}")
                        if n not in attrs and not n.startswith("__")}
     assert unread == set(ALLOWED)
+
+
+def _readers(node, attr, where):
+    """The qualified name of the innermost def or class around each read
+    of the attribute ``attr`` under ``node``, itself inside ``where``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr == attr and (
+            isinstance(child.ctx, ast.Load)
+        ):
+            yield where
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from _readers(child, attr, f"{where}.{child.name}" if named
+                            else where)
+
+
+def test_only_zoo_home_reads_a_family_universe():
+    # which whole universe a family lives in, and at which degree, is
+    # decided once: every other reader asks zoo.home
+    readers = {r for p in SRC.glob("*.py")
+               for r in _readers(ast.parse(p.read_text()), "universe", p.stem)}
+    assert readers == {"zoo.home"}
 
 
 def test_every_import_in_src_is_read_in_its_module():

@@ -357,14 +357,13 @@ def _member_test(fam, deg, m):
 @functools.lru_cache(maxsize=None)
 def _universe_count(fam, deg, m):
     """The members of a candidate, counted one by one in its universe."""
-    universe = (
-        zoo.relation_universe(deg) if fam == "PT" else zoo.partition_universe(m)
-    )
+    universe = (zoo.relation_universe("BX", deg) if fam == "PT"
+                else zoo.partition_universe(m))
     return sum(map(_member_test(fam, deg, m), universe))
 
 
 def identify_by_counting(s, indices):
-    """``cli._identify`` by counting each candidate's members in its whole
+    """``zoo.identify`` by counting each candidate's members in its whole
     universe, one membership test per element."""
     elements = frozenset(s.decode(i) for i in indices)
     n = s.decode(0).n
@@ -387,7 +386,7 @@ def test_identify_names_each_degree_0_cut_by_table_order(capsys):
         sample = s.decode(0)
         if sample.n == 0:
             want = "PT0" if isinstance(sample, rel.BinaryRelation) else "I0"
-            assert cli._identify(s, range(s.size)) == want, fam
+            assert zoo.identify(s, range(s.size)) == want, fam
     assert cli.main(["analyze", "D00", "E"]) == 0
     assert json.loads(capsys.readouterr().out)["regular_family"] == "I0"
 
@@ -413,7 +412,7 @@ def _identify_cases(name):
 def test_identify_matches_universe_counting(name):
     s = zoo.build(name)
     for indices in _identify_cases(name):
-        assert cli._identify(s, indices) == identify_by_counting(s, indices)
+        assert zoo.identify(s, indices) == identify_by_counting(s, indices)
 
 
 # -- the chunked JSON writer against json.dumps --------------------------------

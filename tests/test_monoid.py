@@ -23,6 +23,7 @@ from oracles import (
     cayley_graph_by_products,
     cayley_table,
     closure,
+    column,
     embedding_pairwise,
     escape_pairwise,
     generates,
@@ -40,6 +41,7 @@ from oracles import (
     restricted_submonoid,
     right_actions,
     right_zeros_pairwise,
+    row,
     submonoid_by_products,
     top_degree,
     word,
@@ -435,7 +437,7 @@ def definitional_table(name):
 
 @pytest.mark.parametrize(
     "family",
-    [f for f, x in zoo.FAMILIES.items() if x.universe in ("P", "rook")],
+    [f for f in zoo.FAMILIES if zoo.home(f, 0)[0] == "P"],
 )
 def test_traced_tables_match_multiply(family):
     """Every product of each family's tables up to degree 3 against
@@ -484,7 +486,7 @@ def test_table_of_a_deep_tree_is_built_without_recursion():
         )
         last = order - 1
         assert m.mul(last, last) == order - 2
-        assert m.row(last)[1] == m.column(last)[1] == 0
+        assert row(m, last)[1] == column(m, last)[1] == 0
         # no per-element word is held: the words' slots alone would take
         # 8.6 MB, the sum of 1,124,250 word lengths
         held = tracemalloc.get_traced_memory()[0]
@@ -494,8 +496,8 @@ def test_table_of_a_deep_tree_is_built_without_recursion():
     assert len(word(m, last)) == order - 1 > sys.getrecursionlimit()
     table = m._build_table()
     assert len(table) == order
-    for i, row in enumerate(table):
-        assert list(row) == [(i + j) % order for j in range(order)], i
+    for i, line in enumerate(table):
+        assert list(line) == [(i + j) % order for j in range(order)], i
 
 
 @pytest.mark.parametrize(
@@ -504,7 +506,7 @@ def test_table_of_a_deep_tree_is_built_without_recursion():
 def test_relation_tables_match_compose(name):
     m = zoo.build(name)
     spec = zoo.FamilySpec.parse(name)
-    universe = zoo.relation_universe(spec.n)
+    universe = zoo.relation_universe("BX", spec.n)
     test = rel.is_partial_function if spec.family == "PT" else lambda a: True
     assert m.elements == [a for a in universe if test(a)]  # universe order
     assert m.decode(m.identity) == rel.identity_rel(spec.n)
@@ -537,7 +539,7 @@ def test_relation_actions_stop_at_a_product_outside_the_set():
     with pytest.raises(ValidationError,
                        match="not closed: .* escapes the set"):
         mon.froidure_pin(actions, rel.identity_rel(3),
-                         zoo.partial_functions(3))
+                         zoo.relation_universe("PT", 3))
 
 
 @pytest.mark.parametrize(
@@ -548,8 +550,8 @@ def test_submonoid_matches_the_row_restriction_oracle(name):
     # RP3 and RJ3 live in P4 with an identity that is not P4's; D04, D14
     # and Pfk4 are semigroups; B0 has no generators
     spec = zoo.FamilySpec.parse(name)
-    rook = zoo.FAMILIES[spec.family].universe == "rook"
-    parent = zoo.build(f"P{spec.n + rook}")
+    universe, degree = zoo.home(*spec)
+    parent = zoo.build(f"{universe}{degree}")
     m = zoo.build(name)
     want = restricted_submonoid(parent, zoo.family_cut(spec), parent.order)
     for key, value in want.items():
@@ -672,18 +674,18 @@ def test_rows_filled_on_demand_match_the_whole_table(name):
     rng.shuffle(order)
     for i in order:
         js = rng.sample(range(m.size), min(m.size, 12))
-        assert m.row(i) == want[i], i
+        assert row(m, i) == want[i], i
         assert [m.mul(i, j) for j in js] == [want[i][j] for j in js], i
     columns = range(m.size) if small else rng.sample(range(m.size), 96)
     for a in columns:
-        assert m.column(a) == [row[a] for row in want], a
+        assert column(m, a) == [line[a] for line in want], a
 
 
 def test_structural_reads_fill_few_rows(monkeypatch):
     # the egg-box reads only the generator graphs; the Ehresmann report's
     # one row and one column per member of E are counted in test_ehresmann
     ll4 = zoo.build("LL4")
-    calls = {"row": [], "column": [], "_build_table": []}
+    calls = {"_lines": [], "_build_table": []}
     for method, seen in calls.items():
         def counted(m, *args, original=getattr(mon.FiniteMonoid, method),
                     seen=seen):
@@ -691,7 +693,7 @@ def test_structural_reads_fill_few_rows(monkeypatch):
             return original(m, *args)
         monkeypatch.setattr(mon.FiniteMonoid, method, counted)
     dotout.emit_eggbox(ll4)
-    assert calls == {"row": [], "column": [], "_build_table": []}
+    assert calls == {"_lines": [], "_build_table": []}
 
 
 def test_bx3_needs_its_extra_generator():
@@ -699,7 +701,8 @@ def test_bx3_needs_its_extra_generator():
     one = rel.identity_rel(3)
     assert len(closure(gens, rel.compose, one)) == 506
     with pytest.raises(ValidationError, match="506 of the 512"):
-        monoid_by_products(gens, rel.compose, one, zoo.relation_universe(3))
+        monoid_by_products(gens, rel.compose, one,
+                           zoo.relation_universe("BX", 3))
 
 
 def test_submonoid_above_the_table_cap_is_untabled():
@@ -717,8 +720,8 @@ def test_submonoid_above_the_table_cap_is_untabled():
             sub.elements[i], sub.elements[j]
         )
     for a in rng.sample(range(p4.size), 5) + sub.generators:
-        assert sub.row(a) == p4.row(a)
-        assert sub.column(a) == p4.column(a)
+        assert row(sub, a) == row(p4, a)
+        assert column(sub, a) == column(p4, a)
     got, want = mon.green(sub), mon.green(p4)
     for key in ("r_class", "l_class", "d_class"):
         assert mon.same_classes(getattr(got, key), getattr(want, key)), key

@@ -173,8 +173,8 @@ def brauer_size_one_more_at_3(monkeypatch):
 def l2_always_holds(monkeypatch):
     # the left congruence sweep passes whatever the classes
     sweep = eh._sweep
-    monkeypatch.setattr(eh, "_sweep", lambda s, classes, actions, line: (
-        (True, None) if actions is s.left else sweep(s, classes, actions, line)
+    monkeypatch.setattr(eh, "_sweep", lambda s, classes, column: (
+        sweep(s, classes, column) if column else (True, None)
     ))
 
 

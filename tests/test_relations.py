@@ -28,14 +28,14 @@ def compose_by_pairs(a, b):
 
 
 def test_compose_matches_pair_definition_exhaustive_degree_2():
-    u = relation_universe(2)
+    u = relation_universe("BX", 2)
     for a in u:
         for b in u:
             assert rel.compose(a, b) == compose_by_pairs(a, b)
 
 
 def test_compose_matches_pair_definition_sampled_degree_3():
-    u = relation_universe(3)
+    u = relation_universe("BX", 3)
     rng = random.Random(3)
     for _ in range(600):
         a, b = rng.choice(u), rng.choice(u)
@@ -43,7 +43,7 @@ def test_compose_matches_pair_definition_sampled_degree_3():
 
 
 def test_converse_laws():
-    u = relation_universe(2)
+    u = relation_universe("BX", 2)
     for a in u:
         assert rel.converse(rel.converse(a)) == a
         for b in u:
@@ -57,7 +57,7 @@ def test_identity_empty_full():
     e = rel.identity_rel(n)
     z = empty_rel(n)
     f = full_rel(n)
-    for a in relation_universe(n)[:50]:
+    for a in relation_universe("BX", n)[:50]:
         assert rel.compose(e, a) == a
         assert rel.compose(a, e) == a
         assert rel.compose(z, a) == z
@@ -66,7 +66,7 @@ def test_identity_empty_full():
 
 
 def test_function_predicates_against_pair_counts():
-    for a in relation_universe(3):
+    for a in relation_universe("BX", 3):
         rows = [
             sum(1 for (x, _) in a.pairs() if x == i) for i in range(1, 4)
         ]
@@ -81,7 +81,7 @@ def test_function_predicates_against_pair_counts():
 
 
 def test_partial_functions_closed_under_composition():
-    pf = [a for a in relation_universe(2) if rel.is_partial_function(a)]
+    pf = [a for a in relation_universe("BX", 2) if rel.is_partial_function(a)]
     for a in pf:
         for b in pf:
             assert rel.is_partial_function(rel.compose(a, b))
@@ -106,7 +106,7 @@ def test_rel_params_domain_codomain():
 
 @pytest.mark.parametrize("n", range(4))
 def test_rel_params_domain_codomain_match_the_pairs(n):
-    for a in relation_universe(n):
+    for a in relation_universe("BX", n):
         p = rel.rel_params(a)
         assert p.dom == frozenset(x for x, _ in a.pairs())
         assert p.codom == frozenset(y for _, y in a.pairs())
@@ -114,7 +114,7 @@ def test_rel_params_domain_codomain_match_the_pairs(n):
 
 @pytest.mark.parametrize("n", range(4))
 def test_json_round_trip_every_relation(n):
-    for a in relation_universe(n):
+    for a in relation_universe("BX", n):
         assert rel.BinaryRelation.from_json(a.to_json()) == a
 
 

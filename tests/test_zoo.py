@@ -6,6 +6,7 @@ import time
 import pytest
 
 from diagmon import diagrams as dg
+from diagmon import relations as rel
 from diagmon import zoo
 from diagmon.errors import ResourceCapError, ValidationError
 
@@ -100,9 +101,8 @@ def test_sizes_match_formulas():
     "family", sorted(f for f, x in zoo.FAMILIES.items() if x.member)
 )
 def test_family_cuts_match_the_per_element_oracle(family):
-    rook = zoo.FAMILIES[family].universe == "rook"
     for n in range(top_degree(family) + 1):
-        universe = zoo.partition_universe(n + rook)
+        universe = zoo.partition_universe(zoo.home(family, n)[1])
         want = tuple(
             i for i, a in enumerate(universe) if family_member(family, a)
         )
@@ -110,21 +110,35 @@ def test_family_cuts_match_the_per_element_oracle(family):
         assert zoo.build(f"{family}{n}").elements == [universe[i] for i in want]
 
 
+@pytest.mark.parametrize("family", list(zoo.FAMILIES))
+def test_home_gives_the_universe_and_degree_of_each_admitted_name(family):
+    # a whole-universe record, and the built elements are its diagrams or
+    # relations of home's degree: a rook family's one degree up
+    for n in range(top_degree(family) + 1):
+        universe, degree = zoo.home(family, n)
+        assert zoo.FAMILIES[universe].member is None, n
+        kind = dg.Partition if universe == "P" else rel.BinaryRelation
+        elements = zoo.build(f"{family}{n}").elements
+        assert all(type(a) is kind and a.n == degree for a in elements), n
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_partial_functions_match_the_filtered_universe(n):
     # listed directly, in the order of the filtered relation universe
-    want = partial_functions_by_filter(zoo.relation_universe(n))
-    assert zoo.partial_functions(n) == want
+    want = partial_functions_by_filter(zoo.relation_universe("BX", n))
+    assert zoo.relation_universe("PT", n) == want
     assert len(want) == (n + 1) ** n
 
 
 def test_family_cuts_cover_each_family_within_its_cap():
-    cut = {f: x.universe for f, x in zoo.FAMILIES.items() if x.member}
+    cut = {f for f, x in zoo.FAMILIES.items() if x.member}
     for n in range(5):
-        assert set(zoo.family_cuts(n)) == set(cut)
-    # no extra point to absorb rook dots at degree 0
-    for fam, universe in cut.items():
-        assert (zoo.family_cuts(0)[fam] == ()) == (universe == "rook"), fam
+        assert set(zoo.family_cuts(n)) == cut
+    # no extra point to absorb rook dots at degree 0: a family whose
+    # degree-0 members live one degree up has an empty cut there
+    for fam in cut:
+        empty = zoo.family_cuts(0)[fam] == ()
+        assert empty == (zoo.home(fam, 0) == ("P", 1)), fam
     for name in ("RJ4", "RP4"):
         with pytest.raises(ResourceCapError):
             zoo.family_cut(zoo.FamilySpec.parse(name))
@@ -134,11 +148,10 @@ def test_family_cuts_cover_each_family_within_its_cap():
 def test_names_over_the_budget_are_refused_before_enumeration(
     monkeypatch, name
 ):
-    def enumerate_universe(n):
-        raise AssertionError(f"a universe of degree {n} was enumerated")
+    def enumerate_universe(*args):
+        raise AssertionError(f"a universe {args} was enumerated")
 
-    for universe in ("partition_universe", "relation_universe",
-                     "partial_functions"):
+    for universe in ("partition_universe", "relation_universe"):
         monkeypatch.setattr(zoo, universe, enumerate_universe)
     with pytest.raises(ResourceCapError):
         zoo.build(name)
